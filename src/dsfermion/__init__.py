@@ -1,108 +1,7 @@
-"""Digital quantum simulation of a free staggered fermion in a 1+1D de Sitter universe."""
+"""Digital quantum simulation of a free staggered fermion in a 1+1D de Sitter universe.
+
+The API lives in the submodules (``dsfermion.model``, ``dsfermion.evolve``,
+``dsfermion.state`` and so on); the package root exports only the version.
+"""
 
 __version__ = "0.1.0"
-
-from .errors import NormDriftError, ResourceLimitError
-from .model import (
-    BilinearReport,
-    HamiltonianParts,
-    ModelParams,
-    build_charge_term,
-    build_hopping,
-    build_mass_term,
-    hamiltonian_at,
-    hamiltonian_parts,
-    jw_fermion_op,
-    n8_fixture,
-    scale_factor,
-    total_sz,
-    verify_bilinears,
-)
-from .evolve import (
-    ExactOracleResult,
-    Trajectory,
-    TrotterErrorPoint,
-    TrotterPlan,
-    exact_evolve,
-    exact_evolve_converged,
-    state_distance,
-    trotter_error_scan,
-    trotter_evolve,
-    trotter_step,
-)
-from .observables import (
-    ObservableRecord,
-    ShotErrors,
-    chiral_condensate,
-    density_correlation,
-    estimators_from_counts,
-    exact_record,
-    fermion_density,
-    hole_circular_variance,
-    polarization,
-    total_charge,
-)
-from .pauli import PauliString, PauliSum, commutator, commutes, multiply, single_site
-from .state import (
-    ShotCounts,
-    StateVector,
-    apply_dense,
-    apply_pauli_rotation,
-    basis_state,
-    expectation_pauli_sum,
-    expectation_zdiag,
-    sample_z_basis,
-)
-
-__all__ = [
-    "__version__",
-    "BilinearReport",
-    "ExactOracleResult",
-    "HamiltonianParts",
-    "ModelParams",
-    "NormDriftError",
-    "ObservableRecord",
-    "PauliString",
-    "PauliSum",
-    "ResourceLimitError",
-    "ShotCounts",
-    "ShotErrors",
-    "StateVector",
-    "Trajectory",
-    "TrotterErrorPoint",
-    "TrotterPlan",
-    "apply_dense",
-    "apply_pauli_rotation",
-    "basis_state",
-    "build_charge_term",
-    "build_hopping",
-    "build_mass_term",
-    "chiral_condensate",
-    "commutator",
-    "commutes",
-    "density_correlation",
-    "estimators_from_counts",
-    "exact_evolve",
-    "exact_evolve_converged",
-    "exact_record",
-    "expectation_pauli_sum",
-    "expectation_zdiag",
-    "fermion_density",
-    "hamiltonian_at",
-    "hamiltonian_parts",
-    "hole_circular_variance",
-    "jw_fermion_op",
-    "multiply",
-    "n8_fixture",
-    "polarization",
-    "sample_z_basis",
-    "scale_factor",
-    "single_site",
-    "state_distance",
-    "total_charge",
-    "total_sz",
-    "trotter_error_scan",
-    "trotter_evolve",
-    "trotter_step",
-    "verify_bilinears",
-]

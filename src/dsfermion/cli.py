@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 
 from . import __version__
-from .errors import NormDriftError
+from .errors import CHARGE_DRIFT_TOL, NORM_DRIFT_TOL, ORACLE_TOL, NormDriftError
 from .evolve import (
     TrotterPlan,
     exact_evolve_converged,
@@ -32,10 +32,12 @@ from .evolve import (
     trotter_evolve,
 )
 from .model import (
+    BILINEAR_QUBIT_LIMIT,
     ModelParams,
     build_charge_term,
     build_hopping,
     build_mass_term,
+    check_sites,
     hamiltonian_at,
     n8_fixture,
     total_sz,
@@ -52,9 +54,6 @@ EXIT_IO = 2
 EXIT_INVARIANT = 3
 EXIT_VERIFY = 4
 
-CHARGE_DRIFT_TOL = 1e-10
-NORM_DRIFT_TOL = 1e-10
-ORACLE_TOL = 1e-10
 P_RATIO_FLOOR = 1e-9
 
 SWEEPABLE = ("hubble", "mass", "trotter_steps", "shots", "initial_state_index")
@@ -81,21 +80,13 @@ class RunConfig:
     output_dir: str = field(default_factory=_default_output_dir)
 
     def validate(self) -> None:
-        if self.n_sites < 4 or self.n_sites % 2 != 0:
-            raise ValueError(f"n_sites must be an even integer >= 4, got {self.n_sites}")
+        """The checks no later step of `run` makes: its ModelParams,
+        basis_state and TrotterPlan reject the other fields, still before any
+        output is written."""
         if self.trotter_steps < 1:
             raise ValueError(f"trotter_steps must be >= 1, got {self.trotter_steps}")
-        if not 0 <= self.initial_state_index < (1 << self.n_sites):
-            raise ValueError(
-                f"initial_state_index {self.initial_state_index} out of range for "
-                f"{self.n_sites} sites"
-            )
         if self.shots < 0:
             raise ValueError(f"shots must be >= 0, got {self.shots}")
-        if self.snapshot_every < 1:
-            raise ValueError(f"snapshot_every must be >= 1, got {self.snapshot_every}")
-        if self.time_sampling not in ("left", "midpoint"):
-            raise ValueError(f"time_sampling must be 'left' or 'midpoint', got {self.time_sampling!r}")
         if self.oracle not in ("on", "off"):
             raise ValueError(f"oracle must be 'on' or 'off', got {self.oracle!r}")
         if self.oracle_substeps_start < 1:
@@ -418,10 +409,9 @@ def verify(max_n: int, stream=None) -> int:
     """Structural checks: bilinear identities, charge commutator, lowest
     eigenvalue on the filled state, and the N=8 transcription fixture."""
     stream = stream or sys.stdout
-    if max_n > 10:
-        raise ValueError(f"max_n must be <= 10, got {max_n}")
-    if max_n < 4 or max_n % 2 != 0:
-        raise ValueError(f"max_n must be an even integer >= 4, got {max_n}")
+    if max_n > BILINEAR_QUBIT_LIMIT:
+        raise ValueError(f"max_n must be <= {BILINEAR_QUBIT_LIMIT}, got {max_n}")
+    check_sites(max_n)
     failures = 0
 
     def report(name: str, ok: bool, detail: str) -> None:

@@ -1,4 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types and numerical tolerances shared across the package."""
+
+# A unitary kernel that moves the norm further than this is broken: 1e4
+# random rotations at N = 8 drift by ~3e-15, so 1e-8 is far above rounding.
+NORM_DRIFT_LIMIT = 1e-8
+
+# Drift of the norm and of the total charge over a run's snapshots beyond
+# which `run` exits 3; the paper presets drift by ~5e-14.
+NORM_DRIFT_TOL = 1e-10
+CHARGE_DRIFT_TOL = 1e-10
+
+# The oracle stops doubling once two successive results differ by less than
+# this in norm; it also bounds the imaginary part of an expectation, which
+# is pure rounding for a Hermitian observable.
+ORACLE_TOL = 1e-10
+
+# Phases folded into a Hermitian sum's coefficients are exact multiples of
+# i, so any imaginary part above rounding means a non-Hermitian sum.
+IMAG_COEFF_TOL = 1e-12
 
 
 class ResourceLimitError(RuntimeError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ORACLE_TOL, ResourceLimitError
 from .model import (
     HamiltonianParts,
     ModelParams,
@@ -25,7 +25,7 @@ from .model import (
     scale_factor,
 )
 from .observables import ObservableRecord, exact_record
-from .pauli import PauliString, single_site
+from .pauli import PauliString, PauliSum
 from .state import StateVector, apply_pauli_rotation, expectation_pauli_sum
 
 EXACT_QUBIT_LIMIT = 12
@@ -90,23 +90,11 @@ class TrotterErrorPoint:
     observable_deltas: dict[str, float]
 
 
-class _Schedule:
-    """Precomputed term order for one lattice size."""
-
-    def __init__(self, n_sites: int):
-        self.n_sites = n_sites
-        hopping: list[tuple[PauliString, float]] = []
-        for x in range(n_sites - 1):
-            xx = single_site(n_sites, x, "X") * single_site(n_sites, x + 1, "X")
-            yy = single_site(n_sites, x, "Y") * single_site(n_sites, x + 1, "Y")
-            hopping.append((xx, -0.5))
-            hopping.append((yy, -0.5))
-        boundary_coeff = -((-1) ** (n_sites // 2)) / 2.0
-        for axis in ("X", "Y"):
-            label = axis + "Z" * (n_sites - 2) + axis
-            hopping.append((PauliString.from_label(label), boundary_coeff))
-        self.hopping = hopping
-        self.z_strings = [single_site(n_sites, x, "Z") for x in range(n_sites)]
+def _step_order(term: tuple[float, PauliString]) -> tuple[bool, int, int]:
+    """Bulk bonds (two adjacent X bits) first, by site, XX before YY; then the
+    boundary X string and the boundary Y string."""
+    x_mask, z_mask = term[1].x_mask, term[1].z_mask
+    return (not x_mask & (x_mask >> 1), x_mask, z_mask)
 
 
 def trotter_step(
@@ -114,18 +102,19 @@ def trotter_step(
     params: ModelParams,
     t_sample: float,
     dt: float,
-    schedule: _Schedule | None = None,
+    parts: HamiltonianParts | None = None,
 ) -> StateVector:
     """One first-order Trotter step of width dt, sampling e^{h t} at t_sample."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if schedule is None or schedule.n_sites != params.n_sites:
-        schedule = _Schedule(params.n_sites)
-    for string, coeff in schedule.hopping:
+    if parts is None:
+        parts = hamiltonian_parts(params.n_sites)
+    for coeff, string in sorted(parts.hopping.terms, key=_step_order):
         apply_pauli_rotation(state, string, coeff * dt)
-    mass_coeff = params.mass * scale_factor(params, t_sample) / 2.0
-    for x, z_string in enumerate(schedule.z_strings):
-        theta = dt * (params.hubble / 4.0 + mass_coeff * (-1) ** x)
+    mass_scale = params.mass * scale_factor(params, t_sample)
+    # Both diagonal sums hold one Z(x) per site, in site order.
+    for (c_charge, z_string), (c_mass, _) in zip(parts.charge.terms, parts.mass_term.terms):
+        theta = dt * (params.hubble * c_charge + mass_scale * c_mass)
         apply_pauli_rotation(state, z_string, theta)
     return state
 
@@ -146,7 +135,6 @@ def trotter_evolve(
         )
     if parts is None:
         parts = hamiltonian_parts(params.n_sites)
-    schedule = _Schedule(params.n_sites)
     state = initial.copy()
 
     times: list[float] = []
@@ -162,7 +150,7 @@ def trotter_evolve(
 
     snapshot(0.0)
     for k in range(plan.steps):
-        trotter_step(state, params, plan.sample_time(k), plan.dt, schedule)
+        trotter_step(state, params, plan.sample_time(k), plan.dt, parts)
         if (k + 1) % plan.snapshot_every == 0 or k + 1 == plan.steps:
             snapshot((k + 1) * plan.dt)
     return Trajectory(times=times, records=records, states=states)
@@ -186,6 +174,10 @@ def _taylor_apply(static: np.ndarray, diag: np.ndarray, vec: np.ndarray, dt: flo
         if np.linalg.norm(term) < 1e-17:
             return out
     raise RuntimeError("propagator series failed to converge")  # pragma: no cover
+
+
+def _abs_coeff_sum(op: PauliSum) -> float:
+    return sum(abs(c) for c, _ in op.terms)
 
 
 def exact_evolve(
@@ -224,9 +216,9 @@ def exact_evolve(
 
     dt = t_total / substeps
     # Cheap upper bound on ||aH|| from the term coefficients.
-    coeff_bound = sum(abs(c) for c, _ in parts.hopping.terms)
-    coeff_bound += params.hubble * params.n_sites / 4.0
-    coeff_bound += params.mass * scale_factor(params, t_total) * params.n_sites / 2.0
+    coeff_bound = _abs_coeff_sum(parts.hopping)
+    coeff_bound += params.hubble * _abs_coeff_sum(parts.charge)
+    coeff_bound += params.mass * scale_factor(params, t_total) * _abs_coeff_sum(parts.mass_term)
     use_series = coeff_bound * dt < 1.0
 
     vec = initial.amplitudes.copy()
@@ -253,7 +245,7 @@ def exact_evolve_converged(
     params: ModelParams,
     t_total: float,
     substeps_start: int = 256,
-    tol: float = 1e-10,
+    tol: float = ORACLE_TOL,
     max_substeps: int = 1 << 18,
     parts: HamiltonianParts | None = None,
 ) -> ExactOracleResult:
@@ -308,7 +300,7 @@ def trotter_error_scan(
     step_counts: list[int],
     time_sampling: str = "midpoint",
     oracle_substeps_start: int = 256,
-    oracle_tol: float = 1e-10,
+    oracle_tol: float = ORACLE_TOL,
 ) -> list[TrotterErrorPoint]:
     """Distance and per-observable deviation of Trotter evolution vs the oracle."""
     if not step_counts:

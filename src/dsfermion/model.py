@@ -28,6 +28,12 @@ JW_QUBIT_LIMIT = 12
 BILINEAR_QUBIT_LIMIT = 10
 
 
+def check_sites(n_sites: int) -> None:
+    """The lattice-size rule: two staggered sites per Dirac spinor, at least two spinors."""
+    if n_sites < 4 or n_sites % 2 != 0:
+        raise ValueError(f"n_sites must be an even integer >= 4, got {n_sites}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Lattice size and physical couplings, all dimensionless (a = 1)."""
@@ -37,8 +43,7 @@ class ModelParams:
     mass: float
 
     def __post_init__(self):
-        if self.n_sites < 4 or self.n_sites % 2 != 0:
-            raise ValueError(f"n_sites must be an even integer >= 4, got {self.n_sites}")
+        check_sites(self.n_sites)
         for name in ("hubble", "mass"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
@@ -54,11 +59,6 @@ class HamiltonianParts:
     mass_term: PauliSum
 
 
-def _check_sites(n_sites: int) -> None:
-    if n_sites < 4 or n_sites % 2 != 0:
-        raise ValueError(f"n_sites must be an even integer >= 4, got {n_sites}")
-
-
 def _bond(n_sites: int, x: int, axis: str) -> PauliString:
     return single_site(n_sites, x, axis) * single_site(n_sites, x + 1, axis)
 
@@ -71,7 +71,7 @@ def _boundary_string(n_sites: int, axis: str) -> PauliString:
 
 def build_hopping(n_sites: int) -> PauliSum:
     """Kinetic part: -(1/2) sum of bulk XX+YY bonds plus the signed boundary pair."""
-    _check_sites(n_sites)
+    check_sites(n_sites)
     terms: list[tuple[float, PauliString]] = []
     for x in range(n_sites - 1):
         terms.append((-0.5, _bond(n_sites, x, "X")))
@@ -84,13 +84,13 @@ def build_hopping(n_sites: int) -> PauliSum:
 
 def build_charge_term(n_sites: int) -> PauliSum:
     """(1/4) sum of Z(x); the Hubble rate multiplies this at assembly."""
-    _check_sites(n_sites)
+    check_sites(n_sites)
     return PauliSum(n_sites, [(0.25, single_site(n_sites, x, "Z")) for x in range(n_sites)])
 
 
 def build_mass_term(n_sites: int) -> PauliSum:
     """(1/2) sum of (-1)^x Z(x), positive at x = 0; m e^{ht} multiplies at assembly."""
-    _check_sites(n_sites)
+    check_sites(n_sites)
     return PauliSum(
         n_sites,
         [(0.5 * (-1) ** x, single_site(n_sites, x, "Z")) for x in range(n_sites)],
@@ -98,6 +98,7 @@ def build_mass_term(n_sites: int) -> PauliSum:
 
 
 def hamiltonian_parts(n_sites: int) -> HamiltonianParts:
+    """The one definition of the terms of aH(t) and of their coefficients."""
     return HamiltonianParts(
         hopping=build_hopping(n_sites),
         charge=build_charge_term(n_sites),
@@ -177,7 +178,7 @@ def verify_bilinears(n_sites: int) -> BilinearReport:
     periodically (mod N); the boundary string's (-1)^{N/2} sign then emerges
     from the Jordan-Wigner tails on the wrapped terms.
     """
-    _check_sites(n_sites)
+    check_sites(n_sites)
     if n_sites > BILINEAR_QUBIT_LIMIT:
         raise ResourceLimitError(
             f"bilinear verification limited to {BILINEAR_QUBIT_LIMIT} qubits, got {n_sites}"

@@ -17,13 +17,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import IMAG_COEFF_TOL, ResourceLimitError
 
 # Largest register for which dense 2^N x 2^N realizations are allowed.
 DENSE_QUBIT_LIMIT = 14
-
-# Coefficients folded from string phases must be real up to this residue.
-IMAG_COEFF_TOL = 1e-12
 
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)  # i**k for k = 0..3
 _PHASE_CANON = {1 + 0j: 1 + 0j, 1j: 1j, -1 + 0j: -1 + 0j, -1j: -1j}
@@ -191,15 +188,6 @@ class PauliSum:
         out.sort(key=lambda item: item[1].key())
         self.n_qubits = n_qubits
         self.terms = tuple(out)
-
-    @classmethod
-    def from_label_terms(
-        cls, n_qubits: int, label_terms: Iterable[tuple[float, str]]
-    ) -> "PauliSum":
-        return cls(
-            n_qubits,
-            [(coeff, PauliString.from_label(label)) for coeff, label in label_terms],
-        )
 
     def __len__(self) -> int:
         return len(self.terms)

@@ -17,13 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NormDriftError
+from .errors import NORM_DRIFT_LIMIT, ORACLE_TOL, NormDriftError
 from .pauli import PauliString, PauliSum, _PHASES, _parity_of_masked
-
-# Unitary applications must keep the norm within this drift before we call it a bug.
-NORM_DRIFT_LIMIT = 1e-8
-
-UNITARITY_TOL = 1e-10
 
 
 @dataclass
@@ -131,33 +126,12 @@ def apply_pauli_rotation(state: StateVector, p: PauliString, theta: float) -> St
     return state
 
 
-def apply_dense(state: StateVector, u: np.ndarray) -> StateVector:
-    """state <- u state after validating that u is unitary."""
-    dim = state.dim
-    u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (dim, dim):
-        raise ValueError(f"expected a {dim}x{dim} matrix, got {u.shape}")
-    dev = float(np.max(np.abs(u @ u.conj().T - np.eye(dim))))
-    if dev > UNITARITY_TOL:
-        raise ValueError(f"matrix is not unitary: max |u u^dag - 1| = {dev:.3e}")
-    state.amplitudes = u @ state.amplitudes
-    _check_norm(state)
-    return state
-
-
-def expectation_zdiag(state: StateVector, weights) -> float:
-    """Sum_k |amp_k|^2 w(k) for a diagonal observable.
-
-    ``weights`` is either a callable on basis indices or an array of length 2^N.
-    """
-    probs = state.probabilities()
-    if callable(weights):
-        w = np.fromiter((weights(k) for k in range(state.dim)), dtype=np.float64, count=state.dim)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (state.dim,):
-            raise ValueError(f"weights must have length {state.dim}, got shape {w.shape}")
-    return float(probs @ w)
+def expectation_zdiag(state: StateVector, weights: np.ndarray) -> float:
+    """Sum_k |amp_k|^2 w[k] for a diagonal observable with 2^N weights."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (state.dim,):
+        raise ValueError(f"weights must have length {state.dim}, got shape {w.shape}")
+    return float(state.probabilities() @ w)
 
 
 def expectation_pauli_sum(state: StateVector, a: PauliSum) -> float:
@@ -169,7 +143,7 @@ def expectation_pauli_sum(state: StateVector, a: PauliSum) -> float:
     for coeff, string in a.terms:
         acc += coeff * apply_pauli_string(string, vec)
     value = complex(np.vdot(vec, acc))
-    if abs(value.imag) > 1e-10:
+    if abs(value.imag) > ORACLE_TOL:
         raise RuntimeError(f"expectation has imaginary residue {value.imag:.3e}")
     return value.real
 
@@ -181,9 +155,12 @@ def sample_z_basis(state: StateVector, shots: int, seed: int) -> ShotCounts:
     probs = state.probabilities()
     cumulative = np.cumsum(probs)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    draws = rng.random(shots)
+    # Scale the draws to the sum's own total, so that a draw can never fall
+    # past it onto a zero-probability tail; the clip catches a product that
+    # rounds up to the total.
+    draws = rng.random(shots) * cumulative[-1]
     outcomes = np.searchsorted(cumulative, draws, side="right")
-    outcomes = np.minimum(outcomes, state.dim - 1)
+    outcomes = np.minimum(outcomes, np.flatnonzero(probs)[-1])
     values, freqs = np.unique(outcomes, return_counts=True)
     counts = {int(v): int(c) for v, c in zip(values, freqs)}
     return ShotCounts(n_qubits=state.n_qubits, shots=shots, counts=counts, seed=seed)

@@ -195,8 +195,19 @@ class TestRun:
         rows_b = (tmp_path / "b" / "density.csv").read_text()
         assert rows_a != rows_b
 
-    def test_invalid_config_is_usage_error(self):
-        assert cli.main(["run", "--n_sites", "7", "--oracle", "off"]) == cli.EXIT_USAGE
+    def test_invalid_config_is_usage_error(self, tmp_path):
+        # Each bad field is rejected by the constructor `run` calls for it,
+        # before any output directory is created.
+        for flag, value in (
+            ("--n_sites", "7"),
+            ("--initial_state_index", "256"),
+            ("--snapshot_every", "0"),
+            ("--time_sampling", "right"),
+        ):
+            out = tmp_path / flag.strip("-")
+            argv = ["run", flag, value, "--oracle", "off", "--output_dir", str(out)]
+            assert cli.main(argv) == cli.EXIT_USAGE, flag
+            assert not out.exists(), flag
 
     def test_unwritable_output_is_io_error(self, tmp_path):
         blocker = tmp_path / "blocker"

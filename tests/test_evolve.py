@@ -92,12 +92,14 @@ class TestTrotterStep:
         assert np.array_equal(a.amplitudes, b.amplitudes)
 
     def test_matches_dense_factor_composition(self, rng):
-        params = ModelParams(4, 0.1, 1.0)
-        vec = random_state(rng, 4)
-        st = StateVector(4, vec.copy())
-        trotter_step(st, params, t_sample=0.05, dt=0.1)
-        expected = dense_trotter_step(4, params, 0.05, 0.1, vec)
-        assert np.max(np.abs(st.amplitudes - expected)) < 1e-12
+        # N = 4 and N = 6 give both signs of the boundary pair.
+        for n in (4, 6):
+            params = ModelParams(n, 0.1, 1.0)
+            vec = random_state(rng, n)
+            st = StateVector(n, vec.copy())
+            trotter_step(st, params, t_sample=0.05, dt=0.1)
+            expected = dense_trotter_step(n, params, 0.05, 0.1, vec)
+            assert np.max(np.abs(st.amplitudes - expected)) < 1e-12, n
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
