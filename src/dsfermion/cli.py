@@ -24,8 +24,9 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 
 from . import __version__
-from .errors import CHARGE_DRIFT_TOL, NORM_DRIFT_TOL, ORACLE_TOL, NormDriftError
+from .errors import CHARGE_DRIFT_TOL, IDENTITY_TOL, NORM_DRIFT_TOL, ORACLE_TOL, NormDriftError
 from .evolve import (
+    EXACT_QUBIT_LIMIT,
     TrotterPlan,
     exact_evolve_converged,
     state_distance,
@@ -80,15 +81,17 @@ class RunConfig:
     output_dir: str = field(default_factory=_default_output_dir)
 
     def validate(self) -> None:
-        """The checks no later step of `run` makes: its ModelParams,
-        basis_state and TrotterPlan reject the other fields, still before any
-        output is written."""
+        """Checks that `run` would otherwise make late or not at all: its
+        ModelParams, basis_state and TrotterPlan reject the other fields before
+        any output is written, but the oracle's size limit only after evolving."""
         if self.trotter_steps < 1:
             raise ValueError(f"trotter_steps must be >= 1, got {self.trotter_steps}")
         if self.shots < 0:
             raise ValueError(f"shots must be >= 0, got {self.shots}")
         if self.oracle not in ("on", "off"):
             raise ValueError(f"oracle must be 'on' or 'off', got {self.oracle!r}")
+        if self.oracle == "on" and self.n_sites > EXACT_QUBIT_LIMIT:
+            raise ValueError(f"the oracle allows n_sites <= {EXACT_QUBIT_LIMIT}, got {self.n_sites}")
         if self.oracle_substeps_start < 1:
             raise ValueError("oracle_substeps_start must be >= 1")
         if not (math.isfinite(self.t_total) and self.t_total > 0):
@@ -424,7 +427,7 @@ def verify(max_n: int, stream=None) -> int:
         rep = verify_bilinears(n)
         report(
             f"bilinear identities N={n}",
-            rep.max_dev() < 1e-12,
+            rep.max_dev() < IDENTITY_TOL,
             f"max deviation {rep.max_dev():.3e}",
         )
 
@@ -446,7 +449,7 @@ def verify(max_n: int, stream=None) -> int:
         expected = n * params.hubble / 4.0
         report(
             f"filled-state eigenvalue N={n}",
-            abs(value - expected) < 1e-12,
+            abs(value - expected) < IDENTITY_TOL,
             f"<H> = {value:.15g}, expected {expected:.15g}",
         )
 

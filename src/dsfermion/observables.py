@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import ShotCounts, StateVector, expectation_zdiag
+from .state import ShotCounts, StateVector
 
 
 @dataclass(frozen=True)
@@ -46,50 +46,19 @@ class ObservableRecord:
     shot_errors: ShotErrors | None = None
 
 
-def _occupations(n_qubits: int) -> np.ndarray:
-    """occ[x, k] = 1 if site x is occupied (bit x of k clear) in basis state k."""
-    indices = np.arange(1 << n_qubits, dtype=np.int64)
-    bits = (indices[None, :] >> np.arange(n_qubits, dtype=np.int64)[:, None]) & 1
-    return 1.0 - bits.astype(np.float64)
-
-
-def fermion_density(state: StateVector, t: float, hubble: float) -> np.ndarray:
-    """Per-site fermion density n(x, t) = e^{h t} <(1 + sigma^z(x))/2>."""
-    probs = state.probabilities()
-    occ = _occupations(state.n_qubits)
-    return math.exp(hubble * t) * (occ @ probs)
-
-
-def density_correlation(state: StateVector, t: float, hubble: float) -> float:
-    """C(t) = <(1 + Z(0) Z(1) + Z(0) + Z(1))/4>, i.e. the joint occupation of
-    sites 0 and 1.  No volume factor enters here (t and hubble are accepted
-    for interface uniformity)."""
-    del t, hubble
-    if state.n_qubits < 2:
+def _z_basis_values(indices: np.ndarray, n_qubits: int) -> tuple[np.ndarray, ...]:
+    """Per-basis-state values that the exact record weights by |amp|^2 and the
+    shot estimate by outcome frequencies, before the volume factor: occ[x, k]
+    (site x occupied when bit x of k is clear), occ[0] occ[1], sum_x x occ[x],
+    sum_x (-1)^x occ[x] and the charge sum_x sigma^z(x)."""
+    if n_qubits < 2:
         raise ValueError("density correlation needs at least two sites")
-    occ = _occupations(state.n_qubits)
-    return expectation_zdiag(state, occ[0] * occ[1])
-
-
-def polarization(state: StateVector, t: float, hubble: float) -> float:
-    """p(t)/e = e^{h t} sum_x x <(1 + sigma^z(x))/2>."""
-    occ = _occupations(state.n_qubits)
-    weights = np.arange(state.n_qubits, dtype=np.float64) @ occ
-    return math.exp(hubble * t) * expectation_zdiag(state, weights)
-
-
-def chiral_condensate(state: StateVector, t: float, hubble: float) -> float:
-    """c(t) = e^{h t} sum_x (-1)^x <(1 + sigma^z(x))/2>."""
-    occ = _occupations(state.n_qubits)
-    signs = (-1.0) ** np.arange(state.n_qubits, dtype=np.float64)
-    return math.exp(hubble * t) * expectation_zdiag(state, signs @ occ)
-
-
-def total_charge(state: StateVector) -> float:
-    """<sum_x sigma^z(x)>; conserved along the evolution."""
-    indices = np.arange(state.dim, dtype=np.int64)
-    sz = state.n_qubits - 2.0 * np.bitwise_count(indices).astype(np.float64)
-    return expectation_zdiag(state, sz)
+    bits = (indices[None, :] >> np.arange(n_qubits, dtype=np.int64)[:, None]) & 1
+    occ = 1.0 - bits.astype(np.float64)
+    positions = np.arange(n_qubits, dtype=np.float64)
+    signs = (-1.0) ** positions
+    sz = n_qubits - 2.0 * np.bitwise_count(indices).astype(np.float64)
+    return occ, occ[0] * occ[1], positions @ occ, signs @ occ, sz
 
 
 def exact_record(
@@ -100,16 +69,20 @@ def exact_record(
     The energy is supplied by the caller (it needs the Hamiltonian, which
     this module deliberately does not know about).
     """
-    density = fermion_density(state, t, hubble)
+    indices = np.arange(state.dim, dtype=np.int64)
+    occ, corr, position_sum, staggered_sum, sz = _z_basis_values(indices, state.n_qubits)
+    probs = state.probabilities()
+    volume = math.exp(hubble * t)
+    density = volume * (occ @ probs)
     return ObservableRecord(
         t=t,
         density=tuple(float(v) for v in density),
         n_total=float(density.sum()),
-        correlation_C=density_correlation(state, t, hubble),
-        polarization_over_e=polarization(state, t, hubble),
-        chiral_c=chiral_condensate(state, t, hubble),
+        correlation_C=float(probs @ corr),
+        polarization_over_e=volume * float(probs @ position_sum),
+        chiral_c=volume * float(probs @ staggered_sum),
         energy=energy,
-        total_sz=total_charge(state),
+        total_sz=float(probs @ sz),
         norm=state.norm(),
         source="exact",
     )
@@ -130,19 +103,12 @@ def estimators_from_counts(counts: ShotCounts, t: float, hubble: float) -> Obser
     shots = float(counts.shots)
     volume = math.exp(hubble * t)
 
-    bits = (outcomes[None, :] >> np.arange(n, dtype=np.int64)[:, None]) & 1
-    occ = 1.0 - bits.astype(np.float64)  # occ[x, outcome]
-
-    positions = np.arange(n, dtype=np.float64)
-    signs = (-1.0) ** positions
-
     # Per-outcome values of each observable; shot statistics weight by counts.
+    occ, per_corr, position_sum, staggered_sum, per_sz = _z_basis_values(outcomes, n)
     per_density = volume * occ
     per_n_total = per_density.sum(axis=0)
-    per_corr = occ[0] * occ[1] if n >= 2 else np.zeros_like(per_n_total)
-    per_polar = volume * (positions @ occ)
-    per_chiral = volume * (signs @ occ)
-    per_sz = n - 2.0 * np.bitwise_count(outcomes).astype(np.float64)
+    per_polar = volume * position_sum
+    per_chiral = volume * staggered_sum
 
     def mean_and_err(values: np.ndarray) -> tuple[float, float]:
         mean = float(values @ freqs / shots)

@@ -93,6 +93,12 @@ class PauliString:
     def __mul__(self, other: "PauliString") -> "PauliString":
         return multiply(self, other)
 
+    def column_phases(self, indices: np.ndarray) -> np.ndarray:
+        """Phases f(k) with P|k> = f(k) |k ^ x_mask> for the given basis indices:
+        phase * i^(Y count), negated where k & z_mask has odd parity."""
+        signs = 1.0 - 2.0 * _parity_of_masked(indices, self.z_mask)
+        return (self.phase * _PHASES[self.y_count % 4]) * signs
+
     def to_dense(self) -> np.ndarray:
         """Explicit 2^N x 2^N matrix (qubit 0 = least significant index bit)."""
         if self.n_qubits > DENSE_QUBIT_LIMIT:
@@ -101,11 +107,8 @@ class PauliString:
             )
         dim = 1 << self.n_qubits
         cols = np.arange(dim, dtype=np.int64)
-        rows = cols ^ np.int64(self.x_mask)
-        signs = 1.0 - 2.0 * _parity_of_masked(cols, self.z_mask)
-        vals = (self.phase * _PHASES[self.y_count % 4]) * signs
         mat = np.zeros((dim, dim), dtype=np.complex128)
-        mat[rows, cols] = vals
+        mat[cols ^ np.int64(self.x_mask), cols] = self.column_phases(cols)
         return mat
 
 
@@ -235,9 +238,7 @@ class PauliSum:
         mat = np.zeros((dim, dim), dtype=np.complex128)
         cols = np.arange(dim, dtype=np.int64)
         for coeff, string in self.terms:
-            rows = cols ^ np.int64(string.x_mask)
-            signs = 1.0 - 2.0 * _parity_of_masked(cols, string.z_mask)
-            mat[rows, cols] += (coeff * _PHASES[string.y_count % 4]) * signs
+            mat[cols ^ np.int64(string.x_mask), cols] += coeff * string.column_phases(cols)
         return mat
 
     def to_text(self) -> str:

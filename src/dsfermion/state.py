@@ -1,8 +1,8 @@
 """Dense statevector storage, Pauli-rotation kernels, expectations and sampling.
 
 The rotation kernel never materializes a matrix: exp(-i theta P) pairs
-amplitude indices k and k ^ x_mask, with the per-pair phase read off the
-z mask and the Y count, so one term application costs O(2^N).
+amplitude indices k and k ^ x_mask, with the per-pair phase taken from
+``PauliString.column_phases``, so one term application costs O(2^N).
 
 Shot sampling uses the Philox-4x64 counter-based generator keyed as
 (seed, 0) with a zero counter, drawing uniform doubles and inverting the
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NORM_DRIFT_LIMIT, ORACLE_TOL, NormDriftError
-from .pauli import PauliString, PauliSum, _PHASES, _parity_of_masked
+from .pauli import PauliString, PauliSum
 
 
 @dataclass
@@ -82,17 +82,11 @@ def _check_norm(state: StateVector) -> None:
         raise NormDriftError(f"state norm drifted by {drift:.3e} (> {NORM_DRIFT_LIMIT:g})")
 
 
-def pauli_column_phases(p: PauliString, indices: np.ndarray) -> np.ndarray:
-    """Phases f(k) with P|k> = f(k) |k ^ x_mask> for the given basis indices."""
-    signs = 1.0 - 2.0 * _parity_of_masked(indices, p.z_mask)
-    return (p.phase * _PHASES[p.y_count % 4]) * signs
-
-
 def apply_pauli_string(p: PauliString, vec: np.ndarray) -> np.ndarray:
     """P applied to a raw amplitude array (new array)."""
     indices = np.arange(vec.shape[0], dtype=np.int64)
     out = np.empty_like(vec)
-    out[indices ^ np.int64(p.x_mask)] = pauli_column_phases(p, indices) * vec
+    out[indices ^ np.int64(p.x_mask)] = p.column_phases(indices) * vec
     return out
 
 
@@ -103,18 +97,16 @@ def apply_pauli_rotation(state: StateVector, p: PauliString, theta: float) -> St
     if p.phase != 1:
         raise ValueError("rotation generator must have phase +1")
     amps = state.amplitudes
+    indices = np.arange(amps.shape[0], dtype=np.int64)
     if p.x_mask == 0:
-        # Diagonal string: pure phase per basis state.
-        indices = np.arange(amps.shape[0], dtype=np.int64)
-        signs = 1.0 - 2.0 * _parity_of_masked(indices, p.z_mask)
-        amps *= np.exp(-1j * theta * signs)
+        # Diagonal string: P|k> = f(k)|k>, a pure phase per basis state.
+        amps *= np.exp(-1j * theta * p.column_phases(indices))
     else:
         # Pair k with k ^ x_mask; pick the half where the pivot bit is clear.
         pivot = p.x_mask & (-p.x_mask)
-        indices = np.arange(amps.shape[0], dtype=np.int64)
         low = indices[(indices & pivot) == 0]
         high = low ^ np.int64(p.x_mask)
-        phase_low = pauli_column_phases(p, low)  # P|low> = phase_low |high>
+        phase_low = p.column_phases(low)  # P|low> = phase_low |high>
         cos_t = math.cos(theta)
         msin_t = -1j * math.sin(theta)
         a = amps[low].copy()
@@ -124,14 +116,6 @@ def apply_pauli_rotation(state: StateVector, p: PauliString, theta: float) -> St
         amps[high] = cos_t * b + msin_t * phase_low * a
     _check_norm(state)
     return state
-
-
-def expectation_zdiag(state: StateVector, weights: np.ndarray) -> float:
-    """Sum_k |amp_k|^2 w[k] for a diagonal observable with 2^N weights."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (state.dim,):
-        raise ValueError(f"weights must have length {state.dim}, got shape {w.shape}")
-    return float(state.probabilities() @ w)
 
 
 def expectation_pauli_sum(state: StateVector, a: PauliSum) -> float:

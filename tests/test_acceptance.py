@@ -29,7 +29,7 @@ from dsfermion.model import (
     total_sz,
     verify_bilinears,
 )
-from dsfermion.observables import estimators_from_counts, hole_circular_variance, polarization
+from dsfermion.observables import estimators_from_counts, exact_record, hole_circular_variance
 from dsfermion.pauli import PauliString, commutator
 from dsfermion.state import StateVector, basis_state, apply_pauli_rotation, expectation_pauli_sum, sample_z_basis
 
@@ -312,7 +312,7 @@ def m0_oracle_ratios(preset_m0):
             state = basis_state(8, 1)
         else:
             state = exact_evolve(basis_state(8, 1), params, t, 16)
-        ratios.append(polarization(state, t, HUBBLE) / P0)
+        ratios.append(exact_record(state, t, HUBBLE).polarization_over_e / P0)
     return ratios
 
 

@@ -197,17 +197,19 @@ class TestRun:
 
     def test_invalid_config_is_usage_error(self, tmp_path):
         # Each bad field is rejected by the constructor `run` calls for it,
-        # before any output directory is created.
-        for flag, value in (
-            ("--n_sites", "7"),
-            ("--initial_state_index", "256"),
-            ("--snapshot_every", "0"),
-            ("--time_sampling", "right"),
+        # or by RunConfig.validate, before any output directory is created.
+        # n_sites=14 is valid with the oracle off but beyond the oracle's limit.
+        for flag, value, oracle in (
+            ("--n_sites", "7", "off"),
+            ("--n_sites", "14", "on"),
+            ("--initial_state_index", "256", "off"),
+            ("--snapshot_every", "0", "off"),
+            ("--time_sampling", "right", "off"),
         ):
-            out = tmp_path / flag.strip("-")
-            argv = ["run", flag, value, "--oracle", "off", "--output_dir", str(out)]
-            assert cli.main(argv) == cli.EXIT_USAGE, flag
-            assert not out.exists(), flag
+            out = tmp_path / f"{flag.strip('-')}={value}"
+            argv = ["run", flag, value, "--oracle", oracle, "--output_dir", str(out)]
+            assert cli.main(argv) == cli.EXIT_USAGE, (flag, value)
+            assert not out.exists(), (flag, value)
 
     def test_unwritable_output_is_io_error(self, tmp_path):
         blocker = tmp_path / "blocker"

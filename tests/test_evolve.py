@@ -175,11 +175,14 @@ class TestExactEvolve:
         assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
 
     def test_matches_scipy_midpoint_product(self, rng):
+        # t = 20 in 2 substeps is wide enough that each substep is split into
+        # several series steps; t = 0.8 in 7 takes one step per substep.
         params = ModelParams(4, 0.1, 1.0)
-        vec = random_state(rng, 4)
-        ours = exact_evolve(StateVector(4, vec.copy()), params, 0.8, 7)
-        theirs = dense_midpoint_product(params, 0.8, 7, vec)
-        assert np.max(np.abs(ours.amplitudes - theirs)) < 1e-12
+        for t_total, substeps in ((0.8, 7), (20.0, 2)):
+            vec = random_state(rng, 4)
+            ours = exact_evolve(StateVector(4, vec.copy()), params, t_total, substeps)
+            theirs = dense_midpoint_product(params, t_total, substeps, vec)
+            assert np.max(np.abs(ours.amplitudes - theirs)) < 1e-12, t_total
 
     def test_second_order_convergence(self):
         params = ModelParams(8, 0.1, 1.0)

@@ -7,16 +7,7 @@ import pytest
 
 from dsfermion.evolve import TrotterPlan, trotter_evolve
 from dsfermion.model import ModelParams
-from dsfermion.observables import (
-    chiral_condensate,
-    density_correlation,
-    estimators_from_counts,
-    exact_record,
-    fermion_density,
-    hole_circular_variance,
-    polarization,
-    total_charge,
-)
+from dsfermion.observables import estimators_from_counts, exact_record, hole_circular_variance
 from dsfermion.state import StateVector, basis_state, sample_z_basis
 
 from conftest import random_state
@@ -30,11 +21,11 @@ def paper_trajectory(mass, keep_states=False):
 
 class TestDensity:
     def test_hole_state_at_t0(self):
-        density = fermion_density(basis_state(8, 1), 0.0, 0.1)
+        density = exact_record(basis_state(8, 1), 0.0, 0.1).density
         assert np.allclose(density, [0, 1, 1, 1, 1, 1, 1, 1])
 
     def test_filled_state_scales_with_volume(self):
-        density = fermion_density(basis_state(8, 0), 0.7, 0.1)
+        density = exact_record(basis_state(8, 0), 0.7, 0.1).density
         assert np.allclose(density, math.exp(0.07))
 
     def test_total_scales_as_e_ht(self):
@@ -52,14 +43,16 @@ class TestDensity:
 
 class TestCorrelation:
     def test_hole_state_zero(self):
-        assert density_correlation(basis_state(8, 1), 0.0, 0.1) == 0.0
+        assert exact_record(basis_state(8, 1), 0.0, 0.1).correlation_C == 0.0
 
     def test_filled_state_one(self):
-        assert density_correlation(basis_state(8, 0), 0.0, 0.1) == 1.0
+        assert exact_record(basis_state(8, 0), 0.0, 0.1).correlation_C == 1.0
 
     def test_no_volume_factor(self, rng):
         st = StateVector(4, random_state(rng, 4))
-        assert density_correlation(st, 0.0, 0.1) == density_correlation(st, 5.0, 0.1)
+        assert (
+            exact_record(st, 0.0, 0.1).correlation_C == exact_record(st, 5.0, 0.1).correlation_C
+        )
 
     def test_increases_on_paper_preset(self):
         values = [r.correlation_C for r in paper_trajectory(mass=0.0).records]
@@ -68,26 +61,27 @@ class TestCorrelation:
 
     def test_needs_two_sites(self):
         with pytest.raises(ValueError):
-            density_correlation(basis_state(1, 0), 0.0, 0.1)
+            exact_record(basis_state(1, 0), 0.0, 0.1)
 
 
 class TestPolarization:
     def test_hole_state(self):
-        assert polarization(basis_state(8, 1), 0.0, 0.1) == pytest.approx(28.0)
+        assert exact_record(basis_state(8, 1), 0.0, 0.1).polarization_over_e == pytest.approx(28.0)
 
     def test_filled_state(self):
-        assert polarization(basis_state(8, 0), 0.0, 0.1) == pytest.approx(28.0)
+        assert exact_record(basis_state(8, 0), 0.0, 0.1).polarization_over_e == pytest.approx(28.0)
 
     def test_volume_factor(self):
-        assert polarization(basis_state(8, 0), 1.0, 0.1) == pytest.approx(28.0 * math.exp(0.1))
+        record = exact_record(basis_state(8, 0), 1.0, 0.1)
+        assert record.polarization_over_e == pytest.approx(28.0 * math.exp(0.1))
 
 
 class TestChiralCondensate:
     def test_hole_state(self):
-        assert chiral_condensate(basis_state(8, 1), 0.0, 0.1) == pytest.approx(-1.0)
+        assert exact_record(basis_state(8, 1), 0.0, 0.1).chiral_c == pytest.approx(-1.0)
 
     def test_filled_state_cancels(self):
-        assert chiral_condensate(basis_state(8, 0), 0.0, 0.1) == pytest.approx(0.0)
+        assert exact_record(basis_state(8, 0), 0.0, 0.1).chiral_c == pytest.approx(0.0)
 
     def test_magnitude_decreases_initially(self):
         values = [abs(r.chiral_c) for r in paper_trajectory(mass=0.0).records]
@@ -97,10 +91,10 @@ class TestChiralCondensate:
 
 class TestTotalCharge:
     def test_hole_state(self):
-        assert total_charge(basis_state(8, 1)) == pytest.approx(6.0)
+        assert exact_record(basis_state(8, 1), 0.0, 0.1).total_sz == pytest.approx(6.0)
 
     def test_filled_state(self):
-        assert total_charge(basis_state(8, 0)) == pytest.approx(8.0)
+        assert exact_record(basis_state(8, 0), 0.0, 0.1).total_sz == pytest.approx(8.0)
 
     def test_constant_along_trajectory(self):
         values = [r.total_sz for r in paper_trajectory(mass=1.0).records]
@@ -193,11 +187,11 @@ class TestShotEstimators:
 
 class TestHoleSpread:
     def test_no_hole_returns_zero(self):
-        density = fermion_density(basis_state(8, 0), 0.0, 0.1)
+        density = np.array(exact_record(basis_state(8, 0), 0.0, 0.1).density)
         assert hole_circular_variance(density, 0.0, 0.1) == 0.0
 
     def test_point_hole_has_zero_variance(self):
-        density = fermion_density(basis_state(8, 1), 0.0, 0.1)
+        density = np.array(exact_record(basis_state(8, 1), 0.0, 0.1).density)
         assert hole_circular_variance(density, 0.0, 0.1) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("mass", [0.0, 1.0])

@@ -7,7 +7,8 @@ import pytest
 from scipy.linalg import expm
 
 from dsfermion.errors import NormDriftError
-from dsfermion.model import ModelParams, hamiltonian_at
+from dsfermion.model import ModelParams, hamiltonian_at, total_sz
+from dsfermion.observables import exact_record
 from dsfermion.pauli import PauliString, PauliSum, single_site
 from dsfermion.state import (
     StateVector,
@@ -15,7 +16,6 @@ from dsfermion.state import (
     apply_pauli_string,
     basis_state,
     expectation_pauli_sum,
-    expectation_zdiag,
     sample_z_basis,
 )
 
@@ -111,27 +111,12 @@ class TestPauliRotation:
 
 
 class TestExpectations:
-    def test_unit_weights_give_one(self, rng):
-        st = StateVector(5, random_state(rng, 5))
-        assert abs(expectation_zdiag(st, np.ones(32)) - 1.0) < 1e-12
-
-    def test_hole_site_has_zero_occupation(self):
-        st = basis_state(8, 1)
-        occupation0 = 1.0 - (np.arange(256) & 1)
-        assert expectation_zdiag(st, occupation0) == 0.0
-
     def test_zdiag_matches_pauli_sum(self, rng):
+        # The observables' Z-basis table and the Pauli-string action agree on
+        # the sign convention of sigma^z.
         st = StateVector(4, random_state(rng, 4))
-        sz_sum = PauliSum(4, [(1.0, single_site(4, x, "Z")) for x in range(4)])
-        k = np.arange(16)
-        weights = sum(1 - 2 * ((k >> x) & 1) for x in range(4))
-        dev = abs(expectation_zdiag(st, weights) - expectation_pauli_sum(st, sz_sum))
+        dev = abs(exact_record(st, 0.0, 0.1).total_sz - expectation_pauli_sum(st, total_sz(4)))
         assert dev < 1e-12
-
-    def test_array_weights(self, rng):
-        st = StateVector(3, random_state(rng, 3))
-        w = rng.standard_normal(8)
-        assert abs(expectation_zdiag(st, w) - float(st.probabilities() @ w)) < 1e-14
 
     def test_filled_state_energy(self):
         params = ModelParams(8, 0.1, 1.0)
