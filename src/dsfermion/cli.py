@@ -9,8 +9,9 @@ the RunConfig fields; command-line flags use the same names prefixed with
 ``--`` and override file values.  ``run --config`` also accepts a
 summary.json from a previous run, which reproduces that run bit for bit.
 
-Exit codes: 0 success, 1 usage error, 2 I/O error, 3 invariant violation,
-4 verification failure.
+Exit codes: 0 success, 1 usage error (including an oracle that exceeds its
+size or substep budget), 2 I/O error, 3 invariant violation, 4 verification
+failure.
 """
 
 from __future__ import annotations
@@ -24,7 +25,14 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 
 from . import __version__
-from .errors import CHARGE_DRIFT_TOL, IDENTITY_TOL, NORM_DRIFT_TOL, ORACLE_TOL, NormDriftError
+from .errors import (
+    CHARGE_DRIFT_TOL,
+    IDENTITY_TOL,
+    NORM_DRIFT_TOL,
+    ORACLE_TOL,
+    NormDriftError,
+    ResourceLimitError,
+)
 from .evolve import (
     EXACT_QUBIT_LIMIT,
     TrotterPlan,
@@ -54,6 +62,15 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_INVARIANT = 3
 EXIT_VERIFY = 4
+
+# Exit code and stderr message of each failure `main` reports; a sweep
+# records a failed point's exit code from the same table.
+_ERROR_EXITS = {
+    ValueError: (EXIT_USAGE, "{}"),
+    ResourceLimitError: (EXIT_USAGE, "{}; rerun with --oracle off to skip the oracle"),
+    OSError: (EXIT_IO, "I/O error: {}"),
+    NormDriftError: (EXIT_INVARIANT, "invariant violation: {}"),
+}
 
 P_RATIO_FLOOR = 1e-9
 
@@ -127,16 +144,9 @@ PRESETS = {"paper-m0": lambda: preset_paper(0), "paper-m1": lambda: preset_paper
 # Config file handling
 # ---------------------------------------------------------------------------
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-
-
-def _coerce(name: str, raw) -> object:
-    kind = _FIELD_TYPES[name]
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    return str(raw)
+# The one field-type rule: config files, flags and sweep values all convert
+# a field's raw value with the converter of its annotated type.
+_CONVERTERS = {f.name: {"int": int, "float": float}.get(f.type, str) for f in fields(RunConfig)}
 
 
 def config_to_text(config: RunConfig) -> str:
@@ -145,10 +155,10 @@ def config_to_text(config: RunConfig) -> str:
 
 
 def config_from_mapping(mapping: dict) -> RunConfig:
-    unknown = set(mapping) - set(_FIELD_TYPES)
+    unknown = set(mapping) - set(_CONVERTERS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return RunConfig(**{k: _coerce(k, v) for k, v in mapping.items()})
+    return RunConfig(**{k: _CONVERTERS[k](v) for k, v in mapping.items()})
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -344,7 +354,7 @@ def run(config: RunConfig) -> int:
         time_sampling=config.time_sampling,
         snapshot_every=config.snapshot_every,
     )
-    trajectory = trotter_evolve(initial, params, plan, keep_states=True)
+    trajectory = trotter_evolve(initial, params, plan)
     times = trajectory.times
     records = trajectory.records
 
@@ -466,6 +476,15 @@ def verify(max_n: int, stream=None) -> int:
     return EXIT_VERIFY if failures else EXIT_OK
 
 
+def _error_exit(exc: Exception) -> tuple[int, str]:
+    """Exit code and message for ``exc`` from _ERROR_EXITS; any other
+    exception (reachable only inside a sweep point) counts as a usage error."""
+    for kind, (code, template) in _ERROR_EXITS.items():
+        if isinstance(exc, kind):
+            return code, template.format(exc)
+    return EXIT_USAGE, str(exc)
+
+
 def sweep(base_config: RunConfig, parameter: str, values: list) -> int:
     """Run one point per value; per-point seeds are base seed + index."""
     if parameter not in SWEEPABLE:
@@ -485,7 +504,7 @@ def sweep(base_config: RunConfig, parameter: str, values: list) -> int:
             code = run(point_config)
             status = "ok" if code == EXIT_OK else "invariant-violation"
         except Exception as exc:  # per-point isolation; status lands in the manifest
-            code = EXIT_IO if isinstance(exc, OSError) else EXIT_USAGE
+            code = _error_exit(exc)[0]
             status = f"error: {exc}"
         worst = max(worst, code)
         points.append(
@@ -521,8 +540,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="config file (key = value) or a previous summary.json")
     parser.add_argument("--preset", choices=sorted(PRESETS), help="start from a named preset")
     for f in fields(RunConfig):
-        kind = {"int": int, "float": float}.get(f.type, str)
-        parser.add_argument(f"--{f.name}", type=kind, default=None)
+        parser.add_argument(f"--{f.name}", type=_CONVERTERS[f.name], default=None)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -541,9 +559,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _parse_sweep_values(parameter: str, raw: str) -> list:
-    kind = int if parameter in ("trotter_steps", "shots", "initial_state_index") else float
     items = [s for s in (piece.strip() for piece in raw.split(",")) if s]
-    return [kind(s) for s in items]
+    return [_CONVERTERS[parameter](s) for s in items]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -580,15 +597,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "preset":
             sys.stdout.write(config_to_text(PRESETS[args.name]()))
             return EXIT_OK
-    except ValueError as exc:
-        print(f"dsfermion: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"dsfermion: I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except NormDriftError as exc:
-        print(f"dsfermion: invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+    except tuple(_ERROR_EXITS) as exc:
+        code, message = _error_exit(exc)
+        print(f"dsfermion: {message}", file=sys.stderr)
+        return code
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
 
 

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ORACLE_TOL, ResourceLimitError
-from .model import (
-    HamiltonianParts,
-    ModelParams,
-    hamiltonian_at,
-    hamiltonian_parts,
-    scale_factor,
-)
+from .model import ModelParams, hamiltonian_at, hamiltonian_parts, scale_factor
 from .observables import ObservableRecord, exact_record
 from .pauli import PauliString, PauliSum
 from .state import StateVector, apply_pauli_rotation, expectation_pauli_sum
@@ -63,10 +57,6 @@ class TrotterPlan:
         dt = t_total / steps if steps > 0 else 0.0
         return cls(steps=steps, dt=dt, time_sampling=time_sampling, snapshot_every=snapshot_every)
 
-    @property
-    def t_total(self) -> float:
-        return self.steps * self.dt
-
     def sample_time(self, step_index: int) -> float:
         """Time at which e^{h t} is sampled inside step ``step_index``."""
         if self.time_sampling == "left":
@@ -76,18 +66,11 @@ class TrotterPlan:
 
 @dataclass
 class Trajectory:
-    """Snapshot times, observable records and (optionally) retained states."""
+    """Snapshot times, observable records and the state at each snapshot."""
 
     times: list[float]
     records: list[ObservableRecord]
-    states: list[StateVector] | None = None
-
-
-@dataclass
-class TrotterErrorPoint:
-    steps: int
-    state_distance: float
-    observable_deltas: dict[str, float]
+    states: list[StateVector]
 
 
 def _step_order(term: tuple[float, PauliString]) -> tuple[bool, int, int]:
@@ -97,18 +80,11 @@ def _step_order(term: tuple[float, PauliString]) -> tuple[bool, int, int]:
     return (not x_mask & (x_mask >> 1), x_mask, z_mask)
 
 
-def trotter_step(
-    state: StateVector,
-    params: ModelParams,
-    t_sample: float,
-    dt: float,
-    parts: HamiltonianParts | None = None,
-) -> StateVector:
+def trotter_step(state: StateVector, params: ModelParams, t_sample: float, dt: float) -> StateVector:
     """One first-order Trotter step of width dt, sampling e^{h t} at t_sample."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if parts is None:
-        parts = hamiltonian_parts(params.n_sites)
+    parts = hamiltonian_parts(params.n_sites)
     for coeff, string in sorted(parts.hopping.terms, key=_step_order):
         apply_pauli_rotation(state, string, coeff * dt)
     mass_scale = params.mass * scale_factor(params, t_sample)
@@ -119,38 +95,29 @@ def trotter_step(
     return state
 
 
-def trotter_evolve(
-    initial: StateVector,
-    params: ModelParams,
-    plan: TrotterPlan,
-    keep_states: bool = False,
-    parts: HamiltonianParts | None = None,
-) -> Trajectory:
-    """Iterate trotter_step, recording an observable snapshot every
+def trotter_evolve(initial: StateVector, params: ModelParams, plan: TrotterPlan) -> Trajectory:
+    """Iterate trotter_step, recording the state and its observables every
     ``snapshot_every`` steps (the t = 0 snapshot and the final step are
     always recorded)."""
     if initial.n_qubits != params.n_sites:
         raise ValueError(
             f"state has {initial.n_qubits} qubits but the model has {params.n_sites} sites"
         )
-    if parts is None:
-        parts = hamiltonian_parts(params.n_sites)
     state = initial.copy()
 
     times: list[float] = []
     records: list[ObservableRecord] = []
-    states: list[StateVector] | None = [] if keep_states else None
+    states: list[StateVector] = []
 
     def snapshot(t_now: float) -> None:
-        energy = expectation_pauli_sum(state, hamiltonian_at(params, t_now, parts))
+        energy = expectation_pauli_sum(state, hamiltonian_at(params, t_now))
         times.append(t_now)
         records.append(exact_record(state, t_now, params.hubble, energy=energy))
-        if states is not None:
-            states.append(state.copy())
+        states.append(state.copy())
 
     snapshot(0.0)
     for k in range(plan.steps):
-        trotter_step(state, params, plan.sample_time(k), plan.dt, parts)
+        trotter_step(state, params, plan.sample_time(k), plan.dt)
         if (k + 1) % plan.snapshot_every == 0 or k + 1 == plan.steps:
             snapshot((k + 1) * plan.dt)
     return Trajectory(times=times, records=records, states=states)
@@ -185,7 +152,6 @@ def exact_evolve(
     params: ModelParams,
     t_total: float,
     substeps: int,
-    parts: HamiltonianParts | None = None,
 ) -> StateVector:
     """Midpoint-sampled piecewise-constant propagator.
 
@@ -209,10 +175,11 @@ def exact_evolve(
     if t_total == 0:
         return initial.copy()
 
-    if parts is None:
-        parts = hamiltonian_parts(params.n_sites)
+    parts = hamiltonian_parts(params.n_sites)
     static = (parts.hopping + params.hubble * parts.charge).to_dense()
-    mass_diag = np.real(np.diag(parts.mass_term.to_dense()))
+    # The mass term is diagonal: sum its strings' phases on each basis index.
+    idx = np.arange(initial.dim, dtype=np.int64)
+    mass_diag = np.real(sum(c * s.column_phases(idx) for c, s in parts.mass_term.terms))
 
     dt = t_total / substeps
     # Cheap upper bound on ||aH|| from the term coefficients.
@@ -246,21 +213,19 @@ def exact_evolve_converged(
     substeps_start: int = 256,
     tol: float = ORACLE_TOL,
     max_substeps: int = 1 << 18,
-    parts: HamiltonianParts | None = None,
 ) -> ExactOracleResult:
-    """Double the substep count until successive results differ by < tol in norm."""
-    if parts is None:
-        parts = hamiltonian_parts(params.n_sites)
+    """Double the substep count until successive results differ by < tol in
+    norm; past ``max_substeps`` (a size guard) raise ResourceLimitError."""
     substeps = max(1, substeps_start)
-    prev = exact_evolve(initial, params, t_total, substeps, parts)
+    prev = exact_evolve(initial, params, t_total, substeps)
     while True:
         substeps *= 2
-        cur = exact_evolve(initial, params, t_total, substeps, parts)
+        cur = exact_evolve(initial, params, t_total, substeps)
         delta = float(np.linalg.norm(cur.amplitudes - prev.amplitudes))
         if delta < tol:
             return ExactOracleResult(state=cur, substeps=substeps, delta=delta)
         if substeps >= max_substeps:
-            raise RuntimeError(
+            raise ResourceLimitError(
                 f"oracle did not converge below {tol:g} within {max_substeps} substeps "
                 f"(last delta {delta:.3e})"
             )
@@ -281,53 +246,3 @@ def state_distance(a: StateVector, b: StateVector) -> float:
     pb = vb[j] / abs(vb[j])
     return float(np.linalg.norm(va / pa - vb / pb))
 
-
-_SCAN_OBSERVABLES = (
-    "n_total",
-    "correlation_C",
-    "polarization_over_e",
-    "chiral_c",
-    "energy",
-    "total_sz",
-)
-
-
-def trotter_error_scan(
-    params: ModelParams,
-    initial: StateVector,
-    t_total: float,
-    step_counts: list[int],
-    time_sampling: str = "midpoint",
-    oracle_substeps_start: int = 256,
-    oracle_tol: float = ORACLE_TOL,
-) -> list[TrotterErrorPoint]:
-    """Distance and per-observable deviation of Trotter evolution vs the oracle."""
-    if not step_counts:
-        raise ValueError("step_counts must not be empty")
-    parts = hamiltonian_parts(params.n_sites)
-    oracle = exact_evolve_converged(
-        initial, params, t_total, substeps_start=oracle_substeps_start, tol=oracle_tol, parts=parts
-    )
-    ref_energy = expectation_pauli_sum(oracle.state, hamiltonian_at(params, t_total, parts))
-    ref_record = exact_record(oracle.state, t_total, params.hubble, energy=ref_energy)
-
-    points = []
-    for steps in step_counts:
-        plan = TrotterPlan.for_total_time(
-            t_total, steps, time_sampling=time_sampling, snapshot_every=max(1, steps)
-        )
-        trajectory = trotter_evolve(initial, params, plan, keep_states=True, parts=parts)
-        final = trajectory.states[-1]
-        record = trajectory.records[-1]
-        deltas = {
-            name: abs(getattr(record, name) - getattr(ref_record, name))
-            for name in _SCAN_OBSERVABLES
-        }
-        points.append(
-            TrotterErrorPoint(
-                steps=steps,
-                state_distance=state_distance(final, oracle.state),
-                observable_deltas=deltas,
-            )
-        )
-    return points

@@ -14,6 +14,7 @@ they only contribute a global phase.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -97,8 +98,10 @@ def build_mass_term(n_sites: int) -> PauliSum:
     )
 
 
+@functools.cache
 def hamiltonian_parts(n_sites: int) -> HamiltonianParts:
-    """The one definition of the terms of aH(t) and of their coefficients."""
+    """The one definition of the terms of aH(t) and of their coefficients,
+    built once per lattice size and shared by callers, which only read it."""
     return HamiltonianParts(
         hopping=build_hopping(n_sites),
         charge=build_charge_term(n_sites),
@@ -111,12 +114,11 @@ def scale_factor(params: ModelParams, t: float) -> float:
     return math.exp(params.hubble * t)
 
 
-def hamiltonian_at(params: ModelParams, t: float, parts: HamiltonianParts | None = None) -> PauliSum:
+def hamiltonian_at(params: ModelParams, t: float) -> PauliSum:
     """aH(t) assembled from the static parts and the scalar prefactors."""
     if not math.isfinite(t) or t < 0:
         raise ValueError(f"t must be finite and >= 0, got {t}")
-    if parts is None:
-        parts = hamiltonian_parts(params.n_sites)
+    parts = hamiltonian_parts(params.n_sites)
     return (
         parts.hopping
         + params.hubble * parts.charge

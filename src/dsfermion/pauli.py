@@ -241,18 +241,9 @@ class PauliSum:
             mat[cols ^ np.int64(string.x_mask), cols] += coeff * string.column_phases(cols)
         return mat
 
-    def to_text(self) -> str:
-        """One term per line: ``<coefficient> <label>``, 17 significant digits."""
-        lines = []
-        for coeff, string in self.terms:
-            c = complex(coeff)
-            if c.imag != 0:
-                raise ValueError("textual form is defined for real-coefficient sums only")
-            lines.append(f"{c.real:.17g} {string.label()}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
     @classmethod
     def from_text(cls, text: str, n_qubits: int | None = None) -> "PauliSum":
+        """Parse one ``<coefficient> <label>`` term per line, skipping blank and ``#`` lines."""
         terms = []
         for raw in text.splitlines():
             line = raw.strip()

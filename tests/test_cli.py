@@ -6,6 +6,7 @@ import os
 import pytest
 
 from dsfermion import cli
+from dsfermion.errors import NormDriftError
 from dsfermion.pauli import PauliSum
 
 
@@ -211,6 +212,21 @@ class TestRun:
             assert cli.main(argv) == cli.EXIT_USAGE, (flag, value)
             assert not out.exists(), (flag, value)
 
+    def test_oracle_not_converged_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # A substep budget of 8 stops the paper-m1 oracle after its first doubling.
+        converged = cli.exact_evolve_converged
+        monkeypatch.setattr(
+            cli,
+            "exact_evolve_converged",
+            lambda *args, **kwargs: converged(*args, **kwargs, max_substeps=8),
+        )
+        out = tmp_path / "m1"
+        assert cli.main(["run", "--preset", "paper-m1", "--output_dir", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "did not converge" in err and "--oracle off" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_unwritable_output_is_io_error(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
@@ -281,14 +297,25 @@ class TestSweep:
         with pytest.raises(ValueError):
             cli.sweep(fast_config(tmp_path), "t_total", [1.0])
 
-    def test_failing_point_recorded(self, tmp_path):
-        base = fast_config(tmp_path, output_dir=str(tmp_path / "sweep"))
-        code = cli.sweep(base, "initial_state_index", [1, 999_999])
-        assert code != 0
-        manifest = json.loads((tmp_path / "sweep" / "sweep_index.json").read_text())
-        statuses = [p["status"] for p in manifest["points"]]
-        assert statuses[0] == "ok"
-        assert statuses[1].startswith("error:")
+    def test_failing_point_recorded(self, tmp_path, monkeypatch):
+        # A point fails with the exit code `run` would give it: index 999999
+        # is a usage error, and a norm drift in the kernels an invariant
+        # violation.
+        def drifting_evolve(*args, **kwargs):
+            raise NormDriftError("norm drifted by 1e-6")
+
+        for name, evolve, codes, first_status in (
+            ("sweep", cli.trotter_evolve, [cli.EXIT_OK, cli.EXIT_USAGE], "ok"),
+            ("drift", drifting_evolve, [cli.EXIT_INVARIANT, cli.EXIT_USAGE], "error: norm drifted by 1e-6"),
+        ):
+            monkeypatch.setattr(cli, "trotter_evolve", evolve)
+            base = fast_config(tmp_path, output_dir=str(tmp_path / name))
+            assert cli.sweep(base, "initial_state_index", [1, 999_999]) == max(codes), name
+            manifest = json.loads((tmp_path / name / "sweep_index.json").read_text())
+            assert [p["exit_code"] for p in manifest["points"]] == codes, name
+            statuses = [p["status"] for p in manifest["points"]]
+            assert statuses[0] == first_status, name
+            assert statuses[1].startswith("error:")
 
 
 class TestUsage:

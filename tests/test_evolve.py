@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from dsfermion.errors import ResourceLimitError
 from dsfermion.model import ModelParams, hamiltonian_at
 from dsfermion.evolve import (
     TrotterPlan,
     exact_evolve,
     exact_evolve_converged,
     state_distance,
-    trotter_error_scan,
     trotter_evolve,
     trotter_step,
 )
@@ -150,7 +150,7 @@ class TestTrotterEvolve:
     def test_eigenstate_distribution_frozen(self):
         params = ModelParams(8, 0.1, 1.0)
         plan = TrotterPlan.for_total_time(1.0, 10)
-        trajectory = trotter_evolve(basis_state(8, 0), params, plan, keep_states=True)
+        trajectory = trotter_evolve(basis_state(8, 0), params, plan)
         initial = trajectory.states[0].probabilities()
         for st in trajectory.states[1:]:
             assert np.max(np.abs(st.probabilities() - initial)) < 1e-12
@@ -204,14 +204,20 @@ class TestExactEvolve:
         assert 1.0e-7 < delta < 1.7e-7
 
     def test_converged_meets_tolerance(self):
+        # |1> is the paper's initial state; the filled state |0> is an
+        # eigenstate of aH(t) at every t, so the oracle only moves its phase.
         params = ModelParams(8, 0.1, 1.0)
-        result = exact_evolve_converged(basis_state(8, 1), params, 1.0, substeps_start=64, tol=1e-7)
-        assert result.delta < 1e-7
-        assert result.substeps >= 128
+        for index in (1, 0):
+            initial = basis_state(8, index)
+            result = exact_evolve_converged(initial, params, 1.0, substeps_start=64, tol=1e-7)
+            assert result.delta < 1e-7, index
+            assert result.substeps >= 128, index
+        probs = result.state.probabilities()
+        assert np.max(np.abs(probs - initial.probabilities())) < 1e-12
 
     def test_converged_gives_up(self):
         params = ModelParams(8, 0.1, 1.0)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ResourceLimitError):
             exact_evolve_converged(
                 basis_state(8, 1), params, 1.0, substeps_start=2, tol=1e-14, max_substeps=8
             )
@@ -234,31 +240,3 @@ class TestStateDistance:
     def test_orthogonal_states_far(self):
         assert state_distance(basis_state(2, 0), basis_state(2, 1)) == pytest.approx(math.sqrt(2))
 
-
-class TestErrorScan:
-    def test_first_order_ratios_massless(self):
-        params = ModelParams(8, 0.1, 0.0)
-        points = trotter_error_scan(
-            params, basis_state(8, 1), 1.0, [10, 20, 40, 80], oracle_tol=1e-8
-        )
-        distances = [p.state_distance for p in points]
-        for a, b in zip(distances, distances[1:]):
-            assert 1.5 <= a / b <= 2.5
-        assert all(b < a for a, b in zip(distances, distances[1:]))
-
-    def test_large_step_count_small_distance(self):
-        params = ModelParams(8, 0.1, 0.0)
-        points = trotter_error_scan(params, basis_state(8, 1), 1.0, [640], oracle_tol=1e-8)
-        assert points[0].state_distance < 1e-3
-
-    def test_eigenstate_has_tiny_deltas(self):
-        params = ModelParams(8, 0.1, 1.0)
-        points = trotter_error_scan(
-            params, basis_state(8, 0), 1.0, [5, 20], oracle_substeps_start=64, oracle_tol=1e-8
-        )
-        for point in points:
-            assert all(delta < 1e-12 for delta in point.observable_deltas.values())
-
-    def test_empty_steps_rejected(self):
-        with pytest.raises(ValueError):
-            trotter_error_scan(ModelParams(8, 0.1, 0.0), basis_state(8, 1), 1.0, [])

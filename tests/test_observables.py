@@ -13,10 +13,10 @@ from dsfermion.state import StateVector, basis_state, sample_z_basis
 from conftest import random_state
 
 
-def paper_trajectory(mass, keep_states=False):
+def paper_trajectory(mass):
     params = ModelParams(8, 0.1, mass)
     plan = TrotterPlan.for_total_time(1.0, 10)
-    return trotter_evolve(basis_state(8, 1), params, plan, keep_states=keep_states)
+    return trotter_evolve(basis_state(8, 1), params, plan)
 
 
 class TestDensity:
@@ -127,7 +127,7 @@ class TestShotEstimators:
         assert math.isnan(record.energy)
 
     def test_within_five_stderr_of_exact(self):
-        trajectory = paper_trajectory(mass=0.0, keep_states=True)
+        trajectory = paper_trajectory(mass=0.0)
         for i, st in enumerate(trajectory.states):
             t = trajectory.times[i]
             counts = sample_z_basis(st, 10_000, seed=100 + i)
@@ -145,7 +145,7 @@ class TestShotEstimators:
                 assert abs(measured - truth) < 5 * err + 1e-12
 
     def test_errors_halve_when_shots_quadruple(self):
-        trajectory = paper_trajectory(mass=0.0, keep_states=True)
+        trajectory = paper_trajectory(mass=0.0)
         st = trajectory.states[-1]
         t = trajectory.times[-1]
 
@@ -162,7 +162,7 @@ class TestShotEstimators:
 
     def test_convergence_rate_over_seeds(self):
         # Mean |error| should fall like 1/sqrt(shots): quadrupling halves it.
-        trajectory = paper_trajectory(mass=0.0, keep_states=True)
+        trajectory = paper_trajectory(mass=0.0)
         st = trajectory.states[5]
         t = trajectory.times[5]
         exact = trajectory.records[5]

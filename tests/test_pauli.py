@@ -198,19 +198,6 @@ class TestPauliSum:
         dev = np.max(np.abs((a - b).to_dense() - (a.to_dense() - b.to_dense())))
         assert dev < 1e-13
 
-    def test_text_round_trip(self, rng):
-        a = random_sum(rng, 4, 5)
-        text = a.to_text()
-        for line in text.strip().splitlines():
-            coeff, label = line.split()
-            assert len(label) == 4
-            float(coeff)
-        assert PauliSum.from_text(text) == a
-
-    def test_text_17_digits(self):
-        a = PauliSum(2, [(1 / 3, single_site(2, 0, "Z"))])
-        assert a.to_text().split()[0] == "0.33333333333333331"
-
 
 class TestCommutator:
     def test_self_commutator_empty(self, rng):
