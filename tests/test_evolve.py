@@ -16,7 +16,8 @@ from dsfermion.evolve import (
     trotter_evolve,
     trotter_step,
 )
-from dsfermion.state import StateVector, basis_state
+from dsfermion.observables import exact_record
+from dsfermion.state import StateVector, basis_state, expectation_pauli_sum
 
 from conftest import dense_from_label, random_state
 
@@ -204,16 +205,10 @@ class TestExactEvolve:
         assert 1.0e-7 < delta < 1.7e-7
 
     def test_converged_meets_tolerance(self):
-        # |1> is the paper's initial state; the filled state |0> is an
-        # eigenstate of aH(t) at every t, so the oracle only moves its phase.
         params = ModelParams(8, 0.1, 1.0)
-        for index in (1, 0):
-            initial = basis_state(8, index)
-            result = exact_evolve_converged(initial, params, 1.0, substeps_start=64, tol=1e-7)
-            assert result.delta < 1e-7, index
-            assert result.substeps >= 128, index
-        probs = result.state.probabilities()
-        assert np.max(np.abs(probs - initial.probabilities())) < 1e-12
+        result = exact_evolve_converged(basis_state(8, 1), params, 1.0, substeps_start=64, tol=1e-7)
+        assert result.delta < 1e-7
+        assert result.substeps >= 128
 
     def test_converged_gives_up(self):
         params = ModelParams(8, 0.1, 1.0)
@@ -240,3 +235,44 @@ class TestStateDistance:
     def test_orthogonal_states_far(self):
         assert state_distance(basis_state(2, 0), basis_state(2, 1)) == pytest.approx(math.sqrt(2))
 
+
+def final_distances(params, initial, step_counts, oracle):
+    """State distance between the oracle and Trotter evolution at each step count."""
+    distances = []
+    for steps in step_counts:
+        plan = TrotterPlan.for_total_time(1.0, steps, snapshot_every=steps)
+        trajectory = trotter_evolve(initial, params, plan)
+        distances.append(state_distance(trajectory.states[-1], oracle.state))
+    return distances
+
+
+class TestErrorScan:
+    """Trotter evolution against the converged oracle at t = 1."""
+
+    def test_first_order_ratios_massless(self):
+        params = ModelParams(8, 0.1, 0.0)
+        initial = basis_state(8, 1)
+        oracle = exact_evolve_converged(initial, params, 1.0, tol=1e-8)
+        distances = final_distances(params, initial, [10, 20, 40, 80], oracle)
+        for a, b in zip(distances, distances[1:]):
+            assert 1.5 <= a / b <= 2.5
+        assert all(b < a for a, b in zip(distances, distances[1:]))
+
+    def test_large_step_count_small_distance(self):
+        params = ModelParams(8, 0.1, 0.0)
+        initial = basis_state(8, 1)
+        oracle = exact_evolve_converged(initial, params, 1.0, tol=1e-8)
+        assert final_distances(params, initial, [640], oracle)[0] < 1e-3
+
+    def test_eigenstate_has_tiny_deltas(self):
+        params = ModelParams(8, 0.1, 1.0)
+        initial = basis_state(8, 0)
+        oracle = exact_evolve_converged(initial, params, 1.0, substeps_start=64, tol=1e-8)
+        energy = expectation_pauli_sum(oracle.state, hamiltonian_at(params, 1.0))
+        reference = exact_record(oracle.state, 1.0, params.hubble, energy=energy)
+        names = ("n_total", "correlation_C", "polarization_over_e", "chiral_c", "energy", "total_sz")
+        for steps in (5, 20):
+            plan = TrotterPlan.for_total_time(1.0, steps, snapshot_every=steps)
+            record = trotter_evolve(initial, params, plan).records[-1]
+            for name in names:
+                assert abs(getattr(record, name) - getattr(reference, name)) < 1e-12, (steps, name)
