@@ -98,9 +98,10 @@ class RunConfig:
     output_dir: str = field(default_factory=_default_output_dir)
 
     def validate(self) -> None:
-        """Checks that `run` would otherwise make late or not at all: its
-        ModelParams, basis_state and TrotterPlan reject the other fields before
-        any output is written, but the oracle's size limit only after evolving."""
+        """Checks of the fields that `run` would otherwise reject late (the
+        oracle's size limit, after the Trotter evolution) or not at all; its
+        ModelParams, basis_state and TrotterPlan check the rest.  Every check
+        fails before any work is done."""
         if self.trotter_steps < 1:
             raise ValueError(f"trotter_steps must be >= 1, got {self.trotter_steps}")
         if self.shots < 0:
@@ -274,63 +275,29 @@ def _write_plots(
     shot_records: list[ObservableRecord] | None,
 ) -> None:
     meta = _config_meta(config)
-    n_sites = len(exact_records[0].density)
-    density_grid = [[rec.density[x] for x in range(n_sites)] for rec in exact_records]
-    svg = heatmap(
-        "Fermion density n(x, t)",
-        "t",
-        "site x",
-        times,
-        list(range(n_sites)),
-        density_grid,
-        meta=meta,
-    )
+    sites = list(range(len(exact_records[0].density)))
+    density_grid = [list(rec.density) for rec in exact_records]
+    svg = heatmap("Fermion density n(x, t)", "t", "site x", times, sites, density_grid, meta=meta)
     _write_text(os.path.join(out_dir, "density_heatmap.svg"), svg)
 
-    def chart(name, title, ylabel, exact_ys, shot_ys=None, shot_err=None):
-        series = [Series("exact", times, exact_ys)]
-        if shot_ys is not None:
-            series.append(Series("shots", times, shot_ys, yerr=shot_err))
-        _write_text(
-            os.path.join(out_dir, name), line_chart(title, "t", ylabel, series, meta=meta)
-        )
-
-    shot = shot_records if shot_records else None
-    chart(
-        "correlation.svg",
-        "Density correlation C(t)",
-        "C",
-        [r.correlation_C for r in exact_records],
-        [r.correlation_C for r in shot] if shot else None,
-        [r.shot_errors.correlation_C for r in shot] if shot else None,
-    )
+    # The polarization is plotted relative to p(0) where that ratio is defined;
+    # dividing by a scale of 1.0 leaves the other charts' values unchanged.
     p0 = exact_records[0].polarization_over_e
     if abs(p0) > P_RATIO_FLOOR:
-        chart(
-            "polarization.svg",
-            "Polarization ratio p(t)/p(0)",
-            "p(t)/p(0)",
-            [r.polarization_over_e / p0 for r in exact_records],
-            [r.polarization_over_e / p0 for r in shot] if shot else None,
-            [r.shot_errors.polarization_over_e / abs(p0) for r in shot] if shot else None,
-        )
+        polarization = ("Polarization ratio p(t)/p(0)", "p(t)/p(0)", p0)
     else:
-        chart(
-            "polarization.svg",
-            "Polarization p(t)/e",
-            "p/e",
-            [r.polarization_over_e for r in exact_records],
-            [r.polarization_over_e for r in shot] if shot else None,
-            [r.shot_errors.polarization_over_e for r in shot] if shot else None,
-        )
-    chart(
-        "chiral.svg",
-        "Chiral condensate c(t)",
-        "c",
-        [r.chiral_c for r in exact_records],
-        [r.chiral_c for r in shot] if shot else None,
-        [r.shot_errors.chiral_c for r in shot] if shot else None,
-    )
+        polarization = ("Polarization p(t)/e", "p/e", 1.0)
+    for name, (title, ylabel, scale), attr in (
+        ("correlation.svg", ("Density correlation C(t)", "C", 1.0), "correlation_C"),
+        ("polarization.svg", polarization, "polarization_over_e"),
+        ("chiral.svg", ("Chiral condensate c(t)", "c", 1.0), "chiral_c"),
+    ):
+        series = [Series("exact", times, [getattr(r, attr) / scale for r in exact_records])]
+        if shot_records:
+            ys = [getattr(r, attr) / scale for r in shot_records]
+            errs = [getattr(r.shot_errors, attr) / abs(scale) for r in shot_records]
+            series.append(Series("shots", times, ys, yerr=errs))
+        _write_text(os.path.join(out_dir, name), line_chart(title, "t", ylabel, series, meta=meta))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -501,11 +468,15 @@ def sweep(base_config: RunConfig, parameter: str, values: list) -> int:
             output_dir=os.path.join(base_config.output_dir, f"{parameter}={value}"),
         )
         try:
-            code = run(point_config)
-            status = "ok" if code == EXIT_OK else "invariant-violation"
+            code, message = run(point_config), ""
         except Exception as exc:  # per-point isolation; status lands in the manifest
-            code = _error_exit(exc)[0]
-            status = f"error: {exc}"
+            code, message = _error_exit(exc)[0], str(exc)
+        if code == EXIT_OK:
+            status = "ok"
+        elif code == EXIT_INVARIANT:
+            status = "invariant-violation" + (f": {message}" if message else "")
+        else:
+            status = f"error: {message}"
         worst = max(worst, code)
         points.append(
             {

@@ -14,6 +14,10 @@ CHARGE_DRIFT_TOL = 1e-10
 # is pure rounding for a Hermitian observable.
 ORACLE_TOL = 1e-10
 
+# The oracle cuts the Taylor series of each step at the fewest terms whose
+# remainder bound is below this, an order under the rounding of a unit vector.
+SERIES_REMAINDER = 1e-17
+
 # Phases folded into a Hermitian sum's coefficients are exact multiples of
 # i, so any imaginary part above rounding means a non-Hermitian sum.
 IMAG_COEFF_TOL = 1e-12

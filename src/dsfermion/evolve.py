@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ORACLE_TOL, ResourceLimitError
-from .model import ModelParams, hamiltonian_at, hamiltonian_parts, scale_factor
+from .errors import ORACLE_TOL, SERIES_REMAINDER, NormDriftError, ResourceLimitError
+from .model import ModelParams, hamiltonian_at, hamiltonian_parts, scale_factor, sector_block
 from .observables import ObservableRecord, exact_record
 from .pauli import PauliString, PauliSum
 from .state import StateVector, apply_pauli_rotation, expectation_pauli_sum
@@ -117,7 +117,10 @@ def trotter_evolve(initial: StateVector, params: ModelParams, plan: TrotterPlan)
 
     snapshot(0.0)
     for k in range(plan.steps):
-        trotter_step(state, params, plan.sample_time(k), plan.dt)
+        try:
+            trotter_step(state, params, plan.sample_time(k), plan.dt)
+        except NormDriftError as exc:
+            raise NormDriftError(f"step {k + 1} of {plan.steps}: {exc}") from exc
         if (k + 1) % plan.snapshot_every == 0 or k + 1 == plan.steps:
             snapshot((k + 1) * plan.dt)
     return Trajectory(times=times, records=records, states=states)
@@ -127,20 +130,14 @@ def trotter_evolve(initial: StateVector, params: ModelParams, plan: TrotterPlan)
 # Exact time-ordered propagator oracle
 # ---------------------------------------------------------------------------
 
-def _taylor_apply(static: np.ndarray, diag: np.ndarray, vec: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i dt (static + diag)) vec via the Taylor series on the vector.
-
-    Callers keep the spectral-norm bound of dt*H at or below 1, where the
-    series converges to machine precision in a handful of matvecs.
-    """
-    out = vec.copy()
-    term = vec
-    for k in range(1, 80):
-        term = (-1j * dt / k) * (static @ term + diag * term)
-        out = out + term
-        if np.linalg.norm(term) < 1e-17:
-            return out
-    raise RuntimeError("propagator series failed to converge")  # pragma: no cover
+def _series_order(x: float) -> int:
+    """Fewest K with x^(K+1)/(K+1)! < SERIES_REMAINDER: the Taylor series of
+    exp to order K is then exact to rounding for a generator of norm <= x."""
+    order, remainder = 0, x
+    while remainder >= SERIES_REMAINDER:
+        order += 1
+        remainder *= x / (order + 1)
+    return order
 
 
 def _abs_coeff_sum(op: PauliSum) -> float:
@@ -159,6 +156,9 @@ def exact_evolve(
     exp(-i aH(t_mid) dt) on each, t_mid the interval midpoint.  Second-order
     accurate in the substep width; callers double ``substeps`` until two
     successive results agree (see exact_evolve_converged).
+
+    aH(t) conserves the popcount, so each charge sector the state occupies
+    is evolved on its own block (model.sector_block).
     """
     if initial.n_qubits > EXACT_QUBIT_LIMIT:
         raise ResourceLimitError(
@@ -176,11 +176,6 @@ def exact_evolve(
         return initial.copy()
 
     parts = hamiltonian_parts(params.n_sites)
-    static = (parts.hopping + params.hubble * parts.charge).to_dense()
-    # The mass term is diagonal: sum its strings' phases on each basis index.
-    idx = np.arange(initial.dim, dtype=np.int64)
-    mass_diag = np.real(sum(c * s.column_phases(idx) for c, s in parts.mass_term.terms))
-
     dt = t_total / substeps
     # Cheap upper bound on ||aH|| from the term coefficients.
     coeff_bound = _abs_coeff_sum(parts.hopping)
@@ -189,14 +184,27 @@ def exact_evolve(
     # Split a wide substep into equal series steps of bound <= 1, all at the
     # substep's midpoint Hamiltonian.
     pieces = max(1, math.ceil(coeff_bound * dt))
+    width = dt / pieces
+    order = _series_order(coeff_bound * width)
 
-    vec = initial.amplitudes.copy()
-    for k in range(substeps):
-        f = params.mass * scale_factor(params, (k + 0.5) * dt)
-        diag = f * mass_diag
-        for _ in range(pieces):
-            vec = _taylor_apply(static, diag, vec, dt / pieces)
-    return StateVector(initial.n_qubits, vec)
+    amps = initial.amplitudes
+    out = np.zeros_like(amps)
+    popcounts = np.bitwise_count(np.arange(initial.dim, dtype=np.int64))
+    for popcount in np.unique(popcounts[amps != 0]):
+        block = sector_block(params.n_sites, int(popcount))
+        static = -1j * width * (block.hopping + np.diag(params.hubble * block.charge))
+        mass = -1j * width * block.mass
+        vec = amps[block.indices]
+        for k in range(substeps):
+            gen = static + np.diag(params.mass * scale_factor(params, (k + 0.5) * dt) * mass)
+            for _ in range(pieces):
+                # exp(gen) vec to order `order`, in Horner form.
+                acc = vec
+                for n in range(order, 0, -1):
+                    acc = vec + (gen @ acc) / n
+                vec = acc
+        out[block.indices] = vec
+    return StateVector(initial.n_qubits, out)
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,45 @@ def hamiltonian_parts(n_sites: int) -> HamiltonianParts:
     )
 
 
+@dataclass(frozen=True)
+class SectorBlock:
+    """The parts of aH(t) on the basis states of one popcount; row and column
+    r of each part belong to basis state ``indices[r]``.  Read-only arrays."""
+
+    indices: np.ndarray  # the sector's basis indices, ascending
+    hopping: np.ndarray  # C(N, k) x C(N, k)
+    charge: np.ndarray  # diagonal
+    mass: np.ndarray  # diagonal
+
+
+@functools.cache
+def sector_block(n_sites: int, popcount: int) -> SectorBlock:
+    """The popcount-k block of each part of aH(t), built once per (N, k).
+
+    The total charge commutes with every part, so the blocks between
+    different popcounts are zero.  A single XX or YY string does leave the
+    sector (|..00..> to |..11..>), but the XX and YY entries there cancel
+    exactly in their sum, so those targets are dropped.
+    """
+    parts = hamiltonian_parts(n_sites)
+    every = np.arange(1 << n_sites, dtype=np.int64)
+    indices = every[np.bitwise_count(every) == popcount]
+    hopping = np.zeros((len(indices), len(indices)), dtype=np.complex128)
+    for coeff, string in parts.hopping.terms:
+        targets = indices ^ np.int64(string.x_mask)
+        cols = np.flatnonzero(np.bitwise_count(targets) == popcount)
+        rows = np.searchsorted(indices, targets[cols])
+        hopping[rows, cols] += coeff * string.column_phases(indices[cols])
+
+    def diagonal(op: PauliSum) -> np.ndarray:
+        return np.real(sum(c * s.column_phases(indices) for c, s in op.terms))
+
+    block = SectorBlock(indices, hopping, diagonal(parts.charge), diagonal(parts.mass_term))
+    for array in vars(block).values():  # the cache hands the block to every caller
+        array.flags.writeable = False
+    return block
+
+
 def scale_factor(params: ModelParams, t: float) -> float:
     """de Sitter scale factor g(t) = e^{h t}."""
     return math.exp(params.hubble * t)

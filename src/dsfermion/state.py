@@ -76,10 +76,13 @@ def basis_state(n_qubits: int, k: int) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
-def _check_norm(state: StateVector) -> None:
+def _check_norm(state: StateVector, p: PauliString) -> None:
     drift = abs(state.norm() - 1.0)
     if drift > NORM_DRIFT_LIMIT:
-        raise NormDriftError(f"state norm drifted by {drift:.3e} (> {NORM_DRIFT_LIMIT:g})")
+        raise NormDriftError(
+            f"state norm drifted by {drift:.3e} (> {NORM_DRIFT_LIMIT:g}) "
+            f"after the rotation by {p.label()}"
+        )
 
 
 def apply_pauli_string(p: PauliString, vec: np.ndarray) -> np.ndarray:
@@ -114,7 +117,7 @@ def apply_pauli_rotation(state: StateVector, p: PauliString, theta: float) -> St
         # Hermiticity of a phase +1 string gives <low|P|high> = conj(phase_low).
         amps[low] = cos_t * a + msin_t * np.conj(phase_low) * b
         amps[high] = cos_t * b + msin_t * phase_low * a
-    _check_norm(state)
+    _check_norm(state, p)
     return state
 
 

@@ -306,7 +306,7 @@ class TestSweep:
 
         for name, evolve, codes, first_status in (
             ("sweep", cli.trotter_evolve, [cli.EXIT_OK, cli.EXIT_USAGE], "ok"),
-            ("drift", drifting_evolve, [cli.EXIT_INVARIANT, cli.EXIT_USAGE], "error: norm drifted by 1e-6"),
+            ("drift", drifting_evolve, [cli.EXIT_INVARIANT, cli.EXIT_USAGE], "invariant-violation: norm drifted by 1e-6"),
         ):
             monkeypatch.setattr(cli, "trotter_evolve", evolve)
             base = fast_config(tmp_path, output_dir=str(tmp_path / name))

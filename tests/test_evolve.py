@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from dsfermion.errors import ResourceLimitError
-from dsfermion.model import ModelParams, hamiltonian_at
+from dsfermion.errors import NormDriftError, ResourceLimitError
+from dsfermion.model import ModelParams, hamiltonian_at, sector_block
 from dsfermion.evolve import (
     TrotterPlan,
     exact_evolve,
@@ -17,6 +17,7 @@ from dsfermion.evolve import (
     trotter_step,
 )
 from dsfermion.observables import exact_record
+from dsfermion.pauli import PauliString, PauliSum
 from dsfermion.state import StateVector, basis_state, expectation_pauli_sum
 
 from conftest import dense_from_label, random_state
@@ -147,6 +148,11 @@ class TestTrotterEvolve:
         trajectory = trotter_evolve(basis_state(8, 1), params, plan)
         for record in trajectory.records:
             assert abs(record.norm - 1.0) < 1e-10
+        # A denormalized state fails in the first rotation of the first step.
+        denormalized = basis_state(8, 1)
+        denormalized.amplitudes *= 1.5
+        with pytest.raises(NormDriftError, match=r"^step 1 of 10: .* rotation by XXIIIIII$"):
+            trotter_evolve(denormalized, params, plan)
 
     def test_eigenstate_distribution_frozen(self):
         params = ModelParams(8, 0.1, 1.0)
@@ -168,7 +174,14 @@ class TestExactEvolve:
         out = exact_evolve(StateVector(4, vec.copy()), params, 0.0, 4)
         assert np.array_equal(out.amplitudes, vec)
 
-    def test_massless_independent_of_substeps(self):
+    def test_massless_independent_of_substeps(self, monkeypatch):
+        # The oracle works on sector blocks and never builds a dense matrix.
+        def no_dense(self):
+            raise AssertionError("the oracle built a dense matrix")
+
+        monkeypatch.setattr(PauliSum, "to_dense", no_dense)
+        monkeypatch.setattr(PauliString, "to_dense", no_dense)
+        sector_block.cache_clear()
         params = ModelParams(6, 0.1, 0.0)
         st = basis_state(6, 1)
         a = exact_evolve(st, params, 1.0, 3)
@@ -178,12 +191,14 @@ class TestExactEvolve:
     def test_matches_scipy_midpoint_product(self, rng):
         # t = 20 in 2 substeps is wide enough that each substep is split into
         # several series steps; t = 0.8 in 7 takes one step per substep.
-        params = ModelParams(4, 0.1, 1.0)
-        for t_total, substeps in ((0.8, 7), (20.0, 2)):
-            vec = random_state(rng, 4)
-            ours = exact_evolve(StateVector(4, vec.copy()), params, t_total, substeps)
+        # Random states occupy every charge sector.
+        cases = ((4, 0.8, 7), (4, 20.0, 2), (6, 0.8, 5), (8, 0.8, 3), (10, 0.8, 2))
+        for n, t_total, substeps in cases:
+            params = ModelParams(n, 0.1, 1.0)
+            vec = random_state(rng, n)
+            ours = exact_evolve(StateVector(n, vec.copy()), params, t_total, substeps)
             theirs = dense_midpoint_product(params, t_total, substeps, vec)
-            assert np.max(np.abs(ours.amplitudes - theirs)) < 1e-12, t_total
+            assert np.max(np.abs(ours.amplitudes - theirs)) < 1e-12, (n, t_total)
 
     def test_second_order_convergence(self):
         params = ModelParams(8, 0.1, 1.0)

@@ -13,6 +13,7 @@ from dsfermion.model import (
     hamiltonian_parts,
     jw_fermion_op,
     n8_fixture,
+    sector_block,
     total_sz,
     verify_bilinears,
 )
@@ -137,6 +138,26 @@ class TestHamiltonianAt:
         params = ModelParams(4, 0.1, 1.0)
         with pytest.raises(ValueError):
             hamiltonian_at(params, -1.0)
+
+    def test_sector_blocks_are_the_dense_submatrices(self):
+        # aH(t) has no entry between different popcounts, and each part's
+        # popcount-k block is the dense part's submatrix, entry for entry.
+        for n in (4, 6, 8, 10):
+            popcounts = np.bitwise_count(np.arange(1 << n))
+            across = popcounts[:, None] != popcounts[None, :]
+            dense = hamiltonian_at(ModelParams(n, 0.1, 1.0), 0.7).to_dense()
+            assert np.all(dense[across] == 0), n
+            parts = hamiltonian_parts(n)
+            hopping = parts.hopping.to_dense()
+            charge = np.diag(parts.charge.to_dense()).real
+            mass = np.diag(parts.mass_term.to_dense()).real
+            for k in range(n + 1):
+                block = sector_block(n, k)
+                assert np.array_equal(block.indices, np.flatnonzero(popcounts == k)), (n, k)
+                sub = np.ix_(block.indices, block.indices)
+                assert np.array_equal(block.hopping, hopping[sub]), (n, k)
+                assert np.array_equal(block.charge, charge[block.indices]), (n, k)
+                assert np.array_equal(block.mass, mass[block.indices]), (n, k)
 
     @pytest.mark.parametrize("n", [4, 6, 8, 10])
     def test_charge_commutator_symbolically_zero(self, n):

@@ -102,7 +102,7 @@ class TestPauliRotation:
     def test_rejects_denormalized_state(self):
         st = basis_state(2, 0)
         st.amplitudes *= 1.5
-        with pytest.raises(NormDriftError):
+        with pytest.raises(NormDriftError, match=r"drifted by 5\.000e-01 .* rotation by XI$"):
             apply_pauli_rotation(st, single_site(2, 0, "X"), 0.2)
 
     def test_size_mismatch(self):
