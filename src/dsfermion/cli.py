@@ -26,7 +26,9 @@ from dataclasses import dataclass, field, fields, replace
 
 from . import __version__
 from .errors import (
+    BILINEAR_QUBIT_LIMIT,
     CHARGE_DRIFT_TOL,
+    EXACT_QUBIT_LIMIT,
     IDENTITY_TOL,
     NORM_DRIFT_TOL,
     ORACLE_TOL,
@@ -34,14 +36,12 @@ from .errors import (
     ResourceLimitError,
 )
 from .evolve import (
-    EXACT_QUBIT_LIMIT,
     TrotterPlan,
     exact_evolve_converged,
     state_distance,
     trotter_evolve,
 )
 from .model import (
-    BILINEAR_QUBIT_LIMIT,
     ModelParams,
     build_charge_term,
     build_hopping,

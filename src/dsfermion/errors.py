@@ -14,10 +14,6 @@ CHARGE_DRIFT_TOL = 1e-10
 # is pure rounding for a Hermitian observable.
 ORACLE_TOL = 1e-10
 
-# The oracle cuts the Taylor series of each step at the fewest terms whose
-# remainder bound is below this, an order under the rounding of a unit vector.
-SERIES_REMAINDER = 1e-17
-
 # Phases folded into a Hermitian sum's coefficients are exact multiples of
 # i, so any imaginary part above rounding means a non-Hermitian sum.
 IMAG_COEFF_TOL = 1e-12
@@ -26,6 +22,18 @@ IMAG_COEFF_TOL = 1e-12
 # the bilinear identities deviate by 0 and the filled-state eigenvalue by at
 # most 2.2e-16, so 1e-12 is far above rounding and far below any real error.
 IDENTITY_TOL = 1e-12
+
+# Size guards, in qubits.  A dense 2^N x 2^N complex matrix takes 4 GiB at
+# N = 14.
+DENSE_QUBIT_LIMIT = 14
+# A dense Jordan-Wigner operator takes 256 MiB at N = 12.
+JW_QUBIT_LIMIT = 12
+# The bilinear check holds 2N dense operators at once: 320 MiB at N = 10.
+BILINEAR_QUBIT_LIMIT = 10
+# The oracle evaluates C(N, k) determinants per occupied input state of
+# popcount k (924 at N = 12, k = 6) and returns all 2^N amplitudes; `run`
+# rejects an oracle beyond this size before any work.
+EXACT_QUBIT_LIMIT = 12
 
 
 class ResourceLimitError(RuntimeError):

@@ -11,18 +11,17 @@ along the Trotter trajectory at any step size.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ORACLE_TOL, SERIES_REMAINDER, NormDriftError, ResourceLimitError
-from .model import ModelParams, hamiltonian_at, hamiltonian_parts, scale_factor, sector_block
+from .errors import EXACT_QUBIT_LIMIT, ORACLE_TOL, NormDriftError, ResourceLimitError
+from .model import ModelParams, hamiltonian_at, hamiltonian_parts, one_body_parts, scale_factor
 from .observables import ObservableRecord, exact_record
-from .pauli import PauliString, PauliSum
+from .pauli import PauliString
 from .state import StateVector, apply_pauli_rotation, expectation_pauli_sum
-
-EXACT_QUBIT_LIMIT = 12
 
 TIME_SAMPLINGS = ("left", "midpoint")
 
@@ -130,18 +129,77 @@ def trotter_evolve(initial: StateVector, params: ModelParams, plan: TrotterPlan)
 # Exact time-ordered propagator oracle
 # ---------------------------------------------------------------------------
 
-def _series_order(x: float) -> int:
-    """Fewest K with x^(K+1)/(K+1)! < SERIES_REMAINDER: the Taylor series of
-    exp to order K is then exact to rounding for a generator of norm <= x."""
-    order, remainder = 0, x
-    while remainder >= SERIES_REMAINDER:
-        order += 1
-        remainder *= x / (order + 1)
-    return order
+# A scheme lists the exponentials of one step of width dt, in the order they
+# act; exponential j is exp(-i dt sum_r w_r h1(t0 + c_r dt)) over its
+# (node c_r, weight w_r) rows.  The midpoint rule is second order.  The
+# fourth-order commutator-free Magnus step (Blanes & Moan, Appl. Numer.
+# Math. 56 (2006) 1519) samples h1 at the two Gauss nodes 1/2 -+ sqrt(3)/6.
+_C1, _C2 = 0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6
+_W1, _W2 = (3 - 2 * math.sqrt(3)) / 12, (3 + 2 * math.sqrt(3)) / 12
+MIDPOINT = (((0.5, 1.0),),)
+CF4 = (((_C1, _W2), (_C2, _W1)), ((_C1, _W1), (_C2, _W2)))
+CF4_ORDER = 4
+
+# Steps per batch of N x N exponentials.  Batches of 64 are as fast as
+# larger ones on the presets and keep the oracle's peak memory under 1 MiB.
+_BATCH_STEPS = 64
 
 
-def _abs_coeff_sum(op: PauliSum) -> float:
-    return sum(abs(c) for c, _ in op.terms)
+def _propagate(
+    initial: StateVector, params: ModelParams, t_total: float, steps: int, scheme
+) -> StateVector:
+    """Apply ``steps`` equal steps of ``scheme`` to ``initial``.
+
+    aH(t) is quadratic in the fermions: the product is taken on the N x N
+    one-body matrix h1(t) = hopping + m e^{ht} mass (model.one_body_parts),
+    whose weighted sums are exponentiated through their eigendecompositions.
+    A basis state is the ascending set of its holes (bits set), and the
+    amplitude from hole set T to hole set S of popcount k is det(u[S, T])
+    times the charge term's phase exp(-i h (N - 2k)/4 t), which the
+    determinant cannot carry (it would give k (N - 2)/4).
+    """
+    n = initial.n_qubits
+    if n > EXACT_QUBIT_LIMIT:
+        raise ResourceLimitError(f"exact propagator limited to {EXACT_QUBIT_LIMIT} qubits, got {n}")
+    if n != params.n_sites:
+        raise ValueError(f"state has {n} qubits but the model has {params.n_sites} sites")
+    if steps < 1:
+        raise ValueError(f"substeps must be >= 1, got {steps}")
+    if t_total < 0 or not math.isfinite(t_total):
+        raise ValueError(f"t_total must be finite and >= 0, got {t_total}")
+    if t_total == 0:
+        return initial.copy()
+
+    hopping, mass = one_body_parts(n)
+    dt = t_total / steps
+    u = np.eye(n, dtype=np.complex128)
+    for first in range(0, steps, _BATCH_STEPS):
+        starts = dt * np.arange(first, min(first + _BATCH_STEPS, steps))
+        batch = np.eye(n, dtype=np.complex128)
+        for rows in scheme:
+            weight = sum(w for _, w in rows)
+            scale = sum(w * np.exp(params.hubble * (starts + c * dt)) for c, w in rows)
+            gens = weight * hopping + (params.mass * scale)[:, None, None] * mass
+            energies, vecs = np.linalg.eigh(gens)
+            phases = np.exp(-1j * dt * energies)[:, None, :]
+            batch = (vecs * phases) @ vecs.conj().swapaxes(1, 2) @ batch
+        for factor in batch:
+            u = factor @ u
+
+    amps = initial.amplitudes
+    out = np.zeros_like(amps)
+    popcounts = np.bitwise_count(np.arange(initial.dim, dtype=np.int64))
+    for k in map(int, np.unique(popcounts[amps != 0])):
+        sets = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
+        sets = sets.reshape(math.comb(n, k), k)
+        u_rows = u[sets]  # (C(N, k), k, N): the rows of u for each hole set S
+        vec = np.zeros(len(sets), dtype=np.complex128)
+        for index in np.flatnonzero((popcounts == k) & (amps != 0)):
+            holes = [x for x in range(n) if index >> x & 1]
+            vec += amps[index] * np.linalg.det(u_rows[:, :, holes])
+        phase = np.exp(-1j * params.hubble * (n - 2 * k) / 4 * t_total)
+        out[np.sum(np.int64(1) << sets, axis=1)] = phase * vec
+    return StateVector(n, out)
 
 
 def exact_evolve(
@@ -154,57 +212,9 @@ def exact_evolve(
 
     Splits [0, t_total] into ``substeps`` intervals and applies
     exp(-i aH(t_mid) dt) on each, t_mid the interval midpoint.  Second-order
-    accurate in the substep width; callers double ``substeps`` until two
-    successive results agree (see exact_evolve_converged).
-
-    aH(t) conserves the popcount, so each charge sector the state occupies
-    is evolved on its own block (model.sector_block).
+    accurate in the substep width.
     """
-    if initial.n_qubits > EXACT_QUBIT_LIMIT:
-        raise ResourceLimitError(
-            f"exact propagator limited to {EXACT_QUBIT_LIMIT} qubits, got {initial.n_qubits}"
-        )
-    if initial.n_qubits != params.n_sites:
-        raise ValueError(
-            f"state has {initial.n_qubits} qubits but the model has {params.n_sites} sites"
-        )
-    if substeps < 1:
-        raise ValueError(f"substeps must be >= 1, got {substeps}")
-    if t_total < 0 or not math.isfinite(t_total):
-        raise ValueError(f"t_total must be finite and >= 0, got {t_total}")
-    if t_total == 0:
-        return initial.copy()
-
-    parts = hamiltonian_parts(params.n_sites)
-    dt = t_total / substeps
-    # Cheap upper bound on ||aH|| from the term coefficients.
-    coeff_bound = _abs_coeff_sum(parts.hopping)
-    coeff_bound += params.hubble * _abs_coeff_sum(parts.charge)
-    coeff_bound += params.mass * scale_factor(params, t_total) * _abs_coeff_sum(parts.mass_term)
-    # Split a wide substep into equal series steps of bound <= 1, all at the
-    # substep's midpoint Hamiltonian.
-    pieces = max(1, math.ceil(coeff_bound * dt))
-    width = dt / pieces
-    order = _series_order(coeff_bound * width)
-
-    amps = initial.amplitudes
-    out = np.zeros_like(amps)
-    popcounts = np.bitwise_count(np.arange(initial.dim, dtype=np.int64))
-    for popcount in np.unique(popcounts[amps != 0]):
-        block = sector_block(params.n_sites, int(popcount))
-        static = -1j * width * (block.hopping + np.diag(params.hubble * block.charge))
-        mass = -1j * width * block.mass
-        vec = amps[block.indices]
-        for k in range(substeps):
-            gen = static + np.diag(params.mass * scale_factor(params, (k + 0.5) * dt) * mass)
-            for _ in range(pieces):
-                # exp(gen) vec to order `order`, in Horner form.
-                acc = vec
-                for n in range(order, 0, -1):
-                    acc = vec + (gen @ acc) / n
-                vec = acc
-        out[block.indices] = vec
-    return StateVector(initial.n_qubits, out)
+    return _propagate(initial, params, t_total, substeps, MIDPOINT)
 
 
 @dataclass(frozen=True)
@@ -222,20 +232,27 @@ def exact_evolve_converged(
     tol: float = ORACLE_TOL,
     max_substeps: int = 1 << 18,
 ) -> ExactOracleResult:
-    """Double the substep count until successive results differ by < tol in
-    norm; past ``max_substeps`` (a size guard) raise ResourceLimitError."""
+    """Double the step count of the fourth-order commutator-free Magnus
+    scheme until successive results differ by < tol in norm.
+
+    Raise ResourceLimitError once the budget cannot reach ``tol``: when the
+    last delta, shrunk 2^4 times for each doubling left within
+    ``max_substeps`` (a size guard), is still >= tol.
+    """
     substeps = max(1, substeps_start)
-    prev = exact_evolve(initial, params, t_total, substeps)
+    prev = _propagate(initial, params, t_total, substeps, CF4)
     while True:
         substeps *= 2
-        cur = exact_evolve(initial, params, t_total, substeps)
+        cur = _propagate(initial, params, t_total, substeps, CF4)
         delta = float(np.linalg.norm(cur.amplitudes - prev.amplitudes))
         if delta < tol:
             return ExactOracleResult(state=cur, substeps=substeps, delta=delta)
-        if substeps >= max_substeps:
+        # Doublings before substeps reaches max_substeps.
+        doublings_left = max(0, (max_substeps - 1) // substeps).bit_length()
+        if delta >= tol * 2.0 ** (CF4_ORDER * doublings_left):
             raise ResourceLimitError(
-                f"oracle did not converge below {tol:g} within {max_substeps} substeps "
-                f"(last delta {delta:.3e})"
+                f"oracle did not converge below {tol:g}: delta {delta:.3e} at {substeps} "
+                f"substeps, and the budget of {max_substeps} substeps cannot reach it"
             )
         prev = cur
 

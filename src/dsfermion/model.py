@@ -21,12 +21,8 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import BILINEAR_QUBIT_LIMIT, JW_QUBIT_LIMIT, ResourceLimitError
 from .pauli import PauliString, PauliSum, single_site
-
-# Dense Jordan-Wigner oracles are memory-guarded.
-JW_QUBIT_LIMIT = 12
-BILINEAR_QUBIT_LIMIT = 10
 
 
 def check_sites(n_sites: int) -> None:
@@ -109,43 +105,30 @@ def hamiltonian_parts(n_sites: int) -> HamiltonianParts:
     )
 
 
-@dataclass(frozen=True)
-class SectorBlock:
-    """The parts of aH(t) on the basis states of one popcount; row and column
-    r of each part belong to basis state ``indices[r]``.  Read-only arrays."""
-
-    indices: np.ndarray  # the sector's basis indices, ascending
-    hopping: np.ndarray  # C(N, k) x C(N, k)
-    charge: np.ndarray  # diagonal
-    mass: np.ndarray  # diagonal
-
-
 @functools.cache
-def sector_block(n_sites: int, popcount: int) -> SectorBlock:
-    """The popcount-k block of each part of aH(t), built once per (N, k).
+def one_body_parts(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """The hopping and mass parts of aH(t) on the N one-hole states 1 << x,
+    as N x N matrices (row and column x belong to the hole at site x),
+    built once per lattice size.  Read-only arrays.
 
-    The total charge commutes with every part, so the blocks between
-    different popcounts are zero.  A single XX or YY string does leave the
-    sector (|..00..> to |..11..>), but the XX and YY entries there cancel
-    exactly in their sum, so those targets are dropped.
+    With k holes, aH(t) - h * charge_term acts as the second quantization of
+    these parts: hopping + m e^{ht} mass is the one-body matrix h1(t).  The
+    charge term does not: it is (N - 2k)/4 on every state with k holes.
     """
     parts = hamiltonian_parts(n_sites)
-    every = np.arange(1 << n_sites, dtype=np.int64)
-    indices = every[np.bitwise_count(every) == popcount]
-    hopping = np.zeros((len(indices), len(indices)), dtype=np.complex128)
-    for coeff, string in parts.hopping.terms:
-        targets = indices ^ np.int64(string.x_mask)
-        cols = np.flatnonzero(np.bitwise_count(targets) == popcount)
-        rows = np.searchsorted(indices, targets[cols])
-        hopping[rows, cols] += coeff * string.column_phases(indices[cols])
+    holes = np.int64(1) << np.arange(n_sites, dtype=np.int64)
 
-    def diagonal(op: PauliSum) -> np.ndarray:
-        return np.real(sum(c * s.column_phases(indices) for c, s in op.terms))
+    def block(op: PauliSum) -> np.ndarray:
+        out = np.zeros((n_sites, n_sites), dtype=np.complex128)
+        for coeff, string in op.terms:
+            targets = holes ^ np.int64(string.x_mask)
+            cols = np.flatnonzero(np.bitwise_count(targets) == 1)
+            rows = np.searchsorted(holes, targets[cols])
+            out[rows, cols] += coeff * string.column_phases(holes[cols])
+        out.flags.writeable = False  # the cache hands it to every caller
+        return out
 
-    block = SectorBlock(indices, hopping, diagonal(parts.charge), diagonal(parts.mass_term))
-    for array in vars(block).values():  # the cache hands the block to every caller
-        array.flags.writeable = False
-    return block
+    return block(parts.hopping), block(parts.mass_term)
 
 
 def scale_factor(params: ModelParams, t: float) -> float:

@@ -17,10 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import IMAG_COEFF_TOL, ResourceLimitError
-
-# Largest register for which dense 2^N x 2^N realizations are allowed.
-DENSE_QUBIT_LIMIT = 14
+from .errors import DENSE_QUBIT_LIMIT, IMAG_COEFF_TOL, ResourceLimitError
 
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)  # i**k for k = 0..3
 _PHASE_CANON = {1 + 0j: 1 + 0j, 1j: 1j, -1 + 0j: -1 + 0j, -1j: -1j}
@@ -200,9 +197,6 @@ class PauliSum:
             return NotImplemented
         return self.n_qubits == other.n_qubits and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.n_qubits, self.terms))
-
     def __add__(self, other: "PauliSum") -> "PauliSum":
         if not isinstance(other, PauliSum):
             return NotImplemented
@@ -221,9 +215,6 @@ class PauliSum:
         )
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "PauliSum":
-        return (-1.0) * self
 
     def __repr__(self) -> str:
         return f"PauliSum(n_qubits={self.n_qubits}, n_terms={len(self.terms)})"

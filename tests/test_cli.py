@@ -213,7 +213,8 @@ class TestRun:
             assert not out.exists(), (flag, value)
 
     def test_oracle_not_converged_is_usage_error(self, tmp_path, monkeypatch, capsys):
-        # A substep budget of 8 stops the paper-m1 oracle after its first doubling.
+        # Starting from 2 steps, a substep budget of 8 stops the paper-m1
+        # oracle after its first doubling.
         converged = cli.exact_evolve_converged
         monkeypatch.setattr(
             cli,
@@ -221,7 +222,8 @@ class TestRun:
             lambda *args, **kwargs: converged(*args, **kwargs, max_substeps=8),
         )
         out = tmp_path / "m1"
-        assert cli.main(["run", "--preset", "paper-m1", "--output_dir", str(out)]) == cli.EXIT_USAGE
+        argv = ["run", "--preset", "paper-m1", "--oracle_substeps_start", "2"]
+        assert cli.main(argv + ["--output_dir", str(out)]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert "did not converge" in err and "--oracle off" in err
         assert "Traceback" not in err

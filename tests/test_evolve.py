@@ -7,7 +7,8 @@ import pytest
 from scipy.linalg import expm
 
 from dsfermion.errors import NormDriftError, ResourceLimitError
-from dsfermion.model import ModelParams, hamiltonian_at, sector_block
+from dsfermion import evolve
+from dsfermion.model import ModelParams, hamiltonian_at, one_body_parts
 from dsfermion.evolve import (
     TrotterPlan,
     exact_evolve,
@@ -20,7 +21,7 @@ from dsfermion.observables import exact_record
 from dsfermion.pauli import PauliString, PauliSum
 from dsfermion.state import StateVector, basis_state, expectation_pauli_sum
 
-from conftest import dense_from_label, random_state
+from conftest import dense_from_label, random_state, sector_taylor_evolve
 
 
 def dense_trotter_step(n, params, t_sample, dt, vec):
@@ -175,13 +176,13 @@ class TestExactEvolve:
         assert np.array_equal(out.amplitudes, vec)
 
     def test_massless_independent_of_substeps(self, monkeypatch):
-        # The oracle works on sector blocks and never builds a dense matrix.
+        # The oracle works on the one-body matrix and never builds a dense matrix.
         def no_dense(self):
             raise AssertionError("the oracle built a dense matrix")
 
         monkeypatch.setattr(PauliSum, "to_dense", no_dense)
         monkeypatch.setattr(PauliString, "to_dense", no_dense)
-        sector_block.cache_clear()
+        one_body_parts.cache_clear()
         params = ModelParams(6, 0.1, 0.0)
         st = basis_state(6, 1)
         a = exact_evolve(st, params, 1.0, 3)
@@ -208,10 +209,47 @@ class TestExactEvolve:
         d2 = np.linalg.norm(results[128].amplitudes - results[256].amplitudes)
         assert 3.0 < d1 / d2 < 5.0
 
+    def test_matches_sector_taylor_reference(self, rng):
+        # At every popcount, on states inside one sector and on states that
+        # span all of them; the charge phase differs from sector to sector.
+        for n in (4, 6, 8, 10):
+            params = ModelParams(n, 0.3, 1.0)
+            popcounts = np.bitwise_count(np.arange(1 << n))
+            states = [random_state(rng, n)]
+            for k in range(n + 1):
+                states.append(np.where(popcounts == k, random_state(rng, n), 0))
+                states[-1] /= np.linalg.norm(states[-1])
+            for vec in states:
+                ours = exact_evolve(StateVector(n, vec.copy()), params, 1.3, 3)
+                theirs = sector_taylor_evolve(params, 1.3, 3, vec)
+                assert np.max(np.abs(ours.amplitudes - theirs)) < 1e-12, n
+
+    def test_cf4_fourth_order_convergence(self):
+        params = ModelParams(8, 0.1, 1.0)
+        st = basis_state(8, 1)
+        results = {n: evolve._propagate(st, params, 1.0, n, evolve.CF4) for n in (8, 16, 32)}
+        d1 = np.linalg.norm(results[8].amplitudes - results[16].amplitudes)
+        d2 = np.linalg.norm(results[16].amplitudes - results[32].amplitudes)
+        assert 12.0 < d1 / d2 < 20.0
+
+    def test_converged_cf4_matches_converged_midpoint(self):
+        # paper-m1: the two schemes converge to the same propagator.
+        params = ModelParams(8, 0.1, 1.0)
+        st = basis_state(8, 1)
+        substeps, prev = 256, exact_evolve(st, params, 1.0, 256)
+        while True:
+            substeps *= 2
+            cur = exact_evolve(st, params, 1.0, substeps)
+            if np.linalg.norm(cur.amplitudes - prev.amplitudes) < 1e-10:
+                break
+            prev = cur
+        cf4 = exact_evolve_converged(st, params, 1.0)
+        assert np.linalg.norm(cf4.state.amplitudes - cur.amplitudes) < 1e-10
+
     def test_measured_doubling_delta_at_256(self):
         # Frozen measurement on the massive preset: the 256 -> 512 doubling
         # moves the state by ~1.3e-7, so reaching the 1e-10 convergence
-        # threshold takes the doubling loop to ~2^15 substeps.
+        # threshold by midpoint doubling takes ~2^15 substeps.
         params = ModelParams(8, 0.1, 1.0)
         st = basis_state(8, 1)
         a = exact_evolve(st, params, 1.0, 256)
@@ -231,6 +269,23 @@ class TestExactEvolve:
             exact_evolve_converged(
                 basis_state(8, 1), params, 1.0, substeps_start=2, tol=1e-14, max_substeps=8
             )
+
+    def test_gives_up_when_budget_cannot_converge(self, monkeypatch):
+        # The 256 -> 512 doubling moves the state by ~1.8e-4; three doublings
+        # of a fourth-order scheme within 4096 substeps shrink that to no
+        # less than ~4e-8, so the loop stops after the first doubling.
+        propagate = evolve._propagate
+        calls = []
+
+        def counted(*args):
+            calls.append(args[3])
+            return propagate(*args)
+
+        monkeypatch.setattr(evolve, "_propagate", counted)
+        params = ModelParams(4, 1.5, 3.0)
+        with pytest.raises(ResourceLimitError, match="cannot reach"):
+            exact_evolve_converged(basis_state(4, 1), params, 4.0, max_substeps=4096)
+        assert calls == [256, 512]
 
     def test_guards(self):
         params = ModelParams(4, 0.1, 1.0)

@@ -13,7 +13,7 @@ from dsfermion.model import (
     hamiltonian_parts,
     jw_fermion_op,
     n8_fixture,
-    sector_block,
+    one_body_parts,
     total_sz,
     verify_bilinears,
 )
@@ -26,6 +26,7 @@ from conftest import (
     dense_from_terms,
     dense_n8_hamiltonian,
     naive_jw_annihilation,
+    sector_block,
 )
 
 
@@ -158,6 +159,16 @@ class TestHamiltonianAt:
                 assert np.array_equal(block.hopping, hopping[sub]), (n, k)
                 assert np.array_equal(block.charge, charge[block.indices]), (n, k)
                 assert np.array_equal(block.mass, mass[block.indices]), (n, k)
+
+    def test_one_body_parts_are_the_one_hole_block(self):
+        # h1(t) = hopping + m e^{ht} mass is the popcount-1 block without its
+        # charge diagonal, entry for entry; site x is basis state 1 << x.
+        for n in (4, 6, 8, 10, 12):
+            hopping, mass = one_body_parts(n)
+            block = sector_block(n, 1)
+            assert np.array_equal(block.indices, 1 << np.arange(n)), n
+            assert np.array_equal(hopping, block.hopping), n
+            assert np.array_equal(mass, np.diag(block.mass)), n
 
     @pytest.mark.parametrize("n", [4, 6, 8, 10])
     def test_charge_commutator_symbolically_zero(self, n):
