@@ -31,6 +31,7 @@ from .errors import (
     EXACT_QUBIT_LIMIT,
     IDENTITY_TOL,
     NORM_DRIFT_TOL,
+    ORACLE_SUBSTEP_BUDGET,
     ORACLE_TOL,
     NormDriftError,
     ResourceLimitError,
@@ -110,8 +111,11 @@ class RunConfig:
             raise ValueError(f"oracle must be 'on' or 'off', got {self.oracle!r}")
         if self.oracle == "on" and self.n_sites > EXACT_QUBIT_LIMIT:
             raise ValueError(f"the oracle allows n_sites <= {EXACT_QUBIT_LIMIT}, got {self.n_sites}")
-        if self.oracle_substeps_start < 1:
-            raise ValueError("oracle_substeps_start must be >= 1")
+        if not 1 <= self.oracle_substeps_start <= ORACLE_SUBSTEP_BUDGET // 2:
+            raise ValueError(
+                f"oracle_substeps_start must be in [1, {ORACLE_SUBSTEP_BUDGET // 2}] so that "
+                f"its first doubling fits the oracle's budget, got {self.oracle_substeps_start}"
+            )
         if not (math.isfinite(self.t_total) and self.t_total > 0):
             raise ValueError(f"t_total must be positive, got {self.t_total}")
 
@@ -458,6 +462,8 @@ def sweep(base_config: RunConfig, parameter: str, values: list) -> int:
         raise ValueError(f"parameter must be one of {SWEEPABLE}, got {parameter!r}")
     if not values:
         raise ValueError("sweep values list is empty")
+    if len(set(values)) < len(values):
+        raise ValueError(f"sweep values must be distinct, got {values}")
     points = []
     worst = EXIT_OK
     for index, value in enumerate(values):

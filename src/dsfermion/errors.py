@@ -1,7 +1,8 @@
 """Exception types and numerical tolerances shared across the package."""
 
-# A unitary kernel that moves the norm further than this is broken: 1e4
-# random rotations at N = 8 drift by ~3e-15, so 1e-8 is far above rounding.
+# A Trotter step that moves the norm further than this is broken: 1000
+# steps at N = 8 and half filling drift by ~1.5e-12, so 1e-8 is far above
+# rounding.
 NORM_DRIFT_LIMIT = 1e-8
 
 # Drift of the norm and of the total charge over a run's snapshots beyond
@@ -34,6 +35,10 @@ BILINEAR_QUBIT_LIMIT = 10
 # popcount k (924 at N = 12, k = 6) and returns all 2^N amplitudes; `run`
 # rejects an oracle beyond this size before any work.
 EXACT_QUBIT_LIMIT = 12
+# Not in qubits: the oracle doubles its step count up to this many steps
+# (about 10 s of steps at N = 8), and `run` rejects an oracle_substeps_start
+# whose first doubling would pass it.
+ORACLE_SUBSTEP_BUDGET = 1 << 18
 
 
 class ResourceLimitError(RuntimeError):

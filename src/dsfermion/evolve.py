@@ -1,12 +1,13 @@
 """First-order Trotter evolution of the time-dependent Hamiltonian, plus a
 fine-grained exact propagator used as a verification oracle.
 
-Term order within one Trotter step is fixed: bulk bonds in ascending order
-(XX then YY on each bond), then the boundary string pair, then the diagonal
-layer of single-qubit Z rotations.  XX and YY on the same bond commute, so
-the paired application equals the exponential of their sum exactly; that sum
-commutes with the total charge sum of Z, which is why the charge is conserved
-along the Trotter trajectory at any step size.
+The Trotter circuit is a matchgate circuit (Terhal & DiVincenzo, PRA 65,
+032325 (2002)): each step is an N x N one-body unitary, so the Trotter step
+and the oracle are schemes of one product loop on the one-body matrix, read
+out as Slater determinants.  A Trotter step takes one exponential per bulk
+bond (XX+YY) in ascending order, then the boundary pair, then the mass
+layer.  The charge term is one phase per charge sector, so the charge is
+conserved along the Trotter trajectory at any step size.
 """
 
 from __future__ import annotations
@@ -17,13 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EXACT_QUBIT_LIMIT, ORACLE_TOL, NormDriftError, ResourceLimitError
-from .model import ModelParams, hamiltonian_at, hamiltonian_parts, one_body_parts, scale_factor
+from .errors import EXACT_QUBIT_LIMIT, NORM_DRIFT_LIMIT, ORACLE_SUBSTEP_BUDGET, ORACLE_TOL
+from .errors import NormDriftError, ResourceLimitError
+from .model import ModelParams, hamiltonian_at, hamiltonian_parts, one_body_parts
 from .observables import ObservableRecord, exact_record
-from .pauli import PauliString
-from .state import StateVector, apply_pauli_rotation, expectation_pauli_sum
+from .state import StateVector, expectation_pauli_sum
 
-TIME_SAMPLINGS = ("left", "midpoint")
+# Where a step of width dt samples e^{h t}, as a fraction of dt.
+TIME_NODES = {"left": 0.0, "midpoint": 0.5}
+TIME_SAMPLINGS = tuple(TIME_NODES)
 
 
 @dataclass(frozen=True)
@@ -58,9 +61,7 @@ class TrotterPlan:
 
     def sample_time(self, step_index: int) -> float:
         """Time at which e^{h t} is sampled inside step ``step_index``."""
-        if self.time_sampling == "left":
-            return step_index * self.dt
-        return (step_index + 0.5) * self.dt
+        return (step_index + TIME_NODES[self.time_sampling]) * self.dt
 
 
 @dataclass
@@ -72,92 +73,124 @@ class Trajectory:
     states: list[StateVector]
 
 
-def _step_order(term: tuple[float, PauliString]) -> tuple[bool, int, int]:
-    """Bulk bonds (two adjacent X bits) first, by site, XX before YY; then the
-    boundary X string and the boundary Y string."""
-    x_mask, z_mask = term[1].x_mask, term[1].z_mask
-    return (not x_mask & (x_mask >> 1), x_mask, z_mask)
-
-
-def trotter_step(state: StateVector, params: ModelParams, t_sample: float, dt: float) -> StateVector:
-    """One first-order Trotter step of width dt, sampling e^{h t} at t_sample."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    parts = hamiltonian_parts(params.n_sites)
-    for coeff, string in sorted(parts.hopping.terms, key=_step_order):
-        apply_pauli_rotation(state, string, coeff * dt)
-    mass_scale = params.mass * scale_factor(params, t_sample)
-    # Both diagonal sums hold one Z(x) per site, in site order.
-    for (c_charge, z_string), (c_mass, _) in zip(parts.charge.terms, parts.mass_term.terms):
-        theta = dt * (params.hubble * c_charge + mass_scale * c_mass)
-        apply_pauli_rotation(state, z_string, theta)
-    return state
-
-
 def trotter_evolve(initial: StateVector, params: ModelParams, plan: TrotterPlan) -> Trajectory:
-    """Iterate trotter_step, recording the state and its observables every
-    ``snapshot_every`` steps (the t = 0 snapshot and the final step are
-    always recorded)."""
+    """Read the state out of ``initial`` after every Trotter step, recording
+    it and its observables every ``snapshot_every`` steps (the t = 0
+    snapshot and the final step are always recorded)."""
     if initial.n_qubits != params.n_sites:
         raise ValueError(
             f"state has {initial.n_qubits} qubits but the model has {params.n_sites} sites"
         )
-    state = initial.copy()
+    trajectory = Trajectory(times=[], records=[], states=[])
 
-    times: list[float] = []
-    records: list[ObservableRecord] = []
-    states: list[StateVector] = []
-
-    def snapshot(t_now: float) -> None:
+    def snapshot(state: StateVector, t_now: float) -> None:
         energy = expectation_pauli_sum(state, hamiltonian_at(params, t_now))
-        times.append(t_now)
-        records.append(exact_record(state, t_now, params.hubble, energy=energy))
-        states.append(state.copy())
+        trajectory.times.append(t_now)
+        trajectory.records.append(exact_record(state, t_now, params.hubble, energy=energy))
+        trajectory.states.append(state)
 
-    snapshot(0.0)
-    for k in range(plan.steps):
-        try:
-            trotter_step(state, params, plan.sample_time(k), plan.dt)
-        except NormDriftError as exc:
-            raise NormDriftError(f"step {k + 1} of {plan.steps}: {exc}") from exc
+    snapshot(initial.copy(), 0.0)
+    scheme = _trotter_scheme(params.n_sites, TIME_NODES[plan.time_sampling])
+    for k, u in enumerate(_one_body_steps(params, plan.dt, plan.steps, scheme)):
+        t_now = (k + 1) * plan.dt
+        state = _read_out(initial, u, params.hubble, t_now)
+        drift = abs(state.norm() - 1.0)
+        if drift > NORM_DRIFT_LIMIT:
+            message = f"state norm drifted by {drift:.3e} (> {NORM_DRIFT_LIMIT:g})"
+            raise NormDriftError(f"step {k + 1} of {plan.steps}: {message}")
         if (k + 1) % plan.snapshot_every == 0 or k + 1 == plan.steps:
-            snapshot((k + 1) * plan.dt)
-    return Trajectory(times=times, records=records, states=states)
+            snapshot(state, t_now)
+    return trajectory
 
-
-# ---------------------------------------------------------------------------
-# Exact time-ordered propagator oracle
-# ---------------------------------------------------------------------------
 
 # A scheme lists the exponentials of one step of width dt, in the order they
-# act; exponential j is exp(-i dt sum_r w_r h1(t0 + c_r dt)) over its
-# (node c_r, weight w_r) rows.  The midpoint rule is second order.  The
-# fourth-order commutator-free Magnus step (Blanes & Moan, Appl. Numer.
-# Math. 56 (2006) 1519) samples h1 at the two Gauss nodes 1/2 -+ sqrt(3)/6.
+# act.  Exponential j is exp(-i dt (hop * hopping + m sum_r w_r e^{h(t0 +
+# c_r dt)} mass)) over its (node c_r, weight w_r) rows; ``hop`` is a scalar
+# weight or a mask that keeps one bond of the hopping matrix.  The midpoint
+# rule is second order.  The fourth-order commutator-free Magnus step
+# (Blanes & Moan, Appl. Numer. Math. 56 (2006) 1519) samples h1 at the two
+# Gauss nodes 1/2 -+ sqrt(3)/6.
 _C1, _C2 = 0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6
 _W1, _W2 = (3 - 2 * math.sqrt(3)) / 12, (3 + 2 * math.sqrt(3)) / 12
-MIDPOINT = (((0.5, 1.0),),)
-CF4 = (((_C1, _W2), (_C2, _W1)), ((_C1, _W1), (_C2, _W2)))
+MIDPOINT = ((1.0, ((0.5, 1.0),)),)
+CF4 = ((_W1 + _W2, ((_C1, _W2), (_C2, _W1))), (_W1 + _W2, ((_C1, _W1), (_C2, _W2))))
 CF4_ORDER = 4
+
+
+def _trotter_scheme(n_sites: int, node: float) -> tuple:
+    """The first-order Trotter step: one exponential per hopping bond (the
+    x_mask its XX and YY strings share), the bulk bonds (two adjacent bits)
+    by site and the boundary pair last, then the mass layer at ``node``."""
+    bonds = {string.x_mask for _, string in hamiltonian_parts(n_sites).hopping.terms}
+    scheme = []
+    for bond in sorted(bonds, key=lambda b: (not b & (b >> 1), b)):
+        bits = bond >> np.arange(n_sites) & 1
+        scheme.append((np.outer(bits, bits) - np.diag(bits), ()))
+    return (*scheme, (0.0, ((node, 1.0),)))
+
 
 # Steps per batch of N x N exponentials.  Batches of 64 are as fast as
 # larger ones on the presets and keep the oracle's peak memory under 1 MiB.
 _BATCH_STEPS = 64
 
 
-def _propagate(
-    initial: StateVector, params: ModelParams, t_total: float, steps: int, scheme
-) -> StateVector:
-    """Apply ``steps`` equal steps of ``scheme`` to ``initial``.
+def _one_body_steps(params: ModelParams, dt: float, steps: int, scheme):
+    """Yield the product u of the one-body exponentials after each of
+    ``steps`` equal steps of ``scheme``.
 
-    aH(t) is quadratic in the fermions: the product is taken on the N x N
-    one-body matrix h1(t) = hopping + m e^{ht} mass (model.one_body_parts),
-    whose weighted sums are exponentiated through their eigendecompositions.
+    aH(t) without its charge term is the second quantization of the N x N
+    one-body matrix h1(t) = hopping + m e^{ht} mass (model.one_body_parts);
+    each exponential of it is taken through an eigendecomposition.
+    """
+    n = params.n_sites
+    hopping, mass = one_body_parts(n)
+    u = np.eye(n, dtype=np.complex128)
+    for first in range(0, steps, _BATCH_STEPS):
+        starts = dt * np.arange(first, min(first + _BATCH_STEPS, steps))
+        batch = np.eye(n, dtype=np.complex128)
+        for hop, rows in scheme:
+            scale = sum((w * np.exp(params.hubble * (starts + c * dt)) for c, w in rows), 0 * starts)
+            gens = hop * hopping + (params.mass * scale)[:, None, None] * mass
+            energies, vecs = np.linalg.eigh(gens)
+            phases = np.exp(-1j * dt * energies)[:, None, :]
+            batch = (vecs * phases) @ vecs.conj().swapaxes(1, 2) @ batch
+        for factor in batch:
+            u = factor @ u
+            yield u
+
+
+def _read_out(initial: StateVector, u: np.ndarray, hubble: float, t: float) -> StateVector:
+    """The state that the one-body product u makes of ``initial`` at time t.
+
     A basis state is the ascending set of its holes (bits set), and the
     amplitude from hole set T to hole set S of popcount k is det(u[S, T])
     times the charge term's phase exp(-i h (N - 2k)/4 t), which the
     determinant cannot carry (it would give k (N - 2)/4).
     """
+    n = initial.n_qubits
+    amps = initial.amplitudes
+    out = np.zeros_like(amps)
+    popcounts = np.bitwise_count(np.arange(initial.dim, dtype=np.int64))
+    for k in map(int, np.unique(popcounts[amps != 0])):
+        sets = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
+        sets = sets.reshape(math.comb(n, k), k)
+        vec = np.zeros(len(sets), dtype=np.complex128)
+        for index in np.flatnonzero((popcounts == k) & (amps != 0)):
+            holes = [x for x in range(n) if index >> x & 1]
+            vec += amps[index] * np.linalg.det(u[:, holes][sets])  # det(u[S, T]) for every S
+        phase = np.exp(-1j * hubble * (n - 2 * k) / 4 * t)
+        out[np.sum(np.int64(1) << sets, axis=1)] = phase * vec
+    return StateVector(n, out)
+
+
+# ---------------------------------------------------------------------------
+# Exact time-ordered propagator oracle
+# ---------------------------------------------------------------------------
+
+def _propagate(
+    initial: StateVector, params: ModelParams, t_total: float, steps: int, scheme
+) -> StateVector:
+    """Apply ``steps`` equal steps of ``scheme`` to ``initial``."""
     n = initial.n_qubits
     if n > EXACT_QUBIT_LIMIT:
         raise ResourceLimitError(f"exact propagator limited to {EXACT_QUBIT_LIMIT} qubits, got {n}")
@@ -169,37 +202,9 @@ def _propagate(
         raise ValueError(f"t_total must be finite and >= 0, got {t_total}")
     if t_total == 0:
         return initial.copy()
-
-    hopping, mass = one_body_parts(n)
-    dt = t_total / steps
-    u = np.eye(n, dtype=np.complex128)
-    for first in range(0, steps, _BATCH_STEPS):
-        starts = dt * np.arange(first, min(first + _BATCH_STEPS, steps))
-        batch = np.eye(n, dtype=np.complex128)
-        for rows in scheme:
-            weight = sum(w for _, w in rows)
-            scale = sum(w * np.exp(params.hubble * (starts + c * dt)) for c, w in rows)
-            gens = weight * hopping + (params.mass * scale)[:, None, None] * mass
-            energies, vecs = np.linalg.eigh(gens)
-            phases = np.exp(-1j * dt * energies)[:, None, :]
-            batch = (vecs * phases) @ vecs.conj().swapaxes(1, 2) @ batch
-        for factor in batch:
-            u = factor @ u
-
-    amps = initial.amplitudes
-    out = np.zeros_like(amps)
-    popcounts = np.bitwise_count(np.arange(initial.dim, dtype=np.int64))
-    for k in map(int, np.unique(popcounts[amps != 0])):
-        sets = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
-        sets = sets.reshape(math.comb(n, k), k)
-        u_rows = u[sets]  # (C(N, k), k, N): the rows of u for each hole set S
-        vec = np.zeros(len(sets), dtype=np.complex128)
-        for index in np.flatnonzero((popcounts == k) & (amps != 0)):
-            holes = [x for x in range(n) if index >> x & 1]
-            vec += amps[index] * np.linalg.det(u_rows[:, :, holes])
-        phase = np.exp(-1j * params.hubble * (n - 2 * k) / 4 * t_total)
-        out[np.sum(np.int64(1) << sets, axis=1)] = phase * vec
-    return StateVector(n, out)
+    for u in _one_body_steps(params, t_total / steps, steps, scheme):
+        pass
+    return _read_out(initial, u, params.hubble, t_total)
 
 
 def exact_evolve(
@@ -230,7 +235,7 @@ def exact_evolve_converged(
     t_total: float,
     substeps_start: int = 256,
     tol: float = ORACLE_TOL,
-    max_substeps: int = 1 << 18,
+    max_substeps: int = ORACLE_SUBSTEP_BUDGET,
 ) -> ExactOracleResult:
     """Double the step count of the fourth-order commutator-free Magnus
     scheme until successive results differ by < tol in norm.

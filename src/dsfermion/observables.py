@@ -146,21 +146,3 @@ def estimators_from_counts(counts: ShotCounts, t: float, hubble: float) -> Obser
         ),
     )
 
-
-def hole_circular_variance(density: np.ndarray, t: float, hubble: float) -> float:
-    """Circular variance 1 - |R| of the hole distribution q(x) = 1 - n(x)/e^{ht}.
-
-    Diagnostic added by this package (not one of the published observables):
-    the lattice is periodic, so spreading is measured with the directional
-    resultant R = sum_x q(x) exp(2 pi i x / N) after normalizing sum q = 1.
-    Returns 0 for a hole-free state.
-    """
-    density = np.asarray(density, dtype=np.float64)
-    n = density.shape[0]
-    q = 1.0 - density / math.exp(hubble * t)
-    total = q.sum()
-    if total <= 1e-12:
-        return 0.0
-    q = q / total
-    resultant = abs(np.sum(q * np.exp(2j * np.pi * np.arange(n) / n)))
-    return float(1.0 - resultant)

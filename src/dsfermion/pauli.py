@@ -53,10 +53,6 @@ class PauliString:
         object.__setattr__(self, "phase", _PHASE_CANON[self.phase])
 
     @classmethod
-    def identity(cls, n_qubits: int) -> "PauliString":
-        return cls(n_qubits, 0, 0)
-
-    @classmethod
     def from_label(cls, label: str, phase: complex = 1 + 0j) -> "PauliString":
         """Build from an IXYZ label with character q acting on qubit q."""
         x_mask = z_mask = 0
@@ -74,10 +70,6 @@ class PauliString:
             _MASKS_AXIS[(self.x_mask >> q) & 1, (self.z_mask >> q) & 1]
             for q in range(self.n_qubits)
         )
-
-    @property
-    def is_identity(self) -> bool:
-        return self.x_mask == 0 and self.z_mask == 0
 
     @property
     def y_count(self) -> int:
@@ -203,9 +195,6 @@ class PauliSum:
         if self.n_qubits != other.n_qubits:
             raise ValueError(f"qubit count mismatch: {self.n_qubits} vs {other.n_qubits}")
         return PauliSum(self.n_qubits, list(self.terms) + list(other.terms), require_real=False)
-
-    def __sub__(self, other: "PauliSum") -> "PauliSum":
-        return self + (-1.0) * other
 
     def __mul__(self, scalar: float) -> "PauliSum":
         return PauliSum(

@@ -1,8 +1,8 @@
-"""Dense statevector storage, Pauli-rotation kernels, expectations and sampling.
+"""Dense statevector storage, Pauli-sum expectations and sampling.
 
-The rotation kernel never materializes a matrix: exp(-i theta P) pairs
-amplitude indices k and k ^ x_mask, with the per-pair phase taken from
-``PauliString.column_phases``, so one term application costs O(2^N).
+A Pauli string acts without a matrix: P|k> is ``PauliString.column_phases``
+times |k ^ x_mask>, so one term application costs O(2^N).  The states come
+from evolve's one-body propagator; this module has no time evolution.
 
 Shot sampling uses the Philox-4x64 counter-based generator keyed as
 (seed, 0) with a zero counter, drawing uniform doubles and inverting the
@@ -12,12 +12,11 @@ are identical across runs and platforms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NORM_DRIFT_LIMIT, ORACLE_TOL, NormDriftError
+from .errors import ORACLE_TOL
 from .pauli import PauliString, PauliSum
 
 
@@ -76,49 +75,12 @@ def basis_state(n_qubits: int, k: int) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
-def _check_norm(state: StateVector, p: PauliString) -> None:
-    drift = abs(state.norm() - 1.0)
-    if drift > NORM_DRIFT_LIMIT:
-        raise NormDriftError(
-            f"state norm drifted by {drift:.3e} (> {NORM_DRIFT_LIMIT:g}) "
-            f"after the rotation by {p.label()}"
-        )
-
-
 def apply_pauli_string(p: PauliString, vec: np.ndarray) -> np.ndarray:
     """P applied to a raw amplitude array (new array)."""
     indices = np.arange(vec.shape[0], dtype=np.int64)
     out = np.empty_like(vec)
     out[indices ^ np.int64(p.x_mask)] = p.column_phases(indices) * vec
     return out
-
-
-def apply_pauli_rotation(state: StateVector, p: PauliString, theta: float) -> StateVector:
-    """In place: state <- exp(-i theta P) state, with P a phase +1 string."""
-    if p.n_qubits != state.n_qubits:
-        raise ValueError(f"qubit count mismatch: {p.n_qubits} vs {state.n_qubits}")
-    if p.phase != 1:
-        raise ValueError("rotation generator must have phase +1")
-    amps = state.amplitudes
-    indices = np.arange(amps.shape[0], dtype=np.int64)
-    if p.x_mask == 0:
-        # Diagonal string: P|k> = f(k)|k>, a pure phase per basis state.
-        amps *= np.exp(-1j * theta * p.column_phases(indices))
-    else:
-        # Pair k with k ^ x_mask; pick the half where the pivot bit is clear.
-        pivot = p.x_mask & (-p.x_mask)
-        low = indices[(indices & pivot) == 0]
-        high = low ^ np.int64(p.x_mask)
-        phase_low = p.column_phases(low)  # P|low> = phase_low |high>
-        cos_t = math.cos(theta)
-        msin_t = -1j * math.sin(theta)
-        a = amps[low].copy()
-        b = amps[high]
-        # Hermiticity of a phase +1 string gives <low|P|high> = conj(phase_low).
-        amps[low] = cos_t * a + msin_t * np.conj(phase_low) * b
-        amps[high] = cos_t * b + msin_t * phase_low * a
-    _check_norm(state, p)
-    return state
 
 
 def expectation_pauli_sum(state: StateVector, a: PauliSum) -> float:

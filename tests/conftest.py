@@ -1,10 +1,13 @@
-"""Shared test fixtures, the independent dense oracle and the sector oracle.
+"""Shared test fixtures, the independent dense oracle and two slow references.
 
 The dense helpers build matrices the naive way (nested Kronecker products
 from label strings), deliberately avoiding the package's mask-based fast
 paths so the two implementations check each other.  The sector oracle is
 the slow reference for the package's one-body oracle: it evolves each
 popcount block of aH(t) with a Taylor series, with no fermionic structure.
+The Pauli-rotation kernel and its Trotter step are the slow reference for
+the package's one-body Trotter evolution: they rotate all 2^N amplitudes by
+one Hamiltonian string at a time.
 """
 
 import functools
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from dsfermion.errors import NORM_DRIFT_LIMIT, NormDriftError
 from dsfermion.model import hamiltonian_parts, scale_factor
 
 I2 = np.eye(2, dtype=complex)
@@ -186,6 +190,83 @@ def sector_taylor_evolve(params, t_total, substeps, vec):
                 sub = acc
         out[block.indices] = sub
     return out
+
+
+def _check_norm(state, p):
+    drift = abs(state.norm() - 1.0)
+    if drift > NORM_DRIFT_LIMIT:
+        raise NormDriftError(
+            f"state norm drifted by {drift:.3e} (> {NORM_DRIFT_LIMIT:g}) "
+            f"after the rotation by {p.label()}"
+        )
+
+
+def apply_pauli_rotation(state, p, theta):
+    """In place: state <- exp(-i theta P) state, with P a phase +1 string."""
+    if p.n_qubits != state.n_qubits:
+        raise ValueError(f"qubit count mismatch: {p.n_qubits} vs {state.n_qubits}")
+    if p.phase != 1:
+        raise ValueError("rotation generator must have phase +1")
+    amps = state.amplitudes
+    indices = np.arange(amps.shape[0], dtype=np.int64)
+    if p.x_mask == 0:
+        # Diagonal string: P|k> = f(k)|k>, a pure phase per basis state.
+        amps *= np.exp(-1j * theta * p.column_phases(indices))
+    else:
+        # Pair k with k ^ x_mask; pick the half where the pivot bit is clear.
+        pivot = p.x_mask & (-p.x_mask)
+        low = indices[(indices & pivot) == 0]
+        high = low ^ np.int64(p.x_mask)
+        phase_low = p.column_phases(low)  # P|low> = phase_low |high>
+        cos_t = math.cos(theta)
+        msin_t = -1j * math.sin(theta)
+        a = amps[low].copy()
+        b = amps[high]
+        # Hermiticity of a phase +1 string gives <low|P|high> = conj(phase_low).
+        amps[low] = cos_t * a + msin_t * np.conj(phase_low) * b
+        amps[high] = cos_t * b + msin_t * phase_low * a
+    _check_norm(state, p)
+    return state
+
+
+def _step_order(term):
+    """Bulk bonds (two adjacent X bits) first, by site, XX before YY; then the
+    boundary X string and the boundary Y string."""
+    x_mask, z_mask = term[1].x_mask, term[1].z_mask
+    return (not x_mask & (x_mask >> 1), x_mask, z_mask)
+
+
+def rotation_trotter_step(state, params, t_sample, dt):
+    """In place: one first-order Trotter step of width dt, sampling e^{h t}
+    at t_sample, as one rotation per Hamiltonian string."""
+    parts = hamiltonian_parts(params.n_sites)
+    for coeff, string in sorted(parts.hopping.terms, key=_step_order):
+        apply_pauli_rotation(state, string, coeff * dt)
+    mass_scale = params.mass * scale_factor(params, t_sample)
+    # Both diagonal sums hold one Z(x) per site, in site order.
+    for (c_charge, z_string), (c_mass, _) in zip(parts.charge.terms, parts.mass_term.terms):
+        theta = dt * (params.hubble * c_charge + mass_scale * c_mass)
+        apply_pauli_rotation(state, z_string, theta)
+    return state
+
+
+def hole_circular_variance(density, t, hubble):
+    """Circular variance 1 - |R| of the hole distribution q(x) = 1 - n(x)/e^{ht}.
+
+    A diagnostic of the tests, not one of the published observables: the
+    lattice is periodic, so spreading is measured with the directional
+    resultant R = sum_x q(x) exp(2 pi i x / N) after normalizing sum q = 1.
+    Returns 0 for a hole-free state.
+    """
+    density = np.asarray(density, dtype=np.float64)
+    n = density.shape[0]
+    q = 1.0 - density / math.exp(hubble * t)
+    total = q.sum()
+    if total <= 1e-12:
+        return 0.0
+    q = q / total
+    resultant = abs(np.sum(q * np.exp(2j * np.pi * np.arange(n) / n)))
+    return float(1.0 - resultant)
 
 
 @pytest.fixture

@@ -196,13 +196,20 @@ class TestRun:
         rows_b = (tmp_path / "b" / "density.csv").read_text()
         assert rows_a != rows_b
 
-    def test_invalid_config_is_usage_error(self, tmp_path):
+    def test_invalid_config_is_usage_error(self, tmp_path, monkeypatch):
         # Each bad field is rejected by the constructor `run` calls for it,
-        # or by RunConfig.validate, before any output directory is created.
-        # n_sites=14 is valid with the oracle off but beyond the oracle's limit.
+        # or by RunConfig.validate, before the evolution starts and before
+        # any output directory is created.
+        def no_evolution(*args, **kwargs):
+            raise AssertionError("the evolution started")
+
+        monkeypatch.setattr(cli, "trotter_evolve", no_evolution)
+        # n_sites=14 is valid with the oracle off but beyond the oracle's
+        # limit; a start of 131073 steps doubles past the 2^18 step budget.
         for flag, value, oracle in (
             ("--n_sites", "7", "off"),
             ("--n_sites", "14", "on"),
+            ("--oracle_substeps_start", "131073", "on"),
             ("--initial_state_index", "256", "off"),
             ("--snapshot_every", "0", "off"),
             ("--time_sampling", "right", "off"),
@@ -289,6 +296,17 @@ class TestSweep:
         assert code == 0
         manifest = json.loads((out / "sweep_index.json").read_text())
         assert [p["value"] for p in manifest["points"]] == [5, 10]
+
+    def test_repeated_values_rejected(self, tmp_path):
+        # 0.1 and 0.10 are one value, whose point directory the second run
+        # would overwrite.
+        out = tmp_path / "repeat"
+        code = cli.main(
+            ["sweep", "--parameter", "hubble", "--values", "0.1,0.10",
+             "--shots", "0", "--oracle", "off", "--output_dir", str(out)]
+        )
+        assert code == cli.EXIT_USAGE
+        assert not out.exists()
 
     def test_empty_values_rejected(self, tmp_path):
         base = fast_config(tmp_path)

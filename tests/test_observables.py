@@ -7,10 +7,10 @@ import pytest
 
 from dsfermion.evolve import TrotterPlan, trotter_evolve
 from dsfermion.model import ModelParams
-from dsfermion.observables import estimators_from_counts, exact_record, hole_circular_variance
+from dsfermion.observables import estimators_from_counts, exact_record
 from dsfermion.state import StateVector, basis_state, sample_z_basis
 
-from conftest import random_state
+from conftest import hole_circular_variance, random_state
 
 
 def paper_trajectory(mass):

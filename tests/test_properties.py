@@ -1,5 +1,5 @@
-"""Property tests: Pauli-algebra laws and the rotation kernel against dense
-matrices, on random strings of up to four qubits."""
+"""Property tests: Pauli-algebra laws and the reference rotation kernel
+against dense matrices, on random strings of up to four qubits."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from dsfermion.pauli import PauliString, commutes, multiply
-from dsfermion.state import StateVector, apply_pauli_rotation
+from dsfermion.state import StateVector
 
-from conftest import dense_from_label, random_state
+from conftest import apply_pauli_rotation, dense_from_label, random_state
 
 # Derandomized and without an example database, so the suite stays deterministic.
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -1,4 +1,5 @@
-"""Statevector kernels against dense matrix-exponential oracles, plus sampling."""
+"""Statevector kernels and the reference rotation kernel against dense
+matrix-exponential oracles, plus sampling."""
 
 import math
 
@@ -12,14 +13,13 @@ from dsfermion.observables import exact_record
 from dsfermion.pauli import PauliString, PauliSum, single_site
 from dsfermion.state import (
     StateVector,
-    apply_pauli_rotation,
     apply_pauli_string,
     basis_state,
     expectation_pauli_sum,
     sample_z_basis,
 )
 
-from conftest import dense_from_label, random_label, random_state
+from conftest import apply_pauli_rotation, dense_from_label, random_label, random_state
 
 
 def rotation_oracle(label, theta, vec):
