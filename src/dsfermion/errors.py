@@ -11,8 +11,7 @@ NORM_DRIFT_TOL = 1e-10
 CHARGE_DRIFT_TOL = 1e-10
 
 # The oracle stops doubling once two successive results differ by less than
-# this in norm; it also bounds the imaginary part of an expectation, which
-# is pure rounding for a Hermitian observable.
+# this in norm.
 ORACLE_TOL = 1e-10
 
 # Phases folded into a Hermitian sum's coefficients are exact multiples of
@@ -31,14 +30,17 @@ DENSE_QUBIT_LIMIT = 14
 JW_QUBIT_LIMIT = 12
 # The bilinear check holds 2N dense operators at once: 320 MiB at N = 10.
 BILINEAR_QUBIT_LIMIT = 10
-# The oracle evaluates C(N, k) determinants per occupied input state of
-# popcount k (924 at N = 12, k = 6) and returns all 2^N amplitudes; `run`
-# rejects an oracle beyond this size before any work.
+# The oracle evaluates the C(N, k) determinants of a start with k holes
+# (924 at N = 12, k = 6); `run` rejects an oracle beyond this size before
+# any work.
 EXACT_QUBIT_LIMIT = 12
-# Not in qubits: the oracle doubles its step count up to this many steps
-# (about 10 s of steps at N = 8), and `run` rejects an oracle_substeps_start
-# whose first doubling would pass it.
-ORACLE_SUBSTEP_BUDGET = 1 << 18
+# Not in qubits: the oracle doubles its step count up to this many steps,
+# and `run` rejects an oracle_substeps_start whose first doubling would pass
+# it.  The step product gathers rounding with every step: at N = 8 and
+# m = 0, where the propagator is exact at any step count, successive
+# doublings differ by 5.4e-11 at 2^15 -> 2^16 steps and 1.1e-10 at
+# 2^16 -> 2^17, so a larger budget cannot reach ORACLE_TOL.
+ORACLE_SUBSTEP_BUDGET = 1 << 16
 
 
 class ResourceLimitError(RuntimeError):

@@ -7,7 +7,8 @@ and the oracle are schemes of one product loop on the one-body matrix, read
 out as Slater determinants.  A Trotter step takes one exponential per bulk
 bond (XX+YY) in ascending order, then the boundary pair, then the mass
 layer.  The charge term is one phase per charge sector, so the charge is
-conserved along the Trotter trajectory at any step size.
+conserved along the Trotter trajectory at any step size.  Both start from
+one basis state with k holes and hold the C(N, k) amplitudes of its sector.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import numpy as np
 
 from .errors import EXACT_QUBIT_LIMIT, NORM_DRIFT_LIMIT, ORACLE_SUBSTEP_BUDGET, ORACLE_TOL
 from .errors import NormDriftError, ResourceLimitError
-from .model import ModelParams, hamiltonian_at, hamiltonian_parts, one_body_parts
+from .model import ModelParams, hamiltonian_parts, one_body_parts, scale_factor
 from .observables import ObservableRecord, exact_record
-from .state import StateVector, expectation_pauli_sum
+from .state import StateVector
 
 # Where a step of width dt samples e^{h t}, as a fraction of dt.
 TIME_NODES = {"left": 0.0, "midpoint": 0.5}
@@ -59,10 +60,6 @@ class TrotterPlan:
         dt = t_total / steps if steps > 0 else 0.0
         return cls(steps=steps, dt=dt, time_sampling=time_sampling, snapshot_every=snapshot_every)
 
-    def sample_time(self, step_index: int) -> float:
-        """Time at which e^{h t} is sampled inside step ``step_index``."""
-        return (step_index + TIME_NODES[self.time_sampling]) * self.dt
-
 
 @dataclass
 class Trajectory:
@@ -74,45 +71,60 @@ class Trajectory:
 
 
 def trotter_evolve(initial: StateVector, params: ModelParams, plan: TrotterPlan) -> Trajectory:
-    """Read the state out of ``initial`` after every Trotter step, recording
-    it and its observables every ``snapshot_every`` steps (the t = 0
-    snapshot and the final step are always recorded)."""
-    if initial.n_qubits != params.n_sites:
-        raise ValueError(
-            f"state has {initial.n_qubits} qubits but the model has {params.n_sites} sites"
-        )
+    """Read the state out of ``initial``, one basis state, after every
+    Trotter step, recording it and its observables every ``snapshot_every``
+    steps (the t = 0 snapshot and the final step are always recorded)."""
+    holes = _start_holes(initial, params)
+    n = params.n_sites
+    hopping, mass = one_body_parts(n)
+    # The state is the Slater determinant of the hole orbitals u[:, holes],
+    # so its energy is tr(u[:, holes]^dag h1(t) u[:, holes]) + h (N - 2k)/4.
+    charge = params.hubble * (n - 2 * len(holes)) / 4
     trajectory = Trajectory(times=[], records=[], states=[])
 
-    def snapshot(state: StateVector, t_now: float) -> None:
-        energy = expectation_pauli_sum(state, hamiltonian_at(params, t_now))
+    def snapshot(state: StateVector, u: np.ndarray, t_now: float) -> None:
+        orbitals = u[:, holes]
+        h1 = hopping + params.mass * scale_factor(params, t_now) * mass
+        energy = np.vdot(orbitals, h1 @ orbitals).real + charge
         trajectory.times.append(t_now)
         trajectory.records.append(exact_record(state, t_now, params.hubble, energy=energy))
         trajectory.states.append(state)
 
-    snapshot(initial.copy(), 0.0)
-    scheme = _trotter_scheme(params.n_sites, TIME_NODES[plan.time_sampling])
+    snapshot(initial.copy(), np.eye(n), 0.0)
+    scheme = _trotter_scheme(n, TIME_NODES[plan.time_sampling])
     for k, u in enumerate(_one_body_steps(params, plan.dt, plan.steps, scheme)):
         t_now = (k + 1) * plan.dt
-        state = _read_out(initial, u, params.hubble, t_now)
+        state = _read_out(initial, holes, u, params.hubble, t_now)
         drift = abs(state.norm() - 1.0)
         if drift > NORM_DRIFT_LIMIT:
             message = f"state norm drifted by {drift:.3e} (> {NORM_DRIFT_LIMIT:g})"
             raise NormDriftError(f"step {k + 1} of {plan.steps}: {message}")
         if (k + 1) % plan.snapshot_every == 0 or k + 1 == plan.steps:
-            snapshot(state, t_now)
+            snapshot(state, u, t_now)
     return trajectory
+
+
+def _start_holes(initial: StateVector, params: ModelParams) -> list[int]:
+    """The hole sites (bits set) of ``initial``, which must be one basis
+    state of the model's lattice."""
+    if initial.n_qubits != params.n_sites:
+        raise ValueError(
+            f"state has {initial.n_qubits} qubits but the model has {params.n_sites} sites"
+        )
+    if initial.indices.size != 1:
+        raise ValueError(f"the start must be one basis state, got {initial.indices.size} of them")
+    start = int(initial.indices[0])
+    return [x for x in range(params.n_sites) if start >> x & 1]
 
 
 # A scheme lists the exponentials of one step of width dt, in the order they
 # act.  Exponential j is exp(-i dt (hop * hopping + m sum_r w_r e^{h(t0 +
 # c_r dt)} mass)) over its (node c_r, weight w_r) rows; ``hop`` is a scalar
-# weight or a mask that keeps one bond of the hopping matrix.  The midpoint
-# rule is second order.  The fourth-order commutator-free Magnus step
-# (Blanes & Moan, Appl. Numer. Math. 56 (2006) 1519) samples h1 at the two
-# Gauss nodes 1/2 -+ sqrt(3)/6.
+# weight or a mask that keeps one bond of the hopping matrix.  The
+# fourth-order commutator-free Magnus step (Blanes & Moan, Appl. Numer.
+# Math. 56 (2006) 1519) samples h1 at the two Gauss nodes 1/2 -+ sqrt(3)/6.
 _C1, _C2 = 0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6
 _W1, _W2 = (3 - 2 * math.sqrt(3)) / 12, (3 + 2 * math.sqrt(3)) / 12
-MIDPOINT = ((1.0, ((0.5, 1.0),)),)
 CF4 = ((_W1 + _W2, ((_C1, _W2), (_C2, _W1))), (_W1 + _W2, ((_C1, _W1), (_C2, _W2))))
 CF4_ORDER = 4
 
@@ -159,28 +171,26 @@ def _one_body_steps(params: ModelParams, dt: float, steps: int, scheme):
             yield u
 
 
-def _read_out(initial: StateVector, u: np.ndarray, hubble: float, t: float) -> StateVector:
-    """The state that the one-body product u makes of ``initial`` at time t.
+def _read_out(
+    initial: StateVector, holes: list[int], u: np.ndarray, hubble: float, t: float
+) -> StateVector:
+    """The state that the one-body product u makes of ``initial``, the basis
+    state with the hole sites ``holes``, at time t: the C(N, k) basis states
+    with k holes, by ascending index.
 
     A basis state is the ascending set of its holes (bits set), and the
-    amplitude from hole set T to hole set S of popcount k is det(u[S, T])
-    times the charge term's phase exp(-i h (N - 2k)/4 t), which the
-    determinant cannot carry (it would give k (N - 2)/4).
+    amplitude from hole set T to hole set S is det(u[S, T]) times the charge
+    term's phase exp(-i h (N - 2k)/4 t), which the determinant cannot carry
+    (it would give k (N - 2)/4).
     """
-    n = initial.n_qubits
-    amps = initial.amplitudes
-    out = np.zeros_like(amps)
-    popcounts = np.bitwise_count(np.arange(initial.dim, dtype=np.int64))
-    for k in map(int, np.unique(popcounts[amps != 0])):
-        sets = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
-        sets = sets.reshape(math.comb(n, k), k)
-        vec = np.zeros(len(sets), dtype=np.complex128)
-        for index in np.flatnonzero((popcounts == k) & (amps != 0)):
-            holes = [x for x in range(n) if index >> x & 1]
-            vec += amps[index] * np.linalg.det(u[:, holes][sets])  # det(u[S, T]) for every S
-        phase = np.exp(-1j * hubble * (n - 2 * k) / 4 * t)
-        out[np.sum(np.int64(1) << sets, axis=1)] = phase * vec
-    return StateVector(n, out)
+    n, k = initial.n_qubits, len(holes)
+    sets = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
+    sets = sets.reshape(math.comb(n, k), k)
+    indices = np.sum(np.int64(1) << sets, axis=1)
+    order = np.argsort(indices)
+    dets = np.linalg.det(u[:, holes][sets[order]])  # det(u[S, T]) for every S
+    phase = np.exp(-1j * hubble * (n - 2 * k) / 4 * t)
+    return StateVector(n, indices[order], phase * (initial.amplitudes[0] * dets))
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +200,11 @@ def _read_out(initial: StateVector, u: np.ndarray, hubble: float, t: float) -> S
 def _propagate(
     initial: StateVector, params: ModelParams, t_total: float, steps: int, scheme
 ) -> StateVector:
-    """Apply ``steps`` equal steps of ``scheme`` to ``initial``."""
+    """Apply ``steps`` equal steps of ``scheme`` to ``initial``, one basis state."""
     n = initial.n_qubits
     if n > EXACT_QUBIT_LIMIT:
         raise ResourceLimitError(f"exact propagator limited to {EXACT_QUBIT_LIMIT} qubits, got {n}")
-    if n != params.n_sites:
-        raise ValueError(f"state has {n} qubits but the model has {params.n_sites} sites")
+    holes = _start_holes(initial, params)
     if steps < 1:
         raise ValueError(f"substeps must be >= 1, got {steps}")
     if t_total < 0 or not math.isfinite(t_total):
@@ -204,22 +213,7 @@ def _propagate(
         return initial.copy()
     for u in _one_body_steps(params, t_total / steps, steps, scheme):
         pass
-    return _read_out(initial, u, params.hubble, t_total)
-
-
-def exact_evolve(
-    initial: StateVector,
-    params: ModelParams,
-    t_total: float,
-    substeps: int,
-) -> StateVector:
-    """Midpoint-sampled piecewise-constant propagator.
-
-    Splits [0, t_total] into ``substeps`` intervals and applies
-    exp(-i aH(t_mid) dt) on each, t_mid the interval midpoint.  Second-order
-    accurate in the substep width.
-    """
-    return _propagate(initial, params, t_total, substeps, MIDPOINT)
+    return _read_out(initial, holes, u, params.hubble, t_total)
 
 
 @dataclass(frozen=True)
@@ -266,10 +260,13 @@ def state_distance(a: StateVector, b: StateVector) -> float:
     """Norm of the difference after aligning global phases.
 
     Each state is rotated by the phase of its amplitude at the index where
-    ``b`` (the reference) has its largest magnitude.
+    ``b`` (the reference) has its largest magnitude.  Both must hold the
+    same basis states.
     """
     if a.n_qubits != b.n_qubits:
         raise ValueError(f"qubit count mismatch: {a.n_qubits} vs {b.n_qubits}")
+    if not np.array_equal(a.indices, b.indices):
+        raise ValueError("the states hold different basis states")
     j = int(np.argmax(np.abs(b.amplitudes)))
     va, vb = a.amplitudes, b.amplitudes
     pa = va[j] / abs(va[j]) if abs(va[j]) > 1e-12 else 1.0

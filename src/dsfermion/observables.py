@@ -69,8 +69,7 @@ def exact_record(
     The energy is supplied by the caller (it needs the Hamiltonian, which
     this module deliberately does not know about).
     """
-    indices = np.arange(state.dim, dtype=np.int64)
-    occ, corr, position_sum, staggered_sum, sz = _z_basis_values(indices, state.n_qubits)
+    occ, corr, position_sum, staggered_sum, sz = _z_basis_values(state.indices, state.n_qubits)
     probs = state.probabilities()
     volume = math.exp(hubble * t)
     density = volume * (occ @ probs)

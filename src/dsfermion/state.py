@@ -1,13 +1,17 @@
-"""Dense statevector storage, Pauli-sum expectations and sampling.
+"""Statevector storage over a set of basis states, and Z-basis sampling.
 
-A Pauli string acts without a matrix: P|k> is ``PauliString.column_phases``
-times |k ^ x_mask>, so one term application costs O(2^N).  The states come
-from evolve's one-body propagator; this module has no time evolution.
+A state holds amplitudes over a strictly ascending array of basis indices
+and is zero elsewhere.  A run starts from one basis state and every Trotter
+factor conserves the charge, so its states hold the C(N, k) basis states of
+the start's charge sector, never all 2^N.  The states come from evolve's
+one-body propagator; this module has no time evolution.
 
 Shot sampling uses the Philox-4x64 counter-based generator keyed as
 (seed, 0) with a zero counter, drawing uniform doubles and inverting the
 cumulative distribution.  Given the same (state, shots, seed) the counts
-are identical across runs and platforms.
+are identical across runs and platforms, and equal to those of the same
+state with its zero amplitudes spelled out: adding zeros does not change a
+cumulative sum.
 """
 
 from __future__ import annotations
@@ -16,29 +20,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ORACLE_TOL
-from .pauli import PauliString, PauliSum
-
 
 @dataclass
 class StateVector:
-    """2^N complex amplitudes; qubit q is bit q of the basis index."""
+    """Amplitudes of the basis states ``indices`` (strictly ascending); every
+    other amplitude is zero.  Qubit q is bit q of the basis index."""
 
     n_qubits: int
+    indices: np.ndarray
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        dim = 1 << self.n_qubits
+        self.indices = np.asarray(self.indices, dtype=np.int64)
         self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if self.amplitudes.shape != (dim,):
+        if self.indices.ndim != 1 or self.amplitudes.shape != self.indices.shape:
             raise ValueError(
-                f"expected {dim} amplitudes for {self.n_qubits} qubits, "
-                f"got shape {self.amplitudes.shape}"
+                f"expected one amplitude per index, got shapes {self.amplitudes.shape} "
+                f"and {self.indices.shape}"
             )
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_qubits
+        if np.any(np.diff(self.indices) <= 0):
+            raise ValueError("basis indices must be strictly ascending")
+        if self.indices.size and (self.indices[0] < 0 or self.indices[-1] >= 1 << self.n_qubits):
+            raise ValueError(f"basis indices out of range for {self.n_qubits} qubits")
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -47,7 +50,7 @@ class StateVector:
         return np.abs(self.amplitudes) ** 2
 
     def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amplitudes.copy())
+        return StateVector(self.n_qubits, self.indices.copy(), self.amplitudes.copy())
 
 
 @dataclass
@@ -67,34 +70,9 @@ class ShotCounts:
 
 def basis_state(n_qubits: int, k: int) -> StateVector:
     """The computational basis state |k>."""
-    dim = 1 << n_qubits
-    if not 0 <= k < dim:
+    if not 0 <= k < 1 << n_qubits:
         raise ValueError(f"basis index {k} out of range for {n_qubits} qubits")
-    amps = np.zeros(dim, dtype=np.complex128)
-    amps[k] = 1.0
-    return StateVector(n_qubits, amps)
-
-
-def apply_pauli_string(p: PauliString, vec: np.ndarray) -> np.ndarray:
-    """P applied to a raw amplitude array (new array)."""
-    indices = np.arange(vec.shape[0], dtype=np.int64)
-    out = np.empty_like(vec)
-    out[indices ^ np.int64(p.x_mask)] = p.column_phases(indices) * vec
-    return out
-
-
-def expectation_pauli_sum(state: StateVector, a: PauliSum) -> float:
-    """<state| A |state> as a real number (imaginary residue must be tiny)."""
-    if a.n_qubits != state.n_qubits:
-        raise ValueError(f"qubit count mismatch: {a.n_qubits} vs {state.n_qubits}")
-    vec = state.amplitudes
-    acc = np.zeros_like(vec)
-    for coeff, string in a.terms:
-        acc += coeff * apply_pauli_string(string, vec)
-    value = complex(np.vdot(vec, acc))
-    if abs(value.imag) > ORACLE_TOL:
-        raise RuntimeError(f"expectation has imaginary residue {value.imag:.3e}")
-    return value.real
+    return StateVector(n_qubits, [k], [1.0])
 
 
 def sample_z_basis(state: StateVector, shots: int, seed: int) -> ShotCounts:
@@ -108,8 +86,8 @@ def sample_z_basis(state: StateVector, shots: int, seed: int) -> ShotCounts:
     # past it onto a zero-probability tail; the clip catches a product that
     # rounds up to the total.
     draws = rng.random(shots) * cumulative[-1]
-    outcomes = np.searchsorted(cumulative, draws, side="right")
-    outcomes = np.minimum(outcomes, np.flatnonzero(probs)[-1])
-    values, freqs = np.unique(outcomes, return_counts=True)
+    ranks = np.searchsorted(cumulative, draws, side="right")
+    ranks = np.minimum(ranks, np.flatnonzero(probs)[-1])
+    values, freqs = np.unique(state.indices[ranks], return_counts=True)
     counts = {int(v): int(c) for v, c in zip(values, freqs)}
     return ShotCounts(n_qubits=state.n_qubits, shots=shots, counts=counts, seed=seed)

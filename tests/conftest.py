@@ -1,13 +1,17 @@
-"""Shared test fixtures, the independent dense oracle and two slow references.
+"""Shared test fixtures, the independent dense oracle and the slow references.
 
 The dense helpers build matrices the naive way (nested Kronecker products
 from label strings), deliberately avoiding the package's mask-based fast
-paths so the two implementations check each other.  The sector oracle is
-the slow reference for the package's one-body oracle: it evolves each
+paths so the two implementations check each other.  The package's states
+hold one charge sector; ``dense_state`` and ``to_dense`` convert to and from
+all 2^N amplitudes, which the references below work on.  The sector oracle
+is the slow reference for the package's one-body oracle: it evolves each
 popcount block of aH(t) with a Taylor series, with no fermionic structure.
 The Pauli-rotation kernel and its Trotter step are the slow reference for
 the package's one-body Trotter evolution: they rotate all 2^N amplitudes by
-one Hamiltonian string at a time.
+one Hamiltonian string at a time.  The Pauli-sum expectation is the dense
+reference for the one-body snapshot energy, and ``exact_evolve`` is the
+midpoint-sampled oracle.
 """
 
 import functools
@@ -18,7 +22,9 @@ import numpy as np
 import pytest
 
 from dsfermion.errors import NORM_DRIFT_LIMIT, NormDriftError
+from dsfermion.evolve import TIME_NODES, _propagate
 from dsfermion.model import hamiltonian_parts, scale_factor
+from dsfermion.state import StateVector
 
 I2 = np.eye(2, dtype=complex)
 PAULI_MATS = {
@@ -77,6 +83,57 @@ def random_state(rng, n_qubits):
     dim = 1 << n_qubits
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return vec / np.linalg.norm(vec)
+
+
+def dense_state(n_qubits, vec):
+    """A StateVector over all 2^N basis states."""
+    return StateVector(n_qubits, np.arange(1 << n_qubits), vec)
+
+
+def to_dense(state):
+    """All 2^N amplitudes of ``state``, zero off its basis states."""
+    out = np.zeros(1 << state.n_qubits, dtype=np.complex128)
+    out[state.indices] = state.amplitudes
+    return out
+
+
+def sector_starts(n_sites):
+    """Basis starts that cover every popcount, (1 << k) - 1 for k = 0..N,
+    plus the one-hole state 1 and the half-filled state 0b..0101."""
+    half_filled = sum(1 << x for x in range(0, n_sites, 2))
+    return sorted({(1 << k) - 1 for k in range(n_sites + 1)} | {1, half_filled})
+
+
+def apply_pauli_string(p, vec):
+    """P applied to a raw 2^N amplitude array (new array)."""
+    indices = np.arange(vec.shape[0], dtype=np.int64)
+    out = np.empty_like(vec)
+    out[indices ^ np.int64(p.x_mask)] = p.column_phases(indices) * vec
+    return out
+
+
+def expectation_pauli_sum(state, a):
+    """<state| A |state> over all 2^N amplitudes, as a real number (the
+    imaginary residue of a Hermitian A must be rounding)."""
+    if a.n_qubits != state.n_qubits:
+        raise ValueError(f"qubit count mismatch: {a.n_qubits} vs {state.n_qubits}")
+    vec = to_dense(state)
+    acc = np.zeros_like(vec)
+    for coeff, string in a.terms:
+        acc += coeff * apply_pauli_string(string, vec)
+    value = complex(np.vdot(vec, acc))
+    assert abs(value.imag) < 1e-10, f"expectation has imaginary residue {value.imag:.3e}"
+    return value.real
+
+
+# The midpoint rule, a second-order scheme of evolve's product loop.
+MIDPOINT = ((1.0, ((0.5, 1.0),)),)
+
+
+def exact_evolve(initial, params, t_total, substeps):
+    """Midpoint-sampled piecewise-constant propagator: exp(-i aH(t_mid) dt)
+    on each of ``substeps`` intervals of [0, t_total], t_mid its midpoint."""
+    return _propagate(initial, params, t_total, substeps, MIDPOINT)
 
 
 # Independent transcription of the published N=8 Hamiltonian pieces, used to
@@ -207,6 +264,8 @@ def apply_pauli_rotation(state, p, theta):
         raise ValueError(f"qubit count mismatch: {p.n_qubits} vs {state.n_qubits}")
     if p.phase != 1:
         raise ValueError("rotation generator must have phase +1")
+    if state.indices.size != 1 << state.n_qubits:
+        raise ValueError("the rotation kernel needs all 2^N amplitudes (see dense_state)")
     amps = state.amplitudes
     indices = np.arange(amps.shape[0], dtype=np.int64)
     if p.x_mask == 0:
@@ -236,9 +295,11 @@ def _step_order(term):
     return (not x_mask & (x_mask >> 1), x_mask, z_mask)
 
 
-def rotation_trotter_step(state, params, t_sample, dt):
-    """In place: one first-order Trotter step of width dt, sampling e^{h t}
-    at t_sample, as one rotation per Hamiltonian string."""
+def rotation_trotter_step(state, params, plan, k):
+    """In place: Trotter step k of ``plan``, sampling e^{h t} at the plan's
+    node within the step, as one rotation per Hamiltonian string."""
+    dt = plan.dt
+    t_sample = (k + TIME_NODES[plan.time_sampling]) * dt
     parts = hamiltonian_parts(params.n_sites)
     for coeff, string in sorted(parts.hopping.terms, key=_step_order):
         apply_pauli_rotation(state, string, coeff * dt)

@@ -14,7 +14,6 @@ from scipy.linalg import expm
 from dsfermion import cli
 from dsfermion.evolve import (
     TrotterPlan,
-    exact_evolve,
     exact_evolve_converged,
     state_distance,
     trotter_evolve,
@@ -31,11 +30,14 @@ from dsfermion.model import (
 )
 from dsfermion.observables import estimators_from_counts, exact_record
 from dsfermion.pauli import PauliString, commutator
-from dsfermion.state import StateVector, basis_state, expectation_pauli_sum, sample_z_basis
+from dsfermion.state import basis_state, sample_z_basis
 
 from conftest import (
     apply_pauli_rotation,
     dense_from_label,
+    dense_state,
+    exact_evolve,
+    expectation_pauli_sum,
     hole_circular_variance,
     random_label,
     random_state,
@@ -328,7 +330,7 @@ class TestA8EngineMicroOracles:
         vec2 = random_state(rng, 2)
         for a in "IXYZ":
             for b in "IXYZ":
-                st = StateVector(2, vec2.copy())
+                st = dense_state(2, vec2.copy())
                 apply_pauli_rotation(st, PauliString.from_label(a + b), 0.7)
                 expected = expm(-1j * 0.7 * dense_from_label(a + b)) @ vec2
                 worst = max(worst, float(np.max(np.abs(st.amplitudes - expected))))
@@ -336,7 +338,7 @@ class TestA8EngineMicroOracles:
             label = random_label(rng, 6)
             theta = float(rng.uniform(-3, 3))
             vec = random_state(rng, 6)
-            st = StateVector(6, vec.copy())
+            st = dense_state(6, vec.copy())
             apply_pauli_rotation(st, PauliString.from_label(label), theta)
             expected = expm(-1j * theta * dense_from_label(label)) @ vec
             worst = max(worst, float(np.max(np.abs(st.amplitudes - expected))))
@@ -347,7 +349,7 @@ class TestA8EngineMicroOracles:
         )
 
     def test_sampler_within_binomial_bounds(self):
-        st = StateVector(2, np.full(4, 0.5, dtype=complex))
+        st = dense_state(2, np.full(4, 0.5, dtype=complex))
         shots = 100_000
         counts = sample_z_basis(st, shots, seed=PRESET_SEED)
         sigma = math.sqrt(0.25 * 0.75 / shots)

@@ -205,10 +205,12 @@ class TestRun:
 
         monkeypatch.setattr(cli, "trotter_evolve", no_evolution)
         # n_sites=14 is valid with the oracle off but beyond the oracle's
-        # limit; a start of 131073 steps doubles past the 2^18 step budget.
+        # limit; starts of 65536 and 131073 steps double past the 2^16 step
+        # budget.
         for flag, value, oracle in (
             ("--n_sites", "7", "off"),
             ("--n_sites", "14", "on"),
+            ("--oracle_substeps_start", "65536", "on"),
             ("--oracle_substeps_start", "131073", "on"),
             ("--initial_state_index", "256", "off"),
             ("--snapshot_every", "0", "off"),

@@ -13,16 +13,25 @@ from dsfermion.model import ModelParams, hamiltonian_at, one_body_parts
 from dsfermion.evolve import (
     TIME_SAMPLINGS,
     TrotterPlan,
-    exact_evolve,
     exact_evolve_converged,
     state_distance,
     trotter_evolve,
 )
 from dsfermion.observables import exact_record
 from dsfermion.pauli import PauliString, PauliSum
-from dsfermion.state import StateVector, basis_state, expectation_pauli_sum
+from dsfermion.state import StateVector, basis_state
 
-from conftest import dense_from_label, random_state, rotation_trotter_step, sector_taylor_evolve
+from conftest import (
+    dense_from_label,
+    dense_state,
+    exact_evolve,
+    expectation_pauli_sum,
+    random_state,
+    rotation_trotter_step,
+    sector_starts,
+    sector_taylor_evolve,
+    to_dense,
+)
 
 
 def dense_trotter_step(n, params, t_sample, dt, vec):
@@ -51,7 +60,8 @@ def one_step(state, params, time_sampling="midpoint"):
 
 
 def dense_midpoint_product(params, t_total, substeps, vec):
-    """Independent realization of the piecewise-constant midpoint propagator."""
+    """Independent realization of the piecewise-constant midpoint propagator,
+    applied to the 2^N amplitudes ``vec`` (one start per column)."""
     out = vec.copy()
     dt = t_total / substeps
     for k in range(substeps):
@@ -65,12 +75,6 @@ class TestTrotterPlan:
         plan = TrotterPlan.for_total_time(1.0, 10)
         assert abs(plan.steps * plan.dt - 1.0) < 1e-12
         assert plan.dt == 0.1
-
-    def test_sample_times(self):
-        plan = TrotterPlan(steps=10, dt=0.1, time_sampling="left")
-        assert plan.sample_time(3) == pytest.approx(0.3)
-        plan = TrotterPlan(steps=10, dt=0.1, time_sampling="midpoint")
-        assert plan.sample_time(3) == pytest.approx(0.35)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -86,25 +90,26 @@ class TestTrotterPlan:
 class TestTrotterStep:
     def test_filled_state_changes_by_global_phase_only(self):
         params = ModelParams(8, 0.1, 1.0)
-        probs = one_step(basis_state(8, 0), params).probabilities()
+        probs = np.abs(to_dense(one_step(basis_state(8, 0), params))) ** 2
         assert abs(probs[0] - 1.0) < 1e-12
         assert np.max(probs[1:]) < 1e-12
 
-    def test_massless_step_ignores_sample_time(self, rng):
+    def test_massless_step_ignores_sample_time(self):
         params = ModelParams(4, 0.1, 0.0)
-        st = StateVector(4, random_state(rng, 4))
-        a = one_step(st, params, time_sampling="left")
-        b = one_step(st, params, time_sampling="midpoint")
-        assert np.array_equal(a.amplitudes, b.amplitudes)
+        for start in sector_starts(4):
+            a = one_step(basis_state(4, start), params, time_sampling="left")
+            b = one_step(basis_state(4, start), params, time_sampling="midpoint")
+            assert np.array_equal(a.indices, b.indices)
+            assert np.array_equal(a.amplitudes, b.amplitudes), start
 
-    def test_matches_dense_factor_composition(self, rng):
+    def test_matches_dense_factor_composition(self):
         # N = 4 and N = 6 give both signs of the boundary pair.
         for n in (4, 6):
             params = ModelParams(n, 0.1, 1.0)
-            vec = random_state(rng, n)
-            st = one_step(StateVector(n, vec.copy()), params)
-            expected = dense_trotter_step(n, params, 0.05, 0.1, vec)
-            assert np.max(np.abs(st.amplitudes - expected)) < 1e-12, n
+            for start in sector_starts(n):
+                st = one_step(basis_state(n, start), params)
+                expected = dense_trotter_step(n, params, 0.05, 0.1, to_dense(basis_state(n, start)))
+                assert np.max(np.abs(to_dense(st) - expected)) < 1e-12, (n, start)
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
@@ -169,30 +174,64 @@ class TestTrotterEvolve:
         with pytest.raises(ValueError):
             trotter_evolve(basis_state(6, 0), ModelParams(8, 0.1, 0.0), TrotterPlan(1, 0.1))
 
-    def test_matches_rotation_reference(self, rng):
+    def test_matches_rotation_reference(self):
         # Every step of 10 against the 2^N rotation kernel in its term order,
-        # from one hole, from half filling and from a state in every sector.
+        # from a start at every popcount, one hole and half filling.
         for n in (4, 6, 8, 10):
-            half_filled = sum(1 << x for x in range(0, n, 2))
-            starts = [basis_state(n, 1).amplitudes, basis_state(n, half_filled).amplitudes]
-            starts.append(random_state(rng, n))
-            for mass, sampling, vec in itertools.product((0.0, 1.0), TIME_SAMPLINGS, starts):
+            for mass, sampling, start in itertools.product(
+                (0.0, 1.0), TIME_SAMPLINGS, sector_starts(n)
+            ):
                 params = ModelParams(n, 0.3, mass)
                 plan = TrotterPlan.for_total_time(1.0, 10, time_sampling=sampling)
-                trajectory = trotter_evolve(StateVector(n, vec), params, plan)
-                reference = StateVector(n, vec.copy())
+                trajectory = trotter_evolve(basis_state(n, start), params, plan)
+                reference = dense_state(n, to_dense(basis_state(n, start)))
                 for k, st in enumerate(trajectory.states[1:]):
-                    rotation_trotter_step(reference, params, plan.sample_time(k), plan.dt)
-                    dev = np.max(np.abs(st.amplitudes - reference.amplitudes))
-                    assert dev < 1e-12, (n, mass, sampling, k)
+                    rotation_trotter_step(reference, params, plan, k)
+                    dev = np.max(np.abs(to_dense(st) - reference.amplitudes))
+                    assert dev < 1e-12, (n, mass, sampling, start, k)
+
+
+    def test_snapshot_energy_matches_dense_expectation(self):
+        # The one-body energy tr(u[:, T]^dag h1 u[:, T]) + h (N - 2k)/4
+        # against <state| aH(t) |state> over all 2^N amplitudes.
+        for n in (4, 6, 8, 10):
+            params = ModelParams(n, 0.3, 1.0)
+            plan = TrotterPlan.for_total_time(2.0, 20)
+            for start in sector_starts(n):
+                trajectory = trotter_evolve(basis_state(n, start), params, plan)
+                for t, record, st in zip(trajectory.times, trajectory.records, trajectory.states):
+                    dense = expectation_pauli_sum(st, hamiltonian_at(params, t))
+                    assert abs(record.energy - dense) < 1e-12, (n, start, t)
+
+    def test_superposition_start_rejected_before_work(self, rng, monkeypatch):
+        def no_steps(*args):
+            raise AssertionError("the evolution started")
+
+        monkeypatch.setattr(evolve, "_one_body_steps", no_steps)
+        params = ModelParams(4, 0.1, 1.0)
+        for start in (dense_state(4, random_state(rng, 4)), StateVector(4, [1, 2], [0.6, 0.8])):
+            with pytest.raises(ValueError, match="one basis state"):
+                trotter_evolve(start, params, TrotterPlan(1, 0.1))
+            with pytest.raises(ValueError, match="one basis state"):
+                exact_evolve_converged(start, params, 1.0)
+
+    def test_one_hole_state_keeps_n_amplitudes(self):
+        # N = 20: the states hold the 20 one-hole basis states, not 2^20.
+        plan = TrotterPlan.for_total_time(1.0, 10)
+        trajectory = trotter_evolve(basis_state(20, 1), ModelParams(20, 0.1, 1.0), plan)
+        assert len(trajectory.states) == 11
+        for st in trajectory.states[1:]:
+            assert st.indices.tolist() == [1 << x for x in range(20)]
+            assert st.amplitudes.shape == (20,)
+            assert abs(st.norm() - 1.0) < 1e-12
 
 
 class TestExactEvolve:
-    def test_zero_time_is_identity(self, rng):
+    def test_zero_time_is_identity(self):
         params = ModelParams(4, 0.1, 1.0)
-        vec = random_state(rng, 4)
-        out = exact_evolve(StateVector(4, vec.copy()), params, 0.0, 4)
-        assert np.array_equal(out.amplitudes, vec)
+        for start in sector_starts(4):
+            out = exact_evolve(basis_state(4, start), params, 0.0, 4)
+            assert np.array_equal(to_dense(out), to_dense(basis_state(4, start)))
 
     def test_massless_independent_of_substeps(self, monkeypatch):
         # The oracle works on the one-body matrix and never builds a dense matrix.
@@ -208,17 +247,19 @@ class TestExactEvolve:
         b = exact_evolve(st, params, 1.0, 64)
         assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
 
-    def test_matches_scipy_midpoint_product(self, rng):
+    def test_matches_scipy_midpoint_product(self):
         # t = 20 in 2 substeps is wide enough that each substep is split into
         # several series steps; t = 0.8 in 7 takes one step per substep.
-        # Random states occupy every charge sector.
+        # The starts cover every charge sector.
         cases = ((4, 0.8, 7), (4, 20.0, 2), (6, 0.8, 5), (8, 0.8, 3), (10, 0.8, 2))
         for n, t_total, substeps in cases:
             params = ModelParams(n, 0.1, 1.0)
-            vec = random_state(rng, n)
-            ours = exact_evolve(StateVector(n, vec.copy()), params, t_total, substeps)
-            theirs = dense_midpoint_product(params, t_total, substeps, vec)
-            assert np.max(np.abs(ours.amplitudes - theirs)) < 1e-12, (n, t_total)
+            starts = [basis_state(n, start) for start in sector_starts(n)]
+            vecs = np.stack([to_dense(st) for st in starts], axis=1)
+            theirs = dense_midpoint_product(params, t_total, substeps, vecs)
+            for st, expected in zip(starts, theirs.T):
+                ours = exact_evolve(st, params, t_total, substeps)
+                assert np.max(np.abs(to_dense(ours) - expected)) < 1e-12, (n, t_total)
 
     def test_second_order_convergence(self):
         params = ModelParams(8, 0.1, 1.0)
@@ -228,20 +269,15 @@ class TestExactEvolve:
         d2 = np.linalg.norm(results[128].amplitudes - results[256].amplitudes)
         assert 3.0 < d1 / d2 < 5.0
 
-    def test_matches_sector_taylor_reference(self, rng):
-        # At every popcount, on states inside one sector and on states that
-        # span all of them; the charge phase differs from sector to sector.
+    def test_matches_sector_taylor_reference(self):
+        # From a start at every popcount, one hole and half filling; the
+        # charge phase differs from sector to sector.
         for n in (4, 6, 8, 10):
             params = ModelParams(n, 0.3, 1.0)
-            popcounts = np.bitwise_count(np.arange(1 << n))
-            states = [random_state(rng, n)]
-            for k in range(n + 1):
-                states.append(np.where(popcounts == k, random_state(rng, n), 0))
-                states[-1] /= np.linalg.norm(states[-1])
-            for vec in states:
-                ours = exact_evolve(StateVector(n, vec.copy()), params, 1.3, 3)
-                theirs = sector_taylor_evolve(params, 1.3, 3, vec)
-                assert np.max(np.abs(ours.amplitudes - theirs)) < 1e-12, n
+            for start in sector_starts(n):
+                ours = exact_evolve(basis_state(n, start), params, 1.3, 3)
+                theirs = sector_taylor_evolve(params, 1.3, 3, to_dense(basis_state(n, start)))
+                assert np.max(np.abs(to_dense(ours) - theirs)) < 1e-12, (n, start)
 
     def test_cf4_fourth_order_convergence(self):
         params = ModelParams(8, 0.1, 1.0)
@@ -317,12 +353,18 @@ class TestExactEvolve:
 class TestStateDistance:
     def test_global_phase_invisible(self, rng):
         vec = random_state(rng, 4)
-        a = StateVector(4, vec * np.exp(0.77j))
-        b = StateVector(4, vec.copy())
+        a = dense_state(4, vec * np.exp(0.77j))
+        b = dense_state(4, vec.copy())
         assert state_distance(a, b) < 1e-14
 
     def test_orthogonal_states_far(self):
-        assert state_distance(basis_state(2, 0), basis_state(2, 1)) == pytest.approx(math.sqrt(2))
+        a = dense_state(2, to_dense(basis_state(2, 0)))
+        b = dense_state(2, to_dense(basis_state(2, 1)))
+        assert state_distance(a, b) == pytest.approx(math.sqrt(2))
+
+    def test_rejects_different_basis_states(self):
+        with pytest.raises(ValueError, match="different basis states"):
+            state_distance(basis_state(2, 0), basis_state(2, 1))
 
 
 def final_distances(params, initial, step_counts, oracle):

@@ -8,9 +8,9 @@ import pytest
 from dsfermion.evolve import TrotterPlan, trotter_evolve
 from dsfermion.model import ModelParams
 from dsfermion.observables import estimators_from_counts, exact_record
-from dsfermion.state import StateVector, basis_state, sample_z_basis
+from dsfermion.state import basis_state, sample_z_basis
 
-from conftest import hole_circular_variance, random_state
+from conftest import dense_state, hole_circular_variance, random_state
 
 
 def paper_trajectory(mass):
@@ -49,7 +49,7 @@ class TestCorrelation:
         assert exact_record(basis_state(8, 0), 0.0, 0.1).correlation_C == 1.0
 
     def test_no_volume_factor(self, rng):
-        st = StateVector(4, random_state(rng, 4))
+        st = dense_state(4, random_state(rng, 4))
         assert (
             exact_record(st, 0.0, 0.1).correlation_C == exact_record(st, 5.0, 0.1).correlation_C
         )
@@ -103,7 +103,7 @@ class TestTotalCharge:
 
 class TestExactRecord:
     def test_consistency(self, rng):
-        st = StateVector(8, random_state(rng, 8))
+        st = dense_state(8, random_state(rng, 8))
         record = exact_record(st, 0.5, 0.1, energy=1.25)
         assert record.source == "exact"
         assert record.n_total == pytest.approx(sum(record.density))

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from dsfermion.pauli import PauliString, commutes, multiply
-from dsfermion.state import StateVector
 
-from conftest import apply_pauli_rotation, dense_from_label, random_state
+from conftest import apply_pauli_rotation, dense_from_label, dense_state, random_state
 
 # Derandomized and without an example database, so the suite stays deterministic.
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -51,7 +50,7 @@ def test_rotation_matches_expm(single, theta, seed):
     (label,) = single
     n = len(label)
     vec = random_state(np.random.default_rng(seed), n)
-    state = StateVector(n, vec.copy())
+    state = dense_state(n, vec.copy())
     apply_pauli_rotation(state, PauliString.from_label(label), theta)
     expected = expm(-1j * theta * dense_from_label(label)) @ vec
     assert np.max(np.abs(state.amplitudes - expected)) < 1e-12

@@ -1,5 +1,5 @@
-"""Statevector kernels and the reference rotation kernel against dense
-matrix-exponential oracles, plus sampling."""
+"""Statevector storage, the reference rotation kernel against dense
+matrix-exponential oracles, the reference expectation, and sampling."""
 
 import math
 
@@ -8,23 +8,54 @@ import pytest
 from scipy.linalg import expm
 
 from dsfermion.errors import NormDriftError
+from dsfermion.evolve import TrotterPlan, trotter_evolve
 from dsfermion.model import ModelParams, hamiltonian_at, total_sz
 from dsfermion.observables import exact_record
 from dsfermion.pauli import PauliString, PauliSum, single_site
-from dsfermion.state import (
-    StateVector,
-    apply_pauli_string,
-    basis_state,
-    expectation_pauli_sum,
-    sample_z_basis,
-)
+from dsfermion.state import StateVector, basis_state, sample_z_basis
 
-from conftest import apply_pauli_rotation, dense_from_label, random_label, random_state
+from conftest import (
+    apply_pauli_rotation,
+    apply_pauli_string,
+    dense_from_label,
+    dense_state,
+    expectation_pauli_sum,
+    random_label,
+    random_state,
+    to_dense,
+)
 
 
 def rotation_oracle(label, theta, vec):
     """Dense exp(-i theta P) via scipy, on the naive realization of P."""
     return expm(-1j * theta * dense_from_label(label)) @ vec
+
+
+class TestStateVector:
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(ValueError, match="one amplitude per index"):
+            StateVector(3, [1, 2], [1.0])
+        with pytest.raises(ValueError, match="one amplitude per index"):
+            StateVector(3, [[1, 2]], [[1.0, 0.0]])
+
+    def test_rejects_unsorted_indices(self):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            StateVector(3, [2, 1], [0.6, 0.8])
+
+    def test_rejects_duplicated_indices(self):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            StateVector(3, [1, 1], [0.6, 0.8])
+
+    def test_rejects_indices_out_of_range(self):
+        for indices in ([-1, 2], [2, 8]):
+            with pytest.raises(ValueError, match="out of range"):
+                StateVector(3, indices, [0.6, 0.8])
+
+    def test_keeps_given_basis_states(self):
+        st = StateVector(3, [0, 7], [0.6, 0.8])
+        assert st.indices.dtype == np.int64
+        assert np.array_equal(to_dense(st), [0.6, 0, 0, 0, 0, 0, 0, 0.8])
+        assert st.norm() == pytest.approx(1.0)
 
 
 class TestBasisState:
@@ -35,8 +66,10 @@ class TestBasisState:
 
     def test_hole_at_site_zero(self):
         st = basis_state(8, 1)
-        assert st.amplitudes[1] == 1.0
-        assert np.count_nonzero(st.amplitudes) == 1
+        assert st.indices.tolist() == [1]
+        dense = to_dense(st)
+        assert dense[1] == 1.0
+        assert np.count_nonzero(dense) == 1
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -47,13 +80,13 @@ class TestBasisState:
 
 class TestPauliRotation:
     def test_zero_angle_is_identity(self, rng):
-        st = StateVector(4, random_state(rng, 4))
+        st = dense_state(4, random_state(rng, 4))
         before = st.amplitudes.copy()
         apply_pauli_rotation(st, PauliString.from_label("XYZI"), 0.0)
         assert np.array_equal(st.amplitudes, before)
 
     def test_half_pi_gives_minus_i_p(self, rng):
-        st = StateVector(4, random_state(rng, 4))
+        st = dense_state(4, random_state(rng, 4))
         p = PauliString.from_label("XZIY")
         expected = -1j * apply_pauli_string(p, st.amplitudes)
         apply_pauli_rotation(st, p, math.pi / 2)
@@ -64,7 +97,7 @@ class TestPauliRotation:
             label = random_label(rng, 4)
             theta = float(rng.uniform(-3, 3))
             vec = random_state(rng, 4)
-            st = StateVector(4, vec.copy())
+            st = dense_state(4, vec.copy())
             apply_pauli_rotation(st, PauliString.from_label(label), theta)
             assert np.max(np.abs(st.amplitudes - rotation_oracle(label, theta, vec))) < 1e-12
 
@@ -73,7 +106,7 @@ class TestPauliRotation:
         for a in "IXYZ":
             for b in "IXYZ":
                 for theta in (0.3, -1.1, 2.5):
-                    st = StateVector(2, vec.copy())
+                    st = dense_state(2, vec.copy())
                     apply_pauli_rotation(st, PauliString.from_label(a + b), theta)
                     dev = np.max(np.abs(st.amplitudes - rotation_oracle(a + b, theta, vec)))
                     assert dev < 1e-12, f"{a + b} theta={theta}"
@@ -83,12 +116,12 @@ class TestPauliRotation:
             label = random_label(rng, 6)
             theta = float(rng.uniform(-3, 3))
             vec = random_state(rng, 6)
-            st = StateVector(6, vec.copy())
+            st = dense_state(6, vec.copy())
             apply_pauli_rotation(st, PauliString.from_label(label), theta)
             assert np.max(np.abs(st.amplitudes - rotation_oracle(label, theta, vec))) < 1e-12
 
     def test_norm_drift_many_rotations(self, rng):
-        st = StateVector(8, random_state(rng, 8))
+        st = dense_state(8, random_state(rng, 8))
         for _ in range(10_000):
             label = random_label(rng, 8)
             apply_pauli_rotation(st, PauliString.from_label(label), float(rng.uniform(-3, 3)))
@@ -100,8 +133,7 @@ class TestPauliRotation:
             apply_pauli_rotation(st, PauliString(2, 1, 1, phase=1j), 0.1)
 
     def test_rejects_denormalized_state(self):
-        st = basis_state(2, 0)
-        st.amplitudes *= 1.5
+        st = dense_state(2, [1.5, 0, 0, 0])
         with pytest.raises(NormDriftError, match=r"drifted by 5\.000e-01 .* rotation by XI$"):
             apply_pauli_rotation(st, single_site(2, 0, "X"), 0.2)
 
@@ -114,7 +146,7 @@ class TestExpectations:
     def test_zdiag_matches_pauli_sum(self, rng):
         # The observables' Z-basis table and the Pauli-string action agree on
         # the sign convention of sigma^z.
-        st = StateVector(4, random_state(rng, 4))
+        st = dense_state(4, random_state(rng, 4))
         dev = abs(exact_record(st, 0.0, 0.1).total_sz - expectation_pauli_sum(st, total_sz(4)))
         assert dev < 1e-12
 
@@ -124,13 +156,13 @@ class TestExpectations:
         assert abs(expectation_pauli_sum(st, hamiltonian_at(params, 0.4)) - 0.2) < 1e-12
 
     def test_traceless_z_on_uniform_state(self):
-        st = StateVector(3, np.full(8, 1 / math.sqrt(8), dtype=complex))
+        st = dense_state(3, np.full(8, 1 / math.sqrt(8), dtype=complex))
         z1 = PauliSum(3, [(1.0, single_site(3, 1, "Z"))])
         assert abs(expectation_pauli_sum(st, z1)) < 1e-12
 
     def test_random_matches_dense(self, rng):
         for _ in range(10):
-            st = StateVector(3, random_state(rng, 3))
+            st = dense_state(3, random_state(rng, 3))
             terms = [
                 (float(rng.standard_normal()), PauliString.from_label(random_label(rng, 3)))
                 for _ in range(4)
@@ -146,7 +178,7 @@ class TestSampling:
         assert counts.counts == {1: 500}
 
     def test_uniform_within_binomial_bounds(self):
-        st = StateVector(2, np.full(4, 0.5, dtype=complex))
+        st = dense_state(2, np.full(4, 0.5, dtype=complex))
         shots = 100_000
         counts = sample_z_basis(st, shots, seed=11)
         sigma = math.sqrt(0.25 * 0.75 / shots)
@@ -155,7 +187,7 @@ class TestSampling:
             assert abs(freq - 0.25) < 5 * sigma
 
     def test_deterministic_given_seed(self, rng):
-        st = StateVector(4, random_state(rng, 4))
+        st = dense_state(4, random_state(rng, 4))
         a = sample_z_basis(st, 1000, seed=42)
         b = sample_z_basis(st, 1000, seed=42)
         assert a.counts == b.counts
@@ -163,12 +195,12 @@ class TestSampling:
         assert c.counts != a.counts
 
     def test_counts_sum_to_shots(self, rng):
-        st = StateVector(3, random_state(rng, 3))
+        st = dense_state(3, random_state(rng, 3))
         counts = sample_z_basis(st, 1234, seed=5)
         assert sum(counts.counts.values()) == 1234
 
     def test_frequencies_converge_to_probabilities(self, rng):
-        st = StateVector(3, random_state(rng, 3))
+        st = dense_state(3, random_state(rng, 3))
         shots = 10_000
         counts = sample_z_basis(st, shots, seed=3)
         probs = st.probabilities()
@@ -180,10 +212,26 @@ class TestSampling:
     def test_zero_probability_tail_never_drawn(self):
         # The probabilities sum to 0.5, so unscaled draws above it would
         # land on the zero-probability last state.
-        st = StateVector(2, [0.5, 0.5, 0, 0])
+        st = dense_state(2, [0.5, 0.5, 0, 0])
         counts = sample_z_basis(st, 10_000, seed=3)
         assert set(counts.counts) == {0, 1}
 
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
             sample_z_basis(basis_state(2, 0), 0, seed=1)
+
+    def test_sector_counts_equal_dense_scatter(self):
+        # Zeros do not change a sequential cumulative sum, so a sector state
+        # draws the same outcomes as all 2^N of its amplitudes.
+        for n in (6, 8, 12):
+            params = ModelParams(n, 0.1, 1.0)
+            half_filled = sum(1 << x for x in range(0, n, 2))
+            plan = TrotterPlan.for_total_time(1.0, 10, snapshot_every=5)
+            for st in trotter_evolve(basis_state(n, half_filled), params, plan).states[1:]:
+                assert st.indices.size < 1 << n
+                dense = dense_state(n, to_dense(st))
+                for seed in (1, 7, 123):
+                    a = sample_z_basis(st, 20_000, seed=seed)
+                    b = sample_z_basis(dense, 20_000, seed=seed)
+                    assert a.counts == b.counts, (n, seed)
+                    assert set(a.counts) <= set(st.indices.tolist())
