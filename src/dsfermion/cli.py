@@ -29,6 +29,7 @@ from .errors import (
     BILINEAR_QUBIT_LIMIT,
     CHARGE_DRIFT_TOL,
     EXACT_QUBIT_LIMIT,
+    HUBBLE_TIME_LIMIT,
     IDENTITY_TOL,
     NORM_DRIFT_TOL,
     ORACLE_SUBSTEP_BUDGET,
@@ -118,6 +119,11 @@ class RunConfig:
             )
         if not (math.isfinite(self.t_total) and self.t_total > 0):
             raise ValueError(f"t_total must be positive, got {self.t_total}")
+        if self.hubble * self.t_total > HUBBLE_TIME_LIMIT:
+            raise ValueError(
+                f"hubble * t_total must be <= {HUBBLE_TIME_LIMIT:g} so that the shot variance, "
+                f"which squares e^(hubble t), stays finite; got {self.hubble * self.t_total:g}"
+            )
 
 
 def preset_paper(mass_choice: int) -> RunConfig:
@@ -378,7 +384,7 @@ def run(config: RunConfig) -> int:
     write_summary_json(os.path.join(config.output_dir, "summary.json"), summary)
     _write_plots(config.output_dir, config, times, records, shot_records)
 
-    if charge_drift > CHARGE_DRIFT_TOL or norm_drift > NORM_DRIFT_TOL:
+    if not (charge_drift <= CHARGE_DRIFT_TOL and norm_drift <= NORM_DRIFT_TOL):  # NaN fails
         print(
             f"invariant violation: charge drift {charge_drift:.3e} "
             f"(tol {CHARGE_DRIFT_TOL:g}), norm drift {norm_drift:.3e} "

@@ -14,6 +14,14 @@ CHARGE_DRIFT_TOL = 1e-10
 # this in norm.
 ORACLE_TOL = 1e-10
 
+# `run` rejects a config with h * t_total above this before any work.  The
+# observables scale with the volume factor e^{ht} and the shot variance
+# squares it, times the squared spread of a per-shot value and the shot
+# count: at h t = 350, e^{2 h t} = 1e304 already overflows to inf at N = 12
+# with 200k shots, and past 709.8 e^{ht} itself does.  At 300, e^{2 h t} =
+# 4e260 leaves a factor of 1e47 for the spread and the shots.
+HUBBLE_TIME_LIMIT = 300.0
+
 # Phases folded into a Hermitian sum's coefficients are exact multiples of
 # i, so any imaginary part above rounding means a non-Hermitian sum.
 IMAG_COEFF_TOL = 1e-12

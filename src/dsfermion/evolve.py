@@ -92,11 +92,12 @@ def trotter_evolve(initial: StateVector, params: ModelParams, plan: TrotterPlan)
 
     snapshot(initial.copy(), np.eye(n), 0.0)
     scheme = _trotter_scheme(n, TIME_NODES[plan.time_sampling])
+    sector = _sector(n, len(holes))
     for k, u in enumerate(_one_body_steps(params, plan.dt, plan.steps, scheme)):
         t_now = (k + 1) * plan.dt
-        state = _read_out(initial, holes, u, params.hubble, t_now)
+        state = _read_out(initial, holes, sector, u, params.hubble, t_now)
         drift = abs(state.norm() - 1.0)
-        if drift > NORM_DRIFT_LIMIT:
+        if not drift <= NORM_DRIFT_LIMIT:  # a NaN norm fails too
             message = f"state norm drifted by {drift:.3e} (> {NORM_DRIFT_LIMIT:g})"
             raise NormDriftError(f"step {k + 1} of {plan.steps}: {message}")
         if (k + 1) % plan.snapshot_every == 0 or k + 1 == plan.steps:
@@ -171,12 +172,28 @@ def _one_body_steps(params: ModelParams, dt: float, steps: int, scheme):
             yield u
 
 
+def _sector(n_sites: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The C(N, k) basis states with k holes, by ascending index: their hole
+    sets (rows of ascending sites) and their indices.  Built once per
+    trajectory, not kept: C(20, 10) hole sets take 15 MB."""
+    sets = np.array(list(itertools.combinations(range(n_sites), k)), dtype=np.int64)
+    sets = sets.reshape(math.comb(n_sites, k), k)
+    indices = np.sum(np.int64(1) << sets, axis=1)
+    order = np.argsort(indices)
+    return sets[order], indices[order]
+
+
 def _read_out(
-    initial: StateVector, holes: list[int], u: np.ndarray, hubble: float, t: float
+    initial: StateVector,
+    holes: list[int],
+    sector: tuple[np.ndarray, np.ndarray],
+    u: np.ndarray,
+    hubble: float,
+    t: float,
 ) -> StateVector:
     """The state that the one-body product u makes of ``initial``, the basis
-    state with the hole sites ``holes``, at time t: the C(N, k) basis states
-    with k holes, by ascending index.
+    state with the hole sites ``holes``, at time t, over ``sector``, the
+    _sector of its hole count.
 
     A basis state is the ascending set of its holes (bits set), and the
     amplitude from hole set T to hole set S is det(u[S, T]) times the charge
@@ -184,13 +201,10 @@ def _read_out(
     (it would give k (N - 2)/4).
     """
     n, k = initial.n_qubits, len(holes)
-    sets = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
-    sets = sets.reshape(math.comb(n, k), k)
-    indices = np.sum(np.int64(1) << sets, axis=1)
-    order = np.argsort(indices)
-    dets = np.linalg.det(u[:, holes][sets[order]])  # det(u[S, T]) for every S
+    sets, indices = sector
+    dets = np.linalg.det(u[:, holes][sets])  # det(u[S, T]) for every S
     phase = np.exp(-1j * hubble * (n - 2 * k) / 4 * t)
-    return StateVector(n, indices[order], phase * (initial.amplitudes[0] * dets))
+    return StateVector(n, indices, phase * (initial.amplitudes[0] * dets))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +227,7 @@ def _propagate(
         return initial.copy()
     for u in _one_body_steps(params, t_total / steps, steps, scheme):
         pass
-    return _read_out(initial, holes, u, params.hubble, t_total)
+    return _read_out(initial, holes, _sector(n, len(holes)), u, params.hubble, t_total)
 
 
 @dataclass(frozen=True)

@@ -7,15 +7,18 @@ the start's charge sector, never all 2^N.  The states come from evolve's
 one-body propagator; this module has no time evolution.
 
 Shot sampling uses the Philox-4x64 counter-based generator keyed as
-(seed, 0) with a zero counter, drawing uniform doubles and inverting the
-cumulative distribution.  Given the same (state, shots, seed) the counts
-are identical across runs and platforms, and equal to those of the same
-state with its zero amplitudes spelled out: adding zeros does not change a
-cumulative sum.
+(seed, 0) with a zero counter, drawing uniform doubles scaled to the total
+of the cumulative distribution.  The counts are taken from the sorted
+draws, with one search per basis state and no per-shot outcome array; they
+equal the counts of inverting the cumulative distribution once per shot.
+Given the same (state, shots, seed) the counts are identical across runs
+and platforms, and equal to those of the same state with its zero
+amplitudes spelled out: adding zeros does not change a cumulative sum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,19 +78,32 @@ def basis_state(n_qubits: int, k: int) -> StateVector:
     return StateVector(n_qubits, [k], [1.0])
 
 
+def _uniform_draws(shots: int, seed: int) -> np.ndarray:
+    """``shots`` uniform doubles in [0, 1) from Philox-4x64 keyed (seed, 0).
+    A function of its own so that a test can substitute chosen draws."""
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed))).random(shots)
+
+
 def sample_z_basis(state: StateVector, shots: int, seed: int) -> ShotCounts:
     """Draw independent Z-basis outcomes from |amp|^2; deterministic per seed."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     probs = state.probabilities()
     cumulative = np.cumsum(probs)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    total = cumulative[-1] if cumulative.size else 0.0
+    if not (math.isfinite(total) and total > 0):
+        raise ValueError(f"cannot sample a state of total probability {total}")
     # Scale the draws to the sum's own total, so that a draw can never fall
-    # past it onto a zero-probability tail; the clip catches a product that
-    # rounds up to the total.
-    draws = rng.random(shots) * cumulative[-1]
-    ranks = np.searchsorted(cumulative, draws, side="right")
-    ranks = np.minimum(ranks, np.flatnonzero(probs)[-1])
-    values, freqs = np.unique(state.indices[ranks], return_counts=True)
-    counts = {int(v): int(c) for v, c in zip(values, freqs)}
+    # past it onto a zero-probability tail.
+    draws = _uniform_draws(shots, seed)
+    draws *= total
+    draws.sort()
+    # A draw d falls in the first bin j with d < cumulative[j], so below[j],
+    # the number of draws under cumulative[j], counts the draws in bins 0..j.
+    # The last nonzero bin also takes a product that rounds up to the total.
+    below = np.searchsorted(draws, cumulative, side="left")
+    below[np.flatnonzero(probs)[-1]:] = shots
+    freqs = np.diff(below, prepend=0)
+    drawn = freqs > 0
+    counts = {int(v): int(c) for v, c in zip(state.indices[drawn], freqs[drawn])}
     return ShotCounts(n_qubits=state.n_qubits, shots=shots, counts=counts, seed=seed)

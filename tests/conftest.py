@@ -10,8 +10,9 @@ popcount block of aH(t) with a Taylor series, with no fermionic structure.
 The Pauli-rotation kernel and its Trotter step are the slow reference for
 the package's one-body Trotter evolution: they rotate all 2^N amplitudes by
 one Hamiltonian string at a time.  The Pauli-sum expectation is the dense
-reference for the one-body snapshot energy, and ``exact_evolve`` is the
-midpoint-sampled oracle.
+reference for the one-body snapshot energy, ``exact_evolve`` is the
+midpoint-sampled oracle, and ``sample_z_basis_reference`` is the per-shot
+inversion that the package's sampler replaces by counting sorted draws.
 """
 
 import functools
@@ -21,10 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import dsfermion.state as state_module
 from dsfermion.errors import NORM_DRIFT_LIMIT, NormDriftError
 from dsfermion.evolve import TIME_NODES, _propagate
 from dsfermion.model import hamiltonian_parts, scale_factor
-from dsfermion.state import StateVector
+from dsfermion.state import ShotCounts, StateVector
 
 I2 = np.eye(2, dtype=complex)
 PAULI_MATS = {
@@ -134,6 +136,21 @@ def exact_evolve(initial, params, t_total, substeps):
     """Midpoint-sampled piecewise-constant propagator: exp(-i aH(t_mid) dt)
     on each of ``substeps`` intervals of [0, t_total], t_mid its midpoint."""
     return _propagate(initial, params, t_total, substeps, MIDPOINT)
+
+
+def sample_z_basis_reference(state, shots, seed):
+    """Z-basis counts by inverting the cumulative distribution once per shot:
+    the same draws as ``sample_z_basis``, each searched for its bin, then
+    counted with np.unique.  The draws are looked up in dsfermion.state, so
+    a test that patches them there patches both samplers."""
+    probs = state.probabilities()
+    cumulative = np.cumsum(probs)
+    draws = state_module._uniform_draws(shots, seed) * cumulative[-1]
+    ranks = np.searchsorted(cumulative, draws, side="right")
+    ranks = np.minimum(ranks, np.flatnonzero(probs)[-1])
+    values, freqs = np.unique(state.indices[ranks], return_counts=True)
+    counts = {int(v): int(c) for v, c in zip(values, freqs)}
+    return ShotCounts(n_qubits=state.n_qubits, shots=shots, counts=counts, seed=seed)
 
 
 # Independent transcription of the published N=8 Hamiltonian pieces, used to

@@ -221,6 +221,23 @@ class TestRun:
             assert cli.main(argv) == cli.EXIT_USAGE, (flag, value)
             assert not out.exists(), (flag, value)
 
+    def test_volume_overflow_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # At h t_total = 360 the shot variance overflowed to inf and the plot
+        # ticks crashed; at 720 e^{ht} itself overflowed.  Both are rejected
+        # before the evolution and before any output directory is created.
+        def no_evolution(*args, **kwargs):
+            raise AssertionError("the evolution started")
+
+        monkeypatch.setattr(cli, "trotter_evolve", no_evolution)
+        for hubble in ("360", "720"):
+            out = tmp_path / f"h{hubble}"
+            argv = ["run", "--hubble", hubble, "--mass", "1", "--oracle", "off", "--shots", "1000"]
+            assert cli.main(argv + ["--output_dir", str(out)]) == cli.EXIT_USAGE, hubble
+            err = capsys.readouterr().err
+            assert "hubble * t_total must be <= 300" in err and "Traceback" not in err
+            assert not out.exists(), hubble
+        cli.RunConfig(hubble=300.0, t_total=1.0).validate()  # the bound itself is allowed
+
     def test_oracle_not_converged_is_usage_error(self, tmp_path, monkeypatch, capsys):
         # Starting from 2 steps, a substep budget of 8 stops the paper-m1
         # oracle after its first doubling.

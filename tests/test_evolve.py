@@ -162,6 +162,20 @@ class TestTrotterEvolve:
         with pytest.raises(NormDriftError, match=r"^step 1 of 10: state norm drifted by 5\.000e-01"):
             trotter_evolve(denormalized, params, plan)
 
+    def test_nan_norm_is_drift(self, monkeypatch):
+        # NaN compares false with any limit; the check must still fail.
+        read_out = evolve._read_out
+
+        def nan_read_out(*args):
+            state = read_out(*args)
+            state.amplitudes[0] = np.nan
+            return state
+
+        monkeypatch.setattr(evolve, "_read_out", nan_read_out)
+        plan = TrotterPlan.for_total_time(1.0, 10)
+        with pytest.raises(NormDriftError, match=r"^step 1 of 10: state norm drifted by nan"):
+            trotter_evolve(basis_state(8, 1), ModelParams(8, 0.1, 1.0), plan)
+
     def test_eigenstate_distribution_frozen(self):
         params = ModelParams(8, 0.1, 1.0)
         plan = TrotterPlan.for_total_time(1.0, 10)

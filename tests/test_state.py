@@ -12,6 +12,7 @@ from dsfermion.evolve import TrotterPlan, trotter_evolve
 from dsfermion.model import ModelParams, hamiltonian_at, total_sz
 from dsfermion.observables import exact_record
 from dsfermion.pauli import PauliString, PauliSum, single_site
+import dsfermion.state as state_module
 from dsfermion.state import StateVector, basis_state, sample_z_basis
 
 from conftest import (
@@ -22,6 +23,8 @@ from conftest import (
     expectation_pauli_sum,
     random_label,
     random_state,
+    sample_z_basis_reference,
+    sector_starts,
     to_dense,
 )
 
@@ -216,6 +219,16 @@ class TestSampling:
         counts = sample_z_basis(st, 10_000, seed=3)
         assert set(counts.counts) == {0, 1}
 
+    def test_rejects_nan_probability(self):
+        # A NaN total compares false everywhere, so the draws would all land
+        # on the last state.
+        with pytest.raises(ValueError, match="total probability nan"):
+            sample_z_basis(StateVector(2, [0, 1, 2], [0.6, np.nan, 0.8]), 100, seed=1)
+
+    def test_rejects_all_zero_state(self):
+        with pytest.raises(ValueError, match="total probability 0"):
+            sample_z_basis(StateVector(2, [0, 3], [0, 0]), 100, seed=1)
+
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
             sample_z_basis(basis_state(2, 0), 0, seed=1)
@@ -235,3 +248,62 @@ class TestSampling:
                     b = sample_z_basis(dense, 20_000, seed=seed)
                     assert a.counts == b.counts, (n, seed)
                     assert set(a.counts) <= set(st.indices.tolist())
+
+
+class TestSamplingReference:
+    """The sampler counts sorted draws; the reference inverts each draw.
+    Their counts, dict key order included, must be equal."""
+
+    @staticmethod
+    def assert_same_counts(st, shots, seed):
+        a = sample_z_basis(st, shots, seed).counts
+        b = sample_z_basis_reference(st, shots, seed).counts
+        assert list(a.items()) == list(b.items()), (st.indices.size, shots, seed)
+
+    def test_random_sector_states(self):
+        rng = np.random.default_rng(99)
+        for size in (1, 2, 3, 5, 12, 66, 120, 300):
+            for _ in range(12):
+                amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+                amps[rng.random(size) < rng.choice([0.0, 0.3, 0.8])] = 0  # zero bins
+                amps[size - int(rng.integers(0, size)):] = 0  # a zero tail
+                amps[int(rng.integers(0, size))] = 1.0
+                total = rng.choice([1.0, 0.5])  # unnormalized states too
+                amps *= math.sqrt(total) / np.linalg.norm(amps)
+                indices = np.sort(rng.choice(1 << 10, size=size, replace=False))
+                st = StateVector(10, indices, amps)
+                shots = int(rng.choice([1, 2, int(rng.integers(1, 5001)), 5000]))
+                self.assert_same_counts(st, shots, int(rng.integers(0, 1 << 62)))
+
+    def test_trotter_states_from_every_popcount(self):
+        for n in (6, 8, 10):
+            params = ModelParams(n, 0.1, 1.0)
+            plan = TrotterPlan.for_total_time(1.0, 10, snapshot_every=5)
+            for start in sector_starts(n):
+                for st in trotter_evolve(basis_state(n, start), params, plan).states:
+                    for seed in (1, 7):
+                        self.assert_same_counts(st, 20_000, seed)
+
+    @pytest.mark.parametrize("probs", [
+        # Total 1: a leading zero bin, zero bins inside, a zero tail.
+        [0, 0.25, 0, 0.25, 0.25, 0.0625, 0.0625, 0.0625, 0.0625, 0, 0],
+        # Total 0.5, so the draws are scaled.
+        [0.25, 0, 0.0625, 0.0625, 0, 0.0625, 0.0625, 0],
+    ])
+    def test_draws_on_bin_edges(self, monkeypatch, probs):
+        # Powers of 4 are exact squares of powers of 2, so every cumulative
+        # sum and its ratio to the total are exact.  Each draw lands on a bin
+        # edge, on 0, on the largest double below 1, or on 1 itself (a
+        # product that rounds up to the total).
+        st = StateVector(4, np.arange(len(probs)), np.sqrt(probs))
+        cumulative = np.cumsum(st.probabilities())
+        assert np.array_equal(cumulative, np.cumsum(probs))
+        edges = np.concatenate([cumulative / cumulative[-1], [0.0, np.nextafter(1.0, 0.0), 1.0]])
+        assert np.array_equal(edges[: len(probs)] * cumulative[-1], cumulative)
+
+        monkeypatch.setattr(state_module, "_uniform_draws", lambda shots, seed: np.resize(edges, shots))
+        for shots in (1, len(edges), 3 * len(edges) + 2):
+            self.assert_same_counts(st, shots, seed=0)
+        counts = sample_z_basis(st, len(edges), seed=0).counts
+        assert sum(counts.values()) == len(edges)
+        assert all(probs[k] > 0 for k in counts)
