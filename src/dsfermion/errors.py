@@ -22,14 +22,21 @@ ORACLE_TOL = 1e-10
 # 4e260 leaves a factor of 1e47 for the spread and the shots.
 HUBBLE_TIME_LIMIT = 300.0
 
-# Phases folded into a Hermitian sum's coefficients are exact multiples of
-# i, so any imaginary part above rounding means a non-Hermitian sum.
+# A Hermitian sum of Pauli strings has real coefficients, so any imaginary
+# part above rounding means a non-Hermitian sum.
 IMAG_COEFF_TOL = 1e-12
 
 # `verify` checks identities that hold exactly up to rounding: for N = 4..10
 # the bilinear identities deviate by 0 and the filled-state eigenvalue by at
 # most 2.2e-16, so 1e-12 is far above rounding and far below any real error.
 IDENTITY_TOL = 1e-12
+
+# The largest lattice: basis indices are int64 with site x at bit x, and
+# bit 63 is the sign bit, so an even lattice fits in at most 62 sites.
+MAX_SITES = 62
+# Shot sampling keys Philox with the seed as a uint64, and snapshot i draws
+# with seed + i, so every such seed must be below this.
+SEED_LIMIT = 1 << 64
 
 # Size guards, in qubits.  A dense 2^N x 2^N complex matrix takes 4 GiB at
 # N = 14.

@@ -21,14 +21,15 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import BILINEAR_QUBIT_LIMIT, JW_QUBIT_LIMIT, ResourceLimitError
+from .errors import BILINEAR_QUBIT_LIMIT, JW_QUBIT_LIMIT, MAX_SITES, ResourceLimitError
 from .pauli import PauliString, PauliSum, single_site
 
 
 def check_sites(n_sites: int) -> None:
-    """The lattice-size rule: two staggered sites per Dirac spinor, at least two spinors."""
-    if n_sites < 4 or n_sites % 2 != 0:
-        raise ValueError(f"n_sites must be an even integer >= 4, got {n_sites}")
+    """The lattice-size rule: two staggered sites per Dirac spinor, at least two
+    spinors, and at most MAX_SITES sites."""
+    if not 4 <= n_sites <= MAX_SITES or n_sites % 2 != 0:
+        raise ValueError(f"n_sites must be an even integer in [4, {MAX_SITES}], got {n_sites}")
 
 
 @dataclass(frozen=True)
@@ -57,13 +58,13 @@ class HamiltonianParts:
 
 
 def _bond(n_sites: int, x: int, axis: str) -> PauliString:
-    return single_site(n_sites, x, axis) * single_site(n_sites, x + 1, axis)
+    """axis(x) axis(x+1)."""
+    return PauliString.from_label("I" * x + axis * 2 + "I" * (n_sites - x - 2))
 
 
 def _boundary_string(n_sites: int, axis: str) -> PauliString:
-    """axis(0) Z(1) ... Z(N-2) axis(N-1); disjoint supports, so phase +1."""
-    label = axis + "Z" * (n_sites - 2) + axis
-    return PauliString.from_label(label)
+    """axis(0) Z(1) ... Z(N-2) axis(N-1)."""
+    return PauliString.from_label(axis + "Z" * (n_sites - 2) + axis)
 
 
 def build_hopping(n_sites: int) -> PauliSum:
@@ -148,11 +149,6 @@ def hamiltonian_at(params: ModelParams, t: float) -> PauliSum:
     )
 
 
-def total_sz(n_sites: int) -> PauliSum:
-    """The conserved charge sum of sigma^z(x)."""
-    return PauliSum(n_sites, [(1.0, single_site(n_sites, x, "Z")) for x in range(n_sites)])
-
-
 # ---------------------------------------------------------------------------
 # Dense Jordan-Wigner oracle machinery
 # ---------------------------------------------------------------------------
@@ -169,14 +165,9 @@ def jw_fermion_op(n_sites: int, x: int) -> np.ndarray:
         )
     if not 0 <= x < n_sites:
         raise ValueError(f"site {x} out of range for {n_sites} sites")
-    if x == 0:
-        string_x = single_site(n_sites, 0, "X")
-        string_y = single_site(n_sites, 0, "Y")
-    else:
-        z_label = "".join("Z" if j < x else "I" for j in range(n_sites))
-        z_string = PauliString.from_label(z_label)
-        string_x = single_site(n_sites, x, "X") * z_string
-        string_y = single_site(n_sites, x, "Y") * z_string
+    string_x, string_y = (
+        PauliString.from_label("Z" * x + axis + "I" * (n_sites - x - 1)) for axis in "XY"
+    )
     prefactor = (-1j) ** x
     return 0.5 * prefactor * (string_x.to_dense() - 1j * string_y.to_dense())
 

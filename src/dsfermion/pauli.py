@@ -2,9 +2,8 @@
 
 A Pauli string is stored as a pair of bitmasks: bit q of ``x_mask`` is set
 iff X or Y acts on qubit q, bit q of ``z_mask`` iff Z or Y acts there
-(Y = both bits, with the implicit factor i tracked in ``phase``).  Qubit q
-corresponds to bit q of the computational basis index, so qubit 0 is the
-least significant bit.
+(Y = both bits).  Qubit q corresponds to bit q of the computational basis
+index, so qubit 0 is the least significant bit.
 
 Text labels use one character per qubit with position q at character q,
 e.g. ``XXIIIIII`` is X(0)X(1) on eight qubits.
@@ -20,7 +19,6 @@ import numpy as np
 from .errors import DENSE_QUBIT_LIMIT, IMAG_COEFF_TOL, ResourceLimitError
 
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)  # i**k for k = 0..3
-_PHASE_CANON = {1 + 0j: 1 + 0j, 1j: 1j, -1 + 0j: -1 + 0j, -1j: -1j}
 
 _AXIS_MASKS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _MASKS_AXIS = {v: k for k, v in _AXIS_MASKS.items()}
@@ -33,12 +31,11 @@ def _parity_of_masked(indices: np.ndarray, mask: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PauliString:
-    """A tensor product of single-qubit Paulis times a phase from {1, -1, i, -i}."""
+    """A tensor product of single-qubit Paulis."""
 
     n_qubits: int
     x_mask: int
     z_mask: int
-    phase: complex = 1 + 0j
 
     def __post_init__(self):
         if self.n_qubits < 1:
@@ -48,12 +45,9 @@ class PauliString:
             raise ValueError(f"x_mask {self.x_mask:#x} out of range for {self.n_qubits} qubits")
         if not 0 <= self.z_mask <= full:
             raise ValueError(f"z_mask {self.z_mask:#x} out of range for {self.n_qubits} qubits")
-        if self.phase not in _PHASE_CANON:
-            raise ValueError(f"phase must be one of 1, -1, i, -i, got {self.phase!r}")
-        object.__setattr__(self, "phase", _PHASE_CANON[self.phase])
 
     @classmethod
-    def from_label(cls, label: str, phase: complex = 1 + 0j) -> "PauliString":
+    def from_label(cls, label: str) -> "PauliString":
         """Build from an IXYZ label with character q acting on qubit q."""
         x_mask = z_mask = 0
         for q, ch in enumerate(label):
@@ -63,7 +57,7 @@ class PauliString:
                 raise ValueError(f"invalid Pauli character {ch!r} in label {label!r}") from None
             x_mask |= bx << q
             z_mask |= bz << q
-        return cls(len(label), x_mask, z_mask, phase)
+        return cls(len(label), x_mask, z_mask)
 
     def label(self) -> str:
         return "".join(
@@ -76,17 +70,14 @@ class PauliString:
         return (self.x_mask & self.z_mask).bit_count()
 
     def key(self) -> tuple[int, int]:
-        """Phase-free identity of the string, used for merging and ordering."""
+        """Identity of the string, used for merging and ordering."""
         return (self.z_mask, self.x_mask)
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        return multiply(self, other)
 
     def column_phases(self, indices: np.ndarray) -> np.ndarray:
         """Phases f(k) with P|k> = f(k) |k ^ x_mask> for the given basis indices:
-        phase * i^(Y count), negated where k & z_mask has odd parity."""
+        i^(Y count), negated where k & z_mask has odd parity."""
         signs = 1.0 - 2.0 * _parity_of_masked(indices, self.z_mask)
-        return (self.phase * _PHASES[self.y_count % 4]) * signs
+        return _PHASES[self.y_count % 4] * signs
 
     def to_dense(self) -> np.ndarray:
         """Explicit 2^N x 2^N matrix (qubit 0 = least significant index bit)."""
@@ -111,49 +102,15 @@ def single_site(n_qubits: int, site: int, axis: str) -> PauliString:
     return PauliString(n_qubits, bx << site, bz << site)
 
 
-def multiply(p: PauliString, q: PauliString) -> PauliString:
-    """Product pq with the accumulated phase; masks are XORed."""
-    if p.n_qubits != q.n_qubits:
-        raise ValueError(f"qubit count mismatch: {p.n_qubits} vs {q.n_qubits}")
-    x3 = p.x_mask ^ q.x_mask
-    z3 = p.z_mask ^ q.z_mask
-    # Phase bookkeeping for the per-site convention sigma(x,z) = i^(xz) X^x Z^z:
-    # reordering Z^z1 past X^x2 yields (-1)^(z1.x2), and each operand/result
-    # carries its own i^(xz) normalization.
-    exp = (
-        (p.x_mask & p.z_mask).bit_count()
-        + (q.x_mask & q.z_mask).bit_count()
-        + 2 * (p.z_mask & q.x_mask).bit_count()
-        - (x3 & z3).bit_count()
-    ) % 4
-    return PauliString(p.n_qubits, x3, z3, p.phase * q.phase * _PHASES[exp])
-
-
-def commutes(p: PauliString, q: PauliString) -> bool:
-    """True iff pq = qp, from the symplectic parity of the masks."""
-    if p.n_qubits != q.n_qubits:
-        raise ValueError(f"qubit count mismatch: {p.n_qubits} vs {q.n_qubits}")
-    anti = (p.x_mask & q.z_mask).bit_count() + (p.z_mask & q.x_mask).bit_count()
-    return anti % 2 == 0
-
-
 class PauliSum:
     """A weighted sum of Pauli strings, merged and deterministically ordered.
 
-    Terms are normalized so every stored string has phase +1, with phases
-    folded into the coefficients.  By default coefficients must come out
-    real (Hermitian operator); ``require_real=False`` lifts that for
-    intermediate results such as commutators.
+    Coefficients must come out real, so the sum is a Hermitian operator.
     """
 
     __slots__ = ("n_qubits", "terms")
 
-    def __init__(
-        self,
-        n_qubits: int,
-        terms: Iterable[tuple[complex, PauliString]] = (),
-        require_real: bool = True,
-    ):
+    def __init__(self, n_qubits: int, terms: Iterable[tuple[complex, PauliString]] = ()):
         if n_qubits < 1:
             raise ValueError(f"n_qubits must be positive, got {n_qubits}")
         merged: dict[tuple[int, int], complex] = {}
@@ -162,14 +119,13 @@ class PauliSum:
                 raise ValueError(
                     f"term on {string.n_qubits} qubits in a {n_qubits}-qubit sum"
                 )
-            folded = complex(coeff) * string.phase
             key = string.key()
-            merged[key] = merged.get(key, 0j) + folded
+            merged[key] = merged.get(key, 0j) + complex(coeff)
         out = []
         for (z_mask, x_mask), coeff in merged.items():
             if coeff == 0:
                 continue
-            if require_real and abs(coeff.imag) > IMAG_COEFF_TOL:
+            if abs(coeff.imag) > IMAG_COEFF_TOL:
                 raise ValueError(
                     f"residual imaginary coefficient {coeff.imag:g} on term "
                     f"(x={x_mask:#x}, z={z_mask:#x})"
@@ -194,14 +150,10 @@ class PauliSum:
             return NotImplemented
         if self.n_qubits != other.n_qubits:
             raise ValueError(f"qubit count mismatch: {self.n_qubits} vs {other.n_qubits}")
-        return PauliSum(self.n_qubits, list(self.terms) + list(other.terms), require_real=False)
+        return PauliSum(self.n_qubits, list(self.terms) + list(other.terms))
 
     def __mul__(self, scalar: float) -> "PauliSum":
-        return PauliSum(
-            self.n_qubits,
-            [(coeff * scalar, string) for coeff, string in self.terms],
-            require_real=False,
-        )
+        return PauliSum(self.n_qubits, [(coeff * scalar, string) for coeff, string in self.terms])
 
     __rmul__ = __mul__
 
@@ -236,21 +188,3 @@ class PauliSum:
         if n_qubits is None:
             raise ValueError("cannot infer qubit count from empty text")
         return cls(n_qubits, terms)
-
-
-def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
-    """ab - ba as a merged PauliSum; an exact zero has an empty term list.
-
-    The result of commuting two Hermitian sums is anti-Hermitian, so its
-    coefficients are imaginary; realness is deliberately not enforced here.
-    """
-    if a.n_qubits != b.n_qubits:
-        raise ValueError(f"qubit count mismatch: {a.n_qubits} vs {b.n_qubits}")
-    terms: list[tuple[complex, PauliString]] = []
-    for ca, pa in a.terms:
-        for cb, pb in b.terms:
-            if commutes(pa, pb):
-                continue
-            # pq = -qp here, so ab - ba contributes 2 ca cb (pa pb).
-            terms.append((2 * ca * cb, multiply(pa, pb)))
-    return PauliSum(a.n_qubits, terms, require_real=False)

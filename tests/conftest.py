@@ -25,7 +25,7 @@ import pytest
 import dsfermion.state as state_module
 from dsfermion.errors import NORM_DRIFT_LIMIT, NormDriftError
 from dsfermion.evolve import TIME_NODES, _propagate
-from dsfermion.model import hamiltonian_parts, scale_factor
+from dsfermion.model import build_charge_term, hamiltonian_at, hamiltonian_parts, scale_factor
 from dsfermion.state import ShotCounts, StateVector
 
 I2 = np.eye(2, dtype=complex)
@@ -46,9 +46,9 @@ def kron_chain(ops):
     return out
 
 
-def dense_from_label(label, phase=1):
+def dense_from_label(label):
     """Naive dense realization of a Pauli label (character q acts on qubit q)."""
-    return phase * kron_chain(PAULI_MATS[ch] for ch in label)
+    return kron_chain(PAULI_MATS[ch] for ch in label)
 
 
 def dense_from_terms(n_qubits, terms):
@@ -173,6 +173,15 @@ def dense_n8_hamiltonian(hubble, mass, t):
     return out
 
 
+def charge_commutator_entries(params, t):
+    """Nonzero entries of the dense [Q, aH(t)] for the total charge
+    Q = sum Z(x) = 4 * charge_term.  Q is diagonal, so entry (i, j) is
+    q_i aH_ij - aH_ij q_j, which is exactly 0 where q_i = q_j."""
+    q = np.diag((4.0 * build_charge_term(params.n_sites)).to_dense())
+    h = hamiltonian_at(params, t).to_dense()
+    return np.count_nonzero(q[:, None] * h - h * q[None, :])
+
+
 # The sector oracle cuts the Taylor series of each step at the fewest terms
 # whose remainder bound is below this, an order under the rounding of a unit
 # vector.
@@ -276,11 +285,9 @@ def _check_norm(state, p):
 
 
 def apply_pauli_rotation(state, p, theta):
-    """In place: state <- exp(-i theta P) state, with P a phase +1 string."""
+    """In place: state <- exp(-i theta P) state, with P a Pauli string."""
     if p.n_qubits != state.n_qubits:
         raise ValueError(f"qubit count mismatch: {p.n_qubits} vs {state.n_qubits}")
-    if p.phase != 1:
-        raise ValueError("rotation generator must have phase +1")
     if state.indices.size != 1 << state.n_qubits:
         raise ValueError("the rotation kernel needs all 2^N amplitudes (see dense_state)")
     amps = state.amplitudes
@@ -298,7 +305,7 @@ def apply_pauli_rotation(state, p, theta):
         msin_t = -1j * math.sin(theta)
         a = amps[low].copy()
         b = amps[high]
-        # Hermiticity of a phase +1 string gives <low|P|high> = conj(phase_low).
+        # Hermiticity of a Pauli string gives <low|P|high> = conj(phase_low).
         amps[low] = cos_t * a + msin_t * np.conj(phase_low) * b
         amps[high] = cos_t * b + msin_t * phase_low * a
     _check_norm(state, p)

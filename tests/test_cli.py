@@ -7,7 +7,7 @@ import pytest
 
 from dsfermion import cli
 from dsfermion.errors import NormDriftError
-from dsfermion.pauli import PauliSum
+from dsfermion.pauli import PauliString, PauliSum
 
 
 def fast_config(tmp_path, **overrides):
@@ -205,11 +205,17 @@ class TestRun:
 
         monkeypatch.setattr(cli, "trotter_evolve", no_evolution)
         # n_sites=14 is valid with the oracle off but beyond the oracle's
-        # limit; starts of 65536 and 131073 steps double past the 2^16 step
-        # budget.
+        # limit, and n_sites=64 beyond the int64 basis index; starts of 65536
+        # and 131073 steps double past the 2^16 step budget.  The seed keys
+        # a uint64 Philox stream, and with the default 10 steps the last
+        # snapshot samples with seed + 10.
         for flag, value, oracle in (
             ("--n_sites", "7", "off"),
             ("--n_sites", "14", "on"),
+            ("--n_sites", "64", "off"),
+            ("--seed", "-1", "off"),
+            ("--seed", str(2**64), "off"),
+            ("--seed", str(2**64 - 10), "off"),
             ("--oracle_substeps_start", "65536", "on"),
             ("--oracle_substeps_start", "131073", "on"),
             ("--initial_state_index", "256", "off"),
@@ -220,6 +226,7 @@ class TestRun:
             argv = ["run", flag, value, "--oracle", oracle, "--output_dir", str(out)]
             assert cli.main(argv) == cli.EXIT_USAGE, (flag, value)
             assert not out.exists(), (flag, value)
+        cli.RunConfig(seed=2**64 - 11).validate()
 
     def test_volume_overflow_is_usage_error(self, tmp_path, monkeypatch, capsys):
         # At h t_total = 360 the shot variance overflowed to inf and the plot
@@ -286,6 +293,20 @@ class TestVerify:
         monkeypatch.setattr(cli, "n8_fixture", lambda: (tampered, h2, h3))
         assert cli.verify(8) == cli.EXIT_VERIFY
         assert "FAIL" in capsys.readouterr().out
+
+    def test_charge_changing_term_fails(self, capsys, monkeypatch):
+        # One bare XX bond maps |..00..> to |..11..>, changing the charge by 2.
+        hamiltonian_at = cli.hamiltonian_at
+
+        def leaky(params, t):
+            bond = PauliString.from_label("XX" + "I" * (params.n_sites - 2))
+            return hamiltonian_at(params, t) + PauliSum(params.n_sites, [(1.0, bond)])
+
+        monkeypatch.setattr(cli, "hamiltonian_at", leaky)
+        assert cli.verify(4) == cli.EXIT_VERIFY
+        out = capsys.readouterr().out
+        assert "FAIL  charge commutator N=4" in out
+        assert out.count("FAIL") == 1
 
     def test_max_n_limits(self):
         with pytest.raises(ValueError):

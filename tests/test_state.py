@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 from dsfermion.errors import NormDriftError
 from dsfermion.evolve import TrotterPlan, trotter_evolve
-from dsfermion.model import ModelParams, hamiltonian_at, total_sz
+from dsfermion.model import ModelParams, build_charge_term, hamiltonian_at
 from dsfermion.observables import exact_record
 from dsfermion.pauli import PauliString, PauliSum, single_site
 import dsfermion.state as state_module
@@ -130,11 +130,6 @@ class TestPauliRotation:
             apply_pauli_rotation(st, PauliString.from_label(label), float(rng.uniform(-3, 3)))
         assert abs(st.norm() - 1.0) < 1e-9
 
-    def test_phase_must_be_plus_one(self):
-        st = basis_state(2, 0)
-        with pytest.raises(ValueError):
-            apply_pauli_rotation(st, PauliString(2, 1, 1, phase=1j), 0.1)
-
     def test_rejects_denormalized_state(self):
         st = dense_state(2, [1.5, 0, 0, 0])
         with pytest.raises(NormDriftError, match=r"drifted by 5\.000e-01 .* rotation by XI$"):
@@ -150,7 +145,8 @@ class TestExpectations:
         # The observables' Z-basis table and the Pauli-string action agree on
         # the sign convention of sigma^z.
         st = dense_state(4, random_state(rng, 4))
-        dev = abs(exact_record(st, 0.0, 0.1).total_sz - expectation_pauli_sum(st, total_sz(4)))
+        total_sz = expectation_pauli_sum(st, 4.0 * build_charge_term(4))
+        dev = abs(exact_record(st, 0.0, 0.1).total_sz - total_sz)
         assert dev < 1e-12
 
     def test_filled_state_energy(self):
