@@ -37,12 +37,14 @@ from .errors import (
     ORACLE_SUBSTEP_BUDGET,
     ORACLE_TOL,
     SEED_LIMIT,
+    SEED_STRIDE,
     NormDriftError,
     ResourceLimitError,
 )
 from .evolve import (
     TrotterPlan,
     exact_evolve_converged,
+    read_out,
     state_distance,
     trotter_evolve,
 )
@@ -105,8 +107,8 @@ class RunConfig:
         oracle's size limit, after the Trotter evolution) or not at all; its
         ModelParams, basis_state and TrotterPlan check the rest.  Every check
         fails before any work is done."""
-        if self.trotter_steps < 1:
-            raise ValueError(f"trotter_steps must be >= 1, got {self.trotter_steps}")
+        if not 1 <= self.trotter_steps < SEED_STRIDE:
+            raise ValueError(f"trotter_steps must be in [1, 2^32), got {self.trotter_steps}")
         if self.shots < 0:
             raise ValueError(f"shots must be >= 0, got {self.shots}")
         if not 0 <= self.seed < SEED_LIMIT - self.trotter_steps:
@@ -341,8 +343,9 @@ def run(config: RunConfig) -> int:
     shot_records = None
     if config.shots > 0:
         shot_records = []
-        for i, (t, st) in enumerate(zip(times, trajectory.states)):
-            counts = sample_z_basis(st, config.shots, config.seed + i)
+        for i, (t, orbitals) in enumerate(zip(times, trajectory.orbitals)):
+            state = read_out(orbitals, config.hubble, t, trajectory.amplitude)
+            counts = sample_z_basis(state, config.shots, config.seed + i)
             shot_records.append(estimators_from_counts(counts, t, config.hubble))
 
     charge_drift = max(abs(r.total_sz - records[0].total_sz) for r in records)
@@ -350,6 +353,7 @@ def run(config: RunConfig) -> int:
 
     oracle_report = None
     if config.oracle == "on":
+        final = read_out(trajectory.orbitals[-1], config.hubble, times[-1], trajectory.amplitude)
         oracle = exact_evolve_converged(
             initial,
             params,
@@ -360,7 +364,7 @@ def run(config: RunConfig) -> int:
         oracle_report = {
             "substeps": oracle.substeps,
             "convergence_delta": oracle.delta,
-            "state_distance": state_distance(trajectory.states[-1], oracle.state),
+            "state_distance": state_distance(final, oracle.state),
         }
 
     os.makedirs(config.output_dir, exist_ok=True)
@@ -469,20 +473,22 @@ def _error_exit(exc: Exception) -> tuple[int, str]:
 
 
 def sweep(base_config: RunConfig, parameter: str, values: list) -> int:
-    """Run one point per value; per-point seeds are base seed + index."""
+    """Run one point per value; point j runs with the seed base seed + j * 2^32."""
     if parameter not in SWEEPABLE:
         raise ValueError(f"parameter must be one of {SWEEPABLE}, got {parameter!r}")
     if not values:
         raise ValueError("sweep values list is empty")
     if len(set(values)) < len(values):
         raise ValueError(f"sweep values must be distinct, got {values}")
+    if base_config.seed + len(values) * SEED_STRIDE > SEED_LIMIT:
+        raise ValueError(f"{len(values)} sweep points need a seed <= 2^64 - {len(values)} * 2^32")
     points = []
     worst = EXIT_OK
     for index, value in enumerate(values):
         point_config = replace(
             base_config,
             **{parameter: value},
-            seed=base_config.seed + index,
+            seed=base_config.seed + index * SEED_STRIDE,
             output_dir=os.path.join(base_config.output_dir, f"{parameter}={value}"),
         )
         try:

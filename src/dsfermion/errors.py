@@ -37,6 +37,9 @@ MAX_SITES = 62
 # Shot sampling keys Philox with the seed as a uint64, and snapshot i draws
 # with seed + i, so every such seed must be below this.
 SEED_LIMIT = 1 << 64
+# Sweep point j runs with the seed base + j * SEED_STRIDE, and a run takes
+# fewer Trotter steps than this, so no two snapshots of a sweep share a key.
+SEED_STRIDE = 1 << 32
 
 # Size guards, in qubits.  A dense 2^N x 2^N complex matrix takes 4 GiB at
 # N = 14.

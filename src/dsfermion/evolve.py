@@ -3,26 +3,28 @@ fine-grained exact propagator used as a verification oracle.
 
 The Trotter circuit is a matchgate circuit (Terhal & DiVincenzo, PRA 65,
 032325 (2002)): each step is an N x N one-body unitary, so the Trotter step
-and the oracle are schemes of one product loop on the one-body matrix, read
-out as Slater determinants.  A Trotter step takes one exponential per bulk
-bond (XX+YY) in ascending order, then the boundary pair, then the mass
-layer.  The charge term is one phase per charge sector, so the charge is
-conserved along the Trotter trajectory at any step size.  Both start from
-one basis state with k holes and hold the C(N, k) amplitudes of its sector.
+and the oracle are schemes of one product loop on the one-body matrix.  A
+Trotter step takes one exponential per bulk bond (XX+YY) in ascending
+order, then the boundary pair, then the mass layer.  The charge term is one
+phase per charge sector, so the charge is conserved along the Trotter
+trajectory at any step size.  Both start from one basis state with k holes
+and hold its N x k hole orbitals u[:, holes], whose Slater determinant is
+the state; ``read_out`` gives its C(N, k) amplitudes.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import EXACT_QUBIT_LIMIT, NORM_DRIFT_LIMIT, ORACLE_SUBSTEP_BUDGET, ORACLE_TOL
 from .errors import NormDriftError, ResourceLimitError
 from .model import ModelParams, hamiltonian_parts, one_body_parts, scale_factor
-from .observables import ObservableRecord, exact_record
+from .observables import ObservableRecord, exact_record, slater_norm
 from .state import StateVector
 
 # Where a step of width dt samples e^{h t}, as a fraction of dt.
@@ -63,45 +65,47 @@ class TrotterPlan:
 
 @dataclass
 class Trajectory:
-    """Snapshot times, observable records and the state at each snapshot."""
+    """Snapshot times, records and N x k hole orbitals.  A snapshot's state is
+    ``amplitude`` (the start's) times the Slater determinant of its orbitals;
+    a record's norm is that state's, its observables the normalized state's."""
 
     times: list[float]
     records: list[ObservableRecord]
-    states: list[StateVector]
+    orbitals: list[np.ndarray]
+    amplitude: complex
 
 
 def trotter_evolve(initial: StateVector, params: ModelParams, plan: TrotterPlan) -> Trajectory:
-    """Read the state out of ``initial``, one basis state, after every
-    Trotter step, recording it and its observables every ``snapshot_every``
-    steps (the t = 0 snapshot and the final step are always recorded)."""
+    """Evolve the hole orbitals of ``initial``, one basis state, checking
+    the norm after every Trotter step and recording the orbitals and their
+    observables every ``snapshot_every`` steps (the t = 0 snapshot and the
+    final step are always recorded).  No C(N, k) amplitude is formed."""
     holes = _start_holes(initial, params)
     n = params.n_sites
     hopping, mass = one_body_parts(n)
-    # The state is the Slater determinant of the hole orbitals u[:, holes],
-    # so its energy is tr(u[:, holes]^dag h1(t) u[:, holes]) + h (N - 2k)/4.
+    # A Slater determinant's energy is tr(Phi^dag h1(t) Phi) + h (N - 2k)/4.
     charge = params.hubble * (n - 2 * len(holes)) / 4
-    trajectory = Trajectory(times=[], records=[], states=[])
+    trajectory = Trajectory(times=[], records=[], orbitals=[], amplitude=initial.amplitudes[0])
 
-    def snapshot(state: StateVector, u: np.ndarray, t_now: float) -> None:
-        orbitals = u[:, holes]
+    def snapshot(orbitals: np.ndarray, t_now: float) -> None:
         h1 = hopping + params.mass * scale_factor(params, t_now) * mass
         energy = np.vdot(orbitals, h1 @ orbitals).real + charge
         trajectory.times.append(t_now)
-        trajectory.records.append(exact_record(state, t_now, params.hubble, energy=energy))
-        trajectory.states.append(state)
+        record = exact_record(orbitals, t_now, params.hubble, energy=energy)
+        trajectory.records.append(replace(record, norm=abs(trajectory.amplitude) * record.norm))
+        trajectory.orbitals.append(orbitals)
 
-    snapshot(initial.copy(), np.eye(n), 0.0)
+    snapshot(np.eye(n)[:, holes], 0.0)
     scheme = _trotter_scheme(n, TIME_NODES[plan.time_sampling])
-    sector = _sector(n, len(holes))
     for k, u in enumerate(_one_body_steps(params, plan.dt, plan.steps, scheme)):
         t_now = (k + 1) * plan.dt
-        state = _read_out(initial, holes, sector, u, params.hubble, t_now)
-        drift = abs(state.norm() - 1.0)
+        orbitals = u[:, holes]
+        drift = abs(abs(trajectory.amplitude) * slater_norm(orbitals) - 1.0)
         if not drift <= NORM_DRIFT_LIMIT:  # a NaN norm fails too
             message = f"state norm drifted by {drift:.3e} (> {NORM_DRIFT_LIMIT:g})"
             raise NormDriftError(f"step {k + 1} of {plan.steps}: {message}")
         if (k + 1) % plan.snapshot_every == 0 or k + 1 == plan.steps:
-            snapshot(state, u, t_now)
+            snapshot(orbitals, t_now)
     return trajectory
 
 
@@ -172,39 +176,34 @@ def _one_body_steps(params: ModelParams, dt: float, steps: int, scheme):
             yield u
 
 
+@functools.lru_cache(maxsize=1)
 def _sector(n_sites: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The C(N, k) basis states with k holes, by ascending index: their hole
-    sets (rows of ascending sites) and their indices.  Built once per
-    trajectory, not kept: C(20, 10) hole sets take 15 MB."""
+    sets (rows of ascending sites) and their indices, as read-only arrays.
+    Only the last sector is kept, so that the readouts of one run share it:
+    C(20, 10) hole sets take 15 MB."""
     sets = np.array(list(itertools.combinations(range(n_sites), k)), dtype=np.int64)
-    sets = sets.reshape(math.comb(n_sites, k), k)
     indices = np.sum(np.int64(1) << sets, axis=1)
     order = np.argsort(indices)
-    return sets[order], indices[order]
+    sets, indices = sets[order], indices[order]
+    sets.flags.writeable = indices.flags.writeable = False
+    return sets, indices
 
 
-def _read_out(
-    initial: StateVector,
-    holes: list[int],
-    sector: tuple[np.ndarray, np.ndarray],
-    u: np.ndarray,
-    hubble: float,
-    t: float,
-) -> StateVector:
-    """The state that the one-body product u makes of ``initial``, the basis
-    state with the hole sites ``holes``, at time t, over ``sector``, the
-    _sector of its hole count.
+def read_out(orbitals: np.ndarray, hubble: float, t: float, amplitude: complex = 1.0) -> StateVector:
+    """The C(N, k) amplitudes of ``amplitude`` times the Slater determinant
+    of the N x k hole orbitals at time t.
 
-    A basis state is the ascending set of its holes (bits set), and the
-    amplitude from hole set T to hole set S is det(u[S, T]) times the charge
-    term's phase exp(-i h (N - 2k)/4 t), which the determinant cannot carry
-    (it would give k (N - 2)/4).
+    A basis state is the ascending set S of its holes (bits set), and its
+    amplitude is det(orbitals[S]) times the charge term's phase
+    exp(-i h (N - 2k)/4 t), which the determinant cannot carry (it would
+    give k (N - 2)/4).
     """
-    n, k = initial.n_qubits, len(holes)
-    sets, indices = sector
-    dets = np.linalg.det(u[:, holes][sets])  # det(u[S, T]) for every S
+    n, k = orbitals.shape
+    sets, indices = _sector(n, k)
+    dets = np.linalg.det(orbitals[sets])  # det(orbitals[S]) for every S
     phase = np.exp(-1j * hubble * (n - 2 * k) / 4 * t)
-    return StateVector(n, indices, phase * (initial.amplitudes[0] * dets))
+    return StateVector(n, indices, phase * (amplitude * dets))
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +223,10 @@ def _propagate(
     if t_total < 0 or not math.isfinite(t_total):
         raise ValueError(f"t_total must be finite and >= 0, got {t_total}")
     if t_total == 0:
-        return initial.copy()
+        return read_out(np.eye(n)[:, holes], params.hubble, 0.0, initial.amplitudes[0])
     for u in _one_body_steps(params, t_total / steps, steps, scheme):
         pass
-    return _read_out(initial, holes, _sector(n, len(holes)), u, params.hubble, t_total)
+    return read_out(u[:, holes], params.hubble, t_total, initial.amplitudes[0])
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Observables of the expanding-universe fermion, from amplitudes or shot counts.
+"""Observables of the expanding-universe fermion, from hole orbitals or shot counts.
 
 All quantities are diagonal in the Z basis.  A site is occupied when its
 qubit is |0> (occupation (1 + sigma^z)/2), and the comoving volume factor
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import ShotCounts, StateVector
+from .state import ShotCounts
 
 
 @dataclass(frozen=True)
@@ -46,43 +46,41 @@ class ObservableRecord:
     shot_errors: ShotErrors | None = None
 
 
-def _z_basis_values(indices: np.ndarray, n_qubits: int) -> tuple[np.ndarray, ...]:
-    """Per-basis-state values that the exact record weights by |amp|^2 and the
-    shot estimate by outcome frequencies, before the volume factor: occ[x, k]
-    (site x occupied when bit x of k is clear), occ[0] occ[1], sum_x x occ[x],
-    sum_x (-1)^x occ[x] and the charge sum_x sigma^z(x)."""
-    if n_qubits < 2:
-        raise ValueError("density correlation needs at least two sites")
-    bits = (indices[None, :] >> np.arange(n_qubits, dtype=np.int64)[:, None]) & 1
-    occ = 1.0 - bits.astype(np.float64)
-    positions = np.arange(n_qubits, dtype=np.float64)
-    signs = (-1.0) ** positions
-    sz = n_qubits - 2.0 * np.bitwise_count(indices).astype(np.float64)
-    return occ, occ[0] * occ[1], positions @ occ, signs @ occ, sz
+def slater_norm(orbitals: np.ndarray) -> float:
+    """The norm of the Slater determinant of ``orbitals``: det(Phi^dag Phi)^(1/2)
+    by Cauchy-Binet, in O(N k^2) and without its C(N, k) amplitudes."""
+    return math.sqrt(abs(np.linalg.det(orbitals.conj().T @ orbitals)))
 
 
 def exact_record(
-    state: StateVector, t: float, hubble: float, energy: float = math.nan
+    orbitals: np.ndarray, t: float, hubble: float, energy: float = math.nan
 ) -> ObservableRecord:
-    """Assemble a snapshot record from exact amplitudes.
+    """Assemble a snapshot record from the N x k hole orbitals Phi of a
+    Slater determinant, by Wick's theorem on G = Phi Phi^dag: site x holds
+    a hole with probability G_xx, and sites 0 and 1 both hold holes with
+    probability G_00 G_11 - |G_01|^2.
 
     The energy is supplied by the caller (it needs the Hamiltonian, which
     this module deliberately does not know about).
     """
-    occ, corr, position_sum, staggered_sum, sz = _z_basis_values(state.indices, state.n_qubits)
-    probs = state.probabilities()
+    n_sites = orbitals.shape[0]
+    if n_sites < 2:
+        raise ValueError("density correlation needs at least two sites")
+    g = orbitals @ orbitals.conj().T
+    occ = 1.0 - g.diagonal().real
     volume = math.exp(hubble * t)
-    density = volume * (occ @ probs)
+    density = volume * occ
+    positions = np.arange(n_sites, dtype=np.float64)
     return ObservableRecord(
         t=t,
         density=tuple(float(v) for v in density),
         n_total=float(density.sum()),
-        correlation_C=float(probs @ corr),
-        polarization_over_e=volume * float(probs @ position_sum),
-        chiral_c=volume * float(probs @ staggered_sum),
+        correlation_C=float(occ[0] * occ[1] - abs(g[0, 1]) ** 2),
+        polarization_over_e=volume * float(positions @ occ),
+        chiral_c=volume * float((-1.0) ** positions @ occ),
         energy=energy,
-        total_sz=float(probs @ sz),
-        norm=state.norm(),
+        total_sz=float(n_sites - 2.0 * g.trace().real),
+        norm=slater_norm(orbitals),
         source="exact",
     )
 
@@ -97,17 +95,24 @@ def estimators_from_counts(counts: ShotCounts, t: float, hubble: float) -> Obser
     if not counts.counts:
         raise ValueError("empty shot counts")
     n = counts.n_qubits
+    if n < 2:
+        raise ValueError("density correlation needs at least two sites")
     outcomes = np.fromiter(counts.counts.keys(), dtype=np.int64, count=len(counts.counts))
     freqs = np.fromiter(counts.counts.values(), dtype=np.float64, count=len(counts.counts))
     shots = float(counts.shots)
     volume = math.exp(hubble * t)
 
     # Per-outcome values of each observable; shot statistics weight by counts.
-    occ, per_corr, position_sum, staggered_sum, per_sz = _z_basis_values(outcomes, n)
+    # Site x of an outcome is occupied when its bit x is clear.
+    bits = (outcomes[None, :] >> np.arange(n, dtype=np.int64)[:, None]) & 1
+    occ = 1.0 - bits.astype(np.float64)
+    positions = np.arange(n, dtype=np.float64)
     per_density = volume * occ
     per_n_total = per_density.sum(axis=0)
-    per_polar = volume * position_sum
-    per_chiral = volume * staggered_sum
+    per_corr = occ[0] * occ[1]
+    per_polar = volume * (positions @ occ)
+    per_chiral = volume * ((-1.0) ** positions @ occ)
+    per_sz = n - 2.0 * np.bitwise_count(outcomes).astype(np.float64)
 
     def mean_and_err(values: np.ndarray) -> tuple[float, float]:
         mean = float(values @ freqs / shots)

@@ -81,15 +81,7 @@ class PauliString:
 
     def to_dense(self) -> np.ndarray:
         """Explicit 2^N x 2^N matrix (qubit 0 = least significant index bit)."""
-        if self.n_qubits > DENSE_QUBIT_LIMIT:
-            raise ResourceLimitError(
-                f"dense realization limited to {DENSE_QUBIT_LIMIT} qubits, got {self.n_qubits}"
-            )
-        dim = 1 << self.n_qubits
-        cols = np.arange(dim, dtype=np.int64)
-        mat = np.zeros((dim, dim), dtype=np.complex128)
-        mat[cols ^ np.int64(self.x_mask), cols] = self.column_phases(cols)
-        return mat
+        return PauliSum(self.n_qubits, [(1.0, self)]).to_dense()
 
 
 def single_site(n_qubits: int, site: int, axis: str) -> PauliString:

@@ -2,9 +2,9 @@
 
 A state holds amplitudes over a strictly ascending array of basis indices
 and is zero elsewhere.  A run starts from one basis state and every Trotter
-factor conserves the charge, so its states hold the C(N, k) basis states of
-the start's charge sector, never all 2^N.  The states come from evolve's
-one-body propagator; this module has no time evolution.
+factor conserves the charge, so the states that evolve reads out of its
+hole orbitals hold the C(N, k) basis states of the start's charge sector,
+never all 2^N.  This module has no time evolution.
 
 Shot sampling uses the Philox-4x64 counter-based generator keyed as
 (seed, 0) with a zero counter, drawing uniform doubles scaled to the total
@@ -46,14 +46,8 @@ class StateVector:
         if self.indices.size and (self.indices[0] < 0 or self.indices[-1] >= 1 << self.n_qubits):
             raise ValueError(f"basis indices out of range for {self.n_qubits} qubits")
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.indices.copy(), self.amplitudes.copy())
 
 
 @dataclass

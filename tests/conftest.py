@@ -13,6 +13,9 @@ one Hamiltonian string at a time.  The Pauli-sum expectation is the dense
 reference for the one-body snapshot energy, ``exact_evolve`` is the
 midpoint-sampled oracle, and ``sample_z_basis_reference`` is the per-shot
 inversion that the package's sampler replaces by counting sorted draws.
+``amplitude_record`` weights per-basis-state values by |amplitude|^2: it is
+the slow reference for the Wick record that the package takes from the hole
+orbitals, and it reads any state, Slater determinant or not.
 """
 
 import functools
@@ -24,8 +27,9 @@ import pytest
 
 import dsfermion.state as state_module
 from dsfermion.errors import NORM_DRIFT_LIMIT, NormDriftError
-from dsfermion.evolve import TIME_NODES, _propagate
+from dsfermion.evolve import TIME_NODES, _propagate, read_out
 from dsfermion.model import build_charge_term, hamiltonian_at, hamiltonian_parts, scale_factor
+from dsfermion.observables import ObservableRecord
 from dsfermion.state import ShotCounts, StateVector
 
 I2 = np.eye(2, dtype=complex)
@@ -97,6 +101,62 @@ def to_dense(state):
     out = np.zeros(1 << state.n_qubits, dtype=np.complex128)
     out[state.indices] = state.amplitudes
     return out
+
+
+def basis_orbitals(n_sites, index):
+    """The hole orbitals of the basis state ``index``: the columns of the
+    identity at its hole sites (bits set), in ascending order."""
+    return np.eye(n_sites)[:, [x for x in range(n_sites) if index >> x & 1]]
+
+
+def random_orbitals(rng, n_sites, k):
+    """k orthonormal orbitals on n_sites, from the QR of a complex Gaussian."""
+    gauss = rng.standard_normal((n_sites, k)) + 1j * rng.standard_normal((n_sites, k))
+    return np.linalg.qr(gauss)[0]
+
+
+def snapshot_states(trajectory, hubble):
+    """The state at each snapshot of ``trajectory``, read out of its orbitals."""
+    return [
+        read_out(orbitals, hubble, t, trajectory.amplitude)
+        for orbitals, t in zip(trajectory.orbitals, trajectory.times)
+    ]
+
+
+def amplitude_record(state, t, hubble, energy=math.nan):
+    """The snapshot record of any state, each observable weighted by
+    |amplitude|^2 over its basis states: site x is occupied when bit x of
+    the basis index is clear, and sigma^z(x) is +1 there."""
+    n = state.n_qubits
+    bits = (state.indices[None, :] >> np.arange(n, dtype=np.int64)[:, None]) & 1
+    occ = 1.0 - bits.astype(np.float64)
+    positions = np.arange(n, dtype=np.float64)
+    sz = n - 2.0 * np.bitwise_count(state.indices).astype(np.float64)
+    probs = state.probabilities()
+    volume = math.exp(hubble * t)
+    density = volume * (occ @ probs)
+    return ObservableRecord(
+        t=t,
+        density=tuple(float(v) for v in density),
+        n_total=float(density.sum()),
+        correlation_C=float(probs @ (occ[0] * occ[1])),
+        polarization_over_e=volume * float(probs @ (positions @ occ)),
+        chiral_c=volume * float(probs @ ((-1.0) ** positions @ occ)),
+        energy=energy,
+        total_sz=float(probs @ sz),
+        norm=float(np.linalg.norm(state.amplitudes)),
+        source="exact",
+    )
+
+
+RECORD_FIELDS = ("n_total", "correlation_C", "polarization_over_e", "chiral_c", "total_sz", "norm")
+
+
+def record_deviation(a, b):
+    """The largest difference between two records' densities and
+    RECORD_FIELDS, each relative to the larger magnitude with a floor of 1."""
+    pairs = list(zip(a.density, b.density)) + [(getattr(a, f), getattr(b, f)) for f in RECORD_FIELDS]
+    return max(abs(x - y) / max(1.0, abs(x), abs(y)) for x, y in pairs)
 
 
 def sector_starts(n_sites):
@@ -276,7 +336,7 @@ def sector_taylor_evolve(params, t_total, substeps, vec):
 
 
 def _check_norm(state, p):
-    drift = abs(state.norm() - 1.0)
+    drift = abs(np.linalg.norm(state.amplitudes) - 1.0)
     if drift > NORM_DRIFT_LIMIT:
         raise NormDriftError(
             f"state norm drifted by {drift:.3e} (> {NORM_DRIFT_LIMIT:g}) "

@@ -15,6 +15,7 @@ from dsfermion import cli
 from dsfermion.evolve import (
     TrotterPlan,
     exact_evolve_converged,
+    read_out,
     state_distance,
     trotter_evolve,
 )
@@ -27,11 +28,12 @@ from dsfermion.model import (
     n8_fixture,
     verify_bilinears,
 )
-from dsfermion.observables import estimators_from_counts, exact_record
+from dsfermion.observables import estimators_from_counts
 from dsfermion.pauli import PauliString
 from dsfermion.state import basis_state, sample_z_basis
 
 from conftest import (
+    amplitude_record,
     apply_pauli_rotation,
     charge_commutator_entries,
     dense_from_label,
@@ -41,6 +43,7 @@ from conftest import (
     hole_circular_variance,
     random_label,
     random_state,
+    snapshot_states,
 )
 
 PRESET_SEED = 1
@@ -63,7 +66,7 @@ def preset(request):
     plan = TrotterPlan.for_total_time(1.0, 10)
     trajectory = trotter_evolve(basis_state(8, 1), paper_params(mass), plan)
     shot_records = []
-    for i, (t, st) in enumerate(zip(trajectory.times, trajectory.states)):
+    for i, (t, st) in enumerate(zip(trajectory.times, snapshot_states(trajectory, HUBBLE))):
         counts = sample_z_basis(st, 10_000, seed=PRESET_SEED + i)
         shot_records.append(estimators_from_counts(counts, t, HUBBLE))
     return mass, trajectory, shot_records
@@ -113,10 +116,10 @@ class TestA2EigenstateInvariance:
             ]
             worst = max(worst, max(deltas))
         assert worst < 1e-10
-        initial_probs = trajectory.states[0].probabilities()
+        states = snapshot_states(trajectory, HUBBLE)
+        initial_probs = states[0].probabilities()
         dist_dev = max(
-            float(np.max(np.abs(st.probabilities() - initial_probs)))
-            for st in trajectory.states
+            float(np.max(np.abs(st.probabilities() - initial_probs))) for st in states
         )
         assert dist_dev < 1e-12
         report(
@@ -181,7 +184,8 @@ class TestA6TrotterConvergence:
         for steps in (10, 20, 40, 80):
             plan = TrotterPlan.for_total_time(1.0, steps)
             trajectory = trotter_evolve(basis_state(8, 1), params, plan)
-            distances.append(state_distance(trajectory.states[-1], m1_oracle.state))
+            final = snapshot_states(trajectory, HUBBLE)[-1]
+            distances.append(state_distance(final, m1_oracle.state))
         ratios = [a / b for a, b in zip(distances, distances[1:])]
         assert all(1.5 <= r <= 2.5 for r in ratios)
         assert all(b < a for a, b in zip(distances, distances[1:]))
@@ -295,7 +299,7 @@ def preset_m0():
     plan = TrotterPlan.for_total_time(1.0, 10)
     trajectory = trotter_evolve(basis_state(8, 1), paper_params(0.0), plan)
     shot_records = []
-    for i, (t, st) in enumerate(zip(trajectory.times, trajectory.states)):
+    for i, (t, st) in enumerate(zip(trajectory.times, snapshot_states(trajectory, HUBBLE))):
         counts = sample_z_basis(st, 10_000, seed=PRESET_SEED + i)
         shot_records.append(estimators_from_counts(counts, t, HUBBLE))
     return trajectory, shot_records
@@ -320,7 +324,7 @@ def m0_oracle_ratios(preset_m0):
             state = basis_state(8, 1)
         else:
             state = exact_evolve(basis_state(8, 1), params, t, 16)
-        ratios.append(exact_record(state, t, HUBBLE).polarization_over_e / P0)
+        ratios.append(amplitude_record(state, t, HUBBLE).polarization_over_e / P0)
     return ratios
 
 
@@ -358,11 +362,13 @@ class TestA8EngineMicroOracles:
         report("A8 sampler", f"max frequency deviation {worst:.2e} < 5 sigma = {5 * sigma:.2e}")
 
     def test_norm_drift_budget(self):
-        # Half filling at N = 8, so the readout covers a 70-state sector.
+        # Half filling at N = 8: the det norm of the 8 x 4 orbitals, and the
+        # norm of their readout over the 70-state sector.
         params = ModelParams(8, HUBBLE, 1.0)
         plan = TrotterPlan.for_total_time(30.0, 1000, snapshot_every=1000)
         trajectory = trotter_evolve(basis_state(8, 0b01010101), params, plan)
-        drift = abs(trajectory.states[-1].norm() - 1.0)
+        final = read_out(trajectory.orbitals[-1], HUBBLE, 30.0)
+        drift = max(abs(trajectory.records[-1].norm - 1.0), abs(np.linalg.norm(final.amplitudes) - 1.0))
         assert drift < 1e-9
         report("A8 norm drift", f"{drift:.2e} after 1000 Trotter steps, tol 1e-9")
 

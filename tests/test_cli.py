@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from dsfermion import cli
+import dsfermion.state as state_module
+from dsfermion import cli, evolve
 from dsfermion.errors import NormDriftError
 from dsfermion.pauli import PauliString, PauliSum
 
@@ -208,7 +209,8 @@ class TestRun:
         # limit, and n_sites=64 beyond the int64 basis index; starts of 65536
         # and 131073 steps double past the 2^16 step budget.  The seed keys
         # a uint64 Philox stream, and with the default 10 steps the last
-        # snapshot samples with seed + 10.
+        # snapshot samples with seed + 10.  Sweep points are 2^32 seeds apart,
+        # so a run takes fewer than 2^32 steps.
         for flag, value, oracle in (
             ("--n_sites", "7", "off"),
             ("--n_sites", "14", "on"),
@@ -216,6 +218,7 @@ class TestRun:
             ("--seed", "-1", "off"),
             ("--seed", str(2**64), "off"),
             ("--seed", str(2**64 - 10), "off"),
+            ("--trotter_steps", str(2**32), "off"),
             ("--oracle_substeps_start", "65536", "on"),
             ("--oracle_substeps_start", "131073", "on"),
             ("--initial_state_index", "256", "off"),
@@ -261,6 +264,20 @@ class TestRun:
         assert "did not converge" in err and "--oracle off" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_exact_run_reads_nothing_out(self, tmp_path, monkeypatch):
+        # With shots = 0 and the oracle off, a half-filled N = 20 run never
+        # forms the C(20, 10) = 184756 amplitudes of its sector.
+        def no_readout(*args):
+            raise AssertionError("the run read out amplitudes")
+
+        monkeypatch.setattr(evolve, "_sector", no_readout)
+        monkeypatch.setattr(evolve, "read_out", no_readout)
+        half_filled = sum(1 << x for x in range(0, 20, 2))
+        config = fast_config(tmp_path, n_sites=20, mass=1.0, shots=0, initial_state_index=half_filled)
+        assert cli.run(config) == cli.EXIT_OK
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["invariants"]["norm_drift"] < 1e-12
 
     def test_unwritable_output_is_io_error(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -322,7 +339,7 @@ class TestSweep:
         manifest = json.loads((tmp_path / "sweep" / "sweep_index.json").read_text())
         assert manifest["parameter"] == "mass"
         assert [p["value"] for p in manifest["points"]] == [0.0, 1.0]
-        assert [p["seed"] for p in manifest["points"]] == [base.seed, base.seed + 1]
+        assert [p["seed"] for p in manifest["points"]] == [base.seed, base.seed + 2**32]
         for point in manifest["points"]:
             assert point["status"] == "ok"
             assert os.path.exists(os.path.join(point["output_dir"], "observables.csv"))
@@ -336,6 +353,37 @@ class TestSweep:
         assert code == 0
         manifest = json.loads((out / "sweep_index.json").read_text())
         assert [p["value"] for p in manifest["points"]] == [5, 10]
+
+    def test_points_sample_with_distinct_keys(self, tmp_path, monkeypatch):
+        # Point j samples snapshot i with the Philox key seed + j * 2^32 + i,
+        # so no two (point, snapshot) pairs share a key.
+        keys = []
+        uniform_draws = state_module._uniform_draws
+
+        def recorded(shots, seed):
+            keys.append(seed)
+            return uniform_draws(shots, seed)
+
+        monkeypatch.setattr(state_module, "_uniform_draws", recorded)
+        base = fast_config(tmp_path, n_sites=4, shots=50, seed=7, output_dir=str(tmp_path / "keys"))
+        assert cli.sweep(base, "trotter_steps", [10, 20, 40, 80]) == cli.EXIT_OK
+        assert len(keys) == 11 + 21 + 41 + 81
+        assert len(set(keys)) == len(keys)
+        assert {k >> 32 for k in keys} == {0, 1, 2, 3}
+
+    def test_seed_past_last_point_rejected_before_work(self, tmp_path, monkeypatch, capsys):
+        # With the base seed 2^64 - 2^32, the second point's seed would be
+        # 2^64, past the uint64 keys.
+        def no_evolution(*args, **kwargs):
+            raise AssertionError("the evolution started")
+
+        monkeypatch.setattr(cli, "trotter_evolve", no_evolution)
+        out = tmp_path / "late"
+        argv = ["sweep", "--parameter", "trotter_steps", "--values", "10,20",
+                "--seed", str(2**64 - 2**32), "--oracle", "off", "--output_dir", str(out)]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert "2 sweep points need a seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_repeated_values_rejected(self, tmp_path):
         # 0.1 and 0.10 are one value, whose point directory the second run

@@ -17,19 +17,21 @@ from dsfermion.evolve import (
     state_distance,
     trotter_evolve,
 )
-from dsfermion.observables import exact_record
 from dsfermion.pauli import PauliString, PauliSum
 from dsfermion.state import StateVector, basis_state
 
 from conftest import (
+    amplitude_record,
     dense_from_label,
     dense_state,
     exact_evolve,
     expectation_pauli_sum,
     random_state,
+    record_deviation,
     rotation_trotter_step,
     sector_starts,
     sector_taylor_evolve,
+    snapshot_states,
     to_dense,
 )
 
@@ -56,7 +58,7 @@ def dense_trotter_step(n, params, t_sample, dt, vec):
 def one_step(state, params, time_sampling="midpoint"):
     """The state after one Trotter step of width 0.1."""
     plan = TrotterPlan(steps=1, dt=0.1, time_sampling=time_sampling)
-    return trotter_evolve(state, params, plan).states[-1]
+    return snapshot_states(trotter_evolve(state, params, plan), params.hubble)[-1]
 
 
 def dense_midpoint_product(params, t_total, substeps, vec):
@@ -161,17 +163,21 @@ class TestTrotterEvolve:
         denormalized.amplitudes *= 1.5
         with pytest.raises(NormDriftError, match=r"^step 1 of 10: state norm drifted by 5\.000e-01"):
             trotter_evolve(denormalized, params, plan)
+        # Without a step, the start's record carries its norm.
+        assert trotter_evolve(denormalized, params, TrotterPlan(0, 0.0)).records[0].norm == 1.5
 
     def test_nan_norm_is_drift(self, monkeypatch):
-        # NaN compares false with any limit; the check must still fail.
-        read_out = evolve._read_out
+        # NaN compares false with any limit; the check must still fail.  The
+        # start's hole is at site 0, so u[0, 0] is one of its orbitals' entries.
+        one_body_steps = evolve._one_body_steps
 
-        def nan_read_out(*args):
-            state = read_out(*args)
-            state.amplitudes[0] = np.nan
-            return state
+        def nan_steps(*args):
+            for u in one_body_steps(*args):
+                u = u.copy()
+                u[0, 0] = np.nan
+                yield u
 
-        monkeypatch.setattr(evolve, "_read_out", nan_read_out)
+        monkeypatch.setattr(evolve, "_one_body_steps", nan_steps)
         plan = TrotterPlan.for_total_time(1.0, 10)
         with pytest.raises(NormDriftError, match=r"^step 1 of 10: state norm drifted by nan"):
             trotter_evolve(basis_state(8, 1), ModelParams(8, 0.1, 1.0), plan)
@@ -179,9 +185,9 @@ class TestTrotterEvolve:
     def test_eigenstate_distribution_frozen(self):
         params = ModelParams(8, 0.1, 1.0)
         plan = TrotterPlan.for_total_time(1.0, 10)
-        trajectory = trotter_evolve(basis_state(8, 0), params, plan)
-        initial = trajectory.states[0].probabilities()
-        for st in trajectory.states[1:]:
+        states = snapshot_states(trotter_evolve(basis_state(8, 0), params, plan), params.hubble)
+        initial = states[0].probabilities()
+        for st in states[1:]:
             assert np.max(np.abs(st.probabilities() - initial)) < 1e-12
 
     def test_size_mismatch(self):
@@ -189,20 +195,27 @@ class TestTrotterEvolve:
             trotter_evolve(basis_state(6, 0), ModelParams(8, 0.1, 0.0), TrotterPlan(1, 0.1))
 
     def test_matches_rotation_reference(self):
-        # Every step of 10 against the 2^N rotation kernel in its term order,
-        # from a start at every popcount, one hole and half filling.
+        # Every step of 20 against the 2^N rotation kernel in its term order,
+        # from a start at every popcount, one hole and half filling: the
+        # read-out amplitudes, and the Wick record with its det norm against
+        # the amplitude-weighted record of the read-out and reference states.
         for n in (4, 6, 8, 10):
             for mass, sampling, start in itertools.product(
                 (0.0, 1.0), TIME_SAMPLINGS, sector_starts(n)
             ):
                 params = ModelParams(n, 0.3, mass)
-                plan = TrotterPlan.for_total_time(1.0, 10, time_sampling=sampling)
+                plan = TrotterPlan.for_total_time(1.0, 20, time_sampling=sampling)
                 trajectory = trotter_evolve(basis_state(n, start), params, plan)
+                states = snapshot_states(trajectory, params.hubble)
                 reference = dense_state(n, to_dense(basis_state(n, start)))
-                for k, st in enumerate(trajectory.states[1:]):
-                    rotation_trotter_step(reference, params, plan, k)
+                for k, (t, record, st) in enumerate(zip(trajectory.times, trajectory.records, states)):
+                    if k > 0:
+                        rotation_trotter_step(reference, params, plan, k - 1)
                     dev = np.max(np.abs(to_dense(st) - reference.amplitudes))
                     assert dev < 1e-12, (n, mass, sampling, start, k)
+                    for ref in (st, reference):
+                        dev = record_deviation(record, amplitude_record(ref, t, params.hubble))
+                        assert dev < 1e-12, (n, mass, sampling, start, k)
 
 
     def test_snapshot_energy_matches_dense_expectation(self):
@@ -213,7 +226,8 @@ class TestTrotterEvolve:
             plan = TrotterPlan.for_total_time(2.0, 20)
             for start in sector_starts(n):
                 trajectory = trotter_evolve(basis_state(n, start), params, plan)
-                for t, record, st in zip(trajectory.times, trajectory.records, trajectory.states):
+                states = snapshot_states(trajectory, params.hubble)
+                for t, record, st in zip(trajectory.times, trajectory.records, states):
                     dense = expectation_pauli_sum(st, hamiltonian_at(params, t))
                     assert abs(record.energy - dense) < 1e-12, (n, start, t)
 
@@ -230,14 +244,41 @@ class TestTrotterEvolve:
                 exact_evolve_converged(start, params, 1.0)
 
     def test_one_hole_state_keeps_n_amplitudes(self):
-        # N = 20: the states hold the 20 one-hole basis states, not 2^20.
+        # N = 20: the trajectory holds one 20 x 1 orbital per snapshot, and
+        # its read-out states the 20 one-hole basis states, not 2^20.
         plan = TrotterPlan.for_total_time(1.0, 10)
         trajectory = trotter_evolve(basis_state(20, 1), ModelParams(20, 0.1, 1.0), plan)
-        assert len(trajectory.states) == 11
-        for st in trajectory.states[1:]:
+        assert [phi.shape for phi in trajectory.orbitals] == [(20, 1)] * 11
+        for st in snapshot_states(trajectory, 0.1)[1:]:
             assert st.indices.tolist() == [1 << x for x in range(20)]
             assert st.amplitudes.shape == (20,)
-            assert abs(st.norm() - 1.0) < 1e-12
+            assert abs(np.linalg.norm(st.amplitudes) - 1.0) < 1e-12
+
+    def test_trotter_path_reads_nothing_out(self, monkeypatch):
+        # Half filling at N = 20 has C(20, 10) = 184756 basis states; the
+        # evolution, its norm checks and its records never form them.
+        def no_readout(*args):
+            raise AssertionError("the Trotter path read out amplitudes")
+
+        monkeypatch.setattr(evolve, "_sector", no_readout)
+        monkeypatch.setattr(evolve, "read_out", no_readout)
+        half_filled = sum(1 << x for x in range(0, 20, 2))
+        params = ModelParams(20, 0.1, 1.0)
+        trajectory = trotter_evolve(basis_state(20, half_filled), params, TrotterPlan(10, 0.1))
+        assert [phi.shape for phi in trajectory.orbitals] == [(20, 10)] * 11
+        assert all(abs(r.norm - 1.0) < 1e-12 for r in trajectory.records)
+
+    def test_readouts_share_one_read_only_sector(self):
+        # A snapshot's and the oracle's readouts of one sector share its
+        # arrays, which no caller can change.
+        params = ModelParams(8, 0.1, 1.0)
+        trajectory = trotter_evolve(basis_state(8, 0b0101), params, TrotterPlan(2, 0.1))
+        a, b = snapshot_states(trajectory, 0.1)[1:]
+        oracle = exact_evolve(basis_state(8, 0b0101), params, 0.2, 4)
+        assert a.indices is b.indices is oracle.indices
+        assert not a.indices.flags.writeable
+        with pytest.raises(ValueError):
+            a.indices[0] = 0
 
 
 class TestExactEvolve:
@@ -387,7 +428,7 @@ def final_distances(params, initial, step_counts, oracle):
     for steps in step_counts:
         plan = TrotterPlan.for_total_time(1.0, steps, snapshot_every=steps)
         trajectory = trotter_evolve(initial, params, plan)
-        distances.append(state_distance(trajectory.states[-1], oracle.state))
+        distances.append(state_distance(snapshot_states(trajectory, params.hubble)[-1], oracle.state))
     return distances
 
 
@@ -414,7 +455,7 @@ class TestErrorScan:
         initial = basis_state(8, 0)
         oracle = exact_evolve_converged(initial, params, 1.0, substeps_start=64, tol=1e-8)
         energy = expectation_pauli_sum(oracle.state, hamiltonian_at(params, 1.0))
-        reference = exact_record(oracle.state, 1.0, params.hubble, energy=energy)
+        reference = amplitude_record(oracle.state, 1.0, params.hubble, energy=energy)
         names = ("n_total", "correlation_C", "polarization_over_e", "chiral_c", "energy", "total_sz")
         for steps in (5, 20):
             plan = TrotterPlan.for_total_time(1.0, steps, snapshot_every=steps)

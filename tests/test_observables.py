@@ -1,16 +1,23 @@
-"""Observables from exact amplitudes and from shot counts."""
+"""Observables from hole orbitals and from shot counts."""
 
 import math
 
 import numpy as np
 import pytest
 
-from dsfermion.evolve import TrotterPlan, trotter_evolve
+from dsfermion.evolve import TrotterPlan, read_out, trotter_evolve
 from dsfermion.model import ModelParams
-from dsfermion.observables import estimators_from_counts, exact_record
+from dsfermion.observables import estimators_from_counts, exact_record, slater_norm
 from dsfermion.state import basis_state, sample_z_basis
 
-from conftest import dense_state, hole_circular_variance, random_state
+from conftest import (
+    amplitude_record,
+    basis_orbitals,
+    hole_circular_variance,
+    random_orbitals,
+    record_deviation,
+    snapshot_states,
+)
 
 
 def paper_trajectory(mass):
@@ -21,11 +28,11 @@ def paper_trajectory(mass):
 
 class TestDensity:
     def test_hole_state_at_t0(self):
-        density = exact_record(basis_state(8, 1), 0.0, 0.1).density
+        density = exact_record(basis_orbitals(8, 1), 0.0, 0.1).density
         assert np.allclose(density, [0, 1, 1, 1, 1, 1, 1, 1])
 
     def test_filled_state_scales_with_volume(self):
-        density = exact_record(basis_state(8, 0), 0.7, 0.1).density
+        density = exact_record(basis_orbitals(8, 0), 0.7, 0.1).density
         assert np.allclose(density, math.exp(0.07))
 
     def test_total_scales_as_e_ht(self):
@@ -43,13 +50,13 @@ class TestDensity:
 
 class TestCorrelation:
     def test_hole_state_zero(self):
-        assert exact_record(basis_state(8, 1), 0.0, 0.1).correlation_C == 0.0
+        assert exact_record(basis_orbitals(8, 1), 0.0, 0.1).correlation_C == 0.0
 
     def test_filled_state_one(self):
-        assert exact_record(basis_state(8, 0), 0.0, 0.1).correlation_C == 1.0
+        assert exact_record(basis_orbitals(8, 0), 0.0, 0.1).correlation_C == 1.0
 
     def test_no_volume_factor(self, rng):
-        st = dense_state(4, random_state(rng, 4))
+        st = random_orbitals(rng, 4, 2)
         assert (
             exact_record(st, 0.0, 0.1).correlation_C == exact_record(st, 5.0, 0.1).correlation_C
         )
@@ -61,27 +68,27 @@ class TestCorrelation:
 
     def test_needs_two_sites(self):
         with pytest.raises(ValueError):
-            exact_record(basis_state(1, 0), 0.0, 0.1)
+            exact_record(basis_orbitals(1, 0), 0.0, 0.1)
 
 
 class TestPolarization:
     def test_hole_state(self):
-        assert exact_record(basis_state(8, 1), 0.0, 0.1).polarization_over_e == pytest.approx(28.0)
+        assert exact_record(basis_orbitals(8, 1), 0.0, 0.1).polarization_over_e == pytest.approx(28.0)
 
     def test_filled_state(self):
-        assert exact_record(basis_state(8, 0), 0.0, 0.1).polarization_over_e == pytest.approx(28.0)
+        assert exact_record(basis_orbitals(8, 0), 0.0, 0.1).polarization_over_e == pytest.approx(28.0)
 
     def test_volume_factor(self):
-        record = exact_record(basis_state(8, 0), 1.0, 0.1)
+        record = exact_record(basis_orbitals(8, 0), 1.0, 0.1)
         assert record.polarization_over_e == pytest.approx(28.0 * math.exp(0.1))
 
 
 class TestChiralCondensate:
     def test_hole_state(self):
-        assert exact_record(basis_state(8, 1), 0.0, 0.1).chiral_c == pytest.approx(-1.0)
+        assert exact_record(basis_orbitals(8, 1), 0.0, 0.1).chiral_c == pytest.approx(-1.0)
 
     def test_filled_state_cancels(self):
-        assert exact_record(basis_state(8, 0), 0.0, 0.1).chiral_c == pytest.approx(0.0)
+        assert exact_record(basis_orbitals(8, 0), 0.0, 0.1).chiral_c == pytest.approx(0.0)
 
     def test_magnitude_decreases_initially(self):
         values = [abs(r.chiral_c) for r in paper_trajectory(mass=0.0).records]
@@ -91,10 +98,10 @@ class TestChiralCondensate:
 
 class TestTotalCharge:
     def test_hole_state(self):
-        assert exact_record(basis_state(8, 1), 0.0, 0.1).total_sz == pytest.approx(6.0)
+        assert exact_record(basis_orbitals(8, 1), 0.0, 0.1).total_sz == pytest.approx(6.0)
 
     def test_filled_state(self):
-        assert exact_record(basis_state(8, 0), 0.0, 0.1).total_sz == pytest.approx(8.0)
+        assert exact_record(basis_orbitals(8, 0), 0.0, 0.1).total_sz == pytest.approx(8.0)
 
     def test_constant_along_trajectory(self):
         values = [r.total_sz for r in paper_trajectory(mass=1.0).records]
@@ -103,20 +110,32 @@ class TestTotalCharge:
 
 class TestExactRecord:
     def test_consistency(self, rng):
-        st = dense_state(8, random_state(rng, 8))
+        st = random_orbitals(rng, 8, 3)
         record = exact_record(st, 0.5, 0.1, energy=1.25)
         assert record.source == "exact"
         assert record.n_total == pytest.approx(sum(record.density))
         assert record.energy == 1.25
         assert record.shot_errors is None
 
+    def test_matches_amplitude_record_on_random_slater_states(self, rng):
+        # Slater determinants that no Trotter step made: the Wick record and
+        # det(Phi^dag Phi)^(1/2) against the amplitude-weighted record of
+        # the read-out state, at every hole count.
+        for n in range(4, 11):
+            for k in range(n + 1):
+                orbitals = random_orbitals(rng, n, k)
+                t = float(rng.uniform(0, 3))
+                state = read_out(orbitals, 0.2, t)
+                reference = amplitude_record(state, t, 0.2)
+                assert record_deviation(exact_record(orbitals, t, 0.2), reference) < 1e-12, (n, k)
+                assert abs(slater_norm(orbitals) - reference.norm) < 1e-12, (n, k)
+
 
 class TestShotEstimators:
     def test_delta_counts_match_exact(self):
-        st = basis_state(8, 1)
-        counts = sample_z_basis(st, 5000, seed=9)
+        counts = sample_z_basis(basis_state(8, 1), 5000, seed=9)
         record = estimators_from_counts(counts, 0.3, 0.1)
-        exact = exact_record(st, 0.3, 0.1)
+        exact = exact_record(basis_orbitals(8, 1), 0.3, 0.1)
         assert record.source == "shots"
         assert np.allclose(record.density, exact.density, atol=1e-12)
         assert record.correlation_C == pytest.approx(exact.correlation_C, abs=1e-12)
@@ -128,7 +147,7 @@ class TestShotEstimators:
 
     def test_within_five_stderr_of_exact(self):
         trajectory = paper_trajectory(mass=0.0)
-        for i, st in enumerate(trajectory.states):
+        for i, st in enumerate(snapshot_states(trajectory, 0.1)):
             t = trajectory.times[i]
             counts = sample_z_basis(st, 10_000, seed=100 + i)
             shot = estimators_from_counts(counts, t, 0.1)
@@ -146,7 +165,7 @@ class TestShotEstimators:
 
     def test_errors_halve_when_shots_quadruple(self):
         trajectory = paper_trajectory(mass=0.0)
-        st = trajectory.states[-1]
+        st = snapshot_states(trajectory, 0.1)[-1]
         t = trajectory.times[-1]
 
         def mean_errors(shots, seed):
@@ -163,7 +182,7 @@ class TestShotEstimators:
     def test_convergence_rate_over_seeds(self):
         # Mean |error| should fall like 1/sqrt(shots): quadrupling halves it.
         trajectory = paper_trajectory(mass=0.0)
-        st = trajectory.states[5]
+        st = snapshot_states(trajectory, 0.1)[5]
         t = trajectory.times[5]
         exact = trajectory.records[5]
 
@@ -187,11 +206,11 @@ class TestShotEstimators:
 
 class TestHoleSpread:
     def test_no_hole_returns_zero(self):
-        density = np.array(exact_record(basis_state(8, 0), 0.0, 0.1).density)
+        density = np.array(exact_record(basis_orbitals(8, 0), 0.0, 0.1).density)
         assert hole_circular_variance(density, 0.0, 0.1) == 0.0
 
     def test_point_hole_has_zero_variance(self):
-        density = np.array(exact_record(basis_state(8, 1), 0.0, 0.1).density)
+        density = np.array(exact_record(basis_orbitals(8, 1), 0.0, 0.1).density)
         assert hole_circular_variance(density, 0.0, 0.1) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("mass", [0.0, 1.0])

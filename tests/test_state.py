@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from dsfermion.errors import NormDriftError
-from dsfermion.evolve import TrotterPlan, trotter_evolve
+from dsfermion.evolve import TrotterPlan, read_out, trotter_evolve
 from dsfermion.model import ModelParams, build_charge_term, hamiltonian_at
 from dsfermion.observables import exact_record
 from dsfermion.pauli import PauliString, PauliSum, single_site
@@ -22,9 +22,11 @@ from conftest import (
     dense_state,
     expectation_pauli_sum,
     random_label,
+    random_orbitals,
     random_state,
     sample_z_basis_reference,
     sector_starts,
+    snapshot_states,
     to_dense,
 )
 
@@ -58,14 +60,14 @@ class TestStateVector:
         st = StateVector(3, [0, 7], [0.6, 0.8])
         assert st.indices.dtype == np.int64
         assert np.array_equal(to_dense(st), [0.6, 0, 0, 0, 0, 0, 0, 0.8])
-        assert st.norm() == pytest.approx(1.0)
+        assert np.linalg.norm(st.amplitudes) == pytest.approx(1.0)
 
 
 class TestBasisState:
     def test_filled_state(self):
         st = basis_state(8, 0)
         assert st.amplitudes[0] == 1.0
-        assert st.norm() == 1.0
+        assert np.linalg.norm(st.amplitudes) == 1.0
 
     def test_hole_at_site_zero(self):
         st = basis_state(8, 1)
@@ -128,7 +130,7 @@ class TestPauliRotation:
         for _ in range(10_000):
             label = random_label(rng, 8)
             apply_pauli_rotation(st, PauliString.from_label(label), float(rng.uniform(-3, 3)))
-        assert abs(st.norm() - 1.0) < 1e-9
+        assert abs(np.linalg.norm(st.amplitudes) - 1.0) < 1e-9
 
     def test_rejects_denormalized_state(self):
         st = dense_state(2, [1.5, 0, 0, 0])
@@ -142,12 +144,13 @@ class TestPauliRotation:
 
 class TestExpectations:
     def test_zdiag_matches_pauli_sum(self, rng):
-        # The observables' Z-basis table and the Pauli-string action agree on
-        # the sign convention of sigma^z.
-        st = dense_state(4, random_state(rng, 4))
-        total_sz = expectation_pauli_sum(st, 4.0 * build_charge_term(4))
-        dev = abs(exact_record(st, 0.0, 0.1).total_sz - total_sz)
-        assert dev < 1e-12
+        # The Wick record's charge N - 2 tr G and the Pauli-string action on
+        # the read-out state agree on the sign convention of sigma^z.
+        for k in range(5):
+            orbitals = random_orbitals(rng, 4, k)
+            total_sz = expectation_pauli_sum(read_out(orbitals, 0.1, 0.0), 4.0 * build_charge_term(4))
+            dev = abs(exact_record(orbitals, 0.0, 0.1).total_sz - total_sz)
+            assert dev < 1e-12, k
 
     def test_filled_state_energy(self):
         params = ModelParams(8, 0.1, 1.0)
@@ -236,7 +239,8 @@ class TestSampling:
             params = ModelParams(n, 0.1, 1.0)
             half_filled = sum(1 << x for x in range(0, n, 2))
             plan = TrotterPlan.for_total_time(1.0, 10, snapshot_every=5)
-            for st in trotter_evolve(basis_state(n, half_filled), params, plan).states[1:]:
+            trajectory = trotter_evolve(basis_state(n, half_filled), params, plan)
+            for st in snapshot_states(trajectory, params.hubble)[1:]:
                 assert st.indices.size < 1 << n
                 dense = dense_state(n, to_dense(st))
                 for seed in (1, 7, 123):
@@ -276,7 +280,8 @@ class TestSamplingReference:
             params = ModelParams(n, 0.1, 1.0)
             plan = TrotterPlan.for_total_time(1.0, 10, snapshot_every=5)
             for start in sector_starts(n):
-                for st in trotter_evolve(basis_state(n, start), params, plan).states:
+                trajectory = trotter_evolve(basis_state(n, start), params, plan)
+                for st in snapshot_states(trajectory, params.hubble):
                     for seed in (1, 7):
                         self.assert_same_counts(st, 20_000, seed)
 
