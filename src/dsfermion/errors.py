@@ -10,8 +10,8 @@ NORM_DRIFT_LIMIT = 1e-8
 NORM_DRIFT_TOL = 1e-10
 CHARGE_DRIFT_TOL = 1e-10
 
-# The oracle stops doubling once two successive results differ by less than
-# this in norm.
+# The oracle stops doubling once its bound on the norm difference of two
+# successive results is below this.
 ORACLE_TOL = 1e-10
 
 # `run` rejects a config with h * t_total above this before any work.  The
@@ -48,10 +48,10 @@ DENSE_QUBIT_LIMIT = 14
 JW_QUBIT_LIMIT = 12
 # The bilinear check holds 2N dense operators at once: 320 MiB at N = 10.
 BILINEAR_QUBIT_LIMIT = 10
-# The oracle evaluates the C(N, k) determinants of a start with k holes
-# (924 at N = 12, k = 6); `run` rejects an oracle beyond this size before
-# any work.
-EXACT_QUBIT_LIMIT = 12
+# Not in qubits: a readout gathers the k x k minors of C(N, k) amplitudes, C(N, k) k^2
+# complex entries; `run` rejects shots or the oracle past this many (2 GiB) before any
+# work: C(22, 11) 11^2 = 85M entries pass, C(24, 12) 12^2 = 389M do not.
+READOUT_LIMIT = 1 << 27
 # Not in qubits: the oracle doubles its step count up to this many steps,
 # and `run` rejects an oracle_substeps_start whose first doubling would pass
 # it.  The step product gathers rounding with every step: at N = 8 and

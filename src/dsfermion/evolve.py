@@ -7,9 +7,9 @@ and the oracle are schemes of one product loop on the one-body matrix.  A
 Trotter step takes one exponential per bulk bond (XX+YY) in ascending
 order, then the boundary pair, then the mass layer.  The charge term is one
 phase per charge sector, so the charge is conserved along the Trotter
-trajectory at any step size.  Both start from one basis state with k holes
-and hold its N x k hole orbitals u[:, holes], whose Slater determinant is
-the state; ``read_out`` gives its C(N, k) amplitudes.
+trajectory at any step size.  Both start from a basis index with k holes
+(bits set) and hold only its N x k hole orbitals u[:, holes], whose Slater
+determinant is the state; ``read_out`` gives its C(N, k) amplitudes.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EXACT_QUBIT_LIMIT, NORM_DRIFT_LIMIT, ORACLE_SUBSTEP_BUDGET, ORACLE_TOL
+from .errors import NORM_DRIFT_LIMIT, ORACLE_SUBSTEP_BUDGET, ORACLE_TOL
 from .errors import NormDriftError, ResourceLimitError
 from .model import ModelParams, hamiltonian_parts, one_body_parts, scale_factor
 from .observables import ObservableRecord, exact_record, slater_norm
@@ -65,34 +65,31 @@ class TrotterPlan:
 
 @dataclass
 class Trajectory:
-    """Snapshot times, records and N x k hole orbitals.  A snapshot's state is
-    ``amplitude`` (the start's) times the Slater determinant of its orbitals;
-    a record's norm is that state's, its observables the normalized state's."""
+    """Snapshot times, records and N x k hole orbitals; a snapshot's state is
+    the Slater determinant of its orbitals."""
 
     times: list[float]
     records: list[ObservableRecord]
     orbitals: list[np.ndarray]
-    amplitude: complex
 
 
-def trotter_evolve(initial: StateVector, params: ModelParams, plan: TrotterPlan) -> Trajectory:
-    """Evolve the hole orbitals of ``initial``, one basis state, checking
-    the norm after every Trotter step and recording the orbitals and their
+def trotter_evolve(start: int, params: ModelParams, plan: TrotterPlan) -> Trajectory:
+    """Evolve the hole orbitals of the basis state ``start``, checking the
+    norm after every Trotter step and recording the orbitals and their
     observables every ``snapshot_every`` steps (the t = 0 snapshot and the
     final step are always recorded).  No C(N, k) amplitude is formed."""
-    holes = _start_holes(initial, params)
     n = params.n_sites
+    holes = _start_holes(start, n)
     hopping, mass = one_body_parts(n)
     # A Slater determinant's energy is tr(Phi^dag h1(t) Phi) + h (N - 2k)/4.
     charge = params.hubble * (n - 2 * len(holes)) / 4
-    trajectory = Trajectory(times=[], records=[], orbitals=[], amplitude=initial.amplitudes[0])
+    trajectory = Trajectory(times=[], records=[], orbitals=[])
 
     def snapshot(orbitals: np.ndarray, t_now: float) -> None:
         h1 = hopping + params.mass * scale_factor(params, t_now) * mass
         energy = np.vdot(orbitals, h1 @ orbitals).real + charge
         trajectory.times.append(t_now)
-        record = exact_record(orbitals, t_now, params.hubble, energy=energy)
-        trajectory.records.append(replace(record, norm=abs(trajectory.amplitude) * record.norm))
+        trajectory.records.append(exact_record(orbitals, t_now, params.hubble, energy=energy))
         trajectory.orbitals.append(orbitals)
 
     snapshot(np.eye(n)[:, holes], 0.0)
@@ -100,7 +97,7 @@ def trotter_evolve(initial: StateVector, params: ModelParams, plan: TrotterPlan)
     for k, u in enumerate(_one_body_steps(params, plan.dt, plan.steps, scheme)):
         t_now = (k + 1) * plan.dt
         orbitals = u[:, holes]
-        drift = abs(abs(trajectory.amplitude) * slater_norm(orbitals) - 1.0)
+        drift = abs(slater_norm(orbitals) - 1.0)
         if not drift <= NORM_DRIFT_LIMIT:  # a NaN norm fails too
             message = f"state norm drifted by {drift:.3e} (> {NORM_DRIFT_LIMIT:g})"
             raise NormDriftError(f"step {k + 1} of {plan.steps}: {message}")
@@ -109,17 +106,11 @@ def trotter_evolve(initial: StateVector, params: ModelParams, plan: TrotterPlan)
     return trajectory
 
 
-def _start_holes(initial: StateVector, params: ModelParams) -> list[int]:
-    """The hole sites (bits set) of ``initial``, which must be one basis
-    state of the model's lattice."""
-    if initial.n_qubits != params.n_sites:
-        raise ValueError(
-            f"state has {initial.n_qubits} qubits but the model has {params.n_sites} sites"
-        )
-    if initial.indices.size != 1:
-        raise ValueError(f"the start must be one basis state, got {initial.indices.size} of them")
-    start = int(initial.indices[0])
-    return [x for x in range(params.n_sites) if start >> x & 1]
+def _start_holes(start: int, n_sites: int) -> list[int]:
+    """The hole sites (bits set) of the basis index ``start`` on n_sites."""
+    if not 0 <= start < 1 << n_sites:
+        raise ValueError(f"basis index {start} out of range for {n_sites} sites")
+    return [x for x in range(n_sites) if start >> x & 1]
 
 
 # A scheme lists the exponentials of one step of width dt, in the order they
@@ -190,9 +181,9 @@ def _sector(n_sites: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return sets, indices
 
 
-def read_out(orbitals: np.ndarray, hubble: float, t: float, amplitude: complex = 1.0) -> StateVector:
-    """The C(N, k) amplitudes of ``amplitude`` times the Slater determinant
-    of the N x k hole orbitals at time t.
+def read_out(orbitals: np.ndarray, hubble: float, t: float) -> StateVector:
+    """The C(N, k) amplitudes of the Slater determinant of the N x k hole
+    orbitals at time t.
 
     A basis state is the ascending set S of its holes (bits set), and its
     amplitude is det(orbitals[S]) times the charge term's phase
@@ -203,41 +194,37 @@ def read_out(orbitals: np.ndarray, hubble: float, t: float, amplitude: complex =
     sets, indices = _sector(n, k)
     dets = np.linalg.det(orbitals[sets])  # det(orbitals[S]) for every S
     phase = np.exp(-1j * hubble * (n - 2 * k) / 4 * t)
-    return StateVector(n, indices, phase * (amplitude * dets))
+    return StateVector(n, indices, phase * dets)
 
 
 # ---------------------------------------------------------------------------
 # Exact time-ordered propagator oracle
 # ---------------------------------------------------------------------------
 
-def _propagate(
-    initial: StateVector, params: ModelParams, t_total: float, steps: int, scheme
-) -> StateVector:
-    """Apply ``steps`` equal steps of ``scheme`` to ``initial``, one basis state."""
-    n = initial.n_qubits
-    if n > EXACT_QUBIT_LIMIT:
-        raise ResourceLimitError(f"exact propagator limited to {EXACT_QUBIT_LIMIT} qubits, got {n}")
-    holes = _start_holes(initial, params)
+def _propagate(start: int, params: ModelParams, t_total: float, steps: int, scheme) -> np.ndarray:
+    """Hole orbitals of the basis state ``start`` after ``steps`` equal steps of ``scheme``."""
+    n = params.n_sites
+    holes = _start_holes(start, n)
     if steps < 1:
         raise ValueError(f"substeps must be >= 1, got {steps}")
     if t_total < 0 or not math.isfinite(t_total):
         raise ValueError(f"t_total must be finite and >= 0, got {t_total}")
     if t_total == 0:
-        return read_out(np.eye(n)[:, holes], params.hubble, 0.0, initial.amplitudes[0])
+        return np.eye(n)[:, holes]
     for u in _one_body_steps(params, t_total / steps, steps, scheme):
         pass
-    return read_out(u[:, holes], params.hubble, t_total, initial.amplitudes[0])
+    return u[:, holes]
 
 
 @dataclass(frozen=True)
 class ExactOracleResult:
-    state: StateVector
+    orbitals: np.ndarray  # N x k hole orbitals at t_total
     substeps: int
-    delta: float  # norm difference between the last two doublings
+    delta: float  # bound on the norm difference of the last two doublings' states
 
 
 def exact_evolve_converged(
-    initial: StateVector,
+    start: int,
     params: ModelParams,
     t_total: float,
     substeps_start: int = 256,
@@ -245,20 +232,30 @@ def exact_evolve_converged(
     max_substeps: int = ORACLE_SUBSTEP_BUDGET,
 ) -> ExactOracleResult:
     """Double the step count of the fourth-order commutator-free Magnus
-    scheme until successive results differ by < tol in norm.
+    scheme from the basis state ``start`` until successive results differ by
+    < tol in norm, as bounded from their hole orbitals.
 
     Raise ResourceLimitError once the budget cannot reach ``tol``: when the
     last delta, shrunk 2^4 times for each doubling left within
     ``max_substeps`` (a size guard), is still >= tol.
     """
     substeps = max(1, substeps_start)
-    prev = _propagate(initial, params, t_total, substeps, CF4)
+    prev = _propagate(start, params, t_total, substeps, CF4)
     while True:
         substeps *= 2
-        cur = _propagate(initial, params, t_total, substeps, CF4)
-        delta = float(np.linalg.norm(cur.amplitudes - prev.amplitudes))
+        cur = _propagate(start, params, t_total, substeps, CF4)
+        # delta bounds |psi_cur - psi_prev|.  With G = prev^dag prev and O = prev^dag cur,
+        # psi_cur - psi_prev is (det O / det G - 1) psi_prev, of norm ~|det G - det O|, plus
+        # a part of norm^2 1 - prod cos^2 theta_i <= sum sin^2 theta_i = ||cur - prev G^-1 O||_F^2
+        # over the principal angles theta_i.  G keeps the columns' drift from orthonormality
+        # out of both terms; the overlap form sqrt(2 - 2 Re det O) takes the root of rounding.
+        gram = prev.conj().T @ prev
+        overlap = prev.conj().T @ cur
+        parallel = np.linalg.det(gram) - np.linalg.det(overlap)
+        orthogonal = cur - prev @ np.linalg.solve(gram, overlap)
+        delta = math.hypot(abs(parallel), np.linalg.norm(orthogonal))
         if delta < tol:
-            return ExactOracleResult(state=cur, substeps=substeps, delta=delta)
+            return ExactOracleResult(orbitals=cur, substeps=substeps, delta=delta)
         # Doublings before substeps reaches max_substeps.
         doublings_left = max(0, (max_substeps - 1) // substeps).bit_length()
         if delta >= tol * 2.0 ** (CF4_ORDER * doublings_left):

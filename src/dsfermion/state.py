@@ -1,10 +1,8 @@
 """Statevector storage over a set of basis states, and Z-basis sampling.
 
 A state holds amplitudes over a strictly ascending array of basis indices
-and is zero elsewhere.  A run starts from one basis state and every Trotter
-factor conserves the charge, so the states that evolve reads out of its
-hole orbitals hold the C(N, k) basis states of the start's charge sector,
-never all 2^N.  This module has no time evolution.
+and is zero elsewhere; ``evolve.read_out`` fills the C(N, k) basis states of
+one charge sector, never all 2^N.  This module has no time evolution.
 
 Shot sampling uses the Philox-4x64 counter-based generator keyed as
 (seed, 0) with a zero counter, drawing uniform doubles scaled to the total
@@ -63,13 +61,6 @@ class ShotCounts:
         total = sum(self.counts.values())
         if total != self.shots:
             raise ValueError(f"counts sum to {total}, expected {self.shots}")
-
-
-def basis_state(n_qubits: int, k: int) -> StateVector:
-    """The computational basis state |k>."""
-    if not 0 <= k < 1 << n_qubits:
-        raise ValueError(f"basis index {k} out of range for {n_qubits} qubits")
-    return StateVector(n_qubits, [k], [1.0])
 
 
 def _uniform_draws(shots: int, seed: int) -> np.ndarray:

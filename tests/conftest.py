@@ -2,15 +2,17 @@
 
 The dense helpers build matrices the naive way (nested Kronecker products
 from label strings), deliberately avoiding the package's mask-based fast
-paths so the two implementations check each other.  The package's states
-hold one charge sector; ``dense_state`` and ``to_dense`` convert to and from
-all 2^N amplitudes, which the references below work on.  The sector oracle
-is the slow reference for the package's one-body oracle: it evolves each
-popcount block of aH(t) with a Taylor series, with no fermionic structure.
+paths so the two implementations check each other.  The package starts
+from a basis index and reads out one charge sector; ``basis_state`` gives
+the start's one amplitude, and ``dense_state`` and ``to_dense`` convert to
+and from all 2^N amplitudes, which the references below work on.  The
+sector oracle is the slow reference for the package's one-body oracle: it
+evolves each popcount block of aH(t) with a Taylor series, with no
+fermionic structure.
 The Pauli-rotation kernel and its Trotter step are the slow reference for
 the package's one-body Trotter evolution: they rotate all 2^N amplitudes by
 one Hamiltonian string at a time.  The Pauli-sum expectation is the dense
-reference for the one-body snapshot energy, ``exact_evolve`` is the
+reference for the one-body snapshot energy, ``exact_evolve`` reads out the
 midpoint-sampled oracle, and ``sample_z_basis_reference`` is the per-shot
 inversion that the package's sampler replaces by counting sorted draws.
 ``amplitude_record`` weights per-basis-state values by |amplitude|^2: it is
@@ -91,6 +93,13 @@ def random_state(rng, n_qubits):
     return vec / np.linalg.norm(vec)
 
 
+def basis_state(n_qubits, k):
+    """The computational basis state |k>."""
+    if not 0 <= k < 1 << n_qubits:
+        raise ValueError(f"basis index {k} out of range for {n_qubits} qubits")
+    return StateVector(n_qubits, [k], [1.0])
+
+
 def dense_state(n_qubits, vec):
     """A StateVector over all 2^N basis states."""
     return StateVector(n_qubits, np.arange(1 << n_qubits), vec)
@@ -118,7 +127,7 @@ def random_orbitals(rng, n_sites, k):
 def snapshot_states(trajectory, hubble):
     """The state at each snapshot of ``trajectory``, read out of its orbitals."""
     return [
-        read_out(orbitals, hubble, t, trajectory.amplitude)
+        read_out(orbitals, hubble, t)
         for orbitals, t in zip(trajectory.orbitals, trajectory.times)
     ]
 
@@ -192,10 +201,11 @@ def expectation_pauli_sum(state, a):
 MIDPOINT = ((1.0, ((0.5, 1.0),)),)
 
 
-def exact_evolve(initial, params, t_total, substeps):
-    """Midpoint-sampled piecewise-constant propagator: exp(-i aH(t_mid) dt)
-    on each of ``substeps`` intervals of [0, t_total], t_mid its midpoint."""
-    return _propagate(initial, params, t_total, substeps, MIDPOINT)
+def exact_evolve(start, params, t_total, substeps):
+    """The read-out state of the midpoint-sampled piecewise-constant
+    propagator, exp(-i aH(t_mid) dt) on each of ``substeps`` intervals of
+    [0, t_total] with t_mid its midpoint, from the basis state ``start``."""
+    return read_out(_propagate(start, params, t_total, substeps, MIDPOINT), params.hubble, t_total)
 
 
 def sample_z_basis_reference(state, shots, seed):

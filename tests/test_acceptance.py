@@ -30,11 +30,12 @@ from dsfermion.model import (
 )
 from dsfermion.observables import estimators_from_counts
 from dsfermion.pauli import PauliString
-from dsfermion.state import basis_state, sample_z_basis
+from dsfermion.state import sample_z_basis
 
 from conftest import (
     amplitude_record,
     apply_pauli_rotation,
+    basis_state,
     charge_commutator_entries,
     dense_from_label,
     dense_state,
@@ -64,7 +65,7 @@ def preset(request):
     """Trotter trajectory, retained states and seeded shot records per mass."""
     mass = request.param
     plan = TrotterPlan.for_total_time(1.0, 10)
-    trajectory = trotter_evolve(basis_state(8, 1), paper_params(mass), plan)
+    trajectory = trotter_evolve(1, paper_params(mass), plan)
     shot_records = []
     for i, (t, st) in enumerate(zip(trajectory.times, snapshot_states(trajectory, HUBBLE))):
         counts = sample_z_basis(st, 10_000, seed=PRESET_SEED + i)
@@ -75,9 +76,7 @@ def preset(request):
 @pytest.fixture(scope="module")
 def m1_oracle():
     """Exact propagator for the massive preset, converged below 1e-10."""
-    return exact_evolve_converged(
-        basis_state(8, 1), paper_params(1.0), 1.0, substeps_start=256, tol=1e-10
-    )
+    return exact_evolve_converged(1, paper_params(1.0), 1.0, substeps_start=256, tol=1e-10)
 
 
 class TestA1Eigenvalue:
@@ -97,7 +96,7 @@ class TestA2EigenstateInvariance:
     @pytest.mark.parametrize("mass", [0.0, 1.0])
     def test_observables_constant_from_filled_state(self, mass):
         plan = TrotterPlan.for_total_time(1.0, 10)
-        trajectory = trotter_evolve(basis_state(8, 0), paper_params(mass), plan)
+        trajectory = trotter_evolve(0, paper_params(mass), plan)
         first = trajectory.records[0]
         worst = 0.0
         for record in trajectory.records:
@@ -180,12 +179,13 @@ class TestA6TrotterConvergence:
 
     def test_first_order_convergence_massive(self, m1_oracle):
         params = paper_params(1.0)
+        exact = read_out(m1_oracle.orbitals, HUBBLE, 1.0)
         distances = []
         for steps in (10, 20, 40, 80):
             plan = TrotterPlan.for_total_time(1.0, steps)
-            trajectory = trotter_evolve(basis_state(8, 1), params, plan)
+            trajectory = trotter_evolve(1, params, plan)
             final = snapshot_states(trajectory, HUBBLE)[-1]
-            distances.append(state_distance(final, m1_oracle.state))
+            distances.append(state_distance(final, exact))
         ratios = [a / b for a, b in zip(distances, distances[1:])]
         assert all(1.5 <= r <= 2.5 for r in ratios)
         assert all(b < a for a, b in zip(distances, distances[1:]))
@@ -297,7 +297,7 @@ class TestA7FigureReproduction:
 @pytest.fixture(scope="module")
 def preset_m0():
     plan = TrotterPlan.for_total_time(1.0, 10)
-    trajectory = trotter_evolve(basis_state(8, 1), paper_params(0.0), plan)
+    trajectory = trotter_evolve(1, paper_params(0.0), plan)
     shot_records = []
     for i, (t, st) in enumerate(zip(trajectory.times, snapshot_states(trajectory, HUBBLE))):
         counts = sample_z_basis(st, 10_000, seed=PRESET_SEED + i)
@@ -308,7 +308,7 @@ def preset_m0():
 @pytest.fixture(scope="module")
 def preset_m1():
     plan = TrotterPlan.for_total_time(1.0, 10)
-    trajectory = trotter_evolve(basis_state(8, 1), paper_params(1.0), plan)
+    trajectory = trotter_evolve(1, paper_params(1.0), plan)
     return trajectory, None
 
 
@@ -323,7 +323,7 @@ def m0_oracle_ratios(preset_m0):
         if t == 0.0:
             state = basis_state(8, 1)
         else:
-            state = exact_evolve(basis_state(8, 1), params, t, 16)
+            state = exact_evolve(1, params, t, 16)
         ratios.append(amplitude_record(state, t, HUBBLE).polarization_over_e / P0)
     return ratios
 
@@ -366,7 +366,7 @@ class TestA8EngineMicroOracles:
         # norm of their readout over the 70-state sector.
         params = ModelParams(8, HUBBLE, 1.0)
         plan = TrotterPlan.for_total_time(30.0, 1000, snapshot_every=1000)
-        trajectory = trotter_evolve(basis_state(8, 0b01010101), params, plan)
+        trajectory = trotter_evolve(0b01010101, params, plan)
         final = read_out(trajectory.orbitals[-1], HUBBLE, 30.0)
         drift = max(abs(trajectory.records[-1].norm - 1.0), abs(np.linalg.norm(final.amplitudes) - 1.0))
         assert drift < 1e-9

@@ -86,6 +86,19 @@ class TestConfigFiles:
         with pytest.raises(ValueError):
             cli.load_config(str(path))
 
+    def test_json_values_convert_from_text(self, tmp_path, capsys):
+        # A JSON config value converts through its text, as a file or flag
+        # value does: 10.9 is no int (int(10.9) would run 10 steps), and null
+        # and a list are usage errors, not tracebacks.
+        for field in ("trotter_steps", "shots"):
+            for value in (10.9, None, [1]):
+                out = tmp_path / "out"
+                path = tmp_path / "summary.json"
+                path.write_text(json.dumps({"config": {field: value, "output_dir": str(out)}}))
+                assert cli.main(["run", "--config", str(path)]) == cli.EXIT_USAGE, (field, value)
+                assert "Traceback" not in capsys.readouterr().err
+                assert not out.exists(), (field, value)
+
     def test_flag_overrides_file(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_text(cli.config_to_text(fast_config(tmp_path)))
@@ -205,15 +218,19 @@ class TestRun:
             raise AssertionError("the evolution started")
 
         monkeypatch.setattr(cli, "trotter_evolve", no_evolution)
-        # n_sites=14 is valid with the oracle off but beyond the oracle's
-        # limit, and n_sites=64 beyond the int64 basis index; starts of 65536
-        # and 131073 steps double past the 2^16 step budget.  The seed keys
-        # a uint64 Philox stream, and with the default 10 steps the last
-        # snapshot samples with seed + 10.  Sweep points are 2^32 seeds apart,
-        # so a run takes fewer than 2^32 steps.
-        for flag, value, oracle in (
+        # Half filling at N = 24 is valid with shots 0 and the oracle off,
+        # but a readout for the oracle or for shots would gather C(24, 12) *
+        # 12^2 = 389M minor entries, past the readout guard; n_sites=64 is
+        # beyond the int64 basis index.  Starts of 65536 and 131073 steps
+        # double past the 2^16 step budget.  The seed keys a uint64 Philox
+        # stream, and with the default 10 steps the last snapshot samples
+        # with seed + 10.  Sweep points are 2^32 seeds apart, so a run takes
+        # fewer than 2^32 steps.
+        half_filled_24 = ("--n_sites", "24", "--initial_state_index", str(0x555555))
+        for *flags, oracle in (
             ("--n_sites", "7", "off"),
-            ("--n_sites", "14", "on"),
+            (*half_filled_24, "--shots", "0", "on"),
+            (*half_filled_24, "--shots", "10", "off"),
             ("--n_sites", "64", "off"),
             ("--seed", "-1", "off"),
             ("--seed", str(2**64), "off"),
@@ -225,11 +242,14 @@ class TestRun:
             ("--snapshot_every", "0", "off"),
             ("--time_sampling", "right", "off"),
         ):
-            out = tmp_path / f"{flag.strip('-')}={value}"
-            argv = ["run", flag, value, "--oracle", oracle, "--output_dir", str(out)]
-            assert cli.main(argv) == cli.EXIT_USAGE, (flag, value)
-            assert not out.exists(), (flag, value)
+            out = tmp_path / "_".join(s.strip("-") for s in flags)
+            argv = ["run", *flags, "--oracle", oracle, "--output_dir", str(out)]
+            assert cli.main(argv) == cli.EXIT_USAGE, flags
+            assert not out.exists(), flags
         cli.RunConfig(seed=2**64 - 11).validate()
+        # Without a readout N = 24 passes, and C(22, 11) * 11^2 = 85M entries fit.
+        cli.RunConfig(n_sites=24, initial_state_index=0x555555, shots=0, oracle="off").validate()
+        cli.RunConfig(n_sites=22, initial_state_index=0x155555, oracle="on").validate()
 
     def test_volume_overflow_is_usage_error(self, tmp_path, monkeypatch, capsys):
         # At h t_total = 360 the shot variance overflowed to inf and the plot
@@ -278,6 +298,32 @@ class TestRun:
         assert cli.run(config) == cli.EXIT_OK
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert summary["invariants"]["norm_drift"] < 1e-12
+
+    def test_oracle_run_reads_out_twice(self, tmp_path, monkeypatch):
+        # With shots = 0, the Trotter state and the oracle's are each read
+        # out once, for state_distance; the oracle's doublings read out nothing.
+        calls = []
+        read_out = evolve.read_out
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return read_out(*args)
+
+        monkeypatch.setattr(cli, "read_out", counted)
+        monkeypatch.setattr(evolve, "read_out", counted)
+        argv = ["run", "--preset", "paper-m1", "--shots", "0", "--output_dir", str(tmp_path / "m1")]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert calls == [(8, 1), (8, 1)]
+
+    def test_one_hole_oracle_past_twelve_sites(self, tmp_path):
+        # A one-hole start at N = 14 reads out 14 amplitudes, far inside the
+        # readout guard.
+        out = tmp_path / "n14"
+        argv = ["run", "--n_sites", "14", "--shots", "0", "--trotter_steps", "2"]
+        assert cli.main(argv + ["--output_dir", str(out)]) == cli.EXIT_OK
+        oracle = json.loads((out / "summary.json").read_text())["invariants"]["oracle"]
+        assert oracle["convergence_delta"] < 1e-10
+        assert 0 < oracle["state_distance"] < 1.0
 
     def test_unwritable_output_is_io_error(self, tmp_path):
         blocker = tmp_path / "blocker"

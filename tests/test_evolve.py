@@ -14,14 +14,15 @@ from dsfermion.evolve import (
     TIME_SAMPLINGS,
     TrotterPlan,
     exact_evolve_converged,
+    read_out,
     state_distance,
     trotter_evolve,
 )
 from dsfermion.pauli import PauliString, PauliSum
-from dsfermion.state import StateVector, basis_state
 
 from conftest import (
     amplitude_record,
+    basis_state,
     dense_from_label,
     dense_state,
     exact_evolve,
@@ -55,10 +56,10 @@ def dense_trotter_step(n, params, t_sample, dt, vec):
     return out
 
 
-def one_step(state, params, time_sampling="midpoint"):
-    """The state after one Trotter step of width 0.1."""
+def one_step(start, params, time_sampling="midpoint"):
+    """The state after one Trotter step of width 0.1 from the basis state ``start``."""
     plan = TrotterPlan(steps=1, dt=0.1, time_sampling=time_sampling)
-    return snapshot_states(trotter_evolve(state, params, plan), params.hubble)[-1]
+    return snapshot_states(trotter_evolve(start, params, plan), params.hubble)[-1]
 
 
 def dense_midpoint_product(params, t_total, substeps, vec):
@@ -92,15 +93,15 @@ class TestTrotterPlan:
 class TestTrotterStep:
     def test_filled_state_changes_by_global_phase_only(self):
         params = ModelParams(8, 0.1, 1.0)
-        probs = np.abs(to_dense(one_step(basis_state(8, 0), params))) ** 2
+        probs = np.abs(to_dense(one_step(0, params))) ** 2
         assert abs(probs[0] - 1.0) < 1e-12
         assert np.max(probs[1:]) < 1e-12
 
     def test_massless_step_ignores_sample_time(self):
         params = ModelParams(4, 0.1, 0.0)
         for start in sector_starts(4):
-            a = one_step(basis_state(4, start), params, time_sampling="left")
-            b = one_step(basis_state(4, start), params, time_sampling="midpoint")
+            a = one_step(start, params, time_sampling="left")
+            b = one_step(start, params, time_sampling="midpoint")
             assert np.array_equal(a.indices, b.indices)
             assert np.array_equal(a.amplitudes, b.amplitudes), start
 
@@ -109,20 +110,20 @@ class TestTrotterStep:
         for n in (4, 6):
             params = ModelParams(n, 0.1, 1.0)
             for start in sector_starts(n):
-                st = one_step(basis_state(n, start), params)
+                st = one_step(start, params)
                 expected = dense_trotter_step(n, params, 0.05, 0.1, to_dense(basis_state(n, start)))
                 assert np.max(np.abs(to_dense(st) - expected)) < 1e-12, (n, start)
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
-            trotter_evolve(basis_state(4, 0), ModelParams(4, 0.1, 0.0), TrotterPlan(steps=1, dt=0.0))
+            trotter_evolve(0, ModelParams(4, 0.1, 0.0), TrotterPlan(steps=1, dt=0.0))
 
 
 class TestTrotterEvolve:
     def test_charge_conserved_along_trajectory(self):
         params = ModelParams(8, 0.1, 0.0)
         plan = TrotterPlan.for_total_time(1.0, 10)
-        trajectory = trotter_evolve(basis_state(8, 1), params, plan)
+        trajectory = trotter_evolve(1, params, plan)
         sz0 = trajectory.records[0].total_sz
         assert abs(sz0 - 6.0) < 1e-12
         for record in trajectory.records:
@@ -132,21 +133,21 @@ class TestTrotterEvolve:
         # Bond pairs commute with the total charge, so conservation holds at any step size.
         params = ModelParams(8, 0.1, 1.0)
         plan = TrotterPlan.for_total_time(1.0, 2)
-        trajectory = trotter_evolve(basis_state(8, 1), params, plan)
+        trajectory = trotter_evolve(1, params, plan)
         for record in trajectory.records:
             assert abs(record.total_sz - 6.0) < 1e-10
 
     def test_zero_steps_keeps_initial_record_only(self):
         params = ModelParams(8, 0.1, 0.0)
         plan = TrotterPlan(steps=0, dt=0.0)
-        trajectory = trotter_evolve(basis_state(8, 1), params, plan)
+        trajectory = trotter_evolve(1, params, plan)
         assert trajectory.times == [0.0]
         assert len(trajectory.records) == 1
 
     def test_times_strictly_increasing_from_zero(self):
         params = ModelParams(8, 0.1, 1.0)
         plan = TrotterPlan.for_total_time(1.0, 10, snapshot_every=3)
-        trajectory = trotter_evolve(basis_state(8, 1), params, plan)
+        trajectory = trotter_evolve(1, params, plan)
         assert trajectory.times[0] == 0.0
         assert all(b > a for a, b in zip(trajectory.times, trajectory.times[1:]))
         # snapshots at 0, 0.3, 0.6, 0.9 and the forced final one at 1.0
@@ -155,16 +156,9 @@ class TestTrotterEvolve:
     def test_snapshot_norms_stay_unit(self):
         params = ModelParams(8, 0.1, 1.0)
         plan = TrotterPlan.for_total_time(1.0, 10)
-        trajectory = trotter_evolve(basis_state(8, 1), params, plan)
+        trajectory = trotter_evolve(1, params, plan)
         for record in trajectory.records:
             assert abs(record.norm - 1.0) < 1e-10
-        # A denormalized state fails at the first step.
-        denormalized = basis_state(8, 1)
-        denormalized.amplitudes *= 1.5
-        with pytest.raises(NormDriftError, match=r"^step 1 of 10: state norm drifted by 5\.000e-01"):
-            trotter_evolve(denormalized, params, plan)
-        # Without a step, the start's record carries its norm.
-        assert trotter_evolve(denormalized, params, TrotterPlan(0, 0.0)).records[0].norm == 1.5
 
     def test_nan_norm_is_drift(self, monkeypatch):
         # NaN compares false with any limit; the check must still fail.  The
@@ -180,19 +174,20 @@ class TestTrotterEvolve:
         monkeypatch.setattr(evolve, "_one_body_steps", nan_steps)
         plan = TrotterPlan.for_total_time(1.0, 10)
         with pytest.raises(NormDriftError, match=r"^step 1 of 10: state norm drifted by nan"):
-            trotter_evolve(basis_state(8, 1), ModelParams(8, 0.1, 1.0), plan)
+            trotter_evolve(1, ModelParams(8, 0.1, 1.0), plan)
 
     def test_eigenstate_distribution_frozen(self):
         params = ModelParams(8, 0.1, 1.0)
         plan = TrotterPlan.for_total_time(1.0, 10)
-        states = snapshot_states(trotter_evolve(basis_state(8, 0), params, plan), params.hubble)
+        states = snapshot_states(trotter_evolve(0, params, plan), params.hubble)
         initial = states[0].probabilities()
         for st in states[1:]:
             assert np.max(np.abs(st.probabilities() - initial)) < 1e-12
 
     def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            trotter_evolve(basis_state(6, 0), ModelParams(8, 0.1, 0.0), TrotterPlan(1, 0.1))
+        # 2^8 is a basis index of a larger lattice.
+        with pytest.raises(ValueError, match="out of range for 8 sites"):
+            trotter_evolve(1 << 8, ModelParams(8, 0.1, 0.0), TrotterPlan(1, 0.1))
 
     def test_matches_rotation_reference(self):
         # Every step of 20 against the 2^N rotation kernel in its term order,
@@ -205,7 +200,7 @@ class TestTrotterEvolve:
             ):
                 params = ModelParams(n, 0.3, mass)
                 plan = TrotterPlan.for_total_time(1.0, 20, time_sampling=sampling)
-                trajectory = trotter_evolve(basis_state(n, start), params, plan)
+                trajectory = trotter_evolve(start, params, plan)
                 states = snapshot_states(trajectory, params.hubble)
                 reference = dense_state(n, to_dense(basis_state(n, start)))
                 for k, (t, record, st) in enumerate(zip(trajectory.times, trajectory.records, states)):
@@ -225,29 +220,30 @@ class TestTrotterEvolve:
             params = ModelParams(n, 0.3, 1.0)
             plan = TrotterPlan.for_total_time(2.0, 20)
             for start in sector_starts(n):
-                trajectory = trotter_evolve(basis_state(n, start), params, plan)
+                trajectory = trotter_evolve(start, params, plan)
                 states = snapshot_states(trajectory, params.hubble)
                 for t, record, st in zip(trajectory.times, trajectory.records, states):
                     dense = expectation_pauli_sum(st, hamiltonian_at(params, t))
                     assert abs(record.energy - dense) < 1e-12, (n, start, t)
 
-    def test_superposition_start_rejected_before_work(self, rng, monkeypatch):
+    def test_out_of_range_start_rejected_before_work(self, monkeypatch):
+        # Dropping the high bits of 2^4 + 1 would silently start from 1.
         def no_steps(*args):
             raise AssertionError("the evolution started")
 
         monkeypatch.setattr(evolve, "_one_body_steps", no_steps)
         params = ModelParams(4, 0.1, 1.0)
-        for start in (dense_state(4, random_state(rng, 4)), StateVector(4, [1, 2], [0.6, 0.8])):
-            with pytest.raises(ValueError, match="one basis state"):
+        for start in (-1, 1 << 4, (1 << 4) + 1):
+            with pytest.raises(ValueError, match="out of range for 4 sites"):
                 trotter_evolve(start, params, TrotterPlan(1, 0.1))
-            with pytest.raises(ValueError, match="one basis state"):
+            with pytest.raises(ValueError, match="out of range for 4 sites"):
                 exact_evolve_converged(start, params, 1.0)
 
     def test_one_hole_state_keeps_n_amplitudes(self):
         # N = 20: the trajectory holds one 20 x 1 orbital per snapshot, and
         # its read-out states the 20 one-hole basis states, not 2^20.
         plan = TrotterPlan.for_total_time(1.0, 10)
-        trajectory = trotter_evolve(basis_state(20, 1), ModelParams(20, 0.1, 1.0), plan)
+        trajectory = trotter_evolve(1, ModelParams(20, 0.1, 1.0), plan)
         assert [phi.shape for phi in trajectory.orbitals] == [(20, 1)] * 11
         for st in snapshot_states(trajectory, 0.1)[1:]:
             assert st.indices.tolist() == [1 << x for x in range(20)]
@@ -264,7 +260,7 @@ class TestTrotterEvolve:
         monkeypatch.setattr(evolve, "read_out", no_readout)
         half_filled = sum(1 << x for x in range(0, 20, 2))
         params = ModelParams(20, 0.1, 1.0)
-        trajectory = trotter_evolve(basis_state(20, half_filled), params, TrotterPlan(10, 0.1))
+        trajectory = trotter_evolve(half_filled, params, TrotterPlan(10, 0.1))
         assert [phi.shape for phi in trajectory.orbitals] == [(20, 10)] * 11
         assert all(abs(r.norm - 1.0) < 1e-12 for r in trajectory.records)
 
@@ -272,9 +268,9 @@ class TestTrotterEvolve:
         # A snapshot's and the oracle's readouts of one sector share its
         # arrays, which no caller can change.
         params = ModelParams(8, 0.1, 1.0)
-        trajectory = trotter_evolve(basis_state(8, 0b0101), params, TrotterPlan(2, 0.1))
+        trajectory = trotter_evolve(0b0101, params, TrotterPlan(2, 0.1))
         a, b = snapshot_states(trajectory, 0.1)[1:]
-        oracle = exact_evolve(basis_state(8, 0b0101), params, 0.2, 4)
+        oracle = exact_evolve(0b0101, params, 0.2, 4)
         assert a.indices is b.indices is oracle.indices
         assert not a.indices.flags.writeable
         with pytest.raises(ValueError):
@@ -285,7 +281,7 @@ class TestExactEvolve:
     def test_zero_time_is_identity(self):
         params = ModelParams(4, 0.1, 1.0)
         for start in sector_starts(4):
-            out = exact_evolve(basis_state(4, start), params, 0.0, 4)
+            out = exact_evolve(start, params, 0.0, 4)
             assert np.array_equal(to_dense(out), to_dense(basis_state(4, start)))
 
     def test_massless_independent_of_substeps(self, monkeypatch):
@@ -297,9 +293,8 @@ class TestExactEvolve:
         monkeypatch.setattr(PauliString, "to_dense", no_dense)
         one_body_parts.cache_clear()
         params = ModelParams(6, 0.1, 0.0)
-        st = basis_state(6, 1)
-        a = exact_evolve(st, params, 1.0, 3)
-        b = exact_evolve(st, params, 1.0, 64)
+        a = exact_evolve(1, params, 1.0, 3)
+        b = exact_evolve(1, params, 1.0, 64)
         assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
 
     def test_matches_scipy_midpoint_product(self):
@@ -309,17 +304,16 @@ class TestExactEvolve:
         cases = ((4, 0.8, 7), (4, 20.0, 2), (6, 0.8, 5), (8, 0.8, 3), (10, 0.8, 2))
         for n, t_total, substeps in cases:
             params = ModelParams(n, 0.1, 1.0)
-            starts = [basis_state(n, start) for start in sector_starts(n)]
-            vecs = np.stack([to_dense(st) for st in starts], axis=1)
+            starts = sector_starts(n)
+            vecs = np.stack([to_dense(basis_state(n, start)) for start in starts], axis=1)
             theirs = dense_midpoint_product(params, t_total, substeps, vecs)
-            for st, expected in zip(starts, theirs.T):
-                ours = exact_evolve(st, params, t_total, substeps)
+            for start, expected in zip(starts, theirs.T):
+                ours = exact_evolve(start, params, t_total, substeps)
                 assert np.max(np.abs(to_dense(ours) - expected)) < 1e-12, (n, t_total)
 
     def test_second_order_convergence(self):
         params = ModelParams(8, 0.1, 1.0)
-        st = basis_state(8, 1)
-        results = {n: exact_evolve(st, params, 1.0, n) for n in (64, 128, 256)}
+        results = {n: exact_evolve(1, params, 1.0, n) for n in (64, 128, 256)}
         d1 = np.linalg.norm(results[64].amplitudes - results[128].amplitudes)
         d2 = np.linalg.norm(results[128].amplitudes - results[256].amplitudes)
         assert 3.0 < d1 / d2 < 5.0
@@ -330,55 +324,51 @@ class TestExactEvolve:
         for n in (4, 6, 8, 10):
             params = ModelParams(n, 0.3, 1.0)
             for start in sector_starts(n):
-                ours = exact_evolve(basis_state(n, start), params, 1.3, 3)
+                ours = exact_evolve(start, params, 1.3, 3)
                 theirs = sector_taylor_evolve(params, 1.3, 3, to_dense(basis_state(n, start)))
                 assert np.max(np.abs(to_dense(ours) - theirs)) < 1e-12, (n, start)
 
     def test_cf4_fourth_order_convergence(self):
+        # One hole: the orbital differences are the amplitude differences.
         params = ModelParams(8, 0.1, 1.0)
-        st = basis_state(8, 1)
-        results = {n: evolve._propagate(st, params, 1.0, n, evolve.CF4) for n in (8, 16, 32)}
-        d1 = np.linalg.norm(results[8].amplitudes - results[16].amplitudes)
-        d2 = np.linalg.norm(results[16].amplitudes - results[32].amplitudes)
+        results = {n: evolve._propagate(1, params, 1.0, n, evolve.CF4) for n in (8, 16, 32)}
+        d1 = np.linalg.norm(results[8] - results[16])
+        d2 = np.linalg.norm(results[16] - results[32])
         assert 12.0 < d1 / d2 < 20.0
 
     def test_converged_cf4_matches_converged_midpoint(self):
         # paper-m1: the two schemes converge to the same propagator.
         params = ModelParams(8, 0.1, 1.0)
-        st = basis_state(8, 1)
-        substeps, prev = 256, exact_evolve(st, params, 1.0, 256)
+        substeps, prev = 256, exact_evolve(1, params, 1.0, 256)
         while True:
             substeps *= 2
-            cur = exact_evolve(st, params, 1.0, substeps)
+            cur = exact_evolve(1, params, 1.0, substeps)
             if np.linalg.norm(cur.amplitudes - prev.amplitudes) < 1e-10:
                 break
             prev = cur
-        cf4 = exact_evolve_converged(st, params, 1.0)
-        assert np.linalg.norm(cf4.state.amplitudes - cur.amplitudes) < 1e-10
+        cf4 = read_out(exact_evolve_converged(1, params, 1.0).orbitals, params.hubble, 1.0)
+        assert np.linalg.norm(cf4.amplitudes - cur.amplitudes) < 1e-10
 
     def test_measured_doubling_delta_at_256(self):
         # Frozen measurement on the massive preset: the 256 -> 512 doubling
         # moves the state by ~1.3e-7, so reaching the 1e-10 convergence
         # threshold by midpoint doubling takes ~2^15 substeps.
         params = ModelParams(8, 0.1, 1.0)
-        st = basis_state(8, 1)
-        a = exact_evolve(st, params, 1.0, 256)
-        b = exact_evolve(st, params, 1.0, 512)
+        a = exact_evolve(1, params, 1.0, 256)
+        b = exact_evolve(1, params, 1.0, 512)
         delta = float(np.linalg.norm(a.amplitudes - b.amplitudes))
         assert 1.0e-7 < delta < 1.7e-7
 
     def test_converged_meets_tolerance(self):
         params = ModelParams(8, 0.1, 1.0)
-        result = exact_evolve_converged(basis_state(8, 1), params, 1.0, substeps_start=64, tol=1e-7)
+        result = exact_evolve_converged(1, params, 1.0, substeps_start=64, tol=1e-7)
         assert result.delta < 1e-7
         assert result.substeps >= 128
 
     def test_converged_gives_up(self):
         params = ModelParams(8, 0.1, 1.0)
         with pytest.raises(ResourceLimitError):
-            exact_evolve_converged(
-                basis_state(8, 1), params, 1.0, substeps_start=2, tol=1e-14, max_substeps=8
-            )
+            exact_evolve_converged(1, params, 1.0, substeps_start=2, tol=1e-14, max_substeps=8)
 
     def test_gives_up_when_budget_cannot_converge(self, monkeypatch):
         # The 256 -> 512 doubling moves the state by ~1.8e-4; three doublings
@@ -394,15 +384,53 @@ class TestExactEvolve:
         monkeypatch.setattr(evolve, "_propagate", counted)
         params = ModelParams(4, 1.5, 3.0)
         with pytest.raises(ResourceLimitError, match="cannot reach"):
-            exact_evolve_converged(basis_state(4, 1), params, 4.0, max_substeps=4096)
+            exact_evolve_converged(1, params, 4.0, max_substeps=4096)
         assert calls == [256, 512]
+
+    def test_oracle_reads_nothing_out(self, monkeypatch):
+        # Half filling at N = 20: the oracle converges on the 20 x 10 hole
+        # orbitals and never forms the C(20, 10) = 184756 amplitudes.
+        def no_readout(*args):
+            raise AssertionError("the oracle read out amplitudes")
+
+        monkeypatch.setattr(evolve, "_sector", no_readout)
+        monkeypatch.setattr(evolve, "read_out", no_readout)
+        half_filled = sum(1 << x for x in range(0, 20, 2))
+        result = exact_evolve_converged(half_filled, ModelParams(20, 0.1, 1.0), 1.0)
+        assert result.orbitals.shape == (20, 10)
+        assert result.delta < 1e-10
+
+    def test_stopping_rule_bounds_readout_difference(self, monkeypatch):
+        # The delta of one doubling n -> 2n, taken from the hole orbitals,
+        # against the norm of the difference of the two read-out states: an
+        # upper bound up to rounding, and tight to 1e-12.  One propagator per
+        # step count serves every start, whose orbitals are its columns.
+        propagate, products = evolve._propagate, {}
+
+        def shared(start, params, t_total, steps, scheme):
+            key = (params, steps)
+            if key not in products:
+                everything = (1 << params.n_sites) - 1
+                products[key] = propagate(everything, params, t_total, steps, scheme)
+            return products[key][:, [x for x in range(params.n_sites) if start >> x & 1]]
+
+        monkeypatch.setattr(evolve, "_propagate", shared)
+        for n, (hubble, mass) in itertools.product((4, 6, 8, 10), ((0.1, 1.0), (1.0, 3.0))):
+            params = ModelParams(n, hubble, mass)
+            for start, substeps in itertools.product(sector_starts(n), (64, 128, 256, 512, 1024)):
+                result = exact_evolve_converged(start, params, 1.0, substeps, tol=math.inf)
+                assert result.substeps == 2 * substeps
+                before = read_out(shared(start, params, 1.0, substeps, evolve.CF4), hubble, 1.0)
+                after = read_out(result.orbitals, hubble, 1.0)
+                true = np.linalg.norm(after.amplitudes - before.amplitudes)
+                assert true - 1e-15 <= result.delta <= true + 1e-12, (n, hubble, start, substeps)
 
     def test_guards(self):
         params = ModelParams(4, 0.1, 1.0)
         with pytest.raises(ValueError):
-            exact_evolve(basis_state(4, 0), params, 1.0, 0)
+            exact_evolve(0, params, 1.0, 0)
         with pytest.raises(ValueError):
-            exact_evolve(basis_state(4, 0), params, -1.0, 4)
+            exact_evolve(0, params, -1.0, 4)
 
 
 class TestStateDistance:
@@ -422,13 +450,14 @@ class TestStateDistance:
             state_distance(basis_state(2, 0), basis_state(2, 1))
 
 
-def final_distances(params, initial, step_counts, oracle):
+def final_distances(params, start, step_counts, oracle):
     """State distance between the oracle and Trotter evolution at each step count."""
+    exact = read_out(oracle.orbitals, params.hubble, 1.0)
     distances = []
     for steps in step_counts:
         plan = TrotterPlan.for_total_time(1.0, steps, snapshot_every=steps)
-        trajectory = trotter_evolve(initial, params, plan)
-        distances.append(state_distance(snapshot_states(trajectory, params.hubble)[-1], oracle.state))
+        trajectory = trotter_evolve(start, params, plan)
+        distances.append(state_distance(snapshot_states(trajectory, params.hubble)[-1], exact))
     return distances
 
 
@@ -437,28 +466,26 @@ class TestErrorScan:
 
     def test_first_order_ratios_massless(self):
         params = ModelParams(8, 0.1, 0.0)
-        initial = basis_state(8, 1)
-        oracle = exact_evolve_converged(initial, params, 1.0, tol=1e-8)
-        distances = final_distances(params, initial, [10, 20, 40, 80], oracle)
+        oracle = exact_evolve_converged(1, params, 1.0, tol=1e-8)
+        distances = final_distances(params, 1, [10, 20, 40, 80], oracle)
         for a, b in zip(distances, distances[1:]):
             assert 1.5 <= a / b <= 2.5
         assert all(b < a for a, b in zip(distances, distances[1:]))
 
     def test_large_step_count_small_distance(self):
         params = ModelParams(8, 0.1, 0.0)
-        initial = basis_state(8, 1)
-        oracle = exact_evolve_converged(initial, params, 1.0, tol=1e-8)
-        assert final_distances(params, initial, [640], oracle)[0] < 1e-3
+        oracle = exact_evolve_converged(1, params, 1.0, tol=1e-8)
+        assert final_distances(params, 1, [640], oracle)[0] < 1e-3
 
     def test_eigenstate_has_tiny_deltas(self):
         params = ModelParams(8, 0.1, 1.0)
-        initial = basis_state(8, 0)
-        oracle = exact_evolve_converged(initial, params, 1.0, substeps_start=64, tol=1e-8)
-        energy = expectation_pauli_sum(oracle.state, hamiltonian_at(params, 1.0))
-        reference = amplitude_record(oracle.state, 1.0, params.hubble, energy=energy)
+        oracle = exact_evolve_converged(0, params, 1.0, substeps_start=64, tol=1e-8)
+        exact = read_out(oracle.orbitals, params.hubble, 1.0)
+        energy = expectation_pauli_sum(exact, hamiltonian_at(params, 1.0))
+        reference = amplitude_record(exact, 1.0, params.hubble, energy=energy)
         names = ("n_total", "correlation_C", "polarization_over_e", "chiral_c", "energy", "total_sz")
         for steps in (5, 20):
             plan = TrotterPlan.for_total_time(1.0, steps, snapshot_every=steps)
-            record = trotter_evolve(initial, params, plan).records[-1]
+            record = trotter_evolve(0, params, plan).records[-1]
             for name in names:
                 assert abs(getattr(record, name) - getattr(reference, name)) < 1e-12, (steps, name)

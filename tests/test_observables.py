@@ -8,10 +8,11 @@ import pytest
 from dsfermion.evolve import TrotterPlan, read_out, trotter_evolve
 from dsfermion.model import ModelParams
 from dsfermion.observables import estimators_from_counts, exact_record, slater_norm
-from dsfermion.state import basis_state, sample_z_basis
+from dsfermion.state import sample_z_basis
 
 from conftest import (
     amplitude_record,
+    basis_state,
     basis_orbitals,
     hole_circular_variance,
     random_orbitals,
@@ -23,7 +24,7 @@ from conftest import (
 def paper_trajectory(mass):
     params = ModelParams(8, 0.1, mass)
     plan = TrotterPlan.for_total_time(1.0, 10)
-    return trotter_evolve(basis_state(8, 1), params, plan)
+    return trotter_evolve(1, params, plan)
 
 
 class TestDensity:

@@ -13,11 +13,12 @@ from dsfermion.model import ModelParams, build_charge_term, hamiltonian_at
 from dsfermion.observables import exact_record
 from dsfermion.pauli import PauliString, PauliSum, single_site
 import dsfermion.state as state_module
-from dsfermion.state import StateVector, basis_state, sample_z_basis
+from dsfermion.state import StateVector, sample_z_basis
 
 from conftest import (
     apply_pauli_rotation,
     apply_pauli_string,
+    basis_state,
     dense_from_label,
     dense_state,
     expectation_pauli_sum,
@@ -239,7 +240,7 @@ class TestSampling:
             params = ModelParams(n, 0.1, 1.0)
             half_filled = sum(1 << x for x in range(0, n, 2))
             plan = TrotterPlan.for_total_time(1.0, 10, snapshot_every=5)
-            trajectory = trotter_evolve(basis_state(n, half_filled), params, plan)
+            trajectory = trotter_evolve(half_filled, params, plan)
             for st in snapshot_states(trajectory, params.hubble)[1:]:
                 assert st.indices.size < 1 << n
                 dense = dense_state(n, to_dense(st))
@@ -280,7 +281,7 @@ class TestSamplingReference:
             params = ModelParams(n, 0.1, 1.0)
             plan = TrotterPlan.for_total_time(1.0, 10, snapshot_every=5)
             for start in sector_starts(n):
-                trajectory = trotter_evolve(basis_state(n, start), params, plan)
+                trajectory = trotter_evolve(start, params, plan)
                 for st in snapshot_states(trajectory, params.hubble):
                     for seed in (1, 7):
                         self.assert_same_counts(st, 20_000, seed)
