@@ -34,9 +34,11 @@ from .errors import (
     IDENTITY_TOL,
     NORM_DRIFT_TOL,
     ORACLE_SUBSTEP_BUDGET,
+    P_RATIO_FLOOR,
     READOUT_LIMIT,
     SEED_LIMIT,
     SEED_STRIDE,
+    SHOT_LIMIT,
     NormDriftError,
     ResourceLimitError,
 )
@@ -76,8 +78,6 @@ _ERROR_EXITS = {
     NormDriftError: (EXIT_INVARIANT, "invariant violation: {}"),
 }
 
-P_RATIO_FLOOR = 1e-9
-
 SWEEPABLE = ("hubble", "mass", "trotter_steps", "shots", "initial_state_index")
 
 
@@ -111,8 +111,8 @@ class RunConfig:
             )
         if not 1 <= self.trotter_steps < SEED_STRIDE:
             raise ValueError(f"trotter_steps must be in [1, 2^32), got {self.trotter_steps}")
-        if self.shots < 0:
-            raise ValueError(f"shots must be >= 0, got {self.shots}")
+        if not 0 <= self.shots <= SHOT_LIMIT:
+            raise ValueError(f"shots must be in [0, 2^28], got {self.shots}")
         if not 0 <= self.seed < SEED_LIMIT - self.trotter_steps:
             raise ValueError(
                 f"seed must be in [0, 2^64 - trotter_steps), since snapshot i samples with "
@@ -205,9 +205,9 @@ def load_config(path: str) -> RunConfig:
         text = fh.read()
     if path.endswith(".json"):
         payload = json.loads(text)
-        if not isinstance(payload, dict):
-            raise ValueError(f"{path}: expected a JSON object")
-        mapping = payload.get("config", payload)
+        mapping = payload.get("config", payload) if isinstance(payload, dict) else payload
+        if not isinstance(mapping, dict):
+            raise ValueError(f"{path}: expected a JSON object, or one under \"config\"")
         return config_from_mapping(mapping)
     return config_from_mapping(parse_config_text(text))
 
@@ -225,20 +225,24 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _p_ratio_scale(exact_records: list[ObservableRecord]) -> float | None:
+    """p(0), or None where the polarization ratio p(t)/p(0) is undefined."""
+    p0 = exact_records[0].polarization_over_e
+    return p0 if abs(p0) > P_RATIO_FLOOR else None
+
+
 def write_density_csv(
     path: str,
-    times: list[float],
     exact_records: list[ObservableRecord],
     shot_records: list[ObservableRecord] | None,
 ) -> None:
     lines = ["t,x,n_exact,n_shot,n_shot_err"]
-    for i, t in enumerate(times):
-        exact = exact_records[i]
+    for i, exact in enumerate(exact_records):
         shot = shot_records[i] if shot_records else None
         for x in range(len(exact.density)):
             n_shot = _g17(shot.density[x]) if shot else ""
             n_err = _g17(shot.shot_errors.density[x]) if shot else ""
-            lines.append(f"{_g17(t)},{x},{_g17(exact.density[x])},{n_shot},{n_err}")
+            lines.append(f"{_g17(exact.t)},{x},{_g17(exact.density[x])},{n_shot},{n_err}")
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -247,14 +251,13 @@ def write_observables_csv(
     exact_records: list[ObservableRecord],
     shot_records: list[ObservableRecord] | None,
 ) -> None:
-    p0 = exact_records[0].polarization_over_e
-    ratio_defined = abs(p0) > P_RATIO_FLOOR
+    p0 = _p_ratio_scale(exact_records)
     lines = ["t,n_total,C,C_err,p_over_e,p_ratio,c,c_err,energy,total_sz,norm"]
     for i, rec in enumerate(exact_records):
         shot = shot_records[i] if shot_records else None
         c_err = _g17(shot.shot_errors.correlation_C) if shot else ""
         chi_err = _g17(shot.shot_errors.chiral_c) if shot else ""
-        p_ratio = _g17(rec.polarization_over_e / p0) if ratio_defined else ""
+        p_ratio = _g17(rec.polarization_over_e / p0) if p0 is not None else ""
         lines.append(
             ",".join(
                 (
@@ -297,11 +300,11 @@ def _config_meta(config: RunConfig) -> str:
 def _write_plots(
     out_dir: str,
     config: RunConfig,
-    times: list[float],
     exact_records: list[ObservableRecord],
     shot_records: list[ObservableRecord] | None,
 ) -> None:
     meta = _config_meta(config)
+    times = [rec.t for rec in exact_records]
     sites = list(range(len(exact_records[0].density)))
     density_grid = [list(rec.density) for rec in exact_records]
     svg = heatmap("Fermion density n(x, t)", "t", "site x", times, sites, density_grid, meta=meta)
@@ -309,8 +312,8 @@ def _write_plots(
 
     # The polarization is plotted relative to p(0) where that ratio is defined;
     # dividing by a scale of 1.0 leaves the other charts' values unchanged.
-    p0 = exact_records[0].polarization_over_e
-    if abs(p0) > P_RATIO_FLOOR:
+    p0 = _p_ratio_scale(exact_records)
+    if p0 is not None:
         polarization = ("Polarization ratio p(t)/p(0)", "p(t)/p(0)", p0)
     else:
         polarization = ("Polarization p(t)/e", "p/e", 1.0)
@@ -343,16 +346,15 @@ def run(config: RunConfig) -> int:
         snapshot_every=config.snapshot_every,
     )
     trajectory = trotter_evolve(config.initial_state_index, params, plan)
-    times = trajectory.times
     records = trajectory.records
 
     shot_records = None
     if config.shots > 0:
         shot_records = []
-        for i, (t, orbitals) in enumerate(zip(times, trajectory.orbitals)):
-            state = read_out(orbitals, config.hubble, t)
+        for i, (rec, orbitals) in enumerate(zip(records, trajectory.orbitals)):
+            state = read_out(orbitals, config.hubble, rec.t)
             counts = sample_z_basis(state, config.shots, config.seed + i)
-            shot_records.append(estimators_from_counts(counts, t, config.hubble))
+            shot_records.append(estimators_from_counts(counts, rec.t, config.hubble))
 
     charge_drift = max(abs(r.total_sz - records[0].total_sz) for r in records)
     norm_drift = max(abs(r.norm - 1.0) for r in records)
@@ -365,7 +367,7 @@ def run(config: RunConfig) -> int:
             config.t_total,
             substeps_start=config.oracle_substeps_start,
         )
-        final = read_out(trajectory.orbitals[-1], config.hubble, times[-1])
+        final = read_out(trajectory.orbitals[-1], config.hubble, records[-1].t)
         exact = read_out(oracle.orbitals, config.hubble, config.t_total)
         oracle_report = {
             "substeps": oracle.substeps,
@@ -374,9 +376,7 @@ def run(config: RunConfig) -> int:
         }
 
     os.makedirs(config.output_dir, exist_ok=True)
-    write_density_csv(
-        os.path.join(config.output_dir, "density.csv"), times, records, shot_records
-    )
+    write_density_csv(os.path.join(config.output_dir, "density.csv"), records, shot_records)
     write_observables_csv(
         os.path.join(config.output_dir, "observables.csv"), records, shot_records
     )
@@ -395,7 +395,7 @@ def run(config: RunConfig) -> int:
     if shot_records is not None:
         summary["shot_records"] = [dataclasses.asdict(r) for r in shot_records]
     write_summary_json(os.path.join(config.output_dir, "summary.json"), summary)
-    _write_plots(config.output_dir, config, times, records, shot_records)
+    _write_plots(config.output_dir, config, records, shot_records)
 
     if not (charge_drift <= CHARGE_DRIFT_TOL and norm_drift <= NORM_DRIFT_TOL):  # NaN fails
         print(
@@ -538,8 +538,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="config file (key = value) or a previous summary.json")
-    parser.add_argument("--preset", choices=sorted(PRESETS), help="start from a named preset")
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--config", help="config file (key = value) or a previous summary.json")
+    source.add_argument("--preset", choices=sorted(PRESETS), help="start from a named preset")
     for f in fields(RunConfig):
         parser.add_argument(f"--{f.name}", type=_CONVERTERS[f.name], default=None)
 

@@ -22,6 +22,14 @@ ORACLE_TOL = 1e-10
 # 4e260 leaves a factor of 1e47 for the spread and the shots.
 HUBBLE_TIME_LIMIT = 300.0
 
+# `run` reports the ratio p(t)/p(0) only where |p(0)| is above this; a basis
+# start's p(0) sums occupied site positions, an integer: this tells 0 from >= 1.
+P_RATIO_FLOOR = 1e-9
+
+# `state_distance` aligns a state's phase at one amplitude only above this
+# size: amplitudes carry ~1e-16 of rounding, so a smaller one's phase is noise.
+PHASE_FLOOR = 1e-12
+
 # A Hermitian sum of Pauli strings has real coefficients, so any imaginary
 # part above rounding means a non-Hermitian sum.
 IMAG_COEFF_TOL = 1e-12
@@ -37,6 +45,9 @@ MAX_SITES = 62
 # Shot sampling keys Philox with the seed as a uint64, and snapshot i draws
 # with seed + i, so every such seed must be below this.
 SEED_LIMIT = 1 << 64
+# The sampler draws one float64 per shot, so 2^28 shots take 2 GiB, the
+# same as READOUT_LIMIT; `run` rejects more before any work.
+SHOT_LIMIT = 1 << 28
 # Sweep point j runs with the seed base + j * SEED_STRIDE, and a run takes
 # fewer Trotter steps than this, so no two snapshots of a sweep share a key.
 SEED_STRIDE = 1 << 32

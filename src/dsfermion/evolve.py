@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NORM_DRIFT_LIMIT, ORACLE_SUBSTEP_BUDGET, ORACLE_TOL
+from .errors import NORM_DRIFT_LIMIT, ORACLE_SUBSTEP_BUDGET, ORACLE_TOL, PHASE_FLOOR
 from .errors import NormDriftError, ResourceLimitError
 from .model import ModelParams, hamiltonian_parts, one_body_parts, scale_factor
 from .observables import ObservableRecord, exact_record, slater_norm
@@ -65,10 +65,9 @@ class TrotterPlan:
 
 @dataclass
 class Trajectory:
-    """Snapshot times, records and N x k hole orbitals; a snapshot's state is
-    the Slater determinant of its orbitals."""
+    """Snapshot records (each holds its time) and N x k hole orbitals; a
+    snapshot's state is the Slater determinant of its orbitals."""
 
-    times: list[float]
     records: list[ObservableRecord]
     orbitals: list[np.ndarray]
 
@@ -83,12 +82,11 @@ def trotter_evolve(start: int, params: ModelParams, plan: TrotterPlan) -> Trajec
     hopping, mass = one_body_parts(n)
     # A Slater determinant's energy is tr(Phi^dag h1(t) Phi) + h (N - 2k)/4.
     charge = params.hubble * (n - 2 * len(holes)) / 4
-    trajectory = Trajectory(times=[], records=[], orbitals=[])
+    trajectory = Trajectory(records=[], orbitals=[])
 
     def snapshot(orbitals: np.ndarray, t_now: float) -> None:
         h1 = hopping + params.mass * scale_factor(params, t_now) * mass
         energy = np.vdot(orbitals, h1 @ orbitals).real + charge
-        trajectory.times.append(t_now)
         trajectory.records.append(exact_record(orbitals, t_now, params.hubble, energy=energy))
         trajectory.orbitals.append(orbitals)
 
@@ -279,7 +277,7 @@ def state_distance(a: StateVector, b: StateVector) -> float:
         raise ValueError("the states hold different basis states")
     j = int(np.argmax(np.abs(b.amplitudes)))
     va, vb = a.amplitudes, b.amplitudes
-    pa = va[j] / abs(va[j]) if abs(va[j]) > 1e-12 else 1.0
+    pa = va[j] / abs(va[j]) if abs(va[j]) > PHASE_FLOOR else 1.0
     pb = vb[j] / abs(vb[j])
     return float(np.linalg.norm(va / pa - vb / pb))
 

@@ -52,6 +52,24 @@ def slater_norm(orbitals: np.ndarray) -> float:
     return math.sqrt(abs(np.linalg.det(orbitals.conj().T @ orbitals)))
 
 
+def _site_observables(occ: np.ndarray, t: float, hubble: float) -> dict[str, np.ndarray]:
+    """The observables linear in the site occupations ``occ`` (sites along
+    axis 0: a vector, or one column per shot outcome), keyed by their
+    ObservableRecord fields."""
+    n_sites = occ.shape[0]
+    if n_sites < 2:
+        raise ValueError("density correlation needs at least two sites")
+    volume = math.exp(hubble * t)
+    positions = np.arange(n_sites, dtype=np.float64)
+    density = volume * occ
+    return {
+        "density": density,
+        "n_total": density.sum(axis=0),
+        "polarization_over_e": volume * (positions @ occ),
+        "chiral_c": volume * ((-1.0) ** positions @ occ),
+    }
+
+
 def exact_record(
     orbitals: np.ndarray, t: float, hubble: float, energy: float = math.nan
 ) -> ObservableRecord:
@@ -63,23 +81,16 @@ def exact_record(
     The energy is supplied by the caller (it needs the Hamiltonian, which
     this module deliberately does not know about).
     """
-    n_sites = orbitals.shape[0]
-    if n_sites < 2:
-        raise ValueError("density correlation needs at least two sites")
     g = orbitals @ orbitals.conj().T
     occ = 1.0 - g.diagonal().real
-    volume = math.exp(hubble * t)
-    density = volume * occ
-    positions = np.arange(n_sites, dtype=np.float64)
+    linear = {name: value.tolist() for name, value in _site_observables(occ, t, hubble).items()}
+    linear["density"] = tuple(linear["density"])
     return ObservableRecord(
         t=t,
-        density=tuple(float(v) for v in density),
-        n_total=float(density.sum()),
+        **linear,
         correlation_C=float(occ[0] * occ[1] - abs(g[0, 1]) ** 2),
-        polarization_over_e=volume * float(positions @ occ),
-        chiral_c=volume * float((-1.0) ** positions @ occ),
         energy=energy,
-        total_sz=float(n_sites - 2.0 * g.trace().real),
+        total_sz=float(len(occ) - 2.0 * g.trace().real),
         norm=slater_norm(orbitals),
         source="exact",
     )
@@ -95,24 +106,17 @@ def estimators_from_counts(counts: ShotCounts, t: float, hubble: float) -> Obser
     if not counts.counts:
         raise ValueError("empty shot counts")
     n = counts.n_qubits
-    if n < 2:
-        raise ValueError("density correlation needs at least two sites")
     outcomes = np.fromiter(counts.counts.keys(), dtype=np.int64, count=len(counts.counts))
     freqs = np.fromiter(counts.counts.values(), dtype=np.float64, count=len(counts.counts))
     shots = float(counts.shots)
-    volume = math.exp(hubble * t)
 
     # Per-outcome values of each observable; shot statistics weight by counts.
     # Site x of an outcome is occupied when its bit x is clear.
     bits = (outcomes[None, :] >> np.arange(n, dtype=np.int64)[:, None]) & 1
     occ = 1.0 - bits.astype(np.float64)
-    positions = np.arange(n, dtype=np.float64)
-    per_density = volume * occ
-    per_n_total = per_density.sum(axis=0)
-    per_corr = occ[0] * occ[1]
-    per_polar = volume * (positions @ occ)
-    per_chiral = volume * ((-1.0) ** positions @ occ)
-    per_sz = n - 2.0 * np.bitwise_count(outcomes).astype(np.float64)
+    per_shot = _site_observables(occ, t, hubble)
+    per_shot["correlation_C"] = occ[0] * occ[1]
+    per_shot["total_sz"] = n - 2.0 * np.bitwise_count(outcomes).astype(np.float64)
 
     def mean_and_err(values: np.ndarray) -> tuple[float, float]:
         mean = float(values @ freqs / shots)
@@ -122,31 +126,16 @@ def estimators_from_counts(counts: ShotCounts, t: float, hubble: float) -> Obser
             var = 0.0
         return mean, math.sqrt(max(var, 0.0) / shots)
 
-    dens_stats = [mean_and_err(per_density[x]) for x in range(n)]
-    n_total, n_total_err = mean_and_err(per_n_total)
-    corr, corr_err = mean_and_err(per_corr)
-    polar, polar_err = mean_and_err(per_polar)
-    chiral, chiral_err = mean_and_err(per_chiral)
-    sz, sz_err = mean_and_err(per_sz)
-
+    # The density is one mean and error per site, taken row by row.
+    stats = {
+        name: tuple(zip(*map(mean_and_err, values))) if name == "density" else mean_and_err(values)
+        for name, values in per_shot.items()
+    }
     return ObservableRecord(
         t=t,
-        density=tuple(m for m, _ in dens_stats),
-        n_total=n_total,
-        correlation_C=corr,
-        polarization_over_e=polar,
-        chiral_c=chiral,
+        **{name: mean for name, (mean, _) in stats.items()},
         energy=math.nan,
-        total_sz=sz,
         norm=math.nan,
         source="shots",
-        shot_errors=ShotErrors(
-            density=tuple(e for _, e in dens_stats),
-            n_total=n_total_err,
-            correlation_C=corr_err,
-            polarization_over_e=polar_err,
-            chiral_c=chiral_err,
-            total_sz=sz_err,
-        ),
+        shot_errors=ShotErrors(**{name: err for name, (_, err) in stats.items()}),
     )
-

@@ -127,8 +127,8 @@ def random_orbitals(rng, n_sites, k):
 def snapshot_states(trajectory, hubble):
     """The state at each snapshot of ``trajectory``, read out of its orbitals."""
     return [
-        read_out(orbitals, hubble, t)
-        for orbitals, t in zip(trajectory.orbitals, trajectory.times)
+        read_out(orbitals, hubble, record.t)
+        for orbitals, record in zip(trajectory.orbitals, trajectory.records)
     ]
 
 

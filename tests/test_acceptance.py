@@ -67,9 +67,9 @@ def preset(request):
     plan = TrotterPlan.for_total_time(1.0, 10)
     trajectory = trotter_evolve(1, paper_params(mass), plan)
     shot_records = []
-    for i, (t, st) in enumerate(zip(trajectory.times, snapshot_states(trajectory, HUBBLE))):
+    for i, (record, st) in enumerate(zip(trajectory.records, snapshot_states(trajectory, HUBBLE))):
         counts = sample_z_basis(st, 10_000, seed=PRESET_SEED + i)
-        shot_records.append(estimators_from_counts(counts, t, HUBBLE))
+        shot_records.append(estimators_from_counts(counts, record.t, HUBBLE))
     return mass, trajectory, shot_records
 
 
@@ -299,9 +299,9 @@ def preset_m0():
     plan = TrotterPlan.for_total_time(1.0, 10)
     trajectory = trotter_evolve(1, paper_params(0.0), plan)
     shot_records = []
-    for i, (t, st) in enumerate(zip(trajectory.times, snapshot_states(trajectory, HUBBLE))):
+    for i, (record, st) in enumerate(zip(trajectory.records, snapshot_states(trajectory, HUBBLE))):
         counts = sample_z_basis(st, 10_000, seed=PRESET_SEED + i)
-        shot_records.append(estimators_from_counts(counts, t, HUBBLE))
+        shot_records.append(estimators_from_counts(counts, record.t, HUBBLE))
     return trajectory, shot_records
 
 
@@ -319,7 +319,7 @@ def m0_oracle_ratios(preset_m0):
     params = paper_params(0.0)
     trajectory, _ = preset_m0
     ratios = []
-    for t in trajectory.times:
+    for t in (record.t for record in trajectory.records):
         if t == 0.0:
             state = basis_state(8, 1)
         else:

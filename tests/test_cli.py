@@ -99,6 +99,30 @@ class TestConfigFiles:
                 assert "Traceback" not in capsys.readouterr().err
                 assert not out.exists(), (field, value)
 
+    def test_json_config_must_be_an_object(self, tmp_path, capsys):
+        # A summary.json's "config" that is not an object used to escape as a
+        # TypeError or AttributeError traceback.
+        out = tmp_path / "out"
+        for value in (None, ["n_sites"], 5):
+            path = tmp_path / "summary.json"
+            path.write_text(json.dumps({"config": value}))
+            argv = ["run", "--config", str(path), "--output_dir", str(out)]
+            assert cli.main(argv) == cli.EXIT_USAGE, value
+            err = capsys.readouterr().err
+            assert err.startswith("dsfermion:") and "Traceback" not in err, value
+            assert not out.exists(), value
+
+    def test_preset_and_config_are_exclusive(self, tmp_path, capsys):
+        # A preset used to win silently over a config file, read or not.
+        for command in (["run"], ["sweep", "--parameter", "shots", "--values", "10"]):
+            out = tmp_path / command[0]
+            argv = [*command, "--preset", "paper-m1", "--config", str(tmp_path / "none.cfg")]
+            with pytest.raises(SystemExit) as info:
+                cli.main([*argv, "--shots", "0", "--oracle", "off", "--output_dir", str(out)])
+            assert info.value.code == cli.EXIT_USAGE, command
+            assert "not allowed with argument" in capsys.readouterr().err
+            assert not out.exists(), command
+
     def test_flag_overrides_file(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_text(cli.config_to_text(fast_config(tmp_path)))
@@ -225,7 +249,7 @@ class TestRun:
         # double past the 2^16 step budget.  The seed keys a uint64 Philox
         # stream, and with the default 10 steps the last snapshot samples
         # with seed + 10.  Sweep points are 2^32 seeds apart, so a run takes
-        # fewer than 2^32 steps.
+        # fewer than 2^32 steps.  More than 2^28 shots would draw over 2 GiB.
         half_filled_24 = ("--n_sites", "24", "--initial_state_index", str(0x555555))
         for *flags, oracle in (
             ("--n_sites", "7", "off"),
@@ -236,6 +260,7 @@ class TestRun:
             ("--seed", str(2**64), "off"),
             ("--seed", str(2**64 - 10), "off"),
             ("--trotter_steps", str(2**32), "off"),
+            ("--shots", str(2**28 + 1), "off"),
             ("--oracle_substeps_start", "65536", "on"),
             ("--oracle_substeps_start", "131073", "on"),
             ("--initial_state_index", "256", "off"),
@@ -247,6 +272,7 @@ class TestRun:
             assert cli.main(argv) == cli.EXIT_USAGE, flags
             assert not out.exists(), flags
         cli.RunConfig(seed=2**64 - 11).validate()
+        cli.RunConfig(shots=2**28).validate()
         # Without a readout N = 24 passes, and C(22, 11) * 11^2 = 85M entries fit.
         cli.RunConfig(n_sites=24, initial_state_index=0x555555, shots=0, oracle="off").validate()
         cli.RunConfig(n_sites=22, initial_state_index=0x155555, oracle="on").validate()

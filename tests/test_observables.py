@@ -149,7 +149,7 @@ class TestShotEstimators:
     def test_within_five_stderr_of_exact(self):
         trajectory = paper_trajectory(mass=0.0)
         for i, st in enumerate(snapshot_states(trajectory, 0.1)):
-            t = trajectory.times[i]
+            t = trajectory.records[i].t
             counts = sample_z_basis(st, 10_000, seed=100 + i)
             shot = estimators_from_counts(counts, t, 0.1)
             exact = trajectory.records[i]
@@ -167,7 +167,7 @@ class TestShotEstimators:
     def test_errors_halve_when_shots_quadruple(self):
         trajectory = paper_trajectory(mass=0.0)
         st = snapshot_states(trajectory, 0.1)[-1]
-        t = trajectory.times[-1]
+        t = trajectory.records[-1].t
 
         def mean_errors(shots, seed):
             counts = sample_z_basis(st, shots, seed)
@@ -184,7 +184,7 @@ class TestShotEstimators:
         # Mean |error| should fall like 1/sqrt(shots): quadrupling halves it.
         trajectory = paper_trajectory(mass=0.0)
         st = snapshot_states(trajectory, 0.1)[5]
-        t = trajectory.times[5]
+        t = trajectory.records[5].t
         exact = trajectory.records[5]
 
         def mean_abs_error(shots):
