@@ -1,7 +1,7 @@
 """Exception types and numerical tolerances shared across the package."""
 
 # A Trotter step that moves the norm further than this is broken: 1000
-# steps at N = 8 and half filling drift by ~1.5e-12, so 1e-8 is far above
+# steps at N = 8 and half filling drift by ~1.5e-13, so 1e-8 is far above
 # rounding.
 NORM_DRIFT_LIMIT = 1e-8
 

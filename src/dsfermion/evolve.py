@@ -2,14 +2,12 @@
 fine-grained exact propagator used as a verification oracle.
 
 The Trotter circuit is a matchgate circuit (Terhal & DiVincenzo, PRA 65,
-032325 (2002)): each step is an N x N one-body unitary, so the Trotter step
-and the oracle are schemes of one product loop on the one-body matrix.  A
-Trotter step takes one exponential per bulk bond (XX+YY) in ascending
-order, then the boundary pair, then the mass layer.  The charge term is one
-phase per charge sector, so the charge is conserved along the Trotter
-trajectory at any step size.  Both start from a basis index with k holes
-(bits set) and hold only its N x k hole orbitals u[:, holes], whose Slater
-determinant is the state; ``read_out`` gives its C(N, k) amplitudes.
+032325 (2002)): a step is a fixed layer of 2 x 2 bond rotations, then a
+diagonal mass phase, on the one-body orbitals.  The charge term is one
+phase per charge sector, so the charge is conserved at any step size.
+Both evolutions start from a basis index with k holes (bits set) and hold
+only its N x k hole orbitals, whose Slater determinant is the state;
+``read_out`` gives its C(N, k) amplitudes.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import numpy as np
 
 from .errors import NORM_DRIFT_LIMIT, ORACLE_SUBSTEP_BUDGET, ORACLE_TOL, PHASE_FLOOR
 from .errors import NormDriftError, ResourceLimitError
-from .model import ModelParams, hamiltonian_parts, one_body_parts, scale_factor
+from .model import ModelParams, one_body_parts, scale_factor
 from .observables import ObservableRecord, exact_record, slater_norm
 from .state import StateVector
 
@@ -90,17 +88,19 @@ def trotter_evolve(start: int, params: ModelParams, plan: TrotterPlan) -> Trajec
         trajectory.records.append(exact_record(orbitals, t_now, params.hubble, energy=energy))
         trajectory.orbitals.append(orbitals)
 
-    snapshot(np.eye(n)[:, holes], 0.0)
-    scheme = _trotter_scheme(n, TIME_NODES[plan.time_sampling])
-    for k, u in enumerate(_one_body_steps(params, plan.dt, plan.steps, scheme)):
-        t_now = (k + 1) * plan.dt
-        orbitals = u[:, holes]
+    orbitals = np.eye(n)[:, holes]
+    snapshot(orbitals, 0.0)
+    bonds = _bond_layer(hopping, plan.dt)
+    node = TIME_NODES[plan.time_sampling]
+    for k in range(plan.steps):
+        scale = params.mass * math.exp(params.hubble * (k * plan.dt + node * plan.dt))
+        orbitals = np.exp(-1j * plan.dt * scale * mass.diagonal())[:, None] * (bonds @ orbitals)
         drift = abs(slater_norm(orbitals) - 1.0)
         if not drift <= NORM_DRIFT_LIMIT:  # a NaN norm fails too
             message = f"state norm drifted by {drift:.3e} (> {NORM_DRIFT_LIMIT:g})"
             raise NormDriftError(f"step {k + 1} of {plan.steps}: {message}")
         if (k + 1) % plan.snapshot_every == 0 or k + 1 == plan.steps:
-            snapshot(orbitals, t_now)
+            snapshot(orbitals, (k + 1) * plan.dt)
     return trajectory
 
 
@@ -111,58 +111,19 @@ def _start_holes(start: int, n_sites: int) -> list[int]:
     return [x for x in range(n_sites) if start >> x & 1]
 
 
-# A scheme lists the exponentials of one step of width dt, in the order they
-# act.  Exponential j is exp(-i dt (hop * hopping + m sum_r w_r e^{h(t0 +
-# c_r dt)} mass)) over its (node c_r, weight w_r) rows; ``hop`` is a scalar
-# weight or a mask that keeps one bond of the hopping matrix.  The
-# fourth-order commutator-free Magnus step (Blanes & Moan, Appl. Numer.
-# Math. 56 (2006) 1519) samples h1 at the two Gauss nodes 1/2 -+ sqrt(3)/6.
-_C1, _C2 = 0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6
-_W1, _W2 = (3 - 2 * math.sqrt(3)) / 12, (3 + 2 * math.sqrt(3)) / 12
-CF4 = ((_W1 + _W2, ((_C1, _W2), (_C2, _W1))), (_W1 + _W2, ((_C1, _W1), (_C2, _W2))))
-CF4_ORDER = 4
-
-
-def _trotter_scheme(n_sites: int, node: float) -> tuple:
-    """The first-order Trotter step: one exponential per hopping bond (the
-    x_mask its XX and YY strings share), the bulk bonds (two adjacent bits)
-    by site and the boundary pair last, then the mass layer at ``node``."""
-    bonds = {string.x_mask for _, string in hamiltonian_parts(n_sites).hopping.terms}
-    scheme = []
-    for bond in sorted(bonds, key=lambda b: (not b & (b >> 1), b)):
-        bits = bond >> np.arange(n_sites) & 1
-        scheme.append((np.outer(bits, bits) - np.diag(bits), ()))
-    return (*scheme, (0.0, ((node, 1.0),)))
-
-
-# Steps per batch of N x N exponentials.  Batches of 64 are as fast as
-# larger ones on the presets and keep the oracle's peak memory under 1 MiB.
-_BATCH_STEPS = 64
-
-
-def _one_body_steps(params: ModelParams, dt: float, steps: int, scheme):
-    """Yield the product u of the one-body exponentials after each of
-    ``steps`` equal steps of ``scheme``.
-
-    aH(t) without its charge term is the second quantization of the N x N
-    one-body matrix h1(t) = hopping + m e^{ht} mass (model.one_body_parts);
-    each exponential of it is taken through an eigendecomposition.
-    """
-    n = params.n_sites
-    hopping, mass = one_body_parts(n)
-    u = np.eye(n, dtype=np.complex128)
-    for first in range(0, steps, _BATCH_STEPS):
-        starts = dt * np.arange(first, min(first + _BATCH_STEPS, steps))
-        batch = np.eye(n, dtype=np.complex128)
-        for hop, rows in scheme:
-            scale = sum((w * np.exp(params.hubble * (starts + c * dt)) for c, w in rows), 0 * starts)
-            gens = hop * hopping + (params.mass * scale)[:, None, None] * mass
-            energies, vecs = np.linalg.eigh(gens)
-            phases = np.exp(-1j * dt * energies)[:, None, :]
-            batch = (vecs * phases) @ vecs.conj().swapaxes(1, 2) @ batch
-        for factor in batch:
-            u = factor @ u
-            yield u
+def _bond_layer(hopping: np.ndarray, dt: float) -> np.ndarray:
+    """The hopping gates of one Trotter step as one N x N matrix.  Bond
+    (x, y), an upper off-diagonal hopping entry c = |c| e^{i phi}, rotates
+    rows x and y by [[cos, -i e^{i phi} sin], [-i e^{-i phi} sin, cos]] of
+    |c| dt; the bulk bonds act by site, then the boundary pair (0, N - 1)."""
+    layer = np.eye(hopping.shape[0], dtype=np.complex128)
+    for x, y in sorted(np.argwhere(np.triu(hopping, 1)), key=lambda b: (b[1] - b[0] > 1, b[0])):
+        c = hopping[x, y]
+        cos, sin = math.cos(abs(c) * dt), math.sin(abs(c) * dt)
+        phase = c / abs(c)
+        rotation = np.array([[cos, -1j * phase * sin], [-1j * phase.conjugate() * sin, cos]])
+        layer[[x, y]] = rotation @ layer[[x, y]]
+    return layer
 
 
 @functools.lru_cache(maxsize=1)
@@ -199,8 +160,25 @@ def read_out(orbitals: np.ndarray, hubble: float, t: float) -> StateVector:
 # Exact time-ordered propagator oracle
 # ---------------------------------------------------------------------------
 
+# A scheme lists the exponentials of one step of width dt, in the order they
+# act.  Exponential j is exp(-i dt (hop * hopping + m sum_r w_r e^{h(t0 +
+# c_r dt)} mass)) over its (node c_r, weight w_r) rows.  The fourth-order
+# commutator-free Magnus step (Blanes & Moan, Appl. Numer. Math. 56 (2006)
+# 1519) samples h1 at the two Gauss nodes 1/2 -+ sqrt(3)/6.
+_C1, _C2 = 0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6
+_W1, _W2 = (3 - 2 * math.sqrt(3)) / 12, (3 + 2 * math.sqrt(3)) / 12
+CF4 = ((_W1 + _W2, ((_C1, _W2), (_C2, _W1))), (_W1 + _W2, ((_C1, _W1), (_C2, _W2))))
+CF4_ORDER = 4
+
+# Steps per batch of N x N exponentials.  Batches of 64 are as fast as
+# larger ones on the presets and keep the oracle's peak memory under 1 MiB.
+_BATCH_STEPS = 64
+
+
 def _propagate(start: int, params: ModelParams, t_total: float, steps: int, scheme) -> np.ndarray:
-    """Hole orbitals of the basis state ``start`` after ``steps`` equal steps of ``scheme``."""
+    """Hole orbitals of the basis state ``start`` after ``steps`` equal steps
+    of ``scheme``: the hole columns of the product u of its exponentials of
+    h1(t) = hopping + m e^{ht} mass (model.one_body_parts), each by ``eigh``."""
     n = params.n_sites
     holes = _start_holes(start, n)
     if steps < 1:
@@ -209,8 +187,20 @@ def _propagate(start: int, params: ModelParams, t_total: float, steps: int, sche
         raise ValueError(f"t_total must be finite and >= 0, got {t_total}")
     if t_total == 0:
         return np.eye(n)[:, holes]
-    for u in _one_body_steps(params, t_total / steps, steps, scheme):
-        pass
+    dt = t_total / steps
+    hopping, mass = one_body_parts(n)
+    u = np.eye(n, dtype=np.complex128)
+    for first in range(0, steps, _BATCH_STEPS):
+        starts = dt * np.arange(first, min(first + _BATCH_STEPS, steps))
+        batch = np.eye(n, dtype=np.complex128)
+        for hop, rows in scheme:
+            scale = sum((w * np.exp(params.hubble * (starts + c * dt)) for c, w in rows), 0 * starts)
+            gens = hop * hopping + (params.mass * scale)[:, None, None] * mass
+            energies, vecs = np.linalg.eigh(gens)
+            phases = np.exp(-1j * dt * energies)[:, None, :]
+            batch = (vecs * phases) @ vecs.conj().swapaxes(1, 2) @ batch
+        for factor in batch:
+            u = factor @ u
     return u[:, holes]
 
 
@@ -233,10 +223,21 @@ def exact_evolve_converged(
     scheme from the basis state ``start`` until successive results differ by
     < tol in norm, as bounded from their hole orbitals.
 
-    Raise ResourceLimitError once the budget cannot reach ``tol``: when the
-    last delta, shrunk 2^4 times for each doubling left within
-    ``max_substeps`` (a size guard), is still >= tol.
+    The steps resolve h1 only past phase = t_total ||h1(t_total)|| substeps,
+    with the norm bounded by the largest absolute row sum.  Raise
+    ResourceLimitError before any work if phase >= ``max_substeps`` (a size
+    guard), and past phase once the last delta, shrunk 2^4 times for each
+    doubling left within the budget, is still >= tol.
     """
+    _start_holes(start, params.n_sites)  # a bad start is a ValueError first
+    hopping, mass = one_body_parts(params.n_sites)
+    h1 = hopping + params.mass * scale_factor(params, t_total) * mass
+    phase = t_total * np.linalg.norm(h1, np.inf)
+    failed = f"oracle did not converge below {tol:g}"
+    budget = f"the budget of {max_substeps} substeps cannot reach it"
+    if phase >= max_substeps:
+        message = f"its steps resolve h1 only past {phase:.4g} substeps"
+        raise ResourceLimitError(f"{failed}: {message}, and {budget}")
     substeps = max(1, substeps_start)
     prev = _propagate(start, params, t_total, substeps, CF4)
     while True:
@@ -256,11 +257,9 @@ def exact_evolve_converged(
             return ExactOracleResult(orbitals=cur, substeps=substeps, delta=delta)
         # Doublings before substeps reaches max_substeps.
         doublings_left = max(0, (max_substeps - 1) // substeps).bit_length()
-        if delta >= tol * 2.0 ** (CF4_ORDER * doublings_left):
-            raise ResourceLimitError(
-                f"oracle did not converge below {tol:g}: delta {delta:.3e} at {substeps} "
-                f"substeps, and the budget of {max_substeps} substeps cannot reach it"
-            )
+        if substeps > phase and delta >= tol * 2.0 ** (CF4_ORDER * doublings_left):
+            message = f"delta {delta:.3e} at {substeps} substeps"
+            raise ResourceLimitError(f"{failed}: {message}, and {budget}")
         prev = cur
 
 

@@ -11,10 +11,12 @@ evolves each popcount block of aH(t) with a Taylor series, with no
 fermionic structure.
 The Pauli-rotation kernel and its Trotter step are the slow reference for
 the package's one-body Trotter evolution: they rotate all 2^N amplitudes by
-one Hamiltonian string at a time.  The Pauli-sum expectation is the dense
-reference for the one-body snapshot energy, ``exact_evolve`` reads out the
-midpoint-sampled oracle, and ``sample_z_basis_reference`` is the per-shot
-inversion that the package's sampler replaces by counting sorted draws.
+one Hamiltonian string at a time.  Past their reach, the bond-mask scheme
+takes one N x N exponential per bond and one of the mass layer.  The
+Pauli-sum expectation is the dense reference for the one-body snapshot
+energy, ``exact_evolve`` reads out the midpoint-sampled oracle, and
+``sample_z_basis_reference`` is the per-shot inversion that the package's
+sampler replaces by counting sorted draws.
 ``amplitude_record`` weights per-basis-state values by |amplitude|^2: it is
 the slow reference for the Wick record that the package takes from the hole
 orbitals, and it reads any state, Slater determinant or not.
@@ -197,7 +199,7 @@ def expectation_pauli_sum(state, a):
     return value.real
 
 
-# The midpoint rule, a second-order scheme of evolve's product loop.
+# The midpoint rule, a second-order scheme of evolve._propagate.
 MIDPOINT = ((1.0, ((0.5, 1.0),)),)
 
 
@@ -206,6 +208,26 @@ def exact_evolve(start, params, t_total, substeps):
     propagator, exp(-i aH(t_mid) dt) on each of ``substeps`` intervals of
     [0, t_total] with t_mid its midpoint, from the basis state ``start``."""
     return read_out(_propagate(start, params, t_total, substeps, MIDPOINT), params.hubble, t_total)
+
+
+def bond_mask_scheme(n_sites, node):
+    """The first-order Trotter step as a scheme of evolve._propagate: one
+    exponential per hopping bond, whose mask keeps that bond's entries of the
+    hopping matrix (the x_mask its XX and YY strings share; the bulk bonds by
+    site, then the boundary pair), then the mass layer sampled at ``node``."""
+    bonds = {string.x_mask for _, string in hamiltonian_parts(n_sites).hopping.terms}
+    scheme = []
+    for bond in sorted(bonds, key=lambda b: (not b & (b >> 1), b)):
+        bits = bond >> np.arange(n_sites) & 1
+        scheme.append((np.outer(bits, bits) - np.diag(bits), ()))
+    return (*scheme, (0.0, ((node, 1.0),)))
+
+
+def bond_mask_trotter_orbitals(start, params, plan):
+    """Hole orbitals of ``start`` after the last step of ``plan``, by the
+    slow reference: N + 1 N x N exponentials per step, through ``eigh``."""
+    scheme = bond_mask_scheme(params.n_sites, TIME_NODES[plan.time_sampling])
+    return _propagate(start, params, plan.steps * plan.dt, plan.steps, scheme)
 
 
 def sample_z_basis_reference(state, shots, seed):

@@ -341,6 +341,24 @@ class TestRun:
         assert cli.main(argv) == cli.EXIT_OK
         assert calls == [(8, 1), (8, 1)]
 
+    def test_oracle_converges_once_steps_resolve_h1(self, tmp_path, capsys):
+        # t ||h1(t)|| ~ 7.7e3 < 65536.  Until the steps resolve h1 the
+        # oracle's deltas fall by less than 2^4 per doubling (8.5e-5, 7.8e-5,
+        # 1.4e-5 at 1024, 2048, 4096 substeps), then by 435 to 3.2e-8 at
+        # 8192: a give-up extrapolated at 4096 would be wrong.  At h = 2 and
+        # t = 5 it is ~1.1e5, past the budget, so the run stops at once.
+        out = tmp_path / "resolved"
+        argv = ["run", "--n_sites", "4", "--hubble", "1", "--mass", "1", "--shots", "0"]
+        assert cli.main(argv + ["--t_total", "7", "--output_dir", str(out)]) == cli.EXIT_OK
+        oracle = json.loads((out / "summary.json").read_text())["invariants"]["oracle"]
+        assert oracle["substeps"] == 32768 and oracle["convergence_delta"] < 1e-10
+        argv = ["run", "--n_sites", "4", "--hubble", "2", "--mass", "1", "--shots", "0"]
+        out = tmp_path / "unresolved"
+        assert cli.main(argv + ["--t_total", "5", "--output_dir", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "did not converge" in err and "cannot reach" in err
+        assert not out.exists()
+
     def test_one_hole_oracle_past_twelve_sites(self, tmp_path):
         # A one-hole start at N = 14 reads out 14 amplitudes, far inside the
         # readout guard.

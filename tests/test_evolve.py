@@ -23,6 +23,7 @@ from dsfermion.pauli import PauliString, PauliSum
 from conftest import (
     amplitude_record,
     basis_state,
+    bond_mask_trotter_orbitals,
     dense_from_label,
     dense_state,
     exact_evolve,
@@ -163,16 +164,16 @@ class TestTrotterEvolve:
     @pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
     def test_nan_norm_is_drift(self, monkeypatch):
         # NaN compares false with any limit; the check must still fail.  The
-        # start's hole is at site 0, so u[0, 0] is one of its orbitals' entries.
-        one_body_steps = evolve._one_body_steps
+        # start's hole is at site 0, so the bond layer's [0, 0] entry reaches
+        # its orbital.
+        bond_layer = evolve._bond_layer
 
-        def nan_steps(*args):
-            for u in one_body_steps(*args):
-                u = u.copy()
-                u[0, 0] = np.nan
-                yield u
+        def nan_layer(*args):
+            layer = bond_layer(*args)
+            layer[0, 0] = np.nan
+            return layer
 
-        monkeypatch.setattr(evolve, "_one_body_steps", nan_steps)
+        monkeypatch.setattr(evolve, "_bond_layer", nan_layer)
         plan = TrotterPlan.for_total_time(1.0, 10)
         with pytest.raises(NormDriftError, match=r"^step 1 of 10: state norm drifted by nan"):
             trotter_evolve(1, ModelParams(8, 0.1, 1.0), plan)
@@ -214,6 +215,26 @@ class TestTrotterEvolve:
                         assert dev < 1e-12, (n, mass, sampling, start, k)
 
 
+    def test_matches_bond_mask_reference_past_dense_reach(self):
+        # Beyond the 2^N reference: the final orbitals against the product of
+        # one eigh exponential per bond and one of the mass layer, for one
+        # hole and for half filling, up to the largest lattice.
+        for n in (12, 20, 62):
+            params = ModelParams(n, 0.1, 1.0)
+            plan = TrotterPlan.for_total_time(1.0, 10, snapshot_every=10)
+            for start in (1, sum(1 << x for x in range(0, n, 2))):
+                ours = trotter_evolve(start, params, plan).orbitals[-1]
+                theirs = bond_mask_trotter_orbitals(start, params, plan)
+                assert np.max(np.abs(ours - theirs)) < 1e-12, (n, start)
+
+    def test_step_keeps_orbitals_orthonormal(self):
+        # The rotations and phases are exact to rounding, so 2^12 steps at
+        # N = 8 and k = 8 keep Phi^dag Phi = 1 to 1.7e-12; a step built from
+        # eigh exponentials drifts by 1.2e-11.
+        plan = TrotterPlan.for_total_time(1.0, 1 << 12, snapshot_every=1 << 12)
+        phi = trotter_evolve(255, ModelParams(8, 0.1, 1.0), plan).orbitals[-1]
+        assert np.linalg.norm(phi.conj().T @ phi - np.eye(8)) < 5e-12
+
     def test_snapshot_energy_matches_dense_expectation(self):
         # The one-body energy tr(u[:, T]^dag h1 u[:, T]) + h (N - 2k)/4
         # against <state| aH(t) |state> over all 2^N amplitudes.
@@ -229,10 +250,10 @@ class TestTrotterEvolve:
 
     def test_out_of_range_start_rejected_before_work(self, monkeypatch):
         # Dropping the high bits of 2^4 + 1 would silently start from 1.
-        def no_steps(*args):
+        def no_parts(*args):
             raise AssertionError("the evolution started")
 
-        monkeypatch.setattr(evolve, "_one_body_steps", no_steps)
+        monkeypatch.setattr(evolve, "one_body_parts", no_parts)
         params = ModelParams(4, 0.1, 1.0)
         for start in (-1, 1 << 4, (1 << 4) + 1):
             with pytest.raises(ValueError, match="out of range for 4 sites"):
@@ -372,9 +393,9 @@ class TestExactEvolve:
             exact_evolve_converged(1, params, 1.0, substeps_start=2, tol=1e-14, max_substeps=8)
 
     def test_gives_up_when_budget_cannot_converge(self, monkeypatch):
-        # The 256 -> 512 doubling moves the state by ~1.8e-4; three doublings
-        # of a fourth-order scheme within 4096 substeps shrink that to no
-        # less than ~4e-8, so the loop stops after the first doubling.
+        # t_total ||h1(t_total)|| <= 4 (2 + 3 e^6) ~ 4.8e3: no step count
+        # within 4096 substeps resolves h1, so the oracle gives up before it
+        # propagates at all.
         propagate = evolve._propagate
         calls = []
 
@@ -386,7 +407,7 @@ class TestExactEvolve:
         params = ModelParams(4, 1.5, 3.0)
         with pytest.raises(ResourceLimitError, match="cannot reach"):
             exact_evolve_converged(1, params, 4.0, max_substeps=4096)
-        assert calls == [256, 512]
+        assert calls == []
 
     def test_oracle_reads_nothing_out(self, monkeypatch):
         # Half filling at N = 20: the oracle converges on the 20 x 10 hole
