@@ -350,11 +350,16 @@ def run(config: RunConfig) -> int:
 
     shot_records = None
     if config.shots > 0:
-        shot_records = []
-        for i, (rec, orbitals) in enumerate(zip(records, trajectory.orbitals)):
-            state = read_out(orbitals, config.hubble, rec.t)
-            counts = sample_z_basis(state, config.shots, config.seed + i)
-            shot_records.append(estimators_from_counts(counts, rec.t, config.hubble))
+        # One sampler call per run: it pulls the readouts as it goes and
+        # samples snapshot i with the Philox key seed + i.
+        states = (
+            read_out(orbitals, config.hubble, rec.t)
+            for rec, orbitals in zip(records, trajectory.orbitals)
+        )
+        shot_records = [
+            estimators_from_counts(counts, rec.t, config.hubble)
+            for rec, counts in zip(records, sample_z_basis(states, config.shots, config.seed))
+        ]
 
     charge_drift = max(abs(r.total_sz - records[0].total_sz) for r in records)
     norm_drift = max(abs(r.norm - 1.0) for r in records)

@@ -45,8 +45,10 @@ MAX_SITES = 62
 # Shot sampling keys Philox with the seed as a uint64, and snapshot i draws
 # with seed + i, so every such seed must be below this.
 SEED_LIMIT = 1 << 64
-# The sampler draws one float64 per shot, so 2^28 shots take 2 GiB, the
-# same as READOUT_LIMIT; `run` rejects more before any work.
+# The sampler holds only fixed chunks of draws, so shots cost time, not
+# memory: one 2^28-shot snapshot takes ~4-5 s on one core (N = 8 one hole,
+# N = 12 half filled), and a run samples one per snapshot; `run` rejects
+# more before any work.
 SHOT_LIMIT = 1 << 28
 # Sweep point j runs with the seed base + j * SEED_STRIDE, and a run takes
 # fewer Trotter steps than this, so no two snapshots of a sweep share a key.

@@ -4,12 +4,17 @@ A state holds amplitudes over a strictly ascending array of basis indices
 and is zero elsewhere; ``evolve.read_out`` fills the C(N, k) basis states of
 one charge sector, never all 2^N.  This module has no time evolution.
 
-Shot sampling uses the Philox-4x64 counter-based generator keyed as
-(seed, 0) with a zero counter, drawing uniform doubles scaled to the total
-of the cumulative distribution.  The counts are taken from the sorted
-draws, with one search per basis state and no per-shot outcome array; they
-equal the counts of inverting the cumulative distribution once per shot.
-Given the same (state, shots, seed) the counts are identical across runs
+Shot sampling takes a batch of states and samples state i with the
+Philox-4x64 counter-based generator keyed as (seed + i, 0) with a zero
+counter, drawing uniform doubles scaled to the total of the cumulative
+distribution.  The draws are made, sorted and counted DRAW_CHUNK at a time
+from the one stream, with one search per basis state and chunk and no
+per-shot outcome array: the number of draws below a cumulative sum adds up
+over the chunks, so the counts equal those of inverting the cumulative
+distribution once per shot.  When a state takes more than one chunk, the
+batch is sampled on all usable cores; a state's counts depend only on
+(state, shots, seed + i), never on the core count or on which thread
+finishes first.  Given the same input the counts are identical across runs
 and platforms, and equal to those of the same state with its zero
 amplitudes spelled out: adding zeros does not change a cumulative sum.
 """
@@ -17,6 +22,9 @@ amplitudes spelled out: adding zeros does not change a cumulative sum.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,32 +71,68 @@ class ShotCounts:
             raise ValueError(f"counts sum to {total}, expected {self.shots}")
 
 
-def _uniform_draws(shots: int, seed: int) -> np.ndarray:
-    """``shots`` uniform doubles in [0, 1) from Philox-4x64 keyed (seed, 0).
-    A function of its own so that a test can substitute chosen draws."""
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed))).random(shots)
+# Draws sorted and counted at a time: 128 KiB of doubles per sampling thread.
+DRAW_CHUNK = 1 << 14
 
 
-def sample_z_basis(state: StateVector, shots: int, seed: int) -> ShotCounts:
-    """Draw independent Z-basis outcomes from |amp|^2; deterministic per seed."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+def _draw_chunks(shots: int, seed: int) -> Iterator[np.ndarray]:
+    """The ``shots`` uniform doubles in [0, 1) of Philox-4x64 keyed (seed, 0),
+    in consecutive chunks of at most DRAW_CHUNK.  Every chunk is a view of
+    one buffer that the next chunk overwrites.  A function of its own so that
+    a test can substitute chosen draws."""
+    generator = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    buffer = np.empty(min(shots, DRAW_CHUNK))
+    for start in range(0, shots, DRAW_CHUNK):
+        chunk = buffer[: min(DRAW_CHUNK, shots - start)]
+        generator.random(out=chunk)
+        yield chunk
+
+
+def _sample_state(state: StateVector, shots: int, seed: int) -> ShotCounts:
     probs = state.probabilities()
     cumulative = np.cumsum(probs)
     total = cumulative[-1] if cumulative.size else 0.0
     if not (math.isfinite(total) and total > 0):
         raise ValueError(f"cannot sample a state of total probability {total}")
     # Scale the draws to the sum's own total, so that a draw can never fall
-    # past it onto a zero-probability tail.
-    draws = _uniform_draws(shots, seed)
-    draws *= total
-    draws.sort()
-    # A draw d falls in the first bin j with d < cumulative[j], so below[j],
-    # the number of draws under cumulative[j], counts the draws in bins 0..j.
+    # past it onto a zero-probability tail.  A draw d falls in the first bin
+    # j with d < cumulative[j], so below[j], the number of draws under
+    # cumulative[j] summed over the chunks, counts the draws in bins 0..j.
+    below = np.zeros(cumulative.size, dtype=np.intp)
+    for chunk in _draw_chunks(shots, seed):
+        chunk *= total
+        chunk.sort()
+        below += np.searchsorted(chunk, cumulative, side="left")
     # The last nonzero bin also takes a product that rounds up to the total.
-    below = np.searchsorted(draws, cumulative, side="left")
     below[np.flatnonzero(probs)[-1]:] = shots
     freqs = np.diff(below, prepend=0)
     drawn = freqs > 0
     counts = {int(v): int(c) for v, c in zip(state.indices[drawn], freqs[drawn])}
     return ShotCounts(n_qubits=state.n_qubits, shots=shots, counts=counts, seed=seed)
+
+
+def sample_z_basis(states: Iterable[StateVector], shots: int, seed: int) -> list[ShotCounts]:
+    """Draw ``shots`` independent Z-basis outcomes from |amp|^2 of each state,
+    state i with the key seed + i; deterministic per seed.
+
+    With more than one usable core and more than DRAW_CHUNK shots, the
+    states go to a thread pool (the draws and the sort release the GIL).
+    The states are pulled lazily, at most twice the core count ahead of the
+    counts collected, so a batch never holds more than a few of them."""
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    workers = len(os.sched_getaffinity(0))
+    if workers == 1 or shots <= DRAW_CHUNK:
+        return [_sample_state(state, shots, key) for key, state in enumerate(states, seed)]
+    # Imported here: at module level it adds milliseconds to every start-up.
+    from concurrent.futures import ThreadPoolExecutor
+
+    counts: list[ShotCounts] = []
+    pending = deque()
+    with ThreadPoolExecutor(workers) as pool:
+        for key, state in enumerate(states, seed):
+            pending.append(pool.submit(_sample_state, state, shots, key))
+            if len(pending) == 2 * workers:
+                counts.append(pending.popleft().result())
+        counts.extend(future.result() for future in pending)
+    return counts

@@ -16,7 +16,7 @@ takes one N x N exponential per bond and one of the mass layer.  The
 Pauli-sum expectation is the dense reference for the one-body snapshot
 energy, ``exact_evolve`` reads out the midpoint-sampled oracle, and
 ``sample_z_basis_reference`` is the per-shot inversion that the package's
-sampler replaces by counting sorted draws.
+sampler replaces by counting sorted chunks of draws.
 ``amplitude_record`` weights per-basis-state values by |amplitude|^2: it is
 the slow reference for the Wick record that the package takes from the hole
 orbitals, and it reads any state, Slater determinant or not.
@@ -232,12 +232,14 @@ def bond_mask_trotter_orbitals(start, params, plan):
 
 def sample_z_basis_reference(state, shots, seed):
     """Z-basis counts by inverting the cumulative distribution once per shot:
-    the same draws as ``sample_z_basis``, each searched for its bin, then
-    counted with np.unique.  The draws are looked up in dsfermion.state, so
-    a test that patches them there patches both samplers."""
+    the same draws as ``sample_z_basis``, all at once, each searched for its
+    bin, then counted with np.unique.  The draws are looked up in
+    dsfermion.state, so a test that patches them there patches both samplers.
+    Each chunk is copied, since the next one may overwrite it."""
     probs = state.probabilities()
     cumulative = np.cumsum(probs)
-    draws = state_module._uniform_draws(shots, seed) * cumulative[-1]
+    draws = np.concatenate([chunk.copy() for chunk in state_module._draw_chunks(shots, seed)])
+    draws *= cumulative[-1]
     ranks = np.searchsorted(cumulative, draws, side="right")
     ranks = np.minimum(ranks, np.flatnonzero(probs)[-1])
     values, freqs = np.unique(state.indices[ranks], return_counts=True)

@@ -66,10 +66,11 @@ def preset(request):
     mass = request.param
     plan = TrotterPlan.for_total_time(1.0, 10)
     trajectory = trotter_evolve(1, paper_params(mass), plan)
-    shot_records = []
-    for i, (record, st) in enumerate(zip(trajectory.records, snapshot_states(trajectory, HUBBLE))):
-        counts = sample_z_basis(st, 10_000, seed=PRESET_SEED + i)
-        shot_records.append(estimators_from_counts(counts, record.t, HUBBLE))
+    batch = sample_z_basis(snapshot_states(trajectory, HUBBLE), 10_000, seed=PRESET_SEED)
+    shot_records = [
+        estimators_from_counts(counts, record.t, HUBBLE)
+        for record, counts in zip(trajectory.records, batch)
+    ]
     return mass, trajectory, shot_records
 
 
@@ -298,10 +299,11 @@ class TestA7FigureReproduction:
 def preset_m0():
     plan = TrotterPlan.for_total_time(1.0, 10)
     trajectory = trotter_evolve(1, paper_params(0.0), plan)
-    shot_records = []
-    for i, (record, st) in enumerate(zip(trajectory.records, snapshot_states(trajectory, HUBBLE))):
-        counts = sample_z_basis(st, 10_000, seed=PRESET_SEED + i)
-        shot_records.append(estimators_from_counts(counts, record.t, HUBBLE))
+    batch = sample_z_basis(snapshot_states(trajectory, HUBBLE), 10_000, seed=PRESET_SEED)
+    shot_records = [
+        estimators_from_counts(counts, record.t, HUBBLE)
+        for record, counts in zip(trajectory.records, batch)
+    ]
     return trajectory, shot_records
 
 
@@ -355,7 +357,7 @@ class TestA8EngineMicroOracles:
     def test_sampler_within_binomial_bounds(self):
         st = dense_state(2, np.full(4, 0.5, dtype=complex))
         shots = 100_000
-        counts = sample_z_basis(st, shots, seed=PRESET_SEED)
+        counts = sample_z_basis([st], shots, seed=PRESET_SEED)[0]
         sigma = math.sqrt(0.25 * 0.75 / shots)
         worst = max(abs(counts.counts.get(k, 0) / shots - 0.25) for k in range(4))
         assert worst < 5 * sigma

@@ -2,6 +2,10 @@
 
 import json
 import os
+import shutil
+import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -249,7 +253,7 @@ class TestRun:
         # double past the 2^16 step budget.  The seed keys a uint64 Philox
         # stream, and with the default 10 steps the last snapshot samples
         # with seed + 10.  Sweep points are 2^32 seeds apart, so a run takes
-        # fewer than 2^32 steps.  More than 2^28 shots would draw over 2 GiB.
+        # fewer than 2^32 steps.  2^28 shots take ~4 s to sample per snapshot.
         half_filled_24 = ("--n_sites", "24", "--initial_state_index", str(0x555555))
         for *flags, oracle in (
             ("--n_sites", "7", "off"),
@@ -422,6 +426,53 @@ class TestVerify:
             cli.verify(7)
 
 
+def read_tree(root):
+    """Every file under ``root``, by relative path, as bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestParallelShots:
+    """A run samples its snapshots in one call, on the calling thread, which
+    may hand them to a thread per usable core; the outputs do not depend on
+    the core count."""
+
+    def test_sweep_outputs_do_not_depend_on_core_count(self, tmp_path, monkeypatch):
+        # The SVGs embed the output path, so both sweeps write to one path.
+        out = tmp_path / "cores"
+        base = fast_config(
+            tmp_path, n_sites=6, initial_state_index=0b010101, mass=1.0,
+            shots=3 * state_module.DRAW_CHUNK + 5, output_dir=str(out),
+        )
+        trees = []
+        for cores in (1, 4):
+            monkeypatch.setattr(state_module.os, "sched_getaffinity", lambda pid: set(range(cores)))
+            assert cli.sweep(base, "trotter_steps", [2, 3, 5]) == cli.EXIT_OK
+            trees.append(read_tree(out))
+            shutil.rmtree(out)
+        assert len(trees[0]) == 1 + 3 * 7
+        assert trees[0] == trees[1]
+
+    def test_one_sampler_call_per_run_on_the_calling_thread(self, tmp_path, monkeypatch):
+        calls = []
+        sample_z_basis = cli.sample_z_basis
+
+        def recorded(states, shots, seed):
+            calls.append((threading.current_thread(), shots, seed))
+            return sample_z_basis(states, shots, seed)
+
+        monkeypatch.setattr(cli, "sample_z_basis", recorded)
+        before = threading.active_count()
+        config = fast_config(tmp_path, shots=state_module.DRAW_CHUNK + 1, seed=9)
+        assert cli.run(config) == cli.EXIT_OK
+        assert calls == [(threading.main_thread(), config.shots, 9)]
+        assert threading.active_count() == before
+
+    def test_import_leaves_thread_pool_unloaded(self):
+        code = "import sys, dsfermion.cli; sys.exit('concurrent.futures' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 class TestSweep:
     def test_sweep_over_mass(self, tmp_path):
         base = fast_config(tmp_path, shots=0, output_dir=str(tmp_path / "sweep"))
@@ -448,13 +499,13 @@ class TestSweep:
         # Point j samples snapshot i with the Philox key seed + j * 2^32 + i,
         # so no two (point, snapshot) pairs share a key.
         keys = []
-        uniform_draws = state_module._uniform_draws
+        draw_chunks = state_module._draw_chunks
 
         def recorded(shots, seed):
             keys.append(seed)
-            return uniform_draws(shots, seed)
+            return draw_chunks(shots, seed)
 
-        monkeypatch.setattr(state_module, "_uniform_draws", recorded)
+        monkeypatch.setattr(state_module, "_draw_chunks", recorded)
         base = fast_config(tmp_path, n_sites=4, shots=50, seed=7, output_dir=str(tmp_path / "keys"))
         assert cli.sweep(base, "trotter_steps", [10, 20, 40, 80]) == cli.EXIT_OK
         assert len(keys) == 11 + 21 + 41 + 81

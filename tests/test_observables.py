@@ -134,7 +134,7 @@ class TestExactRecord:
 
 class TestShotEstimators:
     def test_delta_counts_match_exact(self):
-        counts = sample_z_basis(basis_state(8, 1), 5000, seed=9)
+        counts = sample_z_basis([basis_state(8, 1)], 5000, seed=9)[0]
         record = estimators_from_counts(counts, 0.3, 0.1)
         exact = exact_record(basis_orbitals(8, 1), 0.3, 0.1)
         assert record.source == "shots"
@@ -150,7 +150,7 @@ class TestShotEstimators:
         trajectory = paper_trajectory(mass=0.0)
         for i, st in enumerate(snapshot_states(trajectory, 0.1)):
             t = trajectory.records[i].t
-            counts = sample_z_basis(st, 10_000, seed=100 + i)
+            counts = sample_z_basis([st], 10_000, seed=100 + i)[0]
             shot = estimators_from_counts(counts, t, 0.1)
             exact = trajectory.records[i]
             pairs = [
@@ -170,7 +170,7 @@ class TestShotEstimators:
         t = trajectory.records[-1].t
 
         def mean_errors(shots, seed):
-            counts = sample_z_basis(st, shots, seed)
+            counts = sample_z_basis([st], shots, seed)[0]
             errs = estimators_from_counts(counts, t, 0.1).shot_errors
             return np.array([errs.n_total, errs.correlation_C, errs.polarization_over_e, errs.chiral_c])
 
@@ -190,7 +190,7 @@ class TestShotEstimators:
         def mean_abs_error(shots):
             errors = []
             for seed in range(12):
-                counts = sample_z_basis(st, shots, seed=1000 + seed)
+                counts = sample_z_basis([st], shots, seed=1000 + seed)[0]
                 rec = estimators_from_counts(counts, t, 0.1)
                 errors.append(abs(rec.chiral_c - exact.chiral_c))
             return float(np.mean(errors))

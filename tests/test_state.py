@@ -2,6 +2,7 @@
 matrix-exponential oracles, the reference expectation, and sampling."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -177,13 +178,13 @@ class TestExpectations:
 
 class TestSampling:
     def test_delta_distribution(self):
-        counts = sample_z_basis(basis_state(8, 1), 500, seed=7)
+        counts = sample_z_basis([basis_state(8, 1)], 500, seed=7)[0]
         assert counts.counts == {1: 500}
 
     def test_uniform_within_binomial_bounds(self):
         st = dense_state(2, np.full(4, 0.5, dtype=complex))
         shots = 100_000
-        counts = sample_z_basis(st, shots, seed=11)
+        counts = sample_z_basis([st], shots, seed=11)[0]
         sigma = math.sqrt(0.25 * 0.75 / shots)
         for outcome in range(4):
             freq = counts.counts.get(outcome, 0) / shots
@@ -191,21 +192,21 @@ class TestSampling:
 
     def test_deterministic_given_seed(self, rng):
         st = dense_state(4, random_state(rng, 4))
-        a = sample_z_basis(st, 1000, seed=42)
-        b = sample_z_basis(st, 1000, seed=42)
+        a = sample_z_basis([st], 1000, seed=42)[0]
+        b = sample_z_basis([st], 1000, seed=42)[0]
         assert a.counts == b.counts
-        c = sample_z_basis(st, 1000, seed=43)
+        c = sample_z_basis([st], 1000, seed=43)[0]
         assert c.counts != a.counts
 
     def test_counts_sum_to_shots(self, rng):
         st = dense_state(3, random_state(rng, 3))
-        counts = sample_z_basis(st, 1234, seed=5)
+        counts = sample_z_basis([st], 1234, seed=5)[0]
         assert sum(counts.counts.values()) == 1234
 
     def test_frequencies_converge_to_probabilities(self, rng):
         st = dense_state(3, random_state(rng, 3))
         shots = 10_000
-        counts = sample_z_basis(st, shots, seed=3)
+        counts = sample_z_basis([st], shots, seed=3)[0]
         probs = st.probabilities()
         for outcome, prob in enumerate(probs):
             freq = counts.counts.get(outcome, 0) / shots
@@ -216,22 +217,22 @@ class TestSampling:
         # The probabilities sum to 0.5, so unscaled draws above it would
         # land on the zero-probability last state.
         st = dense_state(2, [0.5, 0.5, 0, 0])
-        counts = sample_z_basis(st, 10_000, seed=3)
+        counts = sample_z_basis([st], 10_000, seed=3)[0]
         assert set(counts.counts) == {0, 1}
 
     def test_rejects_nan_probability(self):
         # A NaN total compares false everywhere, so the draws would all land
         # on the last state.
         with pytest.raises(ValueError, match="total probability nan"):
-            sample_z_basis(StateVector(2, [0, 1, 2], [0.6, np.nan, 0.8]), 100, seed=1)
+            sample_z_basis([StateVector(2, [0, 1, 2], [0.6, np.nan, 0.8])], 100, seed=1)
 
     def test_rejects_all_zero_state(self):
         with pytest.raises(ValueError, match="total probability 0"):
-            sample_z_basis(StateVector(2, [0, 3], [0, 0]), 100, seed=1)
+            sample_z_basis([StateVector(2, [0, 3], [0, 0])], 100, seed=1)
 
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
-            sample_z_basis(basis_state(2, 0), 0, seed=1)
+            sample_z_basis([basis_state(2, 0)], 0, seed=1)
 
     def test_sector_counts_equal_dense_scatter(self):
         # Zeros do not change a sequential cumulative sum, so a sector state
@@ -245,10 +246,20 @@ class TestSampling:
                 assert st.indices.size < 1 << n
                 dense = dense_state(n, to_dense(st))
                 for seed in (1, 7, 123):
-                    a = sample_z_basis(st, 20_000, seed=seed)
-                    b = sample_z_basis(dense, 20_000, seed=seed)
+                    a = sample_z_basis([st], 20_000, seed=seed)[0]
+                    b = sample_z_basis([dense], 20_000, seed=seed)[0]
                     assert a.counts == b.counts, (n, seed)
                     assert set(a.counts) <= set(st.indices.tolist())
+
+
+def chosen_draws(draws):
+    """A stand-in for ``state._draw_chunks``: ``draws`` repeated to the shot
+    count, in chunks of the module's DRAW_CHUNK."""
+    def draw_chunks(shots, seed):
+        tiled = np.resize(draws, shots)
+        step = state_module.DRAW_CHUNK
+        return (tiled[start:start + step] for start in range(0, shots, step))
+    return draw_chunks
 
 
 class TestSamplingReference:
@@ -257,7 +268,7 @@ class TestSamplingReference:
 
     @staticmethod
     def assert_same_counts(st, shots, seed):
-        a = sample_z_basis(st, shots, seed).counts
+        a = sample_z_basis([st], shots, seed)[0].counts
         b = sample_z_basis_reference(st, shots, seed).counts
         assert list(a.items()) == list(b.items()), (st.indices.size, shots, seed)
 
@@ -303,9 +314,118 @@ class TestSamplingReference:
         edges = np.concatenate([cumulative / cumulative[-1], [0.0, np.nextafter(1.0, 0.0), 1.0]])
         assert np.array_equal(edges[: len(probs)] * cumulative[-1], cumulative)
 
-        monkeypatch.setattr(state_module, "_uniform_draws", lambda shots, seed: np.resize(edges, shots))
-        for shots in (1, len(edges), 3 * len(edges) + 2):
-            self.assert_same_counts(st, shots, seed=0)
-        counts = sample_z_basis(st, len(edges), seed=0).counts
-        assert sum(counts.values()) == len(edges)
-        assert all(probs[k] > 0 for k in counts)
+        monkeypatch.setattr(state_module, "_draw_chunks", chosen_draws(edges))
+        # With 4 draws a chunk, equal edges fall in different chunks.
+        for chunk in (state_module.DRAW_CHUNK, 4):
+            monkeypatch.setattr(state_module, "DRAW_CHUNK", chunk)
+            for shots in (1, len(edges), 3 * len(edges) + 2):
+                self.assert_same_counts(st, shots, seed=0)
+            counts = sample_z_basis([st], len(edges), seed=0)[0].counts
+            assert sum(counts.values()) == len(edges)
+            assert all(probs[k] > 0 for k in counts)
+
+
+CHUNK_EDGE_SHOTS = [
+    1,
+    state_module.DRAW_CHUNK - 1,
+    state_module.DRAW_CHUNK,
+    state_module.DRAW_CHUNK + 1,
+    3 * state_module.DRAW_CHUNK + 5,
+]
+
+
+def half_filled_states(n=6, count=5):
+    """The snapshot states of a half-filled Trotter run on n sites."""
+    params = ModelParams(n, 0.1, 1.0)
+    plan = TrotterPlan.for_total_time(1.0, count - 1)
+    trajectory = trotter_evolve(sum(1 << x for x in range(0, n, 2)), params, plan)
+    return snapshot_states(trajectory, params.hubble)
+
+
+def set_usable_cores(monkeypatch, cores):
+    monkeypatch.setattr(state_module.os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
+class TestChunkedSampling:
+    """The draws are made, sorted and counted in chunks of one Philox stream,
+    and a batch of states may be sampled on several threads; neither may
+    change a count."""
+
+    @pytest.mark.parametrize("shots", CHUNK_EDGE_SHOTS)
+    def test_chunks_are_the_one_stream(self, shots):
+        # The buffer is reused, so each chunk is copied before the next.
+        chunks = [chunk.copy() for chunk in state_module._draw_chunks(shots, 12345)]
+        assert all(0 < chunk.size <= state_module.DRAW_CHUNK for chunk in chunks)
+        whole = np.random.Generator(np.random.Philox(key=np.uint64(12345))).random(shots)
+        assert np.array_equal(np.concatenate(chunks), whole)
+
+    @pytest.mark.parametrize("shots", CHUNK_EDGE_SHOTS)
+    def test_batch_equals_reference(self, shots):
+        states = half_filled_states()
+        batch = sample_z_basis(iter(states), shots, seed=77)
+        assert len(batch) == len(states)
+        for i, (st, counts) in enumerate(zip(states, batch)):
+            reference = sample_z_basis_reference(st, shots, 77 + i)
+            assert counts.seed == 77 + i
+            assert list(counts.counts.items()) == list(reference.counts.items()), (shots, i)
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_states_are_pulled_lazily(self, monkeypatch, cores):
+        # A state may be pulled only once the counts of all but the last
+        # 2 * cores states before it are done.
+        set_usable_cores(monkeypatch, cores)
+        done = []
+        sample_state = state_module._sample_state
+
+        def recorded(*args):
+            counts = sample_state(*args)
+            done.append(args[2])  # list.append is atomic
+            return counts
+
+        monkeypatch.setattr(state_module, "_sample_state", recorded)
+        states = half_filled_states(count=16)
+        ahead = []
+
+        def pulled():
+            for pulled_count, st in enumerate(states, 1):
+                ahead.append(pulled_count - len(done))
+                yield st
+
+        batch = sample_z_basis(pulled(), state_module.DRAW_CHUNK + 1, seed=3)
+        assert [c.seed for c in batch] == list(range(3, 3 + len(states)))
+        assert max(ahead) <= 2 * cores + 1
+
+    @pytest.mark.parametrize("cores", [1, 4])
+    def test_error_in_batch_joins_threads(self, monkeypatch, cores):
+        set_usable_cores(monkeypatch, cores)
+        states = half_filled_states()
+        nan_state = StateVector(2, [0, 1, 2], [0.6, np.nan, 0.8])
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="cannot sample a state of total probability nan"):
+            sample_z_basis(states[:2] + [nan_state] + states[2:], 3 * state_module.DRAW_CHUNK, seed=1)
+        assert threading.active_count() == before
+
+    def test_pool_threads_are_joined(self, monkeypatch):
+        set_usable_cores(monkeypatch, 4)
+        threads = set()
+        sample_state = state_module._sample_state
+
+        def recorded(*args):
+            threads.add(threading.current_thread())
+            return sample_state(*args)
+
+        monkeypatch.setattr(state_module, "_sample_state", recorded)
+        before = threading.active_count()
+        sample_z_basis(half_filled_states(), state_module.DRAW_CHUNK + 1, seed=1)
+        assert threading.main_thread() not in threads
+        assert not any(thread.is_alive() for thread in threads)
+        assert threading.active_count() == before
+
+    def test_rejects_zero_shots_before_pulling_a_state(self):
+        def never_pulled():
+            raise AssertionError("a state was pulled")
+            yield
+
+        for shots in (0, -1):
+            with pytest.raises(ValueError, match="shots must be >= 1"):
+                sample_z_basis(never_pulled(), shots, seed=1)
