@@ -129,8 +129,8 @@ class RunConfig:
             raise ValueError(f"t_total must be positive, got {self.t_total}")
         if self.hubble * self.t_total > HUBBLE_TIME_LIMIT:
             raise ValueError(
-                f"hubble * t_total must be <= {HUBBLE_TIME_LIMIT:g} so that the shot variance, "
-                f"which squares e^(hubble t), stays finite; got {self.hubble * self.t_total:g}"
+                f"hubble * t_total must be <= {HUBBLE_TIME_LIMIT:g} so that e^(hubble t) stays "
+                f"far from overflow; got {self.hubble * self.t_total:g}"
             )
         k = self.initial_state_index.bit_count()
         gathered = math.comb(self.n_sites, k) * k * k

@@ -15,11 +15,9 @@ CHARGE_DRIFT_TOL = 1e-10
 ORACLE_TOL = 1e-10
 
 # `run` rejects a config with h * t_total above this before any work.  The
-# observables scale with the volume factor e^{ht} and the shot variance
-# squares it, times the squared spread of a per-shot value and the shot
-# count: at h t = 350, e^{2 h t} = 1e304 already overflows to inf at N = 12
-# with 200k shots, and past 709.8 e^{ht} itself does.  At 300, e^{2 h t} =
-# 4e260 leaves a factor of 1e47 for the spread and the shots.
+# observables scale with the volume factor e^{ht}, which overflows past
+# h t = 709.8; a shot error scales the square root of an exact integer
+# ratio by it, so nothing squares it.  300 keeps a wide margin below that.
 HUBBLE_TIME_LIMIT = 300.0
 
 # `run` reports the ratio p(t)/p(0) only where |p(0)| is above this; a basis
@@ -48,7 +46,9 @@ SEED_LIMIT = 1 << 64
 # The sampler holds only fixed chunks of draws, so shots cost time, not
 # memory: one 2^28-shot snapshot takes ~4-5 s on one core (N = 8 one hole,
 # N = 12 half filled), and a run samples one per snapshot; `run` rejects
-# more before any work.
+# more before any work.  A shot estimate's sum of f v^2 over the outcomes
+# then fits in int64: a per-shot value is at most 1891 (sum of x < 62), and
+# 2^28 1891^2 < 2^50.
 SHOT_LIMIT = 1 << 28
 # Sweep point j runs with the seed base + j * SEED_STRIDE, and a run takes
 # fewer Trotter steps than this, so no two snapshots of a sweep share a key.

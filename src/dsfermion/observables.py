@@ -5,6 +5,9 @@ qubit is |0> (occupation (1 + sigma^z)/2), and the comoving volume factor
 e^{h t} multiplies density, polarization and chiral condensate.  The
 two-site density correlation C carries no volume factor; it is the plain
 product expectation n(0) n(1) of site occupations.
+
+A shot estimate comes from exact int64 sums over the outcomes, rounded only
+at the end: it depends on neither the outcome order, the cores nor BLAS.
 """
 
 from __future__ import annotations
@@ -52,21 +55,21 @@ def slater_norm(orbitals: np.ndarray) -> float:
     return math.sqrt(abs(np.linalg.det(orbitals.conj().T @ orbitals)))
 
 
-def _site_observables(occ: np.ndarray, t: float, hubble: float) -> dict[str, np.ndarray]:
+def _site_observables(occ: np.ndarray, volume: float = 1) -> dict[str, np.ndarray]:
     """The observables linear in the site occupations ``occ`` (sites along
-    axis 0: a vector, or one column per shot outcome), keyed by their
-    ObservableRecord fields."""
+    axis 0: a vector, or one column per shot outcome) times ``volume``,
+    keyed by their ObservableRecord fields.  Integer occupations with the
+    default volume give integer values."""
     n_sites = occ.shape[0]
     if n_sites < 2:
         raise ValueError("density correlation needs at least two sites")
-    volume = math.exp(hubble * t)
-    positions = np.arange(n_sites, dtype=np.float64)
+    positions = np.arange(n_sites, dtype=occ.dtype)
     density = volume * occ
     return {
         "density": density,
         "n_total": density.sum(axis=0),
         "polarization_over_e": volume * (positions @ occ),
-        "chiral_c": volume * ((-1.0) ** positions @ occ),
+        "chiral_c": volume * ((1 - 2 * (positions % 2)) @ occ),
     }
 
 
@@ -83,7 +86,9 @@ def exact_record(
     """
     g = orbitals @ orbitals.conj().T
     occ = 1.0 - g.diagonal().real
-    linear = {name: value.tolist() for name, value in _site_observables(occ, t, hubble).items()}
+    linear = {
+        name: value.tolist() for name, value in _site_observables(occ, math.exp(hubble * t)).items()
+    }
     linear["density"] = tuple(linear["density"])
     return ObservableRecord(
         t=t,
@@ -96,41 +101,43 @@ def exact_record(
     )
 
 
+def _shot_mean_and_err(values: np.ndarray, freqs: np.ndarray, scale: float):
+    """``scale`` times the mean and the standard error (sample std dev /
+    sqrt(shots)) of the integer per-outcome ``values`` (a vector, or one row
+    per quantity) weighted by the int64 ``freqs``, from the exact sums
+    S1 = sum f v and S2 = sum f v^2; shots S2 - S1^2 can pass 2^63, so it
+    is taken in Python ints."""
+    shots = int(freqs.sum())
+
+    def one(s1: int, s2: int) -> tuple[float, float]:
+        s1, s2 = int(s1), int(s2)
+        var = (shots * s2 - s1 * s1) / (shots * shots * (shots - 1)) if shots > 1 else 0
+        return scale * (s1 / shots), scale * math.sqrt(var)
+
+    sums = values @ freqs, (values * values) @ freqs
+    return one(*sums) if values.ndim == 1 else tuple(zip(*map(one, *sums)))
+
+
 def estimators_from_counts(counts: ShotCounts, t: float, hubble: float) -> ObservableRecord:
-    """Replace quantum expectations by shot-frequency averages.
-
-    Standard error per quantity is the sample standard deviation of the
-    per-shot values divided by sqrt(shots).  The energy is not measurable in
-    a single Z-basis setting and is reported as NaN.
+    """Replace quantum expectations by shot-frequency averages, each with its
+    standard error.  Every per-shot value is an integer (a site's occupation,
+    N - popcount, the sums of x o_x and (-1)^x o_x, o_0 o_1, N - 2 popcount),
+    so its sums over the outcomes are exact; e^{ht} scales the estimates
+    rounded from them.  The energy is not measurable in a single Z-basis
+    setting and is reported as NaN.
     """
-    if not counts.counts:
+    if not counts.outcomes.size:
         raise ValueError("empty shot counts")
-    n = counts.n_qubits
-    outcomes = np.fromiter(counts.counts.keys(), dtype=np.int64, count=len(counts.counts))
-    freqs = np.fromiter(counts.counts.values(), dtype=np.float64, count=len(counts.counts))
-    shots = float(counts.shots)
-
-    # Per-outcome values of each observable; shot statistics weight by counts.
+    n, freqs = counts.n_qubits, counts.freqs
     # Site x of an outcome is occupied when its bit x is clear.
-    bits = (outcomes[None, :] >> np.arange(n, dtype=np.int64)[:, None]) & 1
-    occ = 1.0 - bits.astype(np.float64)
-    per_shot = _site_observables(occ, t, hubble)
-    per_shot["correlation_C"] = occ[0] * occ[1]
-    per_shot["total_sz"] = n - 2.0 * np.bitwise_count(outcomes).astype(np.float64)
-
-    def mean_and_err(values: np.ndarray) -> tuple[float, float]:
-        mean = float(values @ freqs / shots)
-        if shots > 1:
-            var = float(((values - mean) ** 2) @ freqs / (shots - 1.0))
-        else:
-            var = 0.0
-        return mean, math.sqrt(max(var, 0.0) / shots)
-
-    # The density is one mean and error per site, taken row by row.
+    occ = 1 - ((counts.outcomes >> np.arange(n, dtype=np.int64)[:, None]) & 1)
+    volume = math.exp(hubble * t)
     stats = {
-        name: tuple(zip(*map(mean_and_err, values))) if name == "density" else mean_and_err(values)
-        for name, values in per_shot.items()
+        name: _shot_mean_and_err(values, freqs, volume)
+        for name, values in _site_observables(occ).items()
     }
+    stats["correlation_C"] = _shot_mean_and_err(occ[0] * occ[1], freqs, 1.0)
+    stats["total_sz"] = _shot_mean_and_err(2 * occ.sum(axis=0) - n, freqs, 1.0)
     return ObservableRecord(
         t=t,
         **{name: mean for name, (mean, _) in stats.items()},

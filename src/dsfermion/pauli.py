@@ -21,7 +21,6 @@ from .errors import DENSE_QUBIT_LIMIT, IMAG_COEFF_TOL, ResourceLimitError
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)  # i**k for k = 0..3
 
 _AXIS_MASKS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_MASKS_AXIS = {v: k for k, v in _AXIS_MASKS.items()}
 
 
 def _parity_of_masked(indices: np.ndarray, mask: int) -> np.ndarray:
@@ -58,12 +57,6 @@ class PauliString:
             x_mask |= bx << q
             z_mask |= bz << q
         return cls(len(label), x_mask, z_mask)
-
-    def label(self) -> str:
-        return "".join(
-            _MASKS_AXIS[(self.x_mask >> q) & 1, (self.z_mask >> q) & 1]
-            for q in range(self.n_qubits)
-        )
 
     @property
     def y_count(self) -> int:
@@ -128,9 +121,6 @@ class PauliSum:
         out.sort(key=lambda item: item[1].key())
         self.n_qubits = n_qubits
         self.terms = tuple(out)
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PauliSum):

@@ -7,16 +7,18 @@ one charge sector, never all 2^N.  This module has no time evolution.
 Shot sampling takes a batch of states and samples state i with the
 Philox-4x64 counter-based generator keyed as (seed + i, 0) with a zero
 counter, drawing uniform doubles scaled to the total of the cumulative
-distribution.  The draws are made, sorted and counted DRAW_CHUNK at a time
-from the one stream, with one search per basis state and chunk and no
-per-shot outcome array: the number of draws below a cumulative sum adds up
-over the chunks, so the counts equal those of inverting the cumulative
-distribution once per shot.  When a state takes more than one chunk, the
-batch is sampled on all usable cores; a state's counts depend only on
-(state, shots, seed + i), never on the core count or on which thread
-finishes first.  Given the same input the counts are identical across runs
-and platforms, and equal to those of the same state with its zero
-amplitudes spelled out: adding zeros does not change a cumulative sum.
+distribution.  The draws are made, sorted and counted from the one stream
+in chunks of the larger of DRAW_CHUNK and the state's size, with one search
+per basis state and chunk and no per-shot outcome array: the number of
+draws below a cumulative sum adds up over any partition of the draws, so
+the counts, drawn basis indices and their int64 frequencies, equal those
+of inverting the cumulative distribution once per shot.  When a state takes
+more than one DRAW_CHUNK, the batch is sampled on all usable cores; a
+state's counts depend only on (state, shots, seed + i), never on the core
+count or on which thread finishes first.  Given the same input the counts
+are identical across runs and platforms, and equal to those of the same
+state with its zero amplitudes spelled out: adding zeros does not change a
+cumulative sum.
 """
 
 from __future__ import annotations
@@ -58,32 +60,30 @@ class StateVector:
 
 @dataclass
 class ShotCounts:
-    """Outcome histogram of repeated Z-basis measurements."""
+    """Outcome histogram of repeated Z-basis measurements: the drawn basis
+    indices ``outcomes`` (ascending) and their int64 counts ``freqs`` (all > 0)."""
 
     n_qubits: int
-    shots: int
-    counts: dict[int, int]
-    seed: int
-
-    def __post_init__(self):
-        total = sum(self.counts.values())
-        if total != self.shots:
-            raise ValueError(f"counts sum to {total}, expected {self.shots}")
+    outcomes: np.ndarray
+    freqs: np.ndarray
 
 
-# Draws sorted and counted at a time: 128 KiB of doubles per sampling thread.
+# The fewest draws sorted and counted at a time.  A state of more basis
+# states draws its own size at a time, so that a chunk's one search of all
+# its cumulative sums costs no more than sorting the chunk.  A sampling
+# thread holds 8 max(2^14, C(N, k)) bytes of draws.
 DRAW_CHUNK = 1 << 14
 
 
-def _draw_chunks(shots: int, seed: int) -> Iterator[np.ndarray]:
+def _draw_chunks(shots: int, seed: int, size: int) -> Iterator[np.ndarray]:
     """The ``shots`` uniform doubles in [0, 1) of Philox-4x64 keyed (seed, 0),
-    in consecutive chunks of at most DRAW_CHUNK.  Every chunk is a view of
+    in consecutive chunks of at most ``size``.  Every chunk is a view of
     one buffer that the next chunk overwrites.  A function of its own so that
     a test can substitute chosen draws."""
     generator = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    buffer = np.empty(min(shots, DRAW_CHUNK))
-    for start in range(0, shots, DRAW_CHUNK):
-        chunk = buffer[: min(DRAW_CHUNK, shots - start)]
+    buffer = np.empty(min(shots, size))
+    for start in range(0, shots, size):
+        chunk = buffer[: min(size, shots - start)]
         generator.random(out=chunk)
         yield chunk
 
@@ -98,8 +98,8 @@ def _sample_state(state: StateVector, shots: int, seed: int) -> ShotCounts:
     # past it onto a zero-probability tail.  A draw d falls in the first bin
     # j with d < cumulative[j], so below[j], the number of draws under
     # cumulative[j] summed over the chunks, counts the draws in bins 0..j.
-    below = np.zeros(cumulative.size, dtype=np.intp)
-    for chunk in _draw_chunks(shots, seed):
+    below = np.zeros(cumulative.size, dtype=np.int64)
+    for chunk in _draw_chunks(shots, seed, max(DRAW_CHUNK, cumulative.size)):
         chunk *= total
         chunk.sort()
         below += np.searchsorted(chunk, cumulative, side="left")
@@ -107,8 +107,7 @@ def _sample_state(state: StateVector, shots: int, seed: int) -> ShotCounts:
     below[np.flatnonzero(probs)[-1]:] = shots
     freqs = np.diff(below, prepend=0)
     drawn = freqs > 0
-    counts = {int(v): int(c) for v, c in zip(state.indices[drawn], freqs[drawn])}
-    return ShotCounts(n_qubits=state.n_qubits, shots=shots, counts=counts, seed=seed)
+    return ShotCounts(state.n_qubits, state.indices[drawn], freqs[drawn])
 
 
 def sample_z_basis(states: Iterable[StateVector], shots: int, seed: int) -> list[ShotCounts]:

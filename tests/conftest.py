@@ -81,6 +81,14 @@ def naive_jw_annihilation(n_sites, x):
     return kron_chain(ops)
 
 
+def pauli_label(p):
+    """The label of a Pauli string, character q for qubit q: the inverse of
+    ``PauliString.from_label``."""
+    return "".join(
+        "IZXY"[2 * ((p.x_mask >> q) & 1) + ((p.z_mask >> q) & 1)] for q in range(p.n_qubits)
+    )
+
+
 def random_label(rng, n_qubits, allow_identity=True):
     chars = "IXYZ" if allow_identity else "XYZ"
     while True:
@@ -238,13 +246,18 @@ def sample_z_basis_reference(state, shots, seed):
     Each chunk is copied, since the next one may overwrite it."""
     probs = state.probabilities()
     cumulative = np.cumsum(probs)
-    draws = np.concatenate([chunk.copy() for chunk in state_module._draw_chunks(shots, seed)])
+    chunks = state_module._draw_chunks(shots, seed, state_module.DRAW_CHUNK)
+    draws = np.concatenate([chunk.copy() for chunk in chunks])
     draws *= cumulative[-1]
     ranks = np.searchsorted(cumulative, draws, side="right")
     ranks = np.minimum(ranks, np.flatnonzero(probs)[-1])
-    values, freqs = np.unique(state.indices[ranks], return_counts=True)
-    counts = {int(v): int(c) for v, c in zip(values, freqs)}
-    return ShotCounts(n_qubits=state.n_qubits, shots=shots, counts=counts, seed=seed)
+    outcomes, freqs = np.unique(state.indices[ranks], return_counts=True)
+    return ShotCounts(state.n_qubits, outcomes, freqs)
+
+
+def counts_dict(counts):
+    """A ShotCounts as {outcome: count}, in ascending outcome order."""
+    return dict(zip(counts.outcomes.tolist(), counts.freqs.tolist()))
 
 
 # Independent transcription of the published N=8 Hamiltonian pieces, used to
@@ -374,7 +387,7 @@ def _check_norm(state, p):
     if drift > NORM_DRIFT_LIMIT:
         raise NormDriftError(
             f"state norm drifted by {drift:.3e} (> {NORM_DRIFT_LIMIT:g}) "
-            f"after the rotation by {p.label()}"
+            f"after the rotation by {pauli_label(p)}"
         )
 
 

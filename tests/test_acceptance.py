@@ -37,6 +37,7 @@ from conftest import (
     apply_pauli_rotation,
     basis_state,
     charge_commutator_entries,
+    counts_dict,
     dense_from_label,
     dense_state,
     exact_evolve,
@@ -359,7 +360,8 @@ class TestA8EngineMicroOracles:
         shots = 100_000
         counts = sample_z_basis([st], shots, seed=PRESET_SEED)[0]
         sigma = math.sqrt(0.25 * 0.75 / shots)
-        worst = max(abs(counts.counts.get(k, 0) / shots - 0.25) for k in range(4))
+        frequencies = counts_dict(counts)
+        worst = max(abs(frequencies.get(k, 0) / shots - 0.25) for k in range(4))
         assert worst < 5 * sigma
         report("A8 sampler", f"max frequency deviation {worst:.2e} < 5 sigma = {5 * sigma:.2e}")
 

@@ -501,9 +501,9 @@ class TestSweep:
         keys = []
         draw_chunks = state_module._draw_chunks
 
-        def recorded(shots, seed):
+        def recorded(shots, seed, size):
             keys.append(seed)
-            return draw_chunks(shots, seed)
+            return draw_chunks(shots, seed, size)
 
         monkeypatch.setattr(state_module, "_draw_chunks", recorded)
         base = fast_config(tmp_path, n_sites=4, shots=50, seed=7, output_dir=str(tmp_path / "keys"))

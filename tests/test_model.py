@@ -25,6 +25,7 @@ from conftest import (
     dense_from_terms,
     dense_n8_hamiltonian,
     naive_jw_annihilation,
+    pauli_label,
     sector_block,
 )
 
@@ -52,24 +53,24 @@ class TestBuilders:
     @pytest.mark.parametrize("n", [4, 6, 8, 10])
     def test_hopping_term_count(self, n):
         hop = build_hopping(n)
-        assert len(hop) == 2 * (n - 1) + 2
+        assert len(hop.terms) == 2 * (n - 1) + 2
 
     def test_hopping_boundary_sign_n8(self):
         # (-1)^(N/2) = +1 at N=8, so the boundary strings carry -1/2.
         hop = build_hopping(8)
-        coeffs = {p.label(): c for c, p in hop.terms}
+        coeffs = {pauli_label(p): c for c, p in hop.terms}
         assert coeffs["XZZZZZZX"] == -0.5
         assert coeffs["YZZZZZZY"] == -0.5
 
     def test_hopping_boundary_sign_n6(self):
         # (-1)^3 = -1 at N=6 flips the boundary coefficient to +1/2.
-        coeffs = {p.label(): c for c, p in build_hopping(6).terms}
+        coeffs = {pauli_label(p): c for c, p in build_hopping(6).terms}
         assert coeffs["XZZZZX"] == 0.5
         assert coeffs["YZZZZY"] == 0.5
 
     def test_charge_term_structure(self):
         charge = build_charge_term(8)
-        assert len(charge) == 8
+        assert len(charge.terms) == 8
         assert all(c == 0.25 for c, _ in charge.terms)
         assert all(p.x_mask == 0 for _, p in charge.terms)
 
@@ -80,7 +81,7 @@ class TestBuilders:
 
     def test_mass_term_signs(self):
         mass = build_mass_term(8)
-        coeffs = {p.label(): c for c, p in mass.terms}
+        coeffs = {pauli_label(p): c for c, p in mass.terms}
         for x in range(8):
             label = "I" * x + "Z" + "I" * (7 - x)
             assert coeffs[label] == 0.5 * (-1) ** x
@@ -240,14 +241,14 @@ class TestBilinears:
 class TestN8Fixture:
     def test_term_counts(self):
         h1, h2, h3 = n8_fixture()
-        assert len(h1) == 16
-        assert len(h2) == 8
+        assert len(h1.terms) == 16
+        assert len(h2.terms) == 8
         assert all(c == 0.5 for c, _ in h2.terms)
-        assert len(h3) == 8
+        assert len(h3.terms) == 8
 
     def test_h3_signs(self):
         _, _, h3 = n8_fixture()
-        coeffs = {p.label(): c for c, p in h3.terms}
+        coeffs = {pauli_label(p): c for c, p in h3.terms}
         assert coeffs["ZIIIIIII"] == 0.5
         assert coeffs["IIIIIIIZ"] == -0.5
 

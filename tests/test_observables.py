@@ -1,6 +1,8 @@
 """Observables from hole orbitals and from shot counts."""
 
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from dsfermion.evolve import TrotterPlan, read_out, trotter_evolve
 from dsfermion.model import ModelParams
 from dsfermion.observables import estimators_from_counts, exact_record, slater_norm
-from dsfermion.state import sample_z_basis
+from dsfermion.state import ShotCounts, sample_z_basis
 
 from conftest import (
     amplitude_record,
@@ -161,7 +163,7 @@ class TestShotEstimators:
             ]
             for measured, truth, err in pairs:
                 # 1e-12 floor: charge conservation makes n_total constant per
-                # shot, so its stderr is pure rounding noise.
+                # shot, so its stderr is 0 and the two values differ by rounding.
                 assert abs(measured - truth) < 5 * err + 1e-12
 
     def test_errors_halve_when_shots_quadruple(self):
@@ -172,7 +174,9 @@ class TestShotEstimators:
         def mean_errors(shots, seed):
             counts = sample_z_basis([st], shots, seed)[0]
             errs = estimators_from_counts(counts, t, 0.1).shot_errors
-            return np.array([errs.n_total, errs.correlation_C, errs.polarization_over_e, errs.chiral_c])
+            # Charge conservation makes n_total the same in every shot.
+            assert errs.n_total == 0.0
+            return np.array([errs.correlation_C, errs.polarization_over_e, errs.chiral_c])
 
         small = np.mean([mean_errors(2500, 10 + k) for k in range(5)], axis=0)
         large = np.mean([mean_errors(10_000, 50 + k) for k in range(5)], axis=0)
@@ -199,10 +203,99 @@ class TestShotEstimators:
         assert 1.4 < ratio < 2.8
 
     def test_empty_counts_rejected(self):
-        from dsfermion.state import ShotCounts
-
+        empty = np.zeros(0, dtype=np.int64)
         with pytest.raises(ValueError):
-            estimators_from_counts(ShotCounts(4, 0, {}, seed=1), 0.0, 0.1)
+            estimators_from_counts(ShotCounts(4, empty, empty), 0.0, 0.1)
+
+
+def fraction_mean_and_err(values, freqs):
+    """Mean and standard error of per-shot values, in exact fractions, from
+    the shots one by one."""
+    shots = [Fraction(v) for v, f in zip(values, freqs) for _ in range(f)]
+    mean = sum(shots) / len(shots)
+    var = sum((v - mean) ** 2 for v in shots) / (len(shots) - 1) if len(shots) > 1 else 0
+    return float(mean), math.sqrt(var / len(shots))
+
+
+def record_fields(record):
+    """Every value of a shot record and of its errors, as one flat dict."""
+    fields = dataclasses.asdict(record)
+    errors = fields.pop("shot_errors")
+    return {**fields, **{"err." + k: v for k, v in errors.items()}}
+
+
+class TestExactShotEstimates:
+    """A shot estimate is a sum of integers over the outcomes, rounded once:
+    it is the exact fraction's nearest double, whatever the outcome order."""
+
+    def test_matches_fraction_reference(self):
+        rng = np.random.default_rng(2024)
+        for n in (2, 4, 6, 10):
+            for _ in range(20):
+                size = int(rng.integers(1, 12))
+                outcomes = np.sort(rng.choice(1 << n, size=min(size, 1 << n), replace=False))
+                freqs = rng.integers(1, 6, size=outcomes.size)
+                record = estimators_from_counts(ShotCounts(n, outcomes, freqs), 0.0, 0.3)
+                occ = [[1 - ((o >> x) & 1) for x in range(n)] for o in outcomes.tolist()]
+                expected = {
+                    "density": [fraction_mean_and_err([o[x] for o in occ], freqs) for x in range(n)],
+                    "n_total": fraction_mean_and_err([sum(o) for o in occ], freqs),
+                    "polarization_over_e": fraction_mean_and_err(
+                        [sum(x * o[x] for x in range(n)) for o in occ], freqs
+                    ),
+                    "chiral_c": fraction_mean_and_err(
+                        [sum((-1) ** x * o[x] for x in range(n)) for o in occ], freqs
+                    ),
+                    "correlation_C": fraction_mean_and_err([o[0] * o[1] for o in occ], freqs),
+                    "total_sz": fraction_mean_and_err([2 * sum(o) - n for o in occ], freqs),
+                }
+                for name, value in expected.items():
+                    got = getattr(record, name), getattr(record.shot_errors, name)
+                    if name == "density":
+                        value = tuple(zip(*value))
+                    assert got == value, (n, name)
+
+    def test_volume_scales_the_rounded_estimate(self):
+        # e^{ht} multiplies the estimate at t = 0, which is rounded once, and
+        # leaves C and the charge alone.
+        counts = ShotCounts(6, np.array([0b000111, 0b010101, 0b110000]), np.array([5, 11, 3]))
+        at_zero = record_fields(estimators_from_counts(counts, 0.0, 0.4))
+        later = record_fields(estimators_from_counts(counts, 1.5, 0.4))
+        volume = math.exp(0.4 * 1.5)
+        for name, value in at_zero.items():
+            if name in ("t", "energy", "norm", "source"):
+                continue
+            scale = 1.0 if name.endswith(("correlation_C", "total_sz")) else volume
+            expected = tuple(scale * v for v in value) if isinstance(value, tuple) else scale * value
+            assert later[name] == expected, name
+
+    def test_constant_per_shot_values_have_zero_error(self):
+        # Three holes in every outcome, one of them at site 0, and site 1
+        # occupied in all of them.
+        counts = ShotCounts(6, np.array([0b001101, 0b101001, 0b110001]), np.array([70_001, 129_998, 1]))
+        record = estimators_from_counts(counts, 0.7, 0.1)
+        assert record.shot_errors.n_total == 0.0
+        assert record.shot_errors.total_sz == 0.0
+        assert record.shot_errors.density[1] == 0.0
+        assert record.shot_errors.density[0] == 0.0
+        assert all(e > 0 for e in record.shot_errors.density[3:])
+
+    def test_outcome_order_does_not_change_a_bit(self):
+        # A half-filled N=12 snapshot: several hundred outcomes of 200k shots.
+        params = ModelParams(12, 0.1, 1.0)
+        trajectory = trotter_evolve(0b010101010101, params, TrotterPlan.for_total_time(1.0, 10))
+        st = read_out(trajectory.orbitals[-1], 0.1, 1.0)
+        counts = sample_z_basis([st], 200_000, seed=7)[0]
+        assert counts.outcomes.size > 800
+        expected = record_fields(estimators_from_counts(counts, 1.0, 0.1))
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            order = rng.permutation(counts.outcomes.size)
+            shuffled = ShotCounts(12, counts.outcomes[order], counts.freqs[order])
+            got = record_fields(estimators_from_counts(shuffled, 1.0, 0.1))
+            assert got.keys() == expected.keys()
+            for name, value in expected.items():
+                assert got[name] == value or (name in ("energy", "norm") and math.isnan(got[name])), name
 
 
 class TestHoleSpread:

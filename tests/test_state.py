@@ -20,6 +20,7 @@ from conftest import (
     apply_pauli_rotation,
     apply_pauli_string,
     basis_state,
+    counts_dict,
     dense_from_label,
     dense_state,
     expectation_pauli_sum,
@@ -179,37 +180,39 @@ class TestExpectations:
 class TestSampling:
     def test_delta_distribution(self):
         counts = sample_z_basis([basis_state(8, 1)], 500, seed=7)[0]
-        assert counts.counts == {1: 500}
+        assert counts_dict(counts) == {1: 500}
+        assert counts.outcomes.dtype == counts.freqs.dtype == np.int64
 
     def test_uniform_within_binomial_bounds(self):
         st = dense_state(2, np.full(4, 0.5, dtype=complex))
         shots = 100_000
-        counts = sample_z_basis([st], shots, seed=11)[0]
+        counts = counts_dict(sample_z_basis([st], shots, seed=11)[0])
         sigma = math.sqrt(0.25 * 0.75 / shots)
         for outcome in range(4):
-            freq = counts.counts.get(outcome, 0) / shots
+            freq = counts.get(outcome, 0) / shots
             assert abs(freq - 0.25) < 5 * sigma
 
     def test_deterministic_given_seed(self, rng):
         st = dense_state(4, random_state(rng, 4))
         a = sample_z_basis([st], 1000, seed=42)[0]
         b = sample_z_basis([st], 1000, seed=42)[0]
-        assert a.counts == b.counts
+        assert counts_dict(a) == counts_dict(b)
         c = sample_z_basis([st], 1000, seed=43)[0]
-        assert c.counts != a.counts
+        assert counts_dict(c) != counts_dict(a)
 
     def test_counts_sum_to_shots(self, rng):
         st = dense_state(3, random_state(rng, 3))
         counts = sample_z_basis([st], 1234, seed=5)[0]
-        assert sum(counts.counts.values()) == 1234
+        assert counts.freqs.sum() == 1234
+        assert np.all(counts.freqs > 0)
 
     def test_frequencies_converge_to_probabilities(self, rng):
         st = dense_state(3, random_state(rng, 3))
         shots = 10_000
-        counts = sample_z_basis([st], shots, seed=3)[0]
+        counts = counts_dict(sample_z_basis([st], shots, seed=3)[0])
         probs = st.probabilities()
         for outcome, prob in enumerate(probs):
-            freq = counts.counts.get(outcome, 0) / shots
+            freq = counts.get(outcome, 0) / shots
             stderr = math.sqrt(max(prob * (1 - prob), 1e-12) / shots)
             assert abs(freq - prob) < 5 * stderr
 
@@ -218,7 +221,7 @@ class TestSampling:
         # land on the zero-probability last state.
         st = dense_state(2, [0.5, 0.5, 0, 0])
         counts = sample_z_basis([st], 10_000, seed=3)[0]
-        assert set(counts.counts) == {0, 1}
+        assert counts.outcomes.tolist() == [0, 1]
 
     def test_rejects_nan_probability(self):
         # A NaN total compares false everywhere, so the draws would all land
@@ -248,29 +251,36 @@ class TestSampling:
                 for seed in (1, 7, 123):
                     a = sample_z_basis([st], 20_000, seed=seed)[0]
                     b = sample_z_basis([dense], 20_000, seed=seed)[0]
-                    assert a.counts == b.counts, (n, seed)
-                    assert set(a.counts) <= set(st.indices.tolist())
+                    assert counts_dict(a) == counts_dict(b), (n, seed)
+                    assert set(a.outcomes.tolist()) <= set(st.indices.tolist())
+
+
+def assert_counts_equal(a, b, where):
+    assert a.n_qubits == b.n_qubits, where
+    assert a.outcomes.dtype == b.outcomes.dtype == np.int64, where
+    assert a.freqs.dtype == b.freqs.dtype == np.int64, where
+    assert np.array_equal(a.outcomes, b.outcomes), where
+    assert np.array_equal(a.freqs, b.freqs), where
 
 
 def chosen_draws(draws):
     """A stand-in for ``state._draw_chunks``: ``draws`` repeated to the shot
-    count, in chunks of the module's DRAW_CHUNK."""
-    def draw_chunks(shots, seed):
+    count, in chunks of the size asked for."""
+    def draw_chunks(shots, seed, size):
         tiled = np.resize(draws, shots)
-        step = state_module.DRAW_CHUNK
-        return (tiled[start:start + step] for start in range(0, shots, step))
+        return (tiled[start:start + size] for start in range(0, shots, size))
     return draw_chunks
 
 
 class TestSamplingReference:
     """The sampler counts sorted draws; the reference inverts each draw.
-    Their counts, dict key order included, must be equal."""
+    Their outcome and count arrays must be equal, dtype included."""
 
     @staticmethod
     def assert_same_counts(st, shots, seed):
-        a = sample_z_basis([st], shots, seed)[0].counts
-        b = sample_z_basis_reference(st, shots, seed).counts
-        assert list(a.items()) == list(b.items()), (st.indices.size, shots, seed)
+        a = sample_z_basis([st], shots, seed)[0]
+        b = sample_z_basis_reference(st, shots, seed)
+        assert_counts_equal(a, b, (st.indices.size, shots, seed))
 
     def test_random_sector_states(self):
         rng = np.random.default_rng(99)
@@ -315,14 +325,38 @@ class TestSamplingReference:
         assert np.array_equal(edges[: len(probs)] * cumulative[-1], cumulative)
 
         monkeypatch.setattr(state_module, "_draw_chunks", chosen_draws(edges))
-        # With 4 draws a chunk, equal edges fall in different chunks.
+        # With DRAW_CHUNK at 4, the sampler draws the sector's size at a
+        # time, three draws fewer than the edges: the 3 len(edges) + 2 draws
+        # straddle chunks, and equal edges fall in different chunks.
         for chunk in (state_module.DRAW_CHUNK, 4):
             monkeypatch.setattr(state_module, "DRAW_CHUNK", chunk)
             for shots in (1, len(edges), 3 * len(edges) + 2):
                 self.assert_same_counts(st, shots, seed=0)
-            counts = sample_z_basis([st], len(edges), seed=0)[0].counts
-            assert sum(counts.values()) == len(edges)
-            assert all(probs[k] > 0 for k in counts)
+            counts = sample_z_basis([st], len(edges), seed=0)[0]
+            assert counts.freqs.sum() == len(edges)
+            assert all(probs[k] > 0 for k in counts.outcomes)
+
+    def test_sector_sized_chunks(self, monkeypatch):
+        # Below the sector's size, DRAW_CHUNK gives way to it: every chunk
+        # but the last holds one draw per basis state, and the counts are
+        # those of the one-draw-at-a-time reference.
+        params = ModelParams(8, 0.1, 1.0)
+        trajectory = trotter_evolve(0b01010101, params, TrotterPlan.for_total_time(1.0, 4))
+        st = read_out(trajectory.orbitals[-1], params.hubble, 1.0)
+        assert st.indices.size == 70
+        sizes = []
+        draw_chunks = state_module._draw_chunks
+
+        def recorded(shots, seed, size):
+            for chunk in draw_chunks(shots, seed, size):
+                sizes.append(chunk.size)
+                yield chunk
+
+        monkeypatch.setattr(state_module, "DRAW_CHUNK", 16)
+        monkeypatch.setattr(state_module, "_draw_chunks", recorded)
+        counts = sample_z_basis([st], 1000, seed=5)[0]
+        assert sizes == [70] * 14 + [20]
+        assert_counts_equal(counts, sample_z_basis_reference(st, 1000, 5), "sector-sized")
 
 
 CHUNK_EDGE_SHOTS = [
@@ -354,20 +388,31 @@ class TestChunkedSampling:
     @pytest.mark.parametrize("shots", CHUNK_EDGE_SHOTS)
     def test_chunks_are_the_one_stream(self, shots):
         # The buffer is reused, so each chunk is copied before the next.
-        chunks = [chunk.copy() for chunk in state_module._draw_chunks(shots, 12345)]
+        chunks = [
+            chunk.copy()
+            for chunk in state_module._draw_chunks(shots, 12345, state_module.DRAW_CHUNK)
+        ]
         assert all(0 < chunk.size <= state_module.DRAW_CHUNK for chunk in chunks)
         whole = np.random.Generator(np.random.Philox(key=np.uint64(12345))).random(shots)
         assert np.array_equal(np.concatenate(chunks), whole)
 
     @pytest.mark.parametrize("shots", CHUNK_EDGE_SHOTS)
-    def test_batch_equals_reference(self, shots):
+    def test_batch_equals_reference(self, monkeypatch, shots):
+        keys = []
+        draw_chunks = state_module._draw_chunks
+
+        def recorded(shots, seed, size):
+            keys.append(seed)
+            return draw_chunks(shots, seed, size)
+
+        monkeypatch.setattr(state_module, "_draw_chunks", recorded)
         states = half_filled_states()
         batch = sample_z_basis(iter(states), shots, seed=77)
+        assert sorted(keys) == list(range(77, 77 + len(states)))
         assert len(batch) == len(states)
         for i, (st, counts) in enumerate(zip(states, batch)):
             reference = sample_z_basis_reference(st, shots, 77 + i)
-            assert counts.seed == 77 + i
-            assert list(counts.counts.items()) == list(reference.counts.items()), (shots, i)
+            assert_counts_equal(counts, reference, (shots, i))
 
     @pytest.mark.parametrize("cores", [1, 2, 3])
     def test_states_are_pulled_lazily(self, monkeypatch, cores):
@@ -391,9 +436,12 @@ class TestChunkedSampling:
                 ahead.append(pulled_count - len(done))
                 yield st
 
-        batch = sample_z_basis(pulled(), state_module.DRAW_CHUNK + 1, seed=3)
-        assert [c.seed for c in batch] == list(range(3, 3 + len(states)))
+        shots = state_module.DRAW_CHUNK + 1
+        batch = sample_z_basis(pulled(), shots, seed=3)
+        assert sorted(done) == list(range(3, 3 + len(states)))
         assert max(ahead) <= 2 * cores + 1
+        for i, (st, counts) in enumerate(zip(states, batch)):
+            assert_counts_equal(counts, sample_state(st, shots, 3 + i), (cores, i))
 
     @pytest.mark.parametrize("cores", [1, 4])
     def test_error_in_batch_joins_threads(self, monkeypatch, cores):
