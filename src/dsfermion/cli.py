@@ -30,8 +30,8 @@ from . import __version__
 from .errors import (
     BILINEAR_QUBIT_LIMIT,
     CHARGE_DRIFT_TOL,
-    HUBBLE_TIME_LIMIT,
     IDENTITY_TOL,
+    LOG_VALUE_LIMIT,
     NORM_DRIFT_TOL,
     ORACLE_SUBSTEP_BUDGET,
     P_RATIO_FLOOR,
@@ -54,12 +54,12 @@ from .model import (
     build_charge_term,
     build_hopping,
     build_mass_term,
-    check_sites,
     hamiltonian_at,
     n8_fixture,
     verify_bilinears,
 )
 from .observables import ObservableRecord, estimators_from_counts
+from .pauli import PauliSum
 from .state import sample_z_basis
 from .svg import Series, heatmap, line_chart
 
@@ -103,8 +103,9 @@ class RunConfig:
 
     def validate(self) -> None:
         """Reject, before any work, the fields that `run` would otherwise reject
-        late (the readout's size) or not at all; ModelParams and TrotterPlan check the rest."""
-        check_sites(self.n_sites)
+        late (the readout's size, an overflow) or not at all; ModelParams checks the
+        lattice and the couplings first, and TrotterPlan checks the rest."""
+        ModelParams(self.n_sites, self.hubble, self.mass)
         if not 0 <= self.initial_state_index < 1 << self.n_sites:
             raise ValueError(
                 f"initial_state_index must be in [0, 2^n_sites), got {self.initial_state_index}"
@@ -127,11 +128,20 @@ class RunConfig:
             )
         if not (math.isfinite(self.t_total) and self.t_total > 0):
             raise ValueError(f"t_total must be positive, got {self.t_total}")
-        if self.hubble * self.t_total > HUBBLE_TIME_LIMIT:
-            raise ValueError(
-                f"hubble * t_total must be <= {HUBBLE_TIME_LIMIT:g} so that e^(hubble t) stays "
-                f"far from overflow; got {self.hubble * self.t_total:g}"
-            )
+        # math.exp raises past e^709.78, so e^(h t_total) is formed only up to the
+        # limit; beyond it the polarization bound fails.
+        volume = math.exp(min(self.hubble * self.t_total, LOG_VALUE_LIMIT))
+        n, mass_scale = self.n_sites, self.mass * volume
+        for name, bound in (
+            ("polarization bound e^(h t) N(N-1)/2", volume * n * (n - 1) / 2),
+            ("energy bound N (2 + m e^(h t)) + h N/4", n * (2 + mass_scale) + self.hubble * n / 4),
+            ("mass phase of a step dt m e^(h t)", self.t_total / self.trotter_steps * mass_scale),
+        ):
+            if not bound <= math.exp(LOG_VALUE_LIMIT):
+                raise ValueError(
+                    f"{name} passes e^{LOG_VALUE_LIMIT:g} at t = t_total; "
+                    f"lower hubble, t_total or mass"
+                )
         k = self.initial_state_index.bit_count()
         gathered = math.comb(self.n_sites, k) * k * k
         if (self.shots > 0 or self.oracle == "on") and gathered > READOUT_LIMIT:
@@ -413,20 +423,20 @@ def run(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def verify(max_n: int, stream=None) -> int:
+def verify(max_n: int) -> int:
     """Structural checks: bilinear identities, charge commutator, lowest
     eigenvalue on the filled state, and the N=8 transcription fixture."""
-    stream = stream or sys.stdout
-    if max_n > BILINEAR_QUBIT_LIMIT:
-        raise ValueError(f"max_n must be <= {BILINEAR_QUBIT_LIMIT}, got {max_n}")
-    check_sites(max_n)
+    if not 4 <= max_n <= BILINEAR_QUBIT_LIMIT or max_n % 2 != 0:
+        raise ValueError(
+            f"max_n must be an even integer in [4, {BILINEAR_QUBIT_LIMIT}], got {max_n}"
+        )
     failures = 0
 
     def report(name: str, ok: bool, detail: str) -> None:
         nonlocal failures
         if not ok:
             failures += 1
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}", file=stream)
+        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
 
     for n in range(4, max_n + 1, 2):
         rep = verify_bilinears(n)
@@ -464,11 +474,12 @@ def verify(max_n: int, stream=None) -> int:
     if max_n >= 8:
         h1, h2, h3 = n8_fixture()
         checks = (
-            ("hopping vs -h1", build_hopping(8) == -1.0 * h1),
-            ("charge vs h2/2", build_charge_term(8) == 0.5 * h2),
-            ("mass vs h3", build_mass_term(8) == h3),
+            ("hopping vs -h1", build_hopping(8), [(-c, s) for c, s in h1.terms]),
+            ("charge vs h2/2", build_charge_term(8), [(0.5 * c, s) for c, s in h2.terms]),
+            ("mass vs h3", build_mass_term(8), h3.terms),
         )
-        for name, ok in checks:
+        for name, built, terms in checks:
+            ok = built == PauliSum(8, terms)
             report(f"N=8 fixture {name}", ok, "term-for-term exact" if ok else "mismatch")
 
     return EXIT_VERIFY if failures else EXIT_OK

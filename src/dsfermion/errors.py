@@ -14,11 +14,14 @@ CHARGE_DRIFT_TOL = 1e-10
 # successive results is below this.
 ORACLE_TOL = 1e-10
 
-# `run` rejects a config with h * t_total above this before any work.  The
-# observables scale with the volume factor e^{ht}, which overflows past
-# h t = 709.8; a shot error scales the square root of an exact integer
-# ratio by it, so nothing squares it.  300 keeps a wide margin below that.
-HUBBLE_TIME_LIMIT = 300.0
+# `run` rejects, before any work, a config in which a value that grows with
+# the volume factor e^{h t_total} could pass e^LOG_VALUE_LIMIT: the largest
+# polarization, the bound on the energy, or the mass phase of one step.
+# The largest float is e^709.78, and a plot's axis reaches a few times its
+# largest value (a shot error, the 5% padding and one tick step past the
+# top), so e^705 keeps a factor of ~120 below it.  Nothing squares e^{ht}:
+# a shot error scales the square root of an exact integer ratio by it.
+LOG_VALUE_LIMIT = 705.0
 
 # `run` reports the ratio p(t)/p(0) only where |p(0)| is above this; a basis
 # start's p(0) sums occupied site positions, an integer: this tells 0 from >= 1.
@@ -60,6 +63,7 @@ DENSE_QUBIT_LIMIT = 14
 # A dense Jordan-Wigner operator takes 256 MiB at N = 12.
 JW_QUBIT_LIMIT = 12
 # The bilinear check holds 2N dense operators at once: 320 MiB at N = 10.
+# `verify --max-n` takes an even integer from 4 up to this.
 BILINEAR_QUBIT_LIMIT = 10
 # Not in qubits: a readout gathers the k x k minors of C(N, k) amplitudes, C(N, k) k^2
 # complex entries; `run` rejects shots or the oracle past this many (2 GiB) before any

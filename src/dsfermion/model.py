@@ -142,10 +142,14 @@ def hamiltonian_at(params: ModelParams, t: float) -> PauliSum:
     if not math.isfinite(t) or t < 0:
         raise ValueError(f"t must be finite and >= 0, got {t}")
     parts = hamiltonian_parts(params.n_sites)
-    return (
-        parts.hopping
-        + params.hubble * parts.charge
-        + params.mass * scale_factor(params, t) * parts.mass_term
+    mass_scale = params.mass * scale_factor(params, t)
+    return PauliSum(
+        params.n_sites,
+        [
+            *parts.hopping.terms,
+            *((coeff * params.hubble, string) for coeff, string in parts.charge.terms),
+            *((coeff * mass_scale, string) for coeff, string in parts.mass_term.terms),
+        ],
     )
 
 
@@ -214,12 +218,12 @@ def verify_bilinears(n_sites: int) -> BilinearReport:
         dpsi0 = chi_wrapped(X + 2) - chi_wrapped(X)
         dpsi1 = chi_wrapped(X + 1) - chi_wrapped(X - 1)
         kinetic_fermi += -1j * (psi0_dag @ dpsi1 + psi1_dag @ dpsi0)
-    kinetic_pauli = (-1.0 * build_hopping(n_sites)).to_dense()
+    kinetic_pauli = -build_hopping(n_sites).to_dense()
     kinetic_dev = float(np.max(np.abs(kinetic_fermi - kinetic_pauli)))
 
     # Charge bilinear: sum chi^dag chi = sum (1 + Z)/2.
     charge_fermi = sum(chi_dag[x] @ chi[x] for x in range(n_sites))
-    charge_pauli = (2.0 * build_charge_term(n_sites)).to_dense()
+    charge_pauli = 2.0 * build_charge_term(n_sites).to_dense()
     charge_pauli += (n_sites / 2.0) * np.eye(dim)
     charge_dev = float(np.max(np.abs(charge_fermi - charge_pauli)))
 

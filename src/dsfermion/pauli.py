@@ -90,6 +90,8 @@ def single_site(n_qubits: int, site: int, axis: str) -> PauliString:
 class PauliSum:
     """A weighted sum of Pauli strings, merged and deterministically ordered.
 
+    The constructor is the one way to build or combine sums: it adds the
+    coefficients of equal strings in input order, drops zeros and sorts.
     Coefficients must come out real, so the sum is a Hermitian operator.
     """
 
@@ -127,21 +129,6 @@ class PauliSum:
             return NotImplemented
         return self.n_qubits == other.n_qubits and self.terms == other.terms
 
-    def __add__(self, other: "PauliSum") -> "PauliSum":
-        if not isinstance(other, PauliSum):
-            return NotImplemented
-        if self.n_qubits != other.n_qubits:
-            raise ValueError(f"qubit count mismatch: {self.n_qubits} vs {other.n_qubits}")
-        return PauliSum(self.n_qubits, list(self.terms) + list(other.terms))
-
-    def __mul__(self, scalar: float) -> "PauliSum":
-        return PauliSum(self.n_qubits, [(coeff * scalar, string) for coeff, string in self.terms])
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        return f"PauliSum(n_qubits={self.n_qubits}, n_terms={len(self.terms)})"
-
     def to_dense(self) -> np.ndarray:
         """Explicit matrix under the qubit-0-is-LSB convention."""
         if self.n_qubits > DENSE_QUBIT_LIMIT:
@@ -156,7 +143,7 @@ class PauliSum:
         return mat
 
     @classmethod
-    def from_text(cls, text: str, n_qubits: int | None = None) -> "PauliSum":
+    def from_text(cls, text: str, n_qubits: int) -> "PauliSum":
         """Parse one ``<coefficient> <label>`` term per line, skipping blank and ``#`` lines."""
         terms = []
         for raw in text.splitlines():
@@ -164,9 +151,5 @@ class PauliSum:
             if not line or line.startswith("#"):
                 continue
             coeff_str, label = line.split()
-            if n_qubits is None:
-                n_qubits = len(label)
             terms.append((float(coeff_str), PauliString.from_label(label)))
-        if n_qubits is None:
-            raise ValueError("cannot infer qubit count from empty text")
         return cls(n_qubits, terms)

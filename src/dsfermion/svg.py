@@ -52,10 +52,9 @@ def viridis(v: float) -> str:
     return "#fde725"  # pragma: no cover
 
 
-def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / n
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """About five round tick values in [lo, hi], for lo < hi."""
+    raw = (hi - lo) / 5
     mag = 10 ** math.floor(math.log10(raw))
     for mult in (1, 2, 2.5, 5, 10):
         if raw <= mult * mag:
@@ -121,11 +120,7 @@ def _frame(canvas: _Canvas, title: str, xlabel: str, ylabel: str) -> None:
 
 
 def _scales(xlo, xhi, ylo, yhi):
-    if xhi <= xlo:
-        xhi = xlo + 1.0
-    if yhi <= ylo:
-        pad = max(abs(ylo), 1.0) * 1e-3
-        ylo, yhi = ylo - pad, yhi + pad
+    """Pixel maps of the plot area for the ranges xlo < xhi and ylo < yhi."""
 
     def sx(x):
         return MARGIN_LEFT + (x - xlo) / (xhi - xlo) * (WIDTH - MARGIN_LEFT - MARGIN_RIGHT)
@@ -135,7 +130,7 @@ def _scales(xlo, xhi, ylo, yhi):
             HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
         )
 
-    return sx, sy, xlo, xhi, ylo, yhi
+    return sx, sy
 
 
 def line_chart(
@@ -154,7 +149,7 @@ def line_chart(
     ylo, yhi = ylo - 0.05 * span, yhi + 0.05 * span
 
     canvas = _Canvas(meta=meta)
-    sx, sy, xlo, xhi, ylo, yhi = _scales(xlo, xhi, ylo, yhi)
+    sx, sy = _scales(xlo, xhi, ylo, yhi)
     for tick in _nice_ticks(xlo, xhi):
         px = sx(tick)
         canvas.add(

@@ -284,7 +284,7 @@ def charge_commutator_entries(params, t):
     """Nonzero entries of the dense [Q, aH(t)] for the total charge
     Q = sum Z(x) = 4 * charge_term.  Q is diagonal, so entry (i, j) is
     q_i aH_ij - aH_ij q_j, which is exactly 0 where q_i = q_j."""
-    q = np.diag((4.0 * build_charge_term(params.n_sites)).to_dense())
+    q = np.diag(4.0 * build_charge_term(params.n_sites).to_dense())
     h = hamiltonian_at(params, t).to_dense()
     return np.count_nonzero(q[:, None] * h - h * q[None, :])
 

@@ -282,21 +282,52 @@ class TestRun:
         cli.RunConfig(n_sites=22, initial_state_index=0x155555, oracle="on").validate()
 
     def test_volume_overflow_is_usage_error(self, tmp_path, monkeypatch, capsys):
-        # At h t_total = 360 the shot variance overflowed to inf and the plot
-        # ticks crashed; at 720 e^{ht} itself overflowed.  Both are rejected
-        # before the evolution and before any output directory is created.
+        # A value that grows with e^{h t_total} (the largest polarization, the
+        # energy bound or a step's mass phase) passing e^705 is rejected before
+        # the evolution and before any output directory is created.  These
+        # runs wrote inf energies, or stopped late on a NaN norm: at h t = 720
+        # e^{ht} itself overflows, at N = 62 and h t = 703 the polarization.
         def no_evolution(*args, **kwargs):
             raise AssertionError("the evolution started")
 
         monkeypatch.setattr(cli, "trotter_evolve", no_evolution)
-        for hubble in ("360", "720"):
+        cases = {
+            "h720": ("--hubble", "720", "--mass", "1", "--shots", "1000"),
+            "m1e307": (
+                "--n_sites", "40", "--initial_state_index", "366503875925", "--mass", "1e307",
+                "--hubble", "0", "--shots", "0", "--trotter_steps", "2",
+            ),
+            "h1e308": (
+                "--n_sites", "62", "--hubble", "1e308", "--t_total", "1e-308", "--shots", "0",
+                "--trotter_steps", "1",
+            ),
+            "m1e308": ("--mass", "1e308", "--hubble", "1", "--shots", "100"),
+            "t1e308": (
+                "--t_total", "1e308", "--hubble", "0", "--mass", "10", "--trotter_steps", "1",
+                "--shots", "0",
+            ),
+            "n62_h703": (
+                "--n_sites", "62", "--initial_state_index", "0", "--hubble", "703", "--mass", "1",
+                "--shots", "0",
+            ),
+        }
+        for name, flags in cases.items():
+            out = tmp_path / name
+            argv = ["run", *flags, "--oracle", "off", "--output_dir", str(out)]
+            assert cli.main(argv) == cli.EXIT_USAGE, name
+            err = capsys.readouterr().err
+            assert "passes e^705 at t = t_total" in err and "Traceback" not in err, name
+            assert not out.exists(), name
+
+    def test_large_volume_runs_stay_finite(self, tmp_path):
+        # h t_total = 360 and 700 at N = 8 keep every value below e^705.
+        for hubble in ("360", "700"):
             out = tmp_path / f"h{hubble}"
             argv = ["run", "--hubble", hubble, "--mass", "1", "--oracle", "off", "--shots", "1000"]
-            assert cli.main(argv + ["--output_dir", str(out)]) == cli.EXIT_USAGE, hubble
-            err = capsys.readouterr().err
-            assert "hubble * t_total must be <= 300" in err and "Traceback" not in err
-            assert not out.exists(), hubble
-        cli.RunConfig(hubble=300.0, t_total=1.0).validate()  # the bound itself is allowed
+            assert cli.main(argv + ["--output_dir", str(out)]) == cli.EXIT_OK, hubble
+            for name in ("density.csv", "observables.csv"):
+                text = (out / name).read_text()
+                assert "inf" not in text and "nan" not in text, (hubble, name)
 
     def test_oracle_not_converged_is_usage_error(self, tmp_path, monkeypatch, capsys):
         # Starting from 2 steps, a substep budget of 8 stops the paper-m1
@@ -411,7 +442,7 @@ class TestVerify:
 
         def leaky(params, t):
             bond = PauliString.from_label("XX" + "I" * (params.n_sites - 2))
-            return hamiltonian_at(params, t) + PauliSum(params.n_sites, [(1.0, bond)])
+            return PauliSum(params.n_sites, [*hamiltonian_at(params, t).terms, (1.0, bond)])
 
         monkeypatch.setattr(cli, "hamiltonian_at", leaky)
         assert cli.verify(4) == cli.EXIT_VERIFY
@@ -419,11 +450,32 @@ class TestVerify:
         assert "FAIL  charge commutator N=4" in out
         assert out.count("FAIL") == 1
 
-    def test_max_n_limits(self):
+    def test_max_n_limits(self, capsys):
         with pytest.raises(ValueError):
             cli.verify(12)
         with pytest.raises(ValueError):
             cli.verify(7)
+        for max_n in ("2", "7", "12"):
+            assert cli.main(["verify", "--max-n", max_n]) == cli.EXIT_USAGE, max_n
+            err = capsys.readouterr().err
+            assert f"max_n must be an even integer in [4, 10], got {max_n}" in err, max_n
+
+    def test_output_is_pinned(self, capsys):
+        assert cli.main(["verify", "--max-n", "8"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS  bilinear identities N=4: max deviation 0.000e+00",
+            "PASS  bilinear identities N=6: max deviation 0.000e+00",
+            "PASS  bilinear identities N=8: max deviation 0.000e+00",
+            "PASS  charge commutator N=4: 0 entries between charge sectors",
+            "PASS  charge commutator N=6: 0 entries between charge sectors",
+            "PASS  charge commutator N=8: 0 entries between charge sectors",
+            "PASS  filled-state eigenvalue N=4: <H> = 0.1, expected 0.1",
+            "PASS  filled-state eigenvalue N=6: <H> = 0.15, expected 0.15",
+            "PASS  filled-state eigenvalue N=8: <H> = 0.2, expected 0.2",
+            "PASS  N=8 fixture hopping vs -h1: term-for-term exact",
+            "PASS  N=8 fixture charge vs h2/2: term-for-term exact",
+            "PASS  N=8 fixture mass vs h3: term-for-term exact",
+        ]
 
 
 def read_tree(root):

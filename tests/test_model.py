@@ -16,6 +16,7 @@ from dsfermion.model import (
     one_body_parts,
     verify_bilinears,
 )
+from dsfermion.pauli import PauliSum
 
 from conftest import (
     H1_TERMS,
@@ -103,7 +104,7 @@ class TestBuilders:
 
     def test_hopping_commutes_with_charge_n4(self):
         hop = build_hopping(4).to_dense()
-        sz = (4.0 * build_charge_term(4)).to_dense()
+        sz = 4.0 * build_charge_term(4).to_dense()
         assert np.max(np.abs(hop @ sz - sz @ hop)) < 1e-14
 
 
@@ -254,8 +255,8 @@ class TestN8Fixture:
 
     def test_builders_reproduce_fixture_exactly(self):
         h1, h2, h3 = n8_fixture()
-        assert build_hopping(8) == -1.0 * h1
-        assert build_charge_term(8) == 0.5 * h2
+        assert build_hopping(8) == PauliSum(8, [(-c, s) for c, s in h1.terms])
+        assert build_charge_term(8) == PauliSum(8, [(0.5 * c, s) for c, s in h2.terms])
         assert build_mass_term(8) == h3
 
     def test_fixture_matches_independent_transcription(self):

@@ -131,11 +131,3 @@ class TestPauliSum:
             a = random_sum(rng, n, 6)
             dense = a.to_dense()
             assert np.max(np.abs(dense - dense.conj().T)) < 1e-13
-
-    def test_scalar_arithmetic_matches_dense(self, rng):
-        a = random_sum(rng, 3, 4)
-        b = random_sum(rng, 3, 4)
-        dev = np.max(np.abs((a + 2.5 * b).to_dense() - (a.to_dense() + 2.5 * b.to_dense())))
-        assert dev < 1e-13
-        dev = np.max(np.abs((a + (-1.0) * b).to_dense() - (a.to_dense() - b.to_dense())))
-        assert dev < 1e-13

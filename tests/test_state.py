@@ -151,7 +151,8 @@ class TestExpectations:
         # the read-out state agree on the sign convention of sigma^z.
         for k in range(5):
             orbitals = random_orbitals(rng, 4, k)
-            total_sz = expectation_pauli_sum(read_out(orbitals, 0.1, 0.0), 4.0 * build_charge_term(4))
+            charge = PauliSum(4, [(4.0 * c, s) for c, s in build_charge_term(4).terms])
+            total_sz = expectation_pauli_sum(read_out(orbitals, 0.1, 0.0), charge)
             dev = abs(exact_record(orbitals, 0.0, 0.1).total_sz - total_sz)
             assert dev < 1e-12, k
 
