@@ -87,6 +87,9 @@ def _default_output_dir() -> str:
 
 @dataclass
 class RunConfig:
+    """One run.  The defaults are the published massless setup: N=8, h=0.1, t=1 over
+    10 Trotter steps, 10000 shots, one hole at site 0, exact-propagator oracle on."""
+
     n_sites: int = 8
     hubble: float = 0.1
     mass: float = 0.0
@@ -152,23 +155,11 @@ class RunConfig:
 
 
 def preset_paper(mass_choice: int) -> RunConfig:
-    """The published N=8 setup: h=0.1, t=1 over 10 Trotter steps, 10000 shots,
-    initial state |1> (one hole at site 0), exact-propagator oracle on."""
+    """The published N=8 setup, RunConfig's defaults, at mass 0 or 1."""
     if mass_choice not in (0, 1):
         raise ValueError(f"mass_choice must be 0 or 1, got {mass_choice}")
     return RunConfig(
-        n_sites=8,
-        hubble=0.1,
         mass=float(mass_choice),
-        t_total=1.0,
-        trotter_steps=10,
-        time_sampling="midpoint",
-        shots=10000,
-        seed=1,
-        initial_state_index=1,
-        snapshot_every=1,
-        oracle="on",
-        oracle_substeps_start=256,
         output_dir=os.path.join(_default_output_dir(), f"paper_m{mass_choice}"),
     )
 

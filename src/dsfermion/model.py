@@ -118,18 +118,10 @@ def one_body_parts(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
     """
     parts = hamiltonian_parts(n_sites)
     holes = np.int64(1) << np.arange(n_sites, dtype=np.int64)
-
-    def block(op: PauliSum) -> np.ndarray:
-        out = np.zeros((n_sites, n_sites), dtype=np.complex128)
-        for coeff, string in op.terms:
-            targets = holes ^ np.int64(string.x_mask)
-            cols = np.flatnonzero(np.bitwise_count(targets) == 1)
-            rows = np.searchsorted(holes, targets[cols])
-            out[rows, cols] += coeff * string.column_phases(holes[cols])
-        out.flags.writeable = False  # the cache hands it to every caller
-        return out
-
-    return block(parts.hopping), block(parts.mass_term)
+    blocks = parts.hopping.on_states(holes), parts.mass_term.on_states(holes)
+    for block in blocks:
+        block.flags.writeable = False  # the cache hands it to every caller
+    return blocks
 
 
 def scale_factor(params: ModelParams, t: float) -> float:

@@ -23,11 +23,6 @@ _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)  # i**k for k = 0..3
 _AXIS_MASKS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 
-def _parity_of_masked(indices: np.ndarray, mask: int) -> np.ndarray:
-    """Parity of popcount(indices & mask), elementwise, as 0/1 int array."""
-    return (np.bitwise_count(indices & np.int64(mask)) & 1).astype(np.int64)
-
-
 @dataclass(frozen=True)
 class PauliString:
     """A tensor product of single-qubit Paulis."""
@@ -69,7 +64,7 @@ class PauliString:
     def column_phases(self, indices: np.ndarray) -> np.ndarray:
         """Phases f(k) with P|k> = f(k) |k ^ x_mask> for the given basis indices:
         i^(Y count), negated where k & z_mask has odd parity."""
-        signs = 1.0 - 2.0 * _parity_of_masked(indices, self.z_mask)
+        signs = 1.0 - 2.0 * (np.bitwise_count(indices & np.int64(self.z_mask)) & 1)
         return _PHASES[self.y_count % 4] * signs
 
     def to_dense(self) -> np.ndarray:
@@ -129,18 +124,27 @@ class PauliSum:
             return NotImplemented
         return self.n_qubits == other.n_qubits and self.terms == other.terms
 
+    def on_states(self, indices: np.ndarray) -> np.ndarray:
+        """The one rule that turns the sum into a matrix: entry (r, c) is
+        <indices[r]| sum |indices[c]> for strictly ascending int64 basis indices,
+        and the part of a term that leaves the set is dropped."""
+        if np.any(indices[1:] <= indices[:-1]):
+            raise ValueError("basis indices must be strictly ascending")
+        out = np.zeros((len(indices), len(indices)), dtype=np.complex128)
+        for coeff, string in self.terms:
+            targets = indices ^ np.int64(string.x_mask)
+            rows = np.searchsorted(indices, targets)
+            cols = np.flatnonzero(indices.take(rows, mode="clip") == targets)
+            out[rows[cols], cols] += coeff * string.column_phases(indices[cols])
+        return out
+
     def to_dense(self) -> np.ndarray:
         """Explicit matrix under the qubit-0-is-LSB convention."""
         if self.n_qubits > DENSE_QUBIT_LIMIT:
             raise ResourceLimitError(
                 f"dense realization limited to {DENSE_QUBIT_LIMIT} qubits, got {self.n_qubits}"
             )
-        dim = 1 << self.n_qubits
-        mat = np.zeros((dim, dim), dtype=np.complex128)
-        cols = np.arange(dim, dtype=np.int64)
-        for coeff, string in self.terms:
-            mat[cols ^ np.int64(string.x_mask), cols] += coeff * string.column_phases(cols)
-        return mat
+        return self.on_states(np.arange(1 << self.n_qubits, dtype=np.int64))
 
     @classmethod
     def from_text(cls, text: str, n_qubits: int) -> "PauliSum":

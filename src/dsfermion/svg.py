@@ -145,7 +145,9 @@ def line_chart(
             ys_all.extend((y - err, y + err))
     xlo, xhi = min(xs_all), max(xs_all)
     ylo, yhi = min(ys_all), max(ys_all)
-    span = (yhi - ylo) or max(abs(ylo), 1.0) * 1e-3
+    span = yhi - ylo
+    if span <= 1e-12 * max(abs(ylo), abs(yhi)):  # flat up to rounding: ticks need room
+        span = max(abs(ylo), 1.0) * 1e-3
     ylo, yhi = ylo - 0.05 * span, yhi + 0.05 * span
 
     canvas = _Canvas(meta=meta)

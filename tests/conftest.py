@@ -318,12 +318,7 @@ def sector_block(n_sites, popcount):
     parts = hamiltonian_parts(n_sites)
     every = np.arange(1 << n_sites, dtype=np.int64)
     indices = every[np.bitwise_count(every) == popcount]
-    hopping = np.zeros((len(indices), len(indices)), dtype=np.complex128)
-    for coeff, string in parts.hopping.terms:
-        targets = indices ^ np.int64(string.x_mask)
-        cols = np.flatnonzero(np.bitwise_count(targets) == popcount)
-        rows = np.searchsorted(indices, targets[cols])
-        hopping[rows, cols] += coeff * string.column_phases(indices[cols])
+    hopping = parts.hopping.on_states(indices)
 
     def diagonal(op):
         return np.real(sum(c * s.column_phases(indices) for c, s in op.terms))

@@ -1,7 +1,9 @@
 """CLI subcommands, config handling, output files and exit codes."""
 
+import dataclasses
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -42,15 +44,22 @@ def read_csv(path):
 class TestPresets:
     @pytest.mark.parametrize("mass_choice", [0, 1])
     def test_paper_preset_values(self, mass_choice):
-        config = cli.preset_paper(mass_choice)
-        assert config.n_sites == 8
-        assert config.hubble == 0.1
-        assert config.mass == float(mass_choice)
-        assert config.trotter_steps == 10
-        assert config.shots == 10000
-        assert config.initial_state_index == 1
-        assert config.t_total / config.trotter_steps == pytest.approx(0.1)
-        assert config.oracle == "on"
+        # Every field, so that a changed RunConfig default cannot move a preset.
+        assert dataclasses.asdict(cli.preset_paper(mass_choice)) == {
+            "n_sites": 8,
+            "hubble": 0.1,
+            "mass": float(mass_choice),
+            "t_total": 1.0,
+            "trotter_steps": 10,
+            "time_sampling": "midpoint",
+            "shots": 10000,
+            "seed": 1,
+            "initial_state_index": 1,
+            "snapshot_every": 1,
+            "oracle": "on",
+            "oracle_substeps_start": 256,
+            "output_dir": os.path.join(cli._default_output_dir(), f"paper_m{mass_choice}"),
+        }
 
     def test_preset_subcommand_prints_config(self, capsys):
         assert cli.main(["preset", "paper-m1"]) == 0
@@ -155,6 +164,28 @@ class TestRun:
             "chiral.svg",
         ):
             assert (out / name).exists(), name
+
+    def test_chart_flat_up_to_rounding_finishes(self, tmp_path):
+        # At h = 3e-16 the filled start's p(t)/p(0) spans ~2e-16 around 1, so a
+        # tick step from that span falls below half an ulp of 1; the tick loop
+        # then never ended and its list grew until memory ran out.
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)),
+            OPENBLAS_NUM_THREADS="1",
+        )
+        args = "run --n_sites 8 --initial_state_index 0 --hubble 3e-16 --shots 0 --oracle off"
+        done = subprocess.run(
+            [sys.executable, "-m", "dsfermion", *args.split(), "--output_dir", str(tmp_path)],
+            env=env, preexec_fn=limit_memory, capture_output=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert sorted(p.name for p in tmp_path.glob("*.svg")) == [
+            "chiral.svg", "correlation.svg", "density_heatmap.svg", "polarization.svg"
+        ]
 
     def test_csv_row_counts(self, tmp_path):
         config = fast_config(tmp_path)

@@ -6,7 +6,7 @@ import pytest
 from dsfermion.errors import ResourceLimitError
 from dsfermion.pauli import PauliString, PauliSum, single_site
 
-from conftest import dense_from_label, pauli_label, random_label
+from conftest import dense_from_label, dense_from_terms, pauli_label, random_label
 
 
 class TestPauliString:
@@ -131,3 +131,38 @@ class TestPauliSum:
             a = random_sum(rng, n, 6)
             dense = a.to_dense()
             assert np.max(np.abs(dense - dense.conj().T)) < 1e-13
+
+
+class TestOnStates:
+    def test_random_subsets_match_kron_reference(self, rng):
+        for n in (2, 4, 6, 8):
+            terms = [(float(rng.standard_normal()), random_label(rng, n)) for _ in range(8)]
+            op = PauliSum(n, [(c, PauliString.from_label(label)) for c, label in terms])
+            reference = dense_from_terms(n, terms)
+            for size in (1, 3, (1 << n) // 2, 1 << n):
+                indices = np.sort(rng.choice(1 << n, size=size, replace=False)).astype(np.int64)
+                got = op.on_states(indices)
+                assert got.shape == (size, size) and got.dtype == np.complex128
+                assert np.allclose(got, reference[np.ix_(indices, indices)], rtol=0, atol=1e-13)
+
+    def test_part_leaving_the_set_is_dropped(self):
+        # X(1)X(2) takes |0000> to |0110> and |0001> to |0111>, both outside
+        # the set, and swaps |0010> and |0100>, both inside it.
+        op = PauliSum(4, [(1.0, PauliString.from_label("IXXI"))])
+        indices = np.array([0b0000, 0b0001, 0b0010, 0b0100, 0b1000], dtype=np.int64)
+        expected = np.zeros((5, 5))
+        expected[2, 3] = expected[3, 2] = 1.0
+        assert np.array_equal(op.on_states(indices), expected)
+        reference = dense_from_terms(4, [(1.0, "IXXI")])
+        assert np.array_equal(op.on_states(indices), reference[np.ix_(indices, indices)])
+
+    def test_empty_set(self):
+        op = PauliSum(3, [(1.0, PauliString.from_label("XYZ"))])
+        got = op.on_states(np.array([], dtype=np.int64))
+        assert got.shape == (0, 0) and got.dtype == np.complex128
+
+    @pytest.mark.parametrize("indices", [[2, 1], [1, 1], [0, 3, 3, 5]])
+    def test_indices_must_be_strictly_ascending(self, indices):
+        op = PauliSum(3, [(1.0, PauliString.from_label("XII"))])
+        with pytest.raises(ValueError, match="strictly ascending"):
+            op.on_states(np.array(indices, dtype=np.int64))
