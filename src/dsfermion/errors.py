@@ -62,12 +62,14 @@ SEED_STRIDE = 1 << 32
 DENSE_QUBIT_LIMIT = 14
 # A dense Jordan-Wigner operator takes 256 MiB at N = 12.
 JW_QUBIT_LIMIT = 12
-# The bilinear check holds 2N dense operators at once: 320 MiB at N = 10.
+# The bilinear check holds N dense operators at once: 160 MiB at N = 10.
 # `verify --max-n` takes an even integer from 4 up to this.
 BILINEAR_QUBIT_LIMIT = 10
-# Not in qubits: a readout gathers the k x k minors of C(N, k) amplitudes, C(N, k) k^2
-# complex entries; `run` rejects shots or the oracle past this many (2 GiB) before any
-# work: C(22, 11) 11^2 = 85M entries pass, C(24, 12) 12^2 = 389M do not.
+# Not in qubits: a readout takes the k x k minors of C(N, k) amplitudes, C(N, k) k^2
+# entries in blocks of 2^20; `run` rejects shots or the oracle past this many before any
+# work, which bounds a readout's time (~2.6 s at N = 22 half filled) and its sector
+# table of C(N, k) k int64 sites (62 MB there): C(22, 11) 11^2 = 85M entries pass,
+# C(24, 12) 12^2 = 389M do not.
 READOUT_LIMIT = 1 << 27
 # Not in qubits: the oracle doubles its step count up to this many steps,
 # and `run` rejects an oracle_substeps_start whose first doubling would pass

@@ -140,6 +140,11 @@ def _sector(n_sites: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return sets, indices
 
 
+# A readout gathers at most this many entries of its k x k minors at once
+# (16 MiB): all C(20, 10) minors at once would take 296 MB.
+_READOUT_BLOCK = 1 << 20
+
+
 def read_out(orbitals: np.ndarray, hubble: float, t: float) -> StateVector:
     """The C(N, k) amplitudes of the Slater determinant of the N x k hole
     orbitals at time t.
@@ -147,11 +152,15 @@ def read_out(orbitals: np.ndarray, hubble: float, t: float) -> StateVector:
     A basis state is the ascending set S of its holes (bits set), and its
     amplitude is det(orbitals[S]) times the charge term's phase
     exp(-i h (N - 2k)/4 t), which the determinant cannot carry (it would
-    give k (N - 2)/4).
+    give k (N - 2)/4).  Each determinant is taken on its own, so the blocks
+    of minors leave the amplitudes' bits as one gather would.
     """
     n, k = orbitals.shape
     sets, indices = _sector(n, k)
-    dets = np.linalg.det(orbitals[sets])  # det(orbitals[S]) for every S
+    rows = _READOUT_BLOCK // max(1, k * k)
+    dets = np.empty(len(sets), dtype=np.complex128)  # det(orbitals[S]) for every S
+    for first in range(0, len(sets), rows):
+        dets[first : first + rows] = np.linalg.det(orbitals[sets[first : first + rows]])
     phase = np.exp(-1j * hubble * (n - 2 * k) / 4 * t)
     return StateVector(n, indices, phase * dets)
 

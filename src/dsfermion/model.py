@@ -196,7 +196,6 @@ def verify_bilinears(n_sites: int) -> BilinearReport:
         )
     dim = 1 << n_sites
     chi = [jw_fermion_op(n_sites, x) for x in range(n_sites)]
-    chi_dag = [op.conj().T for op in chi]
 
     def chi_wrapped(x: int) -> np.ndarray:
         return chi[x % n_sites]
@@ -214,14 +213,14 @@ def verify_bilinears(n_sites: int) -> BilinearReport:
     kinetic_dev = float(np.max(np.abs(kinetic_fermi - kinetic_pauli)))
 
     # Charge bilinear: sum chi^dag chi = sum (1 + Z)/2.
-    charge_fermi = sum(chi_dag[x] @ chi[x] for x in range(n_sites))
+    charge_fermi = sum(chi[x].conj().T @ chi[x] for x in range(n_sites))
     charge_pauli = 2.0 * build_charge_term(n_sites).to_dense()
     charge_pauli += (n_sites / 2.0) * np.eye(dim)
     charge_dev = float(np.max(np.abs(charge_fermi - charge_pauli)))
 
     # Mass bilinear: sum (-1)^x chi^dag chi = sum (-1)^x (1 + Z)/2; the
     # identity piece cancels for even N.
-    mass_fermi = sum((-1) ** x * (chi_dag[x] @ chi[x]) for x in range(n_sites))
+    mass_fermi = sum((-1) ** x * (chi[x].conj().T @ chi[x]) for x in range(n_sites))
     mass_pauli = build_mass_term(n_sites).to_dense()
     mass_dev = float(np.max(np.abs(mass_fermi - mass_pauli)))
 

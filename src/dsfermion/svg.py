@@ -13,7 +13,7 @@ linearly interpolated in RGB:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 WIDTH = 640
 HEIGHT = 440
@@ -37,8 +37,15 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _fmt_tick(x: float) -> str:
-    return f"{x:.4g}"
+def _tick_labels(values: list[float]) -> list[str]:
+    """Labels of one axis's ``values`` with the fewest significant digits from 4
+    up that tell them apart: each reads back nearer its value than to any other."""
+    gap = min((abs(b - a) for a, b in zip(values, values[1:])), default=math.inf)
+    for digits in range(4, 18):
+        labels = [f"{v:.{digits}g}" for v in values]
+        if all(abs(float(label) - v) < gap / 2 for label, v in zip(labels, values)):
+            break
+    return labels
 
 
 def viridis(v: float) -> str:
@@ -77,46 +84,40 @@ class Series:
     yerr: list[float] | None = None
 
 
-@dataclass
-class _Canvas:
-    meta: str | None = None
-    parts: list[str] = field(default_factory=list)
-
-    def add(self, element: str) -> None:
-        self.parts.append(element)
-
-    def text(self, x, y, content, size=12, anchor="middle", rotate=None) -> None:
-        transform = f' transform="rotate(-90 {_fmt(x)} {_fmt(y)})"' if rotate else ""
-        self.add(
-            f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{size}" '
-            f'font-family="sans-serif" text-anchor="{anchor}"{transform}>{content}</text>'
-        )
-
-    def render(self) -> str:
-        body = "\n".join(self.parts)
-        comment = ""
-        if self.meta:
-            # XML comments must not contain "--".
-            comment = f"<!-- {self.meta.replace('--', '=')} -->\n"
-        return (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-            f'viewBox="0 0 {WIDTH} {HEIGHT}">\n'
-            f"{comment}"
-            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>\n'
-            f"{body}\n</svg>\n"
-        )
+def _text(x, y, content, size=12, anchor="middle", rotate=False) -> str:
+    transform = f' transform="rotate(-90 {_fmt(x)} {_fmt(y)})"' if rotate else ""
+    return (
+        f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{size}" '
+        f'font-family="sans-serif" text-anchor="{anchor}"{transform}>{content}</text>'
+    )
 
 
-def _frame(canvas: _Canvas, title: str, xlabel: str, ylabel: str) -> None:
+def _render(parts: list[str], meta: str | None) -> str:
+    """The SVG document of the elements ``parts``, with ``meta`` as a comment."""
+    body = "\n".join(parts)
+    comment = ""
+    if meta:
+        # XML comments must not contain "--".
+        comment = f"<!-- {meta.replace('--', '=')} -->\n"
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">\n'
+        f"{comment}"
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>\n'
+        f"{body}\n</svg>\n"
+    )
+
+
+def _frame(parts: list[str], title: str, xlabel: str, ylabel: str) -> None:
     x0, y0 = MARGIN_LEFT, HEIGHT - MARGIN_BOTTOM
     x1, y1 = WIDTH - MARGIN_RIGHT, MARGIN_TOP
-    canvas.add(
+    parts.extend((
         f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
-        f'fill="none" stroke="black" stroke-width="1"/>'
-    )
-    canvas.text(WIDTH / 2, MARGIN_TOP - 20, title, size=15)
-    canvas.text(WIDTH / 2, HEIGHT - 14, xlabel)
-    canvas.text(20, HEIGHT / 2, ylabel, rotate=True)
+        f'fill="none" stroke="black" stroke-width="1"/>',
+        _text(WIDTH / 2, MARGIN_TOP - 20, title, size=15),
+        _text(WIDTH / 2, HEIGHT - 14, xlabel),
+        _text(20, HEIGHT / 2, ylabel, rotate=True),
+    ))
 
 
 def _scales(xlo, xhi, ylo, yhi):
@@ -150,52 +151,47 @@ def line_chart(
         span = max(abs(ylo), 1.0) * 1e-3
     ylo, yhi = ylo - 0.05 * span, yhi + 0.05 * span
 
-    canvas = _Canvas(meta=meta)
+    parts = []
     sx, sy = _scales(xlo, xhi, ylo, yhi)
-    for tick in _nice_ticks(xlo, xhi):
+    xticks, yticks = _nice_ticks(xlo, xhi), _nice_ticks(ylo, yhi)
+    for tick, label in zip(xticks, _tick_labels(xticks)):
         px = sx(tick)
-        canvas.add(
+        parts.append(
             f'<line x1="{_fmt(px)}" y1="{HEIGHT - MARGIN_BOTTOM}" x2="{_fmt(px)}" '
             f'y2="{HEIGHT - MARGIN_BOTTOM + 5}" stroke="black"/>'
         )
-        canvas.text(px, HEIGHT - MARGIN_BOTTOM + 20, _fmt_tick(tick), size=11)
-    for tick in _nice_ticks(ylo, yhi):
+        parts.append(_text(px, HEIGHT - MARGIN_BOTTOM + 20, label, size=11))
+    for tick, label in zip(yticks, _tick_labels(yticks)):
         py = sy(tick)
-        canvas.add(
+        parts.append(
             f'<line x1="{MARGIN_LEFT - 5}" y1="{_fmt(py)}" x2="{MARGIN_LEFT}" '
             f'y2="{_fmt(py)}" stroke="black"/>'
         )
-        canvas.text(MARGIN_LEFT - 9, py + 4, _fmt_tick(tick), size=11, anchor="end")
+        parts.append(_text(MARGIN_LEFT - 9, py + 4, label, size=11, anchor="end"))
 
     for idx, s in enumerate(series):
         color = LINE_COLORS[idx % len(LINE_COLORS)]
         points = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(s.xs, s.ys))
-        canvas.add(
+        parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
         for i, (x, y) in enumerate(zip(s.xs, s.ys)):
             px, py = sx(x), sy(y)
-            canvas.add(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="2.5" fill="{color}"/>')
+            parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="2.5" fill="{color}"/>')
             if s.yerr and s.yerr[i] > 0:
                 lo, hi = sy(y - s.yerr[i]), sy(y + s.yerr[i])
-                canvas.add(
+                parts.append(
                     f'<line x1="{_fmt(px)}" y1="{_fmt(lo)}" x2="{_fmt(px)}" '
                     f'y2="{_fmt(hi)}" stroke="{color}" stroke-width="1"/>'
                 )
-        canvas.text(
-            WIDTH - MARGIN_RIGHT - 8,
-            MARGIN_TOP + 16 + 16 * idx,
-            s.label,
-            size=11,
-            anchor="end",
-        )
-        canvas.add(
+        parts.extend((
+            _text(WIDTH - MARGIN_RIGHT - 8, MARGIN_TOP + 16 + 16 * idx, s.label, 11, "end"),
             f'<line x1="{WIDTH - MARGIN_RIGHT - 90}" y1="{MARGIN_TOP + 12 + 16 * idx}" '
             f'x2="{WIDTH - MARGIN_RIGHT - 70}" y2="{MARGIN_TOP + 12 + 16 * idx}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-    _frame(canvas, title, xlabel, ylabel)
-    return canvas.render()
+            f'stroke="{color}" stroke-width="2"/>',
+        ))
+    _frame(parts, title, xlabel, ylabel)
+    return _render(parts, meta)
 
 
 def heatmap(
@@ -213,7 +209,7 @@ def heatmap(
     if vhi <= vlo:
         vhi = vlo + 1.0
 
-    canvas = _Canvas(meta=meta)
+    parts = []
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT - 60  # leave room for the color bar
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
     cell_w = plot_w / len(xs)
@@ -223,20 +219,18 @@ def heatmap(
             v = (values[i][j] - vlo) / (vhi - vlo)
             px = MARGIN_LEFT + i * cell_w
             py = HEIGHT - MARGIN_BOTTOM - (j + 1) * cell_h
-            canvas.add(
+            parts.append(
                 f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(cell_w + 0.5)}" '
                 f'height="{_fmt(cell_h + 0.5)}" fill="{viridis(v)}"/>'
             )
     # Axis labels at cell centers (sparse if many).
     x_stride = max(1, len(xs) // 8)
-    for i, x in enumerate(xs):
-        if i % x_stride:
-            continue
+    for i, label in zip(range(0, len(xs), x_stride), _tick_labels(xs[::x_stride])):
         px = MARGIN_LEFT + (i + 0.5) * cell_w
-        canvas.text(px, HEIGHT - MARGIN_BOTTOM + 20, _fmt_tick(x), size=11)
-    for j, y in enumerate(ys):
+        parts.append(_text(px, HEIGHT - MARGIN_BOTTOM + 20, label, size=11))
+    for j, label in enumerate(_tick_labels(ys)):
         py = HEIGHT - MARGIN_BOTTOM - (j + 0.5) * cell_h
-        canvas.text(MARGIN_LEFT - 9, py + 4, _fmt_tick(y), size=11, anchor="end")
+        parts.append(_text(MARGIN_LEFT - 9, py + 4, label, size=11, anchor="end"))
 
     # Color bar.
     bar_x = MARGIN_LEFT + plot_w + 16
@@ -244,18 +238,18 @@ def heatmap(
     for k in range(bar_steps):
         frac = k / (bar_steps - 1)
         py = HEIGHT - MARGIN_BOTTOM - (k + 1) * plot_h / bar_steps
-        canvas.add(
+        parts.append(
             f'<rect x="{bar_x}" y="{_fmt(py)}" width="16" '
             f'height="{_fmt(plot_h / bar_steps + 0.5)}" fill="{viridis(frac)}"/>'
         )
-    canvas.text(bar_x + 8, HEIGHT - MARGIN_BOTTOM + 16, _fmt_tick(vlo), size=10)
-    canvas.text(bar_x + 8, MARGIN_TOP - 6, _fmt_tick(vhi), size=10)
-
-    canvas.text(WIDTH / 2, MARGIN_TOP - 20, title, size=15)
-    canvas.text(MARGIN_LEFT + plot_w / 2, HEIGHT - 14, xlabel)
-    canvas.text(20, HEIGHT / 2, ylabel, rotate=True)
-    canvas.add(
+    low, high = _tick_labels([vlo, vhi])
+    parts.extend((
+        _text(bar_x + 8, HEIGHT - MARGIN_BOTTOM + 16, low, size=10),
+        _text(bar_x + 8, MARGIN_TOP - 6, high, size=10),
+        _text(WIDTH / 2, MARGIN_TOP - 20, title, size=15),
+        _text(MARGIN_LEFT + plot_w / 2, HEIGHT - 14, xlabel),
+        _text(20, HEIGHT / 2, ylabel, rotate=True),
         f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" width="{_fmt(plot_w)}" '
-        f'height="{plot_h}" fill="none" stroke="black"/>'
-    )
-    return canvas.render()
+        f'height="{plot_h}" fill="none" stroke="black"/>',
+    ))
+    return _render(parts, meta)

@@ -8,11 +8,12 @@ import shutil
 import subprocess
 import sys
 import threading
+import xml.etree.ElementTree as ET
 
 import pytest
 
 import dsfermion.state as state_module
-from dsfermion import cli, evolve
+from dsfermion import cli, evolve, svg
 from dsfermion.errors import NormDriftError
 from dsfermion.pauli import PauliString, PauliSum
 
@@ -33,6 +34,17 @@ def fast_config(tmp_path, **overrides):
     )
     base.update(overrides)
     return cli.RunConfig(**base)
+
+
+RUN_OUTPUTS = (
+    "density.csv",
+    "observables.csv",
+    "summary.json",
+    "density_heatmap.svg",
+    "correlation.svg",
+    "polarization.svg",
+    "chiral.svg",
+)
 
 
 def read_csv(path):
@@ -154,16 +166,67 @@ class TestRun:
         config = fast_config(tmp_path)
         assert cli.run(config) == 0
         out = tmp_path / "run"
-        for name in (
-            "density.csv",
-            "observables.csv",
-            "summary.json",
-            "density_heatmap.svg",
-            "correlation.svg",
-            "polarization.svg",
-            "chiral.svg",
-        ):
+        for name in RUN_OUTPUTS:
             assert (out / name).exists(), name
+
+    def test_drift_past_tolerance_exits_after_writing(self, tmp_path, monkeypatch, capsys):
+        # A norm drift of 1e-9 passes the per-step limit of 1e-8 but not the
+        # run's 1e-10: every output is written, then the run exits 3.
+        def drifting(*args):
+            trajectory = evolve.trotter_evolve(*args)
+            trajectory.records[3] = dataclasses.replace(trajectory.records[3], norm=1 + 1e-9)
+            return trajectory
+
+        monkeypatch.setattr(cli, "trotter_evolve", drifting)
+        assert cli.run(fast_config(tmp_path)) == cli.EXIT_INVARIANT
+        assert sorted(os.listdir(tmp_path / "run")) == sorted(RUN_OUTPUTS)
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation: charge drift ")
+        assert "norm drift 1.000e-09 (tol 1e-10)" in err
+
+    def test_tick_labels_tell_close_ticks_apart(self, tmp_path, monkeypatch):
+        # At h = 1e-10 the filled start's C and p(t)/p(0) span ~1e-10 around
+        # 1, so 4 significant digits labelled all five y ticks "1", and both
+        # ends of the colour bar too.  Each label now reads back within half
+        # a tick step of its tick.
+        ticks = []
+        nice_ticks = svg._nice_ticks
+
+        def recorded(lo, hi):
+            ticks.append(nice_ticks(lo, hi))
+            return ticks[-1]
+
+        monkeypatch.setattr(svg, "_nice_ticks", recorded)
+        argv = "run --n_sites 8 --initial_state_index 0 --hubble 1e-10 --mass 0 --shots 200"
+        argv += " --oracle off --trotter_steps 4 --output_dir " + str(tmp_path)
+        assert cli.main(argv.split()) == cli.EXIT_OK
+        # Each line chart asks for its x ticks, then its y ticks.
+        for index, name in ((1, "correlation.svg"), (3, "polarization.svg")):
+            labels = [
+                node.text
+                for node in ET.parse(tmp_path / name).getroot()
+                if node.get("x") == "63.00" and node.get("text-anchor") == "end"
+            ]
+            values = ticks[index]
+            step = values[1] - values[0]
+            assert len(values) == 5 and len(set(labels)) == len(labels) == 5, (name, labels)
+            for label, value in zip(labels, values):
+                assert abs(float(label) - value) < step / 2, (name, label, value)
+        heat = ET.parse(tmp_path / "density_heatmap.svg").getroot()
+        low, high = [node.text for node in heat if node.get("font-size") == "10"]
+        assert float(low) < float(high)
+
+    def test_flat_density_heatmap_is_well_formed(self, tmp_path):
+        # With h = 0 and m = 0 the filled start has n(x, t) = 1 everywhere, so
+        # the colour range is empty and the heatmap spans [1, 2] instead.
+        argv = "run --n_sites 8 --initial_state_index 0 --hubble 0 --mass 0 --shots 0"
+        argv += " --oracle off --output_dir " + str(tmp_path)
+        assert cli.main(argv.split()) == cli.EXIT_OK
+        root = ET.parse(tmp_path / "density_heatmap.svg").getroot()
+        cells = [node for node in root if node.get("height") == "42.50"]
+        assert len(cells) == 11 * 8
+        assert {node.get("fill") for node in cells} == {svg.viridis(0.0)}
+        assert [node.text for node in root if node.get("font-size") == "10"] == ["1", "2"]
 
     def test_chart_flat_up_to_rounding_finishes(self, tmp_path):
         # At h = 3e-16 the filled start's p(t)/p(0) spans ~2e-16 around 1, so a
@@ -285,6 +348,7 @@ class TestRun:
         # stream, and with the default 10 steps the last snapshot samples
         # with seed + 10.  Sweep points are 2^32 seeds apart, so a run takes
         # fewer than 2^32 steps.  2^28 shots take ~4 s to sample per snapshot.
+        # The oracle is "on" or "off", and t_total is positive and finite.
         half_filled_24 = ("--n_sites", "24", "--initial_state_index", str(0x555555))
         for *flags, oracle in (
             ("--n_sites", "7", "off"),
@@ -301,6 +365,11 @@ class TestRun:
             ("--initial_state_index", "256", "off"),
             ("--snapshot_every", "0", "off"),
             ("--time_sampling", "right", "off"),
+            ("--n_sites", "8", "maybe"),
+            ("--t_total", "0", "off"),
+            ("--t_total", "-1", "off"),
+            ("--t_total", "nan", "off"),
+            ("--t_total", "inf", "off"),
         ):
             out = tmp_path / "_".join(s.strip("-") for s in flags)
             argv = ["run", *flags, "--oracle", oracle, "--output_dir", str(out)]
@@ -631,14 +700,18 @@ class TestSweep:
 
     def test_failing_point_recorded(self, tmp_path, monkeypatch):
         # A point fails with the exit code `run` would give it: index 999999
-        # is a usage error, and a norm drift in the kernels an invariant
-        # violation.
+        # is a usage error, a norm drift in the kernels an invariant
+        # violation, and any other exception counts as a usage error.
         def drifting_evolve(*args, **kwargs):
             raise NormDriftError("norm drifted by 1e-6")
+
+        def crashing_evolve(*args, **kwargs):
+            return 1 / 0
 
         for name, evolve, codes, first_status in (
             ("sweep", cli.trotter_evolve, [cli.EXIT_OK, cli.EXIT_USAGE], "ok"),
             ("drift", drifting_evolve, [cli.EXIT_INVARIANT, cli.EXIT_USAGE], "invariant-violation: norm drifted by 1e-6"),
+            ("crash", crashing_evolve, [cli.EXIT_USAGE, cli.EXIT_USAGE], "error: division by zero"),
         ):
             monkeypatch.setattr(cli, "trotter_evolve", evolve)
             base = fast_config(tmp_path, output_dir=str(tmp_path / name))

@@ -286,6 +286,19 @@ class TestTrotterEvolve:
         assert [phi.shape for phi in trajectory.orbitals] == [(20, 10)] * 11
         assert all(abs(r.norm - 1.0) < 1e-12 for r in trajectory.records)
 
+    def test_readout_in_blocks_keeps_every_bit(self, monkeypatch):
+        # Half filling at N = 10 gathers 252 minors of 5 x 5 in one block;
+        # blocks of 10 minors (the last one of 2) give the same amplitudes,
+        # for the real orbitals at t = 0 and the complex ones after.
+        params = ModelParams(10, 0.1, 1.0)
+        trajectory = trotter_evolve(0b0101010101, params, TrotterPlan(3, 0.1))
+        whole = snapshot_states(trajectory, 0.1)
+        monkeypatch.setattr(evolve, "_READOUT_BLOCK", 10 * 5 * 5)
+        blocks = snapshot_states(trajectory, 0.1)
+        for a, b in zip(whole, blocks):
+            assert a.amplitudes.dtype == b.amplitudes.dtype == np.complex128
+            assert a.amplitudes.tobytes() == b.amplitudes.tobytes()
+
     def test_readouts_share_one_read_only_sector(self):
         # A snapshot's and the oracle's readouts of one sector share its
         # arrays, which no caller can change.
