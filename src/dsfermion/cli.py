@@ -42,22 +42,8 @@ from .errors import (
     NormDriftError,
     ResourceLimitError,
 )
-from .evolve import (
-    TrotterPlan,
-    exact_evolve_converged,
-    read_out,
-    state_distance,
-    trotter_evolve,
-)
-from .model import (
-    ModelParams,
-    build_charge_term,
-    build_hopping,
-    build_mass_term,
-    hamiltonian_at,
-    n8_fixture,
-    verify_bilinears,
-)
+from .evolve import exact_evolve_converged, read_out, state_distance, trotter_evolve
+from .model import ModelParams, hamiltonian_at, hamiltonian_parts, n8_fixture, verify_bilinears
 from .observables import ObservableRecord, estimators_from_counts
 from .pauli import PauliSum
 from .state import sample_z_basis
@@ -107,7 +93,7 @@ class RunConfig:
     def validate(self) -> None:
         """Reject, before any work, the fields that `run` would otherwise reject
         late (the readout's size, an overflow) or not at all; ModelParams checks the
-        lattice and the couplings first, and TrotterPlan checks the rest."""
+        lattice and the couplings first, and trotter_evolve checks the rest."""
         ModelParams(self.n_sites, self.hubble, self.mass)
         if not 0 <= self.initial_state_index < 1 << self.n_sites:
             raise ValueError(
@@ -340,13 +326,14 @@ def run(config: RunConfig) -> int:
     summary.json and the four SVG plots into config.output_dir."""
     config.validate()
     params = ModelParams(config.n_sites, config.hubble, config.mass)
-    plan = TrotterPlan.for_total_time(
-        config.t_total,
+    trajectory = trotter_evolve(
+        config.initial_state_index,
+        params,
         config.trotter_steps,
+        config.t_total / config.trotter_steps,
         time_sampling=config.time_sampling,
         snapshot_every=config.snapshot_every,
     )
-    trajectory = trotter_evolve(config.initial_state_index, params, plan)
     records = trajectory.records
 
     shot_records = None
@@ -464,10 +451,11 @@ def verify(max_n: int) -> int:
 
     if max_n >= 8:
         h1, h2, h3 = n8_fixture()
+        parts = hamiltonian_parts(8)
         checks = (
-            ("hopping vs -h1", build_hopping(8), [(-c, s) for c, s in h1.terms]),
-            ("charge vs h2/2", build_charge_term(8), [(0.5 * c, s) for c, s in h2.terms]),
-            ("mass vs h3", build_mass_term(8), h3.terms),
+            ("hopping vs -h1", parts.hopping, [(-c, s) for c, s in h1.terms]),
+            ("charge vs h2/2", parts.charge, [(0.5 * c, s) for c, s in h2.terms]),
+            ("mass vs h3", parts.mass_term, h3.terms),
         )
         for name, built, terms in checks:
             ok = built == PauliSum(8, terms)

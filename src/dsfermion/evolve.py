@@ -13,7 +13,6 @@ only its N x k hole orbitals, whose Slater determinant is the state;
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,38 +26,6 @@ from .state import StateVector
 
 # Where a step of width dt samples e^{h t}, as a fraction of dt.
 TIME_NODES = {"left": 0.0, "midpoint": 0.5}
-TIME_SAMPLINGS = tuple(TIME_NODES)
-
-
-@dataclass(frozen=True)
-class TrotterPlan:
-    """Step count, step size and sampling rule for the time-dependent coefficient."""
-
-    steps: int
-    dt: float
-    time_sampling: str = "midpoint"
-    snapshot_every: int = 1
-
-    def __post_init__(self):
-        if self.steps < 0:
-            raise ValueError(f"steps must be >= 0, got {self.steps}")
-        if self.steps > 0 and self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.time_sampling not in TIME_SAMPLINGS:
-            raise ValueError(f"time_sampling must be one of {TIME_SAMPLINGS}")
-        if self.snapshot_every < 1:
-            raise ValueError(f"snapshot_every must be >= 1, got {self.snapshot_every}")
-
-    @classmethod
-    def for_total_time(
-        cls,
-        t_total: float,
-        steps: int,
-        time_sampling: str = "midpoint",
-        snapshot_every: int = 1,
-    ) -> "TrotterPlan":
-        dt = t_total / steps if steps > 0 else 0.0
-        return cls(steps=steps, dt=dt, time_sampling=time_sampling, snapshot_every=snapshot_every)
 
 
 @dataclass
@@ -70,11 +37,28 @@ class Trajectory:
     orbitals: list[np.ndarray]
 
 
-def trotter_evolve(start: int, params: ModelParams, plan: TrotterPlan) -> Trajectory:
-    """Evolve the hole orbitals of the basis state ``start``, checking the
-    norm after every Trotter step and recording the orbitals and their
-    observables every ``snapshot_every`` steps (the t = 0 snapshot and the
-    final step are always recorded).  No C(N, k) amplitude is formed."""
+def trotter_evolve(
+    start: int,
+    params: ModelParams,
+    steps: int,
+    dt: float,
+    time_sampling: str = "midpoint",
+    snapshot_every: int = 1,
+) -> Trajectory:
+    """Evolve the hole orbitals of the basis state ``start`` by ``steps``
+    Trotter steps of width ``dt``, each sampling e^{h t} at its
+    ``time_sampling`` node (TIME_NODES).  Check the norm after every step and
+    record the orbitals and their observables every ``snapshot_every`` steps
+    (the t = 0 snapshot and the final step are always recorded).  No C(N, k)
+    amplitude is formed."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    if steps > 0 and dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if time_sampling not in TIME_NODES:
+        raise ValueError(f"time_sampling must be one of {tuple(TIME_NODES)}")
+    if snapshot_every < 1:
+        raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
     n = params.n_sites
     holes = _start_holes(start, n)
     hopping, mass = one_body_parts(n)
@@ -90,17 +74,17 @@ def trotter_evolve(start: int, params: ModelParams, plan: TrotterPlan) -> Trajec
 
     orbitals = np.eye(n)[:, holes]
     snapshot(orbitals, 0.0)
-    bonds = _bond_layer(hopping, plan.dt)
-    node = TIME_NODES[plan.time_sampling]
-    for k in range(plan.steps):
-        scale = params.mass * math.exp(params.hubble * (k * plan.dt + node * plan.dt))
-        orbitals = np.exp(-1j * plan.dt * scale * mass.diagonal())[:, None] * (bonds @ orbitals)
+    bonds = _bond_layer(hopping, dt)
+    node = TIME_NODES[time_sampling]
+    for k in range(steps):
+        scale = params.mass * math.exp(params.hubble * (k * dt + node * dt))
+        orbitals = np.exp(-1j * dt * scale * mass.diagonal())[:, None] * (bonds @ orbitals)
         drift = abs(slater_norm(orbitals) - 1.0)
         if not drift <= NORM_DRIFT_LIMIT:  # a NaN norm fails too
             message = f"state norm drifted by {drift:.3e} (> {NORM_DRIFT_LIMIT:g})"
-            raise NormDriftError(f"step {k + 1} of {plan.steps}: {message}")
-        if (k + 1) % plan.snapshot_every == 0 or k + 1 == plan.steps:
-            snapshot(orbitals, (k + 1) * plan.dt)
+            raise NormDriftError(f"step {k + 1} of {steps}: {message}")
+        if (k + 1) % snapshot_every == 0 or k + 1 == steps:
+            snapshot(orbitals, (k + 1) * dt)
     return trajectory
 
 
@@ -131,11 +115,20 @@ def _sector(n_sites: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The C(N, k) basis states with k holes, by ascending index: their hole
     sets (rows of ascending sites) and their indices, as read-only arrays.
     Only the last sector is kept, so that the readouts of one run share it:
-    C(20, 10) hole sets take 15 MB."""
-    sets = np.array(list(itertools.combinations(range(n_sites), k)), dtype=np.int64)
-    indices = np.sum(np.int64(1) << sets, axis=1)
-    order = np.argsort(indices)
-    sets, indices = sets[order], indices[order]
+    C(20, 10) hole sets take 15 MB.
+
+    Rank r is unranked in the combinatorial number system, whose order is
+    ascending index: its sites c_k > ... > c_1 are the greedy terms of
+    r = C(c_k, k) + ... + C(c_1, 1)."""
+    ranks = np.arange(math.comb(n_sites, k), dtype=np.int64)
+    sets = np.empty((len(ranks), k), dtype=np.int64)
+    indices = np.zeros(len(ranks), dtype=np.int64)
+    for i in range(k, 0, -1):
+        table = np.array([math.comb(c, i) for c in range(n_sites)], dtype=np.int64)
+        sites = np.searchsorted(table, ranks, side="right") - 1
+        ranks -= table[sites]
+        sets[:, i - 1] = sites
+        indices |= np.int64(1) << sites
     sets.flags.writeable = indices.flags.writeable = False
     return sets, indices
 

@@ -57,52 +57,31 @@ class HamiltonianParts:
     mass_term: PauliSum
 
 
-def _bond(n_sites: int, x: int, axis: str) -> PauliString:
-    """axis(x) axis(x+1)."""
-    return PauliString.from_label("I" * x + axis * 2 + "I" * (n_sites - x - 2))
-
-
-def _boundary_string(n_sites: int, axis: str) -> PauliString:
-    """axis(0) Z(1) ... Z(N-2) axis(N-1)."""
-    return PauliString.from_label(axis + "Z" * (n_sites - 2) + axis)
-
-
-def build_hopping(n_sites: int) -> PauliSum:
-    """Kinetic part: -(1/2) sum of bulk XX+YY bonds plus the signed boundary pair."""
-    check_sites(n_sites)
-    terms: list[tuple[float, PauliString]] = []
-    for x in range(n_sites - 1):
-        terms.append((-0.5, _bond(n_sites, x, "X")))
-        terms.append((-0.5, _bond(n_sites, x, "Y")))
-    boundary_coeff = -((-1) ** (n_sites // 2)) / 2.0
-    terms.append((boundary_coeff, _boundary_string(n_sites, "X")))
-    terms.append((boundary_coeff, _boundary_string(n_sites, "Y")))
-    return PauliSum(n_sites, terms)
-
-
-def build_charge_term(n_sites: int) -> PauliSum:
-    """(1/4) sum of Z(x); the Hubble rate multiplies this at assembly."""
-    check_sites(n_sites)
-    return PauliSum(n_sites, [(0.25, single_site(n_sites, x, "Z")) for x in range(n_sites)])
-
-
-def build_mass_term(n_sites: int) -> PauliSum:
-    """(1/2) sum of (-1)^x Z(x), positive at x = 0; m e^{ht} multiplies at assembly."""
-    check_sites(n_sites)
-    return PauliSum(
-        n_sites,
-        [(0.5 * (-1) ** x, single_site(n_sites, x, "Z")) for x in range(n_sites)],
-    )
-
-
 @functools.cache
 def hamiltonian_parts(n_sites: int) -> HamiltonianParts:
     """The one definition of the terms of aH(t) and of their coefficients,
-    built once per lattice size and shared by callers, which only read it."""
+    built once per lattice size and shared by callers, which only read it.
+
+    - hopping: -(1/2) sum of the bulk bonds X(x) X(x+1) + Y(x) Y(x+1), plus
+      the boundary pair X(0) Z(1) ... Z(N-2) X(N-1) and its Y twin with the
+      coefficient -(-1)^{N/2}/2;
+    - charge: (1/4) sum of Z(x); the Hubble rate multiplies it at assembly;
+    - mass_term: (1/2) sum of (-1)^x Z(x), positive at x = 0; m e^{ht}
+      multiplies it at assembly.
+    """
+    check_sites(n_sites)
+    bulk = [
+        "I" * x + axis * 2 + "I" * (n_sites - x - 2) for x in range(n_sites - 1) for axis in "XY"
+    ]
+    boundary = [axis + "Z" * (n_sites - 2) + axis for axis in "XY"]
+    boundary_coeff = -((-1) ** (n_sites // 2)) / 2.0
+    hopping = [(-0.5, PauliString.from_label(label)) for label in bulk]
+    hopping += [(boundary_coeff, PauliString.from_label(label)) for label in boundary]
+    z = [single_site(n_sites, x, "Z") for x in range(n_sites)]
     return HamiltonianParts(
-        hopping=build_hopping(n_sites),
-        charge=build_charge_term(n_sites),
-        mass_term=build_mass_term(n_sites),
+        hopping=PauliSum(n_sites, hopping),
+        charge=PauliSum(n_sites, [(0.25, string) for string in z]),
+        mass_term=PauliSum(n_sites, [(0.5 * (-1) ** x, string) for x, string in enumerate(z)]),
     )
 
 
@@ -194,6 +173,7 @@ def verify_bilinears(n_sites: int) -> BilinearReport:
         raise ResourceLimitError(
             f"bilinear verification limited to {BILINEAR_QUBIT_LIMIT} qubits, got {n_sites}"
         )
+    parts = hamiltonian_parts(n_sites)
     dim = 1 << n_sites
     chi = [jw_fermion_op(n_sites, x) for x in range(n_sites)]
 
@@ -209,19 +189,19 @@ def verify_bilinears(n_sites: int) -> BilinearReport:
         dpsi0 = chi_wrapped(X + 2) - chi_wrapped(X)
         dpsi1 = chi_wrapped(X + 1) - chi_wrapped(X - 1)
         kinetic_fermi += -1j * (psi0_dag @ dpsi1 + psi1_dag @ dpsi0)
-    kinetic_pauli = -build_hopping(n_sites).to_dense()
+    kinetic_pauli = -parts.hopping.to_dense()
     kinetic_dev = float(np.max(np.abs(kinetic_fermi - kinetic_pauli)))
 
     # Charge bilinear: sum chi^dag chi = sum (1 + Z)/2.
     charge_fermi = sum(chi[x].conj().T @ chi[x] for x in range(n_sites))
-    charge_pauli = 2.0 * build_charge_term(n_sites).to_dense()
+    charge_pauli = 2.0 * parts.charge.to_dense()
     charge_pauli += (n_sites / 2.0) * np.eye(dim)
     charge_dev = float(np.max(np.abs(charge_fermi - charge_pauli)))
 
     # Mass bilinear: sum (-1)^x chi^dag chi = sum (-1)^x (1 + Z)/2; the
     # identity piece cancels for even N.
     mass_fermi = sum((-1) ** x * (chi[x].conj().T @ chi[x]) for x in range(n_sites))
-    mass_pauli = build_mass_term(n_sites).to_dense()
+    mass_pauli = parts.mass_term.to_dense()
     mass_dev = float(np.max(np.abs(mass_fermi - mass_pauli)))
 
     return BilinearReport(kinetic_dev, charge_dev, mass_dev)
@@ -239,7 +219,7 @@ def _load_fixture(name: str) -> PauliSum:
 def n8_fixture() -> tuple[PauliSum, PauliSum, PauliSum]:
     """Hand-transcribed (h1, h2, h3) with aH = -h1 + (h/2) h2 + (m e^{ht}) h3.
 
-    Used only as a golden fixture against the builders; the term lists live
-    in fixtures/n8_h*.txt in the textual Pauli-sum format.
+    Used only as a golden fixture against hamiltonian_parts(8); the term
+    lists live in fixtures/n8_h*.txt in the textual Pauli-sum format.
     """
     return _load_fixture("n8_h1"), _load_fixture("n8_h2"), _load_fixture("n8_h3")

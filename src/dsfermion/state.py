@@ -120,7 +120,11 @@ def sample_z_basis(states: Iterable[StateVector], shots: int, seed: int) -> list
     counts collected, so a batch never holds more than a few of them."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    workers = len(os.sched_getaffinity(0))
+    # macOS and Windows have no affinity call; there every core counts as usable.
+    if hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
     if workers == 1 or shots <= DRAW_CHUNK:
         return [_sample_state(state, shots, key) for key, state in enumerate(states, seed)]
     # Imported here: at module level it adds milliseconds to every start-up.

@@ -60,9 +60,12 @@ def viridis(v: float) -> str:
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
-    """About five round tick values in [lo, hi], for lo < hi."""
+    """About five round tick values in [lo, hi], for lo < hi.  Each is a
+    multiple of the step mult * 10^e, so rounding it to max(12, 1 - e)
+    decimals drops the running sum's error and keeps the ticks distinct."""
     raw = (hi - lo) / 5
-    mag = 10 ** math.floor(math.log10(raw))
+    exponent = math.floor(math.log10(raw))
+    mag = 10 ** exponent
     for mult in (1, 2, 2.5, 5, 10):
         if raw <= mult * mag:
             step = mult * mag
@@ -71,7 +74,7 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     ticks = []
     value = first
     while value <= hi + 1e-12 * abs(step):
-        ticks.append(round(value, 12))
+        ticks.append(round(value, max(12, 1 - exponent)))
         value += step
     return ticks
 

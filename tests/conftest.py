@@ -23,6 +23,7 @@ orbitals, and it reads any state, Slater determinant or not.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +33,7 @@ import pytest
 import dsfermion.state as state_module
 from dsfermion.errors import NORM_DRIFT_LIMIT, NormDriftError
 from dsfermion.evolve import TIME_NODES, _propagate, read_out
-from dsfermion.model import build_charge_term, hamiltonian_at, hamiltonian_parts, scale_factor
+from dsfermion.model import hamiltonian_at, hamiltonian_parts, scale_factor
 from dsfermion.observables import ObservableRecord
 from dsfermion.state import ShotCounts, StateVector
 
@@ -185,6 +186,15 @@ def sector_starts(n_sites):
     return sorted({(1 << k) - 1 for k in range(n_sites + 1)} | {1, half_filled})
 
 
+def sector_reference(n_sites, k):
+    """evolve._sector's hole sets and indices by the slow reference: every
+    k-combination of the sites, sorted by basis index."""
+    sets = np.array(list(itertools.combinations(range(n_sites), k)), dtype=np.int64)
+    indices = np.sum(np.int64(1) << sets, axis=1)
+    order = np.argsort(indices)
+    return sets[order], indices[order]
+
+
 def apply_pauli_string(p, vec):
     """P applied to a raw 2^N amplitude array (new array)."""
     indices = np.arange(vec.shape[0], dtype=np.int64)
@@ -231,11 +241,11 @@ def bond_mask_scheme(n_sites, node):
     return (*scheme, (0.0, ((node, 1.0),)))
 
 
-def bond_mask_trotter_orbitals(start, params, plan):
-    """Hole orbitals of ``start`` after the last step of ``plan``, by the
-    slow reference: N + 1 N x N exponentials per step, through ``eigh``."""
-    scheme = bond_mask_scheme(params.n_sites, TIME_NODES[plan.time_sampling])
-    return _propagate(start, params, plan.steps * plan.dt, plan.steps, scheme)
+def bond_mask_trotter_orbitals(start, params, steps, dt, time_sampling="midpoint"):
+    """Hole orbitals of ``start`` after ``steps`` Trotter steps of width ``dt``,
+    by the slow reference: N + 1 N x N exponentials per step, through ``eigh``."""
+    scheme = bond_mask_scheme(params.n_sites, TIME_NODES[time_sampling])
+    return _propagate(start, params, steps * dt, steps, scheme)
 
 
 def sample_z_basis_reference(state, shots, seed):
@@ -284,7 +294,7 @@ def charge_commutator_entries(params, t):
     """Nonzero entries of the dense [Q, aH(t)] for the total charge
     Q = sum Z(x) = 4 * charge_term.  Q is diagonal, so entry (i, j) is
     q_i aH_ij - aH_ij q_j, which is exactly 0 where q_i = q_j."""
-    q = np.diag(4.0 * build_charge_term(params.n_sites).to_dense())
+    q = np.diag(4.0 * hamiltonian_parts(params.n_sites).charge.to_dense())
     h = hamiltonian_at(params, t).to_dense()
     return np.count_nonzero(q[:, None] * h - h * q[None, :])
 
@@ -421,11 +431,11 @@ def _step_order(term):
     return (not x_mask & (x_mask >> 1), x_mask, z_mask)
 
 
-def rotation_trotter_step(state, params, plan, k):
-    """In place: Trotter step k of ``plan``, sampling e^{h t} at the plan's
-    node within the step, as one rotation per Hamiltonian string."""
-    dt = plan.dt
-    t_sample = (k + TIME_NODES[plan.time_sampling]) * dt
+def rotation_trotter_step(state, params, dt, time_sampling, k):
+    """In place: Trotter step k of width ``dt``, sampling e^{h t} at the
+    ``time_sampling`` node within the step, as one rotation per Hamiltonian
+    string."""
+    t_sample = (k + TIME_NODES[time_sampling]) * dt
     parts = hamiltonian_parts(params.n_sites)
     for coeff, string in sorted(parts.hopping.terms, key=_step_order):
         apply_pauli_rotation(state, string, coeff * dt)

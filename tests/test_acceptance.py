@@ -13,7 +13,6 @@ from scipy.linalg import expm
 
 from dsfermion import cli
 from dsfermion.evolve import (
-    TrotterPlan,
     exact_evolve_converged,
     read_out,
     state_distance,
@@ -21,10 +20,8 @@ from dsfermion.evolve import (
 )
 from dsfermion.model import (
     ModelParams,
-    build_charge_term,
-    build_hopping,
-    build_mass_term,
     hamiltonian_at,
+    hamiltonian_parts,
     n8_fixture,
     verify_bilinears,
 )
@@ -65,8 +62,7 @@ def paper_params(mass: float) -> ModelParams:
 def preset(request):
     """Trotter trajectory, retained states and seeded shot records per mass."""
     mass = request.param
-    plan = TrotterPlan.for_total_time(1.0, 10)
-    trajectory = trotter_evolve(1, paper_params(mass), plan)
+    trajectory = trotter_evolve(1, paper_params(mass), 10, 0.1)
     batch = sample_z_basis(snapshot_states(trajectory, HUBBLE), 10_000, seed=PRESET_SEED)
     shot_records = [
         estimators_from_counts(counts, record.t, HUBBLE)
@@ -97,8 +93,7 @@ class TestA1Eigenvalue:
 class TestA2EigenstateInvariance:
     @pytest.mark.parametrize("mass", [0.0, 1.0])
     def test_observables_constant_from_filled_state(self, mass):
-        plan = TrotterPlan.for_total_time(1.0, 10)
-        trajectory = trotter_evolve(0, paper_params(mass), plan)
+        trajectory = trotter_evolve(0, paper_params(mass), 10, 0.1)
         first = trajectory.records[0]
         worst = 0.0
         for record in trajectory.records:
@@ -164,10 +159,11 @@ class TestA5StructuralIdentities:
 
     def test_builders_match_transcribed_fixture(self):
         h1, h2, h3 = n8_fixture()
-        assert build_hopping(8) == PauliSum(8, [(-c, s) for c, s in h1.terms])
-        assert build_charge_term(8) == PauliSum(8, [(0.5 * c, s) for c, s in h2.terms])
-        assert build_mass_term(8) == h3
-        report("A5 N=8 fixture", "builders reproduce the transcription term-for-term exactly")
+        parts = hamiltonian_parts(8)
+        assert parts.hopping == PauliSum(8, [(-c, s) for c, s in h1.terms])
+        assert parts.charge == PauliSum(8, [(0.5 * c, s) for c, s in h2.terms])
+        assert parts.mass_term == h3
+        report("A5 N=8 fixture", "hamiltonian_parts(8) reproduces the transcription exactly")
 
 
 class TestA6TrotterConvergence:
@@ -184,8 +180,7 @@ class TestA6TrotterConvergence:
         exact = read_out(m1_oracle.orbitals, HUBBLE, 1.0)
         distances = []
         for steps in (10, 20, 40, 80):
-            plan = TrotterPlan.for_total_time(1.0, steps)
-            trajectory = trotter_evolve(1, params, plan)
+            trajectory = trotter_evolve(1, params, steps, 1.0 / steps)
             final = snapshot_states(trajectory, HUBBLE)[-1]
             distances.append(state_distance(final, exact))
         ratios = [a / b for a, b in zip(distances, distances[1:])]
@@ -298,8 +293,7 @@ class TestA7FigureReproduction:
 
 @pytest.fixture(scope="module")
 def preset_m0():
-    plan = TrotterPlan.for_total_time(1.0, 10)
-    trajectory = trotter_evolve(1, paper_params(0.0), plan)
+    trajectory = trotter_evolve(1, paper_params(0.0), 10, 0.1)
     batch = sample_z_basis(snapshot_states(trajectory, HUBBLE), 10_000, seed=PRESET_SEED)
     shot_records = [
         estimators_from_counts(counts, record.t, HUBBLE)
@@ -310,8 +304,7 @@ def preset_m0():
 
 @pytest.fixture(scope="module")
 def preset_m1():
-    plan = TrotterPlan.for_total_time(1.0, 10)
-    trajectory = trotter_evolve(1, paper_params(1.0), plan)
+    trajectory = trotter_evolve(1, paper_params(1.0), 10, 0.1)
     return trajectory, None
 
 
@@ -369,8 +362,7 @@ class TestA8EngineMicroOracles:
         # Half filling at N = 8: the det norm of the 8 x 4 orbitals, and the
         # norm of their readout over the 70-state sector.
         params = ModelParams(8, HUBBLE, 1.0)
-        plan = TrotterPlan.for_total_time(30.0, 1000, snapshot_every=1000)
-        trajectory = trotter_evolve(0b01010101, params, plan)
+        trajectory = trotter_evolve(0b01010101, params, 1000, 30.0 / 1000, snapshot_every=1000)
         final = read_out(trajectory.orbitals[-1], HUBBLE, 30.0)
         drift = max(abs(trajectory.records[-1].norm - 1.0), abs(np.linalg.norm(final.amplitudes) - 1.0))
         assert drift < 1e-9

@@ -172,8 +172,8 @@ class TestRun:
     def test_drift_past_tolerance_exits_after_writing(self, tmp_path, monkeypatch, capsys):
         # A norm drift of 1e-9 passes the per-step limit of 1e-8 but not the
         # run's 1e-10: every output is written, then the run exits 3.
-        def drifting(*args):
-            trajectory = evolve.trotter_evolve(*args)
+        def drifting(*args, **kwargs):
+            trajectory = evolve.trotter_evolve(*args, **kwargs)
             trajectory.records[3] = dataclasses.replace(trajectory.records[3], norm=1 + 1e-9)
             return trajectory
 
@@ -187,8 +187,10 @@ class TestRun:
     def test_tick_labels_tell_close_ticks_apart(self, tmp_path, monkeypatch):
         # At h = 1e-10 the filled start's C and p(t)/p(0) span ~1e-10 around
         # 1, so 4 significant digits labelled all five y ticks "1", and both
-        # ends of the colour bar too.  Each label now reads back within half
-        # a tick step of its tick.
+        # ends of the colour bar too.  At h = 1e-12 the p(t)/p(0) tick step,
+        # 2.5e-13, fell below the 12 decimals each tick was rounded to, so
+        # its five ticks sat at two heights.  Each label now reads back
+        # within half a tick step of its tick.
         ticks = []
         nice_ticks = svg._nice_ticks
 
@@ -197,24 +199,31 @@ class TestRun:
             return ticks[-1]
 
         monkeypatch.setattr(svg, "_nice_ticks", recorded)
-        argv = "run --n_sites 8 --initial_state_index 0 --hubble 1e-10 --mass 0 --shots 200"
-        argv += " --oracle off --trotter_steps 4 --output_dir " + str(tmp_path)
-        assert cli.main(argv.split()) == cli.EXIT_OK
-        # Each line chart asks for its x ticks, then its y ticks.
-        for index, name in ((1, "correlation.svg"), (3, "polarization.svg")):
-            labels = [
-                node.text
-                for node in ET.parse(tmp_path / name).getroot()
-                if node.get("x") == "63.00" and node.get("text-anchor") == "end"
-            ]
-            values = ticks[index]
-            step = values[1] - values[0]
-            assert len(values) == 5 and len(set(labels)) == len(labels) == 5, (name, labels)
-            for label, value in zip(labels, values):
-                assert abs(float(label) - value) < step / 2, (name, label, value)
-        heat = ET.parse(tmp_path / "density_heatmap.svg").getroot()
-        low, high = [node.text for node in heat if node.get("font-size") == "10"]
-        assert float(low) < float(high)
+        for hubble in ("1e-10", "1e-12"):
+            ticks.clear()
+            out = tmp_path / hubble
+            argv = f"run --n_sites 8 --initial_state_index 0 --hubble {hubble} --mass 0"
+            argv += f" --shots 200 --oracle off --trotter_steps 4 --output_dir {out}"
+            assert cli.main(argv.split()) == cli.EXIT_OK
+            # Each line chart asks for its x ticks, then its y ticks.
+            for index, name in ((1, "correlation.svg"), (3, "polarization.svg")):
+                labels = [
+                    node.text
+                    for node in ET.parse(out / name).getroot()
+                    if node.get("x") == "63.00" and node.get("text-anchor") == "end"
+                ]
+                values = ticks[index]
+                step = values[1] - values[0]
+                assert len(values) == 5 and len(set(labels)) == len(labels) == 5, (name, labels)
+                for label, value in zip(labels, values):
+                    assert abs(float(label) - value) < step / 2, (hubble, name, label, value)
+            heat = ET.parse(out / "density_heatmap.svg").getroot()
+            low, high = [node.text for node in heat if node.get("font-size") == "10"]
+            assert float(low) < float(high)
+        # The same rounding put all five ticks of [1e-5, 1e-5 + 1e-14] at 1e-5.
+        values = svg._nice_ticks(1e-5, 1e-5 + 1e-14)
+        assert len(values) == 5
+        assert all(abs(b - a - 2e-15) < 1e-20 for a, b in zip(values, values[1:])), values
 
     def test_flat_density_heatmap_is_well_formed(self, tmp_path):
         # With h = 0 and m = 0 the filled start has n(x, t) = 1 everywhere, so
@@ -333,13 +342,13 @@ class TestRun:
         assert rows_a != rows_b
 
     def test_invalid_config_is_usage_error(self, tmp_path, monkeypatch):
-        # Each bad field is rejected by the constructor `run` calls for it,
-        # or by RunConfig.validate, before the evolution starts and before
-        # any output directory is created.
+        # Each bad field is rejected by RunConfig.validate, or by the
+        # argument checks that open trotter_evolve, before the evolution
+        # starts and before any output directory is created.
         def no_evolution(*args, **kwargs):
             raise AssertionError("the evolution started")
 
-        monkeypatch.setattr(cli, "trotter_evolve", no_evolution)
+        monkeypatch.setattr(evolve, "one_body_parts", no_evolution)
         # Half filling at N = 24 is valid with shots 0 and the oracle off,
         # but a readout for the oracle or for shots would gather C(24, 12) *
         # 12^2 = 389M minor entries, past the readout guard; n_sites=64 is

@@ -11,8 +11,7 @@ from dsfermion.errors import NormDriftError, ResourceLimitError
 from dsfermion import evolve
 from dsfermion.model import ModelParams, hamiltonian_at, one_body_parts
 from dsfermion.evolve import (
-    TIME_SAMPLINGS,
-    TrotterPlan,
+    TIME_NODES,
     exact_evolve_converged,
     read_out,
     state_distance,
@@ -31,6 +30,7 @@ from conftest import (
     random_state,
     record_deviation,
     rotation_trotter_step,
+    sector_reference,
     sector_starts,
     sector_taylor_evolve,
     snapshot_states,
@@ -59,8 +59,8 @@ def dense_trotter_step(n, params, t_sample, dt, vec):
 
 def one_step(start, params, time_sampling="midpoint"):
     """The state after one Trotter step of width 0.1 from the basis state ``start``."""
-    plan = TrotterPlan(steps=1, dt=0.1, time_sampling=time_sampling)
-    return snapshot_states(trotter_evolve(start, params, plan), params.hubble)[-1]
+    trajectory = trotter_evolve(start, params, 1, 0.1, time_sampling=time_sampling)
+    return snapshot_states(trajectory, params.hubble)[-1]
 
 
 def dense_midpoint_product(params, t_total, substeps, vec):
@@ -72,23 +72,6 @@ def dense_midpoint_product(params, t_total, substeps, vec):
         h = hamiltonian_at(params, (k + 0.5) * dt).to_dense()
         out = expm(-1j * dt * h) @ out
     return out
-
-
-class TestTrotterPlan:
-    def test_total_time_exact(self):
-        plan = TrotterPlan.for_total_time(1.0, 10)
-        assert abs(plan.steps * plan.dt - 1.0) < 1e-12
-        assert plan.dt == 0.1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TrotterPlan(steps=-1, dt=0.1)
-        with pytest.raises(ValueError):
-            TrotterPlan(steps=5, dt=0.0)
-        with pytest.raises(ValueError):
-            TrotterPlan(steps=5, dt=0.1, time_sampling="right")
-        with pytest.raises(ValueError):
-            TrotterPlan(steps=5, dt=0.1, snapshot_every=0)
 
 
 class TestTrotterStep:
@@ -117,14 +100,13 @@ class TestTrotterStep:
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
-            trotter_evolve(0, ModelParams(4, 0.1, 0.0), TrotterPlan(steps=1, dt=0.0))
+            trotter_evolve(0, ModelParams(4, 0.1, 0.0), 1, 0.0)
 
 
 class TestTrotterEvolve:
     def test_charge_conserved_along_trajectory(self):
         params = ModelParams(8, 0.1, 0.0)
-        plan = TrotterPlan.for_total_time(1.0, 10)
-        trajectory = trotter_evolve(1, params, plan)
+        trajectory = trotter_evolve(1, params, 10, 0.1)
         sz0 = trajectory.records[0].total_sz
         assert abs(sz0 - 6.0) < 1e-12
         for record in trajectory.records:
@@ -133,22 +115,20 @@ class TestTrotterEvolve:
     def test_charge_conserved_at_large_dt(self):
         # Bond pairs commute with the total charge, so conservation holds at any step size.
         params = ModelParams(8, 0.1, 1.0)
-        plan = TrotterPlan.for_total_time(1.0, 2)
-        trajectory = trotter_evolve(1, params, plan)
+        trajectory = trotter_evolve(1, params, 2, 0.5)
         for record in trajectory.records:
             assert abs(record.total_sz - 6.0) < 1e-10
 
     def test_zero_steps_keeps_initial_record_only(self):
         params = ModelParams(8, 0.1, 0.0)
-        plan = TrotterPlan(steps=0, dt=0.0)
-        trajectory = trotter_evolve(1, params, plan)
+        trajectory = trotter_evolve(1, params, 0, 0.0)
         assert [record.t for record in trajectory.records] == [0.0]
         assert len(trajectory.records) == 1
 
     def test_times_strictly_increasing_from_zero(self):
         params = ModelParams(8, 0.1, 1.0)
-        plan = TrotterPlan.for_total_time(1.0, 10, snapshot_every=3)
-        times = [record.t for record in trotter_evolve(1, params, plan).records]
+        trajectory = trotter_evolve(1, params, 10, 0.1, snapshot_every=3)
+        times = [record.t for record in trajectory.records]
         assert times[0] == 0.0
         assert all(b > a for a, b in zip(times, times[1:]))
         # snapshots at 0, 0.3, 0.6, 0.9 and the forced final one at 1.0
@@ -156,8 +136,7 @@ class TestTrotterEvolve:
 
     def test_snapshot_norms_stay_unit(self):
         params = ModelParams(8, 0.1, 1.0)
-        plan = TrotterPlan.for_total_time(1.0, 10)
-        trajectory = trotter_evolve(1, params, plan)
+        trajectory = trotter_evolve(1, params, 10, 0.1)
         for record in trajectory.records:
             assert abs(record.norm - 1.0) < 1e-10
 
@@ -174,14 +153,12 @@ class TestTrotterEvolve:
             return layer
 
         monkeypatch.setattr(evolve, "_bond_layer", nan_layer)
-        plan = TrotterPlan.for_total_time(1.0, 10)
         with pytest.raises(NormDriftError, match=r"^step 1 of 10: state norm drifted by nan"):
-            trotter_evolve(1, ModelParams(8, 0.1, 1.0), plan)
+            trotter_evolve(1, ModelParams(8, 0.1, 1.0), 10, 0.1)
 
     def test_eigenstate_distribution_frozen(self):
         params = ModelParams(8, 0.1, 1.0)
-        plan = TrotterPlan.for_total_time(1.0, 10)
-        states = snapshot_states(trotter_evolve(0, params, plan), params.hubble)
+        states = snapshot_states(trotter_evolve(0, params, 10, 0.1), params.hubble)
         initial = states[0].probabilities()
         for st in states[1:]:
             assert np.max(np.abs(st.probabilities() - initial)) < 1e-12
@@ -189,7 +166,7 @@ class TestTrotterEvolve:
     def test_size_mismatch(self):
         # 2^8 is a basis index of a larger lattice.
         with pytest.raises(ValueError, match="out of range for 8 sites"):
-            trotter_evolve(1 << 8, ModelParams(8, 0.1, 0.0), TrotterPlan(1, 0.1))
+            trotter_evolve(1 << 8, ModelParams(8, 0.1, 0.0), 1, 0.1)
 
     def test_matches_rotation_reference(self):
         # Every step of 20 against the 2^N rotation kernel in its term order,
@@ -198,16 +175,15 @@ class TestTrotterEvolve:
         # the amplitude-weighted record of the read-out and reference states.
         for n in (4, 6, 8, 10):
             for mass, sampling, start in itertools.product(
-                (0.0, 1.0), TIME_SAMPLINGS, sector_starts(n)
+                (0.0, 1.0), TIME_NODES, sector_starts(n)
             ):
                 params = ModelParams(n, 0.3, mass)
-                plan = TrotterPlan.for_total_time(1.0, 20, time_sampling=sampling)
-                trajectory = trotter_evolve(start, params, plan)
+                trajectory = trotter_evolve(start, params, 20, 0.05, time_sampling=sampling)
                 states = snapshot_states(trajectory, params.hubble)
                 reference = dense_state(n, to_dense(basis_state(n, start)))
                 for k, (record, st) in enumerate(zip(trajectory.records, states)):
                     if k > 0:
-                        rotation_trotter_step(reference, params, plan, k - 1)
+                        rotation_trotter_step(reference, params, 0.05, sampling, k - 1)
                     dev = np.max(np.abs(to_dense(st) - reference.amplitudes))
                     assert dev < 1e-12, (n, mass, sampling, start, k)
                     for ref in (st, reference):
@@ -221,18 +197,18 @@ class TestTrotterEvolve:
         # hole and for half filling, up to the largest lattice.
         for n in (12, 20, 62):
             params = ModelParams(n, 0.1, 1.0)
-            plan = TrotterPlan.for_total_time(1.0, 10, snapshot_every=10)
             for start in (1, sum(1 << x for x in range(0, n, 2))):
-                ours = trotter_evolve(start, params, plan).orbitals[-1]
-                theirs = bond_mask_trotter_orbitals(start, params, plan)
+                ours = trotter_evolve(start, params, 10, 0.1, snapshot_every=10).orbitals[-1]
+                theirs = bond_mask_trotter_orbitals(start, params, 10, 0.1)
                 assert np.max(np.abs(ours - theirs)) < 1e-12, (n, start)
 
     def test_step_keeps_orbitals_orthonormal(self):
         # The rotations and phases are exact to rounding, so 2^12 steps at
         # N = 8 and k = 8 keep Phi^dag Phi = 1 to 1.7e-12; a step built from
         # eigh exponentials drifts by 1.2e-11.
-        plan = TrotterPlan.for_total_time(1.0, 1 << 12, snapshot_every=1 << 12)
-        phi = trotter_evolve(255, ModelParams(8, 0.1, 1.0), plan).orbitals[-1]
+        steps = 1 << 12
+        params = ModelParams(8, 0.1, 1.0)
+        phi = trotter_evolve(255, params, steps, 1.0 / steps, snapshot_every=steps).orbitals[-1]
         assert np.linalg.norm(phi.conj().T @ phi - np.eye(8)) < 5e-12
 
     def test_snapshot_energy_matches_dense_expectation(self):
@@ -240,9 +216,8 @@ class TestTrotterEvolve:
         # against <state| aH(t) |state> over all 2^N amplitudes.
         for n in (4, 6, 8, 10):
             params = ModelParams(n, 0.3, 1.0)
-            plan = TrotterPlan.for_total_time(2.0, 20)
             for start in sector_starts(n):
-                trajectory = trotter_evolve(start, params, plan)
+                trajectory = trotter_evolve(start, params, 20, 0.1)
                 states = snapshot_states(trajectory, params.hubble)
                 for record, st in zip(trajectory.records, states):
                     dense = expectation_pauli_sum(st, hamiltonian_at(params, record.t))
@@ -257,15 +232,33 @@ class TestTrotterEvolve:
         params = ModelParams(4, 0.1, 1.0)
         for start in (-1, 1 << 4, (1 << 4) + 1):
             with pytest.raises(ValueError, match="out of range for 4 sites"):
-                trotter_evolve(start, params, TrotterPlan(1, 0.1))
+                trotter_evolve(start, params, 1, 0.1)
             with pytest.raises(ValueError, match="out of range for 4 sites"):
                 exact_evolve_converged(start, params, 1.0)
+
+    def test_rejects_bad_arguments_before_work(self, monkeypatch):
+        # Each bad argument is named before the evolution starts, and before
+        # the start, out of range here, is checked.
+        def no_parts(*args):
+            raise AssertionError("the evolution started")
+
+        monkeypatch.setattr(evolve, "one_body_parts", no_parts)
+        params = ModelParams(4, 0.1, 1.0)
+        sampling = ("left", "midpoint")
+        for args, kwargs, message in (
+            ((-1, 0.1), {}, "steps must be >= 0, got -1"),
+            ((5, 0.0), {}, "dt must be positive, got 0.0"),
+            ((5, 0.1), {"time_sampling": "right"}, f"time_sampling must be one of {sampling}"),
+            ((5, 0.1), {"snapshot_every": 0}, "snapshot_every must be >= 1, got 0"),
+        ):
+            with pytest.raises(ValueError) as info:
+                trotter_evolve(1 << 4, params, *args, **kwargs)
+            assert str(info.value) == message
 
     def test_one_hole_state_keeps_n_amplitudes(self):
         # N = 20: the trajectory holds one 20 x 1 orbital per snapshot, and
         # its read-out states the 20 one-hole basis states, not 2^20.
-        plan = TrotterPlan.for_total_time(1.0, 10)
-        trajectory = trotter_evolve(1, ModelParams(20, 0.1, 1.0), plan)
+        trajectory = trotter_evolve(1, ModelParams(20, 0.1, 1.0), 10, 0.1)
         assert [phi.shape for phi in trajectory.orbitals] == [(20, 1)] * 11
         for st in snapshot_states(trajectory, 0.1)[1:]:
             assert st.indices.tolist() == [1 << x for x in range(20)]
@@ -282,7 +275,7 @@ class TestTrotterEvolve:
         monkeypatch.setattr(evolve, "read_out", no_readout)
         half_filled = sum(1 << x for x in range(0, 20, 2))
         params = ModelParams(20, 0.1, 1.0)
-        trajectory = trotter_evolve(half_filled, params, TrotterPlan(10, 0.1))
+        trajectory = trotter_evolve(half_filled, params, 10, 0.1)
         assert [phi.shape for phi in trajectory.orbitals] == [(20, 10)] * 11
         assert all(abs(r.norm - 1.0) < 1e-12 for r in trajectory.records)
 
@@ -291,7 +284,7 @@ class TestTrotterEvolve:
         # blocks of 10 minors (the last one of 2) give the same amplitudes,
         # for the real orbitals at t = 0 and the complex ones after.
         params = ModelParams(10, 0.1, 1.0)
-        trajectory = trotter_evolve(0b0101010101, params, TrotterPlan(3, 0.1))
+        trajectory = trotter_evolve(0b0101010101, params, 3, 0.1)
         whole = snapshot_states(trajectory, 0.1)
         monkeypatch.setattr(evolve, "_READOUT_BLOCK", 10 * 5 * 5)
         blocks = snapshot_states(trajectory, 0.1)
@@ -299,11 +292,22 @@ class TestTrotterEvolve:
             assert a.amplitudes.dtype == b.amplitudes.dtype == np.complex128
             assert a.amplitudes.tobytes() == b.amplitudes.tobytes()
 
+    def test_sector_matches_sorted_combinations(self):
+        # Every popcount at each even N <= 16, and the edges of the largest
+        # lattice: shapes, dtypes and every entry.
+        cases = [(n, k) for n in range(4, 17, 2) for k in range(n + 1)]
+        for n, k in cases + [(62, 0), (62, 1), (62, 2), (62, 61), (62, 62)]:
+            sets, indices = evolve._sector(n, k)
+            ref_sets, ref_indices = sector_reference(n, k)
+            assert sets.dtype == indices.dtype == np.int64, (n, k)
+            assert sets.shape == ref_sets.shape, (n, k)
+            assert np.array_equal(sets, ref_sets) and np.array_equal(indices, ref_indices), (n, k)
+
     def test_readouts_share_one_read_only_sector(self):
         # A snapshot's and the oracle's readouts of one sector share its
         # arrays, which no caller can change.
         params = ModelParams(8, 0.1, 1.0)
-        trajectory = trotter_evolve(0b0101, params, TrotterPlan(2, 0.1))
+        trajectory = trotter_evolve(0b0101, params, 2, 0.1)
         a, b = snapshot_states(trajectory, 0.1)[1:]
         oracle = exact_evolve(0b0101, params, 0.2, 4)
         assert a.indices is b.indices is oracle.indices
@@ -490,8 +494,7 @@ def final_distances(params, start, step_counts, oracle):
     exact = read_out(oracle.orbitals, params.hubble, 1.0)
     distances = []
     for steps in step_counts:
-        plan = TrotterPlan.for_total_time(1.0, steps, snapshot_every=steps)
-        trajectory = trotter_evolve(start, params, plan)
+        trajectory = trotter_evolve(start, params, steps, 1.0 / steps, snapshot_every=steps)
         distances.append(state_distance(snapshot_states(trajectory, params.hubble)[-1], exact))
     return distances
 
@@ -520,7 +523,6 @@ class TestErrorScan:
         reference = amplitude_record(exact, 1.0, params.hubble, energy=energy)
         names = ("n_total", "correlation_C", "polarization_over_e", "chiral_c", "energy", "total_sz")
         for steps in (5, 20):
-            plan = TrotterPlan.for_total_time(1.0, steps, snapshot_every=steps)
-            record = trotter_evolve(0, params, plan).records[-1]
+            record = trotter_evolve(0, params, steps, 1.0 / steps, snapshot_every=steps).records[-1]
             for name in names:
                 assert abs(getattr(record, name) - getattr(reference, name)) < 1e-12, (steps, name)

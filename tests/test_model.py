@@ -1,4 +1,4 @@
-"""Hamiltonian builders, Jordan-Wigner oracle and the N=8 transcription fixture."""
+"""Hamiltonian parts, Jordan-Wigner oracle and the N=8 transcription fixture."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,6 @@ import pytest
 from dsfermion.errors import ResourceLimitError
 from dsfermion.model import (
     ModelParams,
-    build_charge_term,
-    build_hopping,
-    build_mass_term,
     hamiltonian_at,
     hamiltonian_parts,
     jw_fermion_op,
@@ -53,58 +50,57 @@ class TestModelParams:
 class TestBuilders:
     @pytest.mark.parametrize("n", [4, 6, 8, 10])
     def test_hopping_term_count(self, n):
-        hop = build_hopping(n)
+        hop = hamiltonian_parts(n).hopping
         assert len(hop.terms) == 2 * (n - 1) + 2
 
     def test_hopping_boundary_sign_n8(self):
         # (-1)^(N/2) = +1 at N=8, so the boundary strings carry -1/2.
-        hop = build_hopping(8)
+        hop = hamiltonian_parts(8).hopping
         coeffs = {pauli_label(p): c for c, p in hop.terms}
         assert coeffs["XZZZZZZX"] == -0.5
         assert coeffs["YZZZZZZY"] == -0.5
 
     def test_hopping_boundary_sign_n6(self):
         # (-1)^3 = -1 at N=6 flips the boundary coefficient to +1/2.
-        coeffs = {pauli_label(p): c for c, p in build_hopping(6).terms}
+        coeffs = {pauli_label(p): c for c, p in hamiltonian_parts(6).hopping.terms}
         assert coeffs["XZZZZX"] == 0.5
         assert coeffs["YZZZZY"] == 0.5
 
     def test_charge_term_structure(self):
-        charge = build_charge_term(8)
+        charge = hamiltonian_parts(8).charge
         assert len(charge.terms) == 8
         assert all(c == 0.25 for c, _ in charge.terms)
         assert all(p.x_mask == 0 for _, p in charge.terms)
 
     def test_charge_filled_state_eigenvalue_n4(self):
         # All sigma^z = +1 on |0000>, so the diagonal entry at index 0 is N/4.
-        dense = build_charge_term(4).to_dense()
+        dense = hamiltonian_parts(4).charge.to_dense()
         assert abs(dense[0, 0] - 1.0) < 1e-15
 
     def test_mass_term_signs(self):
-        mass = build_mass_term(8)
+        mass = hamiltonian_parts(8).mass_term
         coeffs = {pauli_label(p): c for c, p in mass.terms}
         for x in range(8):
             label = "I" * x + "Z" + "I" * (7 - x)
             assert coeffs[label] == 0.5 * (-1) ** x
 
     def test_mass_term_traceless(self):
-        assert abs(np.trace(build_mass_term(4).to_dense())) < 1e-15
+        assert abs(np.trace(hamiltonian_parts(4).mass_term.to_dense())) < 1e-15
 
     def test_mass_term_vanishes_on_filled_state(self):
         # Alternating signs cancel on |0...0> for even N.
         for n in (4, 6, 8):
-            assert build_mass_term(n).to_dense()[0, 0] == 0.0
+            assert hamiltonian_parts(n).mass_term.to_dense()[0, 0] == 0.0
 
     def test_odd_size_rejected(self):
-        for builder in (build_hopping, build_charge_term, build_mass_term):
-            with pytest.raises(ValueError):
-                builder(5)
-            with pytest.raises(ValueError):
-                builder(2)
+        for n in (5, 2):
+            with pytest.raises(ValueError, match="n_sites must be an even integer"):
+                hamiltonian_parts(n)
 
     def test_hopping_commutes_with_charge_n4(self):
-        hop = build_hopping(4).to_dense()
-        sz = 4.0 * build_charge_term(4).to_dense()
+        parts = hamiltonian_parts(4)
+        hop = parts.hopping.to_dense()
+        sz = 4.0 * parts.charge.to_dense()
         assert np.max(np.abs(hop @ sz - sz @ hop)) < 1e-14
 
 
@@ -255,18 +251,13 @@ class TestN8Fixture:
 
     def test_builders_reproduce_fixture_exactly(self):
         h1, h2, h3 = n8_fixture()
-        assert build_hopping(8) == PauliSum(8, [(-c, s) for c, s in h1.terms])
-        assert build_charge_term(8) == PauliSum(8, [(0.5 * c, s) for c, s in h2.terms])
-        assert build_mass_term(8) == h3
+        parts = hamiltonian_parts(8)
+        assert parts.hopping == PauliSum(8, [(-c, s) for c, s in h1.terms])
+        assert parts.charge == PauliSum(8, [(0.5 * c, s) for c, s in h2.terms])
+        assert parts.mass_term == h3
 
     def test_fixture_matches_independent_transcription(self):
         h1, h2, h3 = n8_fixture()
         for ours, theirs in ((h1, H1_TERMS), (h2, H2_TERMS), (h3, H3_TERMS)):
             dev = np.max(np.abs(ours.to_dense() - dense_from_terms(8, theirs)))
             assert dev == 0.0
-
-    def test_parts_assembly(self):
-        parts = hamiltonian_parts(8)
-        assert parts.hopping == build_hopping(8)
-        assert parts.charge == build_charge_term(8)
-        assert parts.mass_term == build_mass_term(8)

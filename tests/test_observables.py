@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dsfermion.evolve import TrotterPlan, read_out, trotter_evolve
+from dsfermion.evolve import read_out, trotter_evolve
 from dsfermion.model import ModelParams
 from dsfermion.observables import estimators_from_counts, exact_record, slater_norm
 from dsfermion.state import ShotCounts, sample_z_basis
@@ -25,8 +25,7 @@ from conftest import (
 
 def paper_trajectory(mass):
     params = ModelParams(8, 0.1, mass)
-    plan = TrotterPlan.for_total_time(1.0, 10)
-    return trotter_evolve(1, params, plan)
+    return trotter_evolve(1, params, 10, 0.1)
 
 
 class TestDensity:
@@ -283,7 +282,7 @@ class TestExactShotEstimates:
     def test_outcome_order_does_not_change_a_bit(self):
         # A half-filled N=12 snapshot: several hundred outcomes of 200k shots.
         params = ModelParams(12, 0.1, 1.0)
-        trajectory = trotter_evolve(0b010101010101, params, TrotterPlan.for_total_time(1.0, 10))
+        trajectory = trotter_evolve(0b010101010101, params, 10, 0.1)
         st = read_out(trajectory.orbitals[-1], 0.1, 1.0)
         counts = sample_z_basis([st], 200_000, seed=7)[0]
         assert counts.outcomes.size > 800

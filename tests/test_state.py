@@ -9,8 +9,8 @@ import pytest
 from scipy.linalg import expm
 
 from dsfermion.errors import NormDriftError
-from dsfermion.evolve import TrotterPlan, read_out, trotter_evolve
-from dsfermion.model import ModelParams, build_charge_term, hamiltonian_at
+from dsfermion.evolve import read_out, trotter_evolve
+from dsfermion.model import ModelParams, hamiltonian_at, hamiltonian_parts
 from dsfermion.observables import exact_record
 from dsfermion.pauli import PauliString, PauliSum, single_site
 import dsfermion.state as state_module
@@ -151,7 +151,7 @@ class TestExpectations:
         # the read-out state agree on the sign convention of sigma^z.
         for k in range(5):
             orbitals = random_orbitals(rng, 4, k)
-            charge = PauliSum(4, [(4.0 * c, s) for c, s in build_charge_term(4).terms])
+            charge = PauliSum(4, [(4.0 * c, s) for c, s in hamiltonian_parts(4).charge.terms])
             total_sz = expectation_pauli_sum(read_out(orbitals, 0.1, 0.0), charge)
             dev = abs(exact_record(orbitals, 0.0, 0.1).total_sz - total_sz)
             assert dev < 1e-12, k
@@ -244,8 +244,7 @@ class TestSampling:
         for n in (6, 8, 12):
             params = ModelParams(n, 0.1, 1.0)
             half_filled = sum(1 << x for x in range(0, n, 2))
-            plan = TrotterPlan.for_total_time(1.0, 10, snapshot_every=5)
-            trajectory = trotter_evolve(half_filled, params, plan)
+            trajectory = trotter_evolve(half_filled, params, 10, 0.1, snapshot_every=5)
             for st in snapshot_states(trajectory, params.hubble)[1:]:
                 assert st.indices.size < 1 << n
                 dense = dense_state(n, to_dense(st))
@@ -301,9 +300,8 @@ class TestSamplingReference:
     def test_trotter_states_from_every_popcount(self):
         for n in (6, 8, 10):
             params = ModelParams(n, 0.1, 1.0)
-            plan = TrotterPlan.for_total_time(1.0, 10, snapshot_every=5)
             for start in sector_starts(n):
-                trajectory = trotter_evolve(start, params, plan)
+                trajectory = trotter_evolve(start, params, 10, 0.1, snapshot_every=5)
                 for st in snapshot_states(trajectory, params.hubble):
                     for seed in (1, 7):
                         self.assert_same_counts(st, 20_000, seed)
@@ -342,7 +340,7 @@ class TestSamplingReference:
         # but the last holds one draw per basis state, and the counts are
         # those of the one-draw-at-a-time reference.
         params = ModelParams(8, 0.1, 1.0)
-        trajectory = trotter_evolve(0b01010101, params, TrotterPlan.for_total_time(1.0, 4))
+        trajectory = trotter_evolve(0b01010101, params, 4, 0.25)
         st = read_out(trajectory.orbitals[-1], params.hubble, 1.0)
         assert st.indices.size == 70
         sizes = []
@@ -372,8 +370,8 @@ CHUNK_EDGE_SHOTS = [
 def half_filled_states(n=6, count=5):
     """The snapshot states of a half-filled Trotter run on n sites."""
     params = ModelParams(n, 0.1, 1.0)
-    plan = TrotterPlan.for_total_time(1.0, count - 1)
-    trajectory = trotter_evolve(sum(1 << x for x in range(0, n, 2)), params, plan)
+    steps = count - 1
+    trajectory = trotter_evolve(sum(1 << x for x in range(0, n, 2)), params, steps, 1.0 / steps)
     return snapshot_states(trajectory, params.hubble)
 
 
@@ -453,6 +451,29 @@ class TestChunkedSampling:
         with pytest.raises(ValueError, match="cannot sample a state of total probability nan"):
             sample_z_basis(states[:2] + [nan_state] + states[2:], 3 * state_module.DRAW_CHUNK, seed=1)
         assert threading.active_count() == before
+
+    def test_cores_without_an_affinity_call(self, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity: the sampler counts
+        # os.cpu_count() cores there, and 1 where that is unknown.
+        monkeypatch.delattr(state_module.os, "sched_getaffinity")
+        states = half_filled_states()
+        shots = 3 * state_module.DRAW_CHUNK + 5
+        sample_state = state_module._sample_state
+        serial = [sample_state(st, shots, 5 + i) for i, st in enumerate(states)]
+        threads = []
+
+        def recorded(*args):
+            threads.append(threading.current_thread())
+            return sample_state(*args)
+
+        monkeypatch.setattr(state_module, "_sample_state", recorded)
+        for cores, on_main_thread in ((4, False), (None, True)):
+            threads.clear()
+            monkeypatch.setattr(state_module.os, "cpu_count", lambda: cores)
+            batch = sample_z_basis(states, shots, seed=5)
+            assert {t is threading.main_thread() for t in threads} == {on_main_thread}
+            for i, (counts, expected) in enumerate(zip(batch, serial)):
+                assert_counts_equal(counts, expected, (cores, i))
 
     def test_pool_threads_are_joined(self, monkeypatch):
         set_usable_cores(monkeypatch, 4)
