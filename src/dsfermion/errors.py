@@ -46,12 +46,11 @@ MAX_SITES = 62
 # Shot sampling keys Philox with the seed as a uint64, and snapshot i draws
 # with seed + i, so every such seed must be below this.
 SEED_LIMIT = 1 << 64
-# The sampler holds only fixed chunks of draws, so shots cost time, not
-# memory: one 2^28-shot snapshot takes ~4-5 s on one core (N = 8 one hole,
-# N = 12 half filled), and a run samples one per snapshot; `run` rejects
-# more before any work.  A shot estimate's sum of f v^2 over the outcomes
-# then fits in int64: a per-shot value is at most 1891 (sum of x < 62), and
-# 2^28 1891^2 < 2^50.
+# A shot estimate's sum S2 of f v^2 over the outcomes is an int64.  A
+# per-shot value is at most 1891 (the polarization, sum of x < 62, at
+# N = 62), so S2 <= shots 1891^2, which is below 2^50 at 2^28 shots and
+# would pass 2^63 only past ~2^41.  `run` rejects more shots before any
+# work.  The sampler's time and memory do not grow with the shot count.
 SHOT_LIMIT = 1 << 28
 # Sweep point j runs with the seed base + j * SEED_STRIDE, and a run takes
 # fewer Trotter steps than this, so no two snapshots of a sweep share a key.

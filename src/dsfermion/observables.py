@@ -64,7 +64,7 @@ def _site_observables(occ: np.ndarray, volume: float = 1) -> dict[str, np.ndarra
     if n_sites < 2:
         raise ValueError("density correlation needs at least two sites")
     positions = np.arange(n_sites, dtype=occ.dtype)
-    density = volume * occ
+    density = occ if volume == 1 else volume * occ
     return {
         "density": density,
         "n_total": density.sum(axis=0),
@@ -101,12 +101,13 @@ def exact_record(
     )
 
 
-def _shot_mean_and_err(values: np.ndarray, freqs: np.ndarray, scale: float):
+def _shot_mean_and_err(values: np.ndarray, freqs: np.ndarray, scale: float, binary: bool = False):
     """``scale`` times the mean and the standard error (sample std dev /
     sqrt(shots)) of the integer per-outcome ``values`` (a vector, or one row
     per quantity) weighted by the int64 ``freqs``, from the exact sums
-    S1 = sum f v and S2 = sum f v^2; shots S2 - S1^2 can pass 2^63, so it
-    is taken in Python ints."""
+    S1 = sum f v and S2 = sum f v^2, which is S1 when every value is 0 or 1
+    (``binary``); shots S2 - S1^2 can pass 2^63, so it is taken in Python
+    ints."""
     shots = int(freqs.sum())
 
     def one(s1: int, s2: int) -> tuple[float, float]:
@@ -114,7 +115,8 @@ def _shot_mean_and_err(values: np.ndarray, freqs: np.ndarray, scale: float):
         var = (shots * s2 - s1 * s1) / (shots * shots * (shots - 1)) if shots > 1 else 0
         return scale * (s1 / shots), scale * math.sqrt(var)
 
-    sums = values @ freqs, (values * values) @ freqs
+    s1 = values @ freqs
+    sums = s1, s1 if binary else (values * values) @ freqs
     return one(*sums) if values.ndim == 1 else tuple(zip(*map(one, *sums)))
 
 
@@ -129,15 +131,18 @@ def estimators_from_counts(counts: ShotCounts, t: float, hubble: float) -> Obser
     if not counts.outcomes.size:
         raise ValueError("empty shot counts")
     n, freqs = counts.n_qubits, counts.freqs
-    # Site x of an outcome is occupied when its bit x is clear.
-    occ = 1 - ((counts.outcomes >> np.arange(n, dtype=np.int64)[:, None]) & 1)
+    # Site x of an outcome is occupied when its bit x is clear, that is when
+    # bit x of ~outcome is set (n < 64, so the sign bit is never read).
+    occ = ~counts.outcomes >> np.arange(n, dtype=np.int64)[:, None]
+    occ &= 1
     volume = math.exp(hubble * t)
+    site = _site_observables(occ)
     stats = {
-        name: _shot_mean_and_err(values, freqs, volume)
-        for name, values in _site_observables(occ).items()
+        name: _shot_mean_and_err(values, freqs, volume, binary=name == "density")
+        for name, values in site.items()
     }
-    stats["correlation_C"] = _shot_mean_and_err(occ[0] * occ[1], freqs, 1.0)
-    stats["total_sz"] = _shot_mean_and_err(2 * occ.sum(axis=0) - n, freqs, 1.0)
+    stats["correlation_C"] = _shot_mean_and_err(occ[0] * occ[1], freqs, 1.0, binary=True)
+    stats["total_sz"] = _shot_mean_and_err(2 * site["n_total"] - n, freqs, 1.0)
     return ObservableRecord(
         t=t,
         **{name: mean for name, (mean, _) in stats.items()},

@@ -14,9 +14,7 @@ the package's one-body Trotter evolution: they rotate all 2^N amplitudes by
 one Hamiltonian string at a time.  Past their reach, the bond-mask scheme
 takes one N x N exponential per bond and one of the mass layer.  The
 Pauli-sum expectation is the dense reference for the one-body snapshot
-energy, ``exact_evolve`` reads out the midpoint-sampled oracle, and
-``sample_z_basis_reference`` is the per-shot inversion that the package's
-sampler replaces by counting sorted chunks of draws.
+energy, and ``exact_evolve`` reads out the midpoint-sampled oracle.
 ``amplitude_record`` weights per-basis-state values by |amplitude|^2: it is
 the slow reference for the Wick record that the package takes from the hole
 orbitals, and it reads any state, Slater determinant or not.
@@ -30,12 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-import dsfermion.state as state_module
 from dsfermion.errors import NORM_DRIFT_LIMIT, NormDriftError
 from dsfermion.evolve import TIME_NODES, _propagate, read_out
 from dsfermion.model import hamiltonian_at, hamiltonian_parts, scale_factor
 from dsfermion.observables import ObservableRecord
-from dsfermion.state import ShotCounts, StateVector
+from dsfermion.state import StateVector
 
 I2 = np.eye(2, dtype=complex)
 PAULI_MATS = {
@@ -246,23 +243,6 @@ def bond_mask_trotter_orbitals(start, params, steps, dt, time_sampling="midpoint
     by the slow reference: N + 1 N x N exponentials per step, through ``eigh``."""
     scheme = bond_mask_scheme(params.n_sites, TIME_NODES[time_sampling])
     return _propagate(start, params, steps * dt, steps, scheme)
-
-
-def sample_z_basis_reference(state, shots, seed):
-    """Z-basis counts by inverting the cumulative distribution once per shot:
-    the same draws as ``sample_z_basis``, all at once, each searched for its
-    bin, then counted with np.unique.  The draws are looked up in
-    dsfermion.state, so a test that patches them there patches both samplers.
-    Each chunk is copied, since the next one may overwrite it."""
-    probs = state.probabilities()
-    cumulative = np.cumsum(probs)
-    chunks = state_module._draw_chunks(shots, seed, state_module.DRAW_CHUNK)
-    draws = np.concatenate([chunk.copy() for chunk in chunks])
-    draws *= cumulative[-1]
-    ranks = np.searchsorted(cumulative, draws, side="right")
-    ranks = np.minimum(ranks, np.flatnonzero(probs)[-1])
-    outcomes, freqs = np.unique(state.indices[ranks], return_counts=True)
-    return ShotCounts(state.n_qubits, outcomes, freqs)
 
 
 def counts_dict(counts):

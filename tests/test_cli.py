@@ -4,7 +4,6 @@ import dataclasses
 import json
 import os
 import resource
-import shutil
 import subprocess
 import sys
 import threading
@@ -14,7 +13,7 @@ import pytest
 
 import dsfermion.state as state_module
 from dsfermion import cli, evolve, svg
-from dsfermion.errors import NormDriftError
+from dsfermion.errors import SHOT_LIMIT, NormDriftError
 from dsfermion.pauli import PauliString, PauliSum
 
 
@@ -356,7 +355,7 @@ class TestRun:
         # double past the 2^16 step budget.  The seed keys a uint64 Philox
         # stream, and with the default 10 steps the last snapshot samples
         # with seed + 10.  Sweep points are 2^32 seeds apart, so a run takes
-        # fewer than 2^32 steps.  2^28 shots take ~4 s to sample per snapshot.
+        # fewer than 2^32 steps.  Every shot sum stays below 2^50 up to 2^28 shots.
         # The oracle is "on" or "off", and t_total is positive and finite.
         half_filled_24 = ("--n_sites", "24", "--initial_state_index", str(0x555555))
         for *flags, oracle in (
@@ -389,6 +388,21 @@ class TestRun:
         # Without a readout N = 24 passes, and C(22, 11) * 11^2 = 85M entries fit.
         cli.RunConfig(n_sites=24, initial_state_index=0x555555, shots=0, oracle="off").validate()
         cli.RunConfig(n_sites=22, initial_state_index=0x155555, oracle="on").validate()
+
+    def test_shot_limit_runs(self, tmp_path):
+        # The sampler's cost does not grow with the shot count, so the most
+        # shots a run takes sample as fast as a few.  Every outcome holds
+        # the start's one hole, so the shot n_total has no spread.
+        config = fast_config(tmp_path, n_sites=4, trotter_steps=4, shots=SHOT_LIMIT)
+        assert cli.run(config) == cli.EXIT_OK
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        rows = (tmp_path / "run" / "observables.csv").read_text().splitlines()[1:]
+        exact = [float(row.split(",")[1]) for row in rows]
+        shots = summary["shot_records"]
+        assert len(shots) == len(exact) == 5
+        for shot, n_total in zip(shots, exact):
+            assert shot["n_total"] == pytest.approx(n_total, rel=1e-12, abs=0)
+            assert shot["shot_errors"]["n_total"] == 0
 
     def test_volume_overflow_is_usage_error(self, tmp_path, monkeypatch, capsys):
         # A value that grows with e^{h t_total} (the largest polarization, the
@@ -587,31 +601,9 @@ class TestVerify:
         ]
 
 
-def read_tree(root):
-    """Every file under ``root``, by relative path, as bytes."""
-    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-
-
 class TestParallelShots:
-    """A run samples its snapshots in one call, on the calling thread, which
-    may hand them to a thread per usable core; the outputs do not depend on
-    the core count."""
-
-    def test_sweep_outputs_do_not_depend_on_core_count(self, tmp_path, monkeypatch):
-        # The SVGs embed the output path, so both sweeps write to one path.
-        out = tmp_path / "cores"
-        base = fast_config(
-            tmp_path, n_sites=6, initial_state_index=0b010101, mass=1.0,
-            shots=3 * state_module.DRAW_CHUNK + 5, output_dir=str(out),
-        )
-        trees = []
-        for cores in (1, 4):
-            monkeypatch.setattr(state_module.os, "sched_getaffinity", lambda pid: set(range(cores)))
-            assert cli.sweep(base, "trotter_steps", [2, 3, 5]) == cli.EXIT_OK
-            trees.append(read_tree(out))
-            shutil.rmtree(out)
-        assert len(trees[0]) == 1 + 3 * 7
-        assert trees[0] == trees[1]
+    """A run samples its snapshots in one call, on the calling thread, and
+    starts no thread."""
 
     def test_one_sampler_call_per_run_on_the_calling_thread(self, tmp_path, monkeypatch):
         calls = []
@@ -623,7 +615,7 @@ class TestParallelShots:
 
         monkeypatch.setattr(cli, "sample_z_basis", recorded)
         before = threading.active_count()
-        config = fast_config(tmp_path, shots=state_module.DRAW_CHUNK + 1, seed=9)
+        config = fast_config(tmp_path, shots=16385, seed=9)
         assert cli.run(config) == cli.EXIT_OK
         assert calls == [(threading.main_thread(), config.shots, 9)]
         assert threading.active_count() == before
@@ -660,13 +652,13 @@ class TestSweep:
         # Point j samples snapshot i with the Philox key seed + j * 2^32 + i,
         # so no two (point, snapshot) pairs share a key.
         keys = []
-        draw_chunks = state_module._draw_chunks
+        sample_state = state_module._sample_state
 
-        def recorded(shots, seed, size):
+        def recorded(state, shots, seed):
             keys.append(seed)
-            return draw_chunks(shots, seed, size)
+            return sample_state(state, shots, seed)
 
-        monkeypatch.setattr(state_module, "_draw_chunks", recorded)
+        monkeypatch.setattr(state_module, "_sample_state", recorded)
         base = fast_config(tmp_path, n_sites=4, shots=50, seed=7, output_dir=str(tmp_path / "keys"))
         assert cli.sweep(base, "trotter_steps", [10, 20, 40, 80]) == cli.EXIT_OK
         assert len(keys) == 11 + 21 + 41 + 81

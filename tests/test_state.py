@@ -2,11 +2,11 @@
 matrix-exponential oracles, the reference expectation, and sampling."""
 
 import math
-import threading
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.stats import chisquare
 
 from dsfermion.errors import NormDriftError
 from dsfermion.evolve import read_out, trotter_evolve
@@ -27,7 +27,6 @@ from conftest import (
     random_label,
     random_orbitals,
     random_state,
-    sample_z_basis_reference,
     sector_starts,
     snapshot_states,
     to_dense,
@@ -239,8 +238,9 @@ class TestSampling:
             sample_z_basis([basis_state(2, 0)], 0, seed=1)
 
     def test_sector_counts_equal_dense_scatter(self):
-        # Zeros do not change a sequential cumulative sum, so a sector state
-        # draws the same outcomes as all 2^N of its amplitudes.
+        # Zero bins are left out before the draw, and the rest are normalized
+        # by their own sum, so a sector state draws the same outcomes as all
+        # 2^N of its amplitudes.
         for n in (6, 8, 12):
             params = ModelParams(n, 0.1, 1.0)
             half_filled = sum(1 << x for x in range(0, n, 2))
@@ -255,241 +255,95 @@ class TestSampling:
                     assert set(a.outcomes.tolist()) <= set(st.indices.tolist())
 
 
-def assert_counts_equal(a, b, where):
-    assert a.n_qubits == b.n_qubits, where
-    assert a.outcomes.dtype == b.outcomes.dtype == np.int64, where
-    assert a.freqs.dtype == b.freqs.dtype == np.int64, where
-    assert np.array_equal(a.outcomes, b.outcomes), where
-    assert np.array_equal(a.freqs, b.freqs), where
-
-
-def chosen_draws(draws):
-    """A stand-in for ``state._draw_chunks``: ``draws`` repeated to the shot
-    count, in chunks of the size asked for."""
-    def draw_chunks(shots, seed, size):
-        tiled = np.resize(draws, shots)
-        return (tiled[start:start + size] for start in range(0, shots, size))
-    return draw_chunks
+def chi_square_p_value(counts, st, min_expected=5.0):
+    """The chi-square p-value of ``counts`` against |amp|^2 of ``st``, with
+    the bins expected below ``min_expected`` shots pooled into one bin; None
+    when fewer than two bins are left."""
+    probs = st.probabilities() / st.probabilities().sum()
+    observed = np.zeros(st.indices.size)
+    observed[np.searchsorted(st.indices, counts.outcomes)] = counts.freqs
+    expected = probs * counts.freqs.sum()
+    large = expected >= min_expected
+    observed = np.append(observed[large], observed[~large].sum())
+    expected = np.append(expected[large], expected[~large].sum())
+    if expected[-1] == 0:
+        observed, expected = observed[:-1], expected[:-1]
+    if expected.size < 2:
+        return None
+    return chisquare(observed, expected).pvalue
 
 
 class TestSamplingReference:
-    """The sampler counts sorted draws; the reference inverts each draw.
-    Their outcome and count arrays must be equal, dtype included."""
-
-    @staticmethod
-    def assert_same_counts(st, shots, seed):
-        a = sample_z_basis([st], shots, seed)[0]
-        b = sample_z_basis_reference(st, shots, seed)
-        assert_counts_equal(a, b, (st.indices.size, shots, seed))
-
-    def test_random_sector_states(self):
-        rng = np.random.default_rng(99)
-        for size in (1, 2, 3, 5, 12, 66, 120, 300):
-            for _ in range(12):
-                amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-                amps[rng.random(size) < rng.choice([0.0, 0.3, 0.8])] = 0  # zero bins
-                amps[size - int(rng.integers(0, size)):] = 0  # a zero tail
-                amps[int(rng.integers(0, size))] = 1.0
-                total = rng.choice([1.0, 0.5])  # unnormalized states too
-                amps *= math.sqrt(total) / np.linalg.norm(amps)
-                indices = np.sort(rng.choice(1 << 10, size=size, replace=False))
-                st = StateVector(10, indices, amps)
-                shots = int(rng.choice([1, 2, int(rng.integers(1, 5001)), 5000]))
-                self.assert_same_counts(st, shots, int(rng.integers(0, 1 << 62)))
+    """The sampler against its reference law: a state's counts are one
+    multinomial draw of its |amp|^2, so they fit it by a chi-square test and
+    never fall where the probability is 0.  One state's counts are pinned
+    literally, so that a change of numpy's multinomial stream shows."""
 
     def test_trotter_states_from_every_popcount(self):
         for n in (6, 8, 10):
             params = ModelParams(n, 0.1, 1.0)
             for start in sector_starts(n):
                 trajectory = trotter_evolve(start, params, 10, 0.1, snapshot_every=5)
-                for st in snapshot_states(trajectory, params.hubble):
-                    for seed in (1, 7):
-                        self.assert_same_counts(st, 20_000, seed)
+                for i, st in enumerate(snapshot_states(trajectory, params.hubble)):
+                    counts = sample_z_basis([st], 20_000, seed=1000 + i)[0]
+                    assert counts.freqs.sum() == 20_000
+                    drawn = st.probabilities()[np.searchsorted(st.indices, counts.outcomes)]
+                    assert np.all(drawn > 0), (n, start, i)
+                    p_value = chi_square_p_value(counts, st)
+                    if p_value is None:  # a basis state: every shot lands on it
+                        assert counts.outcomes.tolist() == [start], (n, start, i)
+                    else:
+                        assert p_value > 1e-6, (n, start, i, p_value)
 
     @pytest.mark.parametrize("probs", [
         # Total 1: a leading zero bin, zero bins inside, a zero tail.
         [0, 0.25, 0, 0.25, 0.25, 0.0625, 0.0625, 0.0625, 0.0625, 0, 0],
-        # Total 0.5, so the draws are scaled.
-        [0.25, 0, 0.0625, 0.0625, 0, 0.0625, 0.0625, 0],
+        # Total 0.5, and a last nonzero bin far below the others.
+        [0, 0.25, 0, 0.125, 0.125 - 1e-9, 0, 1e-9, 0, 0],
     ])
-    def test_draws_on_bin_edges(self, monkeypatch, probs):
-        # Powers of 4 are exact squares of powers of 2, so every cumulative
-        # sum and its ratio to the total are exact.  Each draw lands on a bin
-        # edge, on 0, on the largest double below 1, or on 1 itself (a
-        # product that rounds up to the total).
+    def test_zero_probability_bins_never_drawn(self, probs):
         st = StateVector(4, np.arange(len(probs)), np.sqrt(probs))
-        cumulative = np.cumsum(st.probabilities())
-        assert np.array_equal(cumulative, np.cumsum(probs))
-        edges = np.concatenate([cumulative / cumulative[-1], [0.0, np.nextafter(1.0, 0.0), 1.0]])
-        assert np.array_equal(edges[: len(probs)] * cumulative[-1], cumulative)
+        possible = {x for x, p in enumerate(probs) if p > 0}
+        for seed in range(200):
+            for shots in (1, 7, 100_000):
+                counts = sample_z_basis([st], shots, seed=seed)[0]
+                assert counts.freqs.sum() == shots
+                assert set(counts.outcomes.tolist()) <= possible, (seed, shots)
 
-        monkeypatch.setattr(state_module, "_draw_chunks", chosen_draws(edges))
-        # With DRAW_CHUNK at 4, the sampler draws the sector's size at a
-        # time, three draws fewer than the edges: the 3 len(edges) + 2 draws
-        # straddle chunks, and equal edges fall in different chunks.
-        for chunk in (state_module.DRAW_CHUNK, 4):
-            monkeypatch.setattr(state_module, "DRAW_CHUNK", chunk)
-            for shots in (1, len(edges), 3 * len(edges) + 2):
-                self.assert_same_counts(st, shots, seed=0)
-            counts = sample_z_basis([st], len(edges), seed=0)[0]
-            assert counts.freqs.sum() == len(edges)
-            assert all(probs[k] > 0 for k in counts.outcomes)
-
-    def test_sector_sized_chunks(self, monkeypatch):
-        # Below the sector's size, DRAW_CHUNK gives way to it: every chunk
-        # but the last holds one draw per basis state, and the counts are
-        # those of the one-draw-at-a-time reference.
-        params = ModelParams(8, 0.1, 1.0)
-        trajectory = trotter_evolve(0b01010101, params, 4, 0.25)
-        st = read_out(trajectory.orbitals[-1], params.hubble, 1.0)
-        assert st.indices.size == 70
-        sizes = []
-        draw_chunks = state_module._draw_chunks
-
-        def recorded(shots, seed, size):
-            for chunk in draw_chunks(shots, seed, size):
-                sizes.append(chunk.size)
-                yield chunk
-
-        monkeypatch.setattr(state_module, "DRAW_CHUNK", 16)
-        monkeypatch.setattr(state_module, "_draw_chunks", recorded)
-        counts = sample_z_basis([st], 1000, seed=5)[0]
-        assert sizes == [70] * 14 + [20]
-        assert_counts_equal(counts, sample_z_basis_reference(st, 1000, 5), "sector-sized")
+    def test_counts_of_one_state_are_pinned(self):
+        # The literal counts of numpy 2.4's multinomial on Philox (2026, 0).
+        st = StateVector(3, [1, 2, 4, 6], np.sqrt([0.5, 0.3, 0.15, 0.05]))
+        counts = sample_z_basis([st], 1000, seed=2026)[0]
+        assert counts_dict(counts) == {1: 492, 2: 322, 4: 141, 6: 45}
+        assert counts.outcomes.dtype == counts.freqs.dtype == np.int64
 
 
-CHUNK_EDGE_SHOTS = [
-    1,
-    state_module.DRAW_CHUNK - 1,
-    state_module.DRAW_CHUNK,
-    state_module.DRAW_CHUNK + 1,
-    3 * state_module.DRAW_CHUNK + 5,
-]
+class TestSampleBatch:
+    """A batch samples state i with the key seed + i, one state at a time."""
 
-
-def half_filled_states(n=6, count=5):
-    """The snapshot states of a half-filled Trotter run on n sites."""
-    params = ModelParams(n, 0.1, 1.0)
-    steps = count - 1
-    trajectory = trotter_evolve(sum(1 << x for x in range(0, n, 2)), params, steps, 1.0 / steps)
-    return snapshot_states(trajectory, params.hubble)
-
-
-def set_usable_cores(monkeypatch, cores):
-    monkeypatch.setattr(state_module.os, "sched_getaffinity", lambda pid: set(range(cores)))
-
-
-class TestChunkedSampling:
-    """The draws are made, sorted and counted in chunks of one Philox stream,
-    and a batch of states may be sampled on several threads; neither may
-    change a count."""
-
-    @pytest.mark.parametrize("shots", CHUNK_EDGE_SHOTS)
-    def test_chunks_are_the_one_stream(self, shots):
-        # The buffer is reused, so each chunk is copied before the next.
-        chunks = [
-            chunk.copy()
-            for chunk in state_module._draw_chunks(shots, 12345, state_module.DRAW_CHUNK)
-        ]
-        assert all(0 < chunk.size <= state_module.DRAW_CHUNK for chunk in chunks)
-        whole = np.random.Generator(np.random.Philox(key=np.uint64(12345))).random(shots)
-        assert np.array_equal(np.concatenate(chunks), whole)
-
-    @pytest.mark.parametrize("shots", CHUNK_EDGE_SHOTS)
-    def test_batch_equals_reference(self, monkeypatch, shots):
-        keys = []
-        draw_chunks = state_module._draw_chunks
-
-        def recorded(shots, seed, size):
-            keys.append(seed)
-            return draw_chunks(shots, seed, size)
-
-        monkeypatch.setattr(state_module, "_draw_chunks", recorded)
-        states = half_filled_states()
-        batch = sample_z_basis(iter(states), shots, seed=77)
-        assert sorted(keys) == list(range(77, 77 + len(states)))
-        assert len(batch) == len(states)
-        for i, (st, counts) in enumerate(zip(states, batch)):
-            reference = sample_z_basis_reference(st, shots, 77 + i)
-            assert_counts_equal(counts, reference, (shots, i))
-
-    @pytest.mark.parametrize("cores", [1, 2, 3])
-    def test_states_are_pulled_lazily(self, monkeypatch, cores):
-        # A state may be pulled only once the counts of all but the last
-        # 2 * cores states before it are done.
-        set_usable_cores(monkeypatch, cores)
-        done = []
+    def test_states_are_pulled_one_at_a_time(self, monkeypatch):
+        params = ModelParams(6, 0.1, 1.0)
+        trajectory = trotter_evolve(0b010101, params, 4, 0.25)
+        states = snapshot_states(trajectory, params.hubble)
         sample_state = state_module._sample_state
+        events = []
 
-        def recorded(*args):
-            counts = sample_state(*args)
-            done.append(args[2])  # list.append is atomic
-            return counts
-
-        monkeypatch.setattr(state_module, "_sample_state", recorded)
-        states = half_filled_states(count=16)
-        ahead = []
+        def recorded(st, shots, seed):
+            events.append(("sampled", seed))
+            return sample_state(st, shots, seed)
 
         def pulled():
-            for pulled_count, st in enumerate(states, 1):
-                ahead.append(pulled_count - len(done))
+            for i, st in enumerate(states):
+                events.append(("pulled", i))
                 yield st
 
-        shots = state_module.DRAW_CHUNK + 1
-        batch = sample_z_basis(pulled(), shots, seed=3)
-        assert sorted(done) == list(range(3, 3 + len(states)))
-        assert max(ahead) <= 2 * cores + 1
+        monkeypatch.setattr(state_module, "_sample_state", recorded)
+        batch = sample_z_basis(pulled(), 5000, seed=3)
+        assert events == [e for i in range(len(states)) for e in (("pulled", i), ("sampled", 3 + i))]
         for i, (st, counts) in enumerate(zip(states, batch)):
-            assert_counts_equal(counts, sample_state(st, shots, 3 + i), (cores, i))
-
-    @pytest.mark.parametrize("cores", [1, 4])
-    def test_error_in_batch_joins_threads(self, monkeypatch, cores):
-        set_usable_cores(monkeypatch, cores)
-        states = half_filled_states()
-        nan_state = StateVector(2, [0, 1, 2], [0.6, np.nan, 0.8])
-        before = threading.active_count()
-        with pytest.raises(ValueError, match="cannot sample a state of total probability nan"):
-            sample_z_basis(states[:2] + [nan_state] + states[2:], 3 * state_module.DRAW_CHUNK, seed=1)
-        assert threading.active_count() == before
-
-    def test_cores_without_an_affinity_call(self, monkeypatch):
-        # macOS and Windows have no os.sched_getaffinity: the sampler counts
-        # os.cpu_count() cores there, and 1 where that is unknown.
-        monkeypatch.delattr(state_module.os, "sched_getaffinity")
-        states = half_filled_states()
-        shots = 3 * state_module.DRAW_CHUNK + 5
-        sample_state = state_module._sample_state
-        serial = [sample_state(st, shots, 5 + i) for i, st in enumerate(states)]
-        threads = []
-
-        def recorded(*args):
-            threads.append(threading.current_thread())
-            return sample_state(*args)
-
-        monkeypatch.setattr(state_module, "_sample_state", recorded)
-        for cores, on_main_thread in ((4, False), (None, True)):
-            threads.clear()
-            monkeypatch.setattr(state_module.os, "cpu_count", lambda: cores)
-            batch = sample_z_basis(states, shots, seed=5)
-            assert {t is threading.main_thread() for t in threads} == {on_main_thread}
-            for i, (counts, expected) in enumerate(zip(batch, serial)):
-                assert_counts_equal(counts, expected, (cores, i))
-
-    def test_pool_threads_are_joined(self, monkeypatch):
-        set_usable_cores(monkeypatch, 4)
-        threads = set()
-        sample_state = state_module._sample_state
-
-        def recorded(*args):
-            threads.add(threading.current_thread())
-            return sample_state(*args)
-
-        monkeypatch.setattr(state_module, "_sample_state", recorded)
-        before = threading.active_count()
-        sample_z_basis(half_filled_states(), state_module.DRAW_CHUNK + 1, seed=1)
-        assert threading.main_thread() not in threads
-        assert not any(thread.is_alive() for thread in threads)
-        assert threading.active_count() == before
+            expected = sample_state(st, 5000, 3 + i)
+            assert np.array_equal(counts.outcomes, expected.outcomes)
+            assert np.array_equal(counts.freqs, expected.freqs)
 
     def test_rejects_zero_shots_before_pulling_a_state(self):
         def never_pulled():
