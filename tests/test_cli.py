@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import resource
+import shutil
 import subprocess
 import sys
 import threading
@@ -601,9 +602,31 @@ class TestVerify:
         ]
 
 
+def read_tree(root):
+    """Every file under ``root``, by relative path, as bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 class TestParallelShots:
     """A run samples its snapshots in one call, on the calling thread, and
-    starts no thread."""
+    starts no thread; the outputs do not depend on the core count."""
+
+    def test_sweep_outputs_do_not_depend_on_core_count(self, tmp_path, monkeypatch):
+        # The SVGs embed the output path, so both sweeps write to one path.
+        out = tmp_path / "cores"
+        base = fast_config(
+            tmp_path, n_sites=6, initial_state_index=0b010101, mass=1.0,
+            shots=3 * (1 << 14) + 5, output_dir=str(out),
+        )
+        trees = []
+        for cores in (1, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            assert cli.sweep(base, "trotter_steps", [2, 3, 5]) == cli.EXIT_OK
+            trees.append(read_tree(out))
+            shutil.rmtree(out)
+        assert len(trees[0]) == 1 + 3 * 7
+        assert trees[0] == trees[1]
 
     def test_one_sampler_call_per_run_on_the_calling_thread(self, tmp_path, monkeypatch):
         calls = []

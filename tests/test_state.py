@@ -2,6 +2,8 @@
 matrix-exponential oracles, the reference expectation, and sampling."""
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from dsfermion.model import ModelParams, hamiltonian_at, hamiltonian_parts
 from dsfermion.observables import exact_record
 from dsfermion.pauli import PauliString, PauliSum, single_site
 import dsfermion.state as state_module
-from dsfermion.state import StateVector, sample_z_basis
+from dsfermion.state import ShotCounts, StateVector, sample_z_basis
 
 from conftest import (
     apply_pauli_rotation,
@@ -279,6 +281,32 @@ class TestSamplingReference:
     never fall where the probability is 0.  One state's counts are pinned
     literally, so that a change of numpy's multinomial stream shows."""
 
+    def test_random_sector_states(self):
+        # Random amplitudes over random basis states, with zero bins, a zero
+        # tail and unnormalized totals, at shot counts from 1 to 5000.
+        rng = np.random.default_rng(99)
+        for size in (1, 2, 3, 5, 12, 66, 120, 300):
+            for _ in range(12):
+                amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+                amps[rng.random(size) < rng.choice([0.0, 0.3, 0.8])] = 0  # zero bins
+                amps[size - int(rng.integers(0, size)):] = 0  # a zero tail
+                amps[int(rng.integers(0, size))] = 1.0
+                total = rng.choice([1.0, 0.5])  # unnormalized states too
+                amps *= math.sqrt(total) / np.linalg.norm(amps)
+                indices = np.sort(rng.choice(1 << 10, size=size, replace=False))
+                st = StateVector(10, indices, amps)
+                shots = int(rng.choice([1, 2, int(rng.integers(1, 5001)), 5000]))
+                seed = int(rng.integers(0, 1 << 62))
+                counts = sample_z_basis([st], shots, seed)[0]
+                where = (size, shots, seed)
+                assert counts.outcomes.dtype == counts.freqs.dtype == np.int64, where
+                assert counts.freqs.sum() == shots and np.all(counts.freqs > 0), where
+                assert np.all(np.diff(counts.outcomes) > 0), where
+                possible = set(indices[st.probabilities() > 0].tolist())
+                assert set(counts.outcomes.tolist()) <= possible, where
+                p_value = chi_square_p_value(counts, st)
+                assert p_value is None or p_value > 1e-6, (where, p_value)
+
     def test_trotter_states_from_every_popcount(self):
         for n in (6, 8, 10):
             params = ModelParams(n, 0.1, 1.0)
@@ -318,32 +346,137 @@ class TestSamplingReference:
         assert counts.outcomes.dtype == counts.freqs.dtype == np.int64
 
 
-class TestSampleBatch:
-    """A batch samples state i with the key seed + i, one state at a time."""
+def assert_counts_equal(a, b, where):
+    assert a.n_qubits == b.n_qubits, where
+    assert a.outcomes.dtype == b.outcomes.dtype == np.int64, where
+    assert a.freqs.dtype == b.freqs.dtype == np.int64, where
+    assert np.array_equal(a.outcomes, b.outcomes), where
+    assert np.array_equal(a.freqs, b.freqs), where
 
-    def test_states_are_pulled_one_at_a_time(self, monkeypatch):
-        params = ModelParams(6, 0.1, 1.0)
-        trajectory = trotter_evolve(0b010101, params, 4, 0.25)
-        states = snapshot_states(trajectory, params.hubble)
+
+def multinomial_reference(st, shots, seed):
+    """The counts as the sampler's docstring states them: one multinomial
+    draw of ``shots`` over the nonzero bins, normalized by their own sum, on
+    Philox-4x64 keyed (seed, 0); the outcomes drawn at least once."""
+    probs = st.probabilities()
+    nz = probs > 0
+    generator = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    freqs = generator.multinomial(shots, probs[nz] / probs[nz].sum())
+    return ShotCounts(st.n_qubits, st.indices[nz][freqs > 0], freqs[freqs > 0])
+
+
+# Shot counts on both sides of 2^14, where a sampler that draws its shots
+# in chunks of 2^14 would split them.
+CHUNK_EDGE_SHOTS = [1, (1 << 14) - 1, 1 << 14, (1 << 14) + 1, 3 * (1 << 14) + 5]
+
+
+def half_filled_states(n=6, count=5):
+    """The snapshot states of a half-filled Trotter run on n sites."""
+    params = ModelParams(n, 0.1, 1.0)
+    steps = count - 1
+    trajectory = trotter_evolve(sum(1 << x for x in range(0, n, 2)), params, steps, 1.0 / steps)
+    return snapshot_states(trajectory, params.hubble)
+
+
+def set_usable_cores(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+
+
+class TestChunkedSampling:
+    """A batch is sampled one state at a time: state i with the key seed + i,
+    on the calling thread, before state i + 1 is pulled.  Neither the shot
+    count nor the number of usable cores changes that or any count."""
+
+    @pytest.mark.parametrize("shots", CHUNK_EDGE_SHOTS)
+    def test_batch_equals_reference(self, monkeypatch, shots):
+        keys = []
+        sample_state = state_module._sample_state
+
+        def recorded(st, shots, seed):
+            keys.append(seed)
+            return sample_state(st, shots, seed)
+
+        monkeypatch.setattr(state_module, "_sample_state", recorded)
+        states = half_filled_states()
+        batch = sample_z_basis(iter(states), shots, seed=77)
+        assert keys == list(range(77, 77 + len(states)))
+        assert len(batch) == len(states)
+        for i, (st, counts) in enumerate(zip(states, batch)):
+            assert_counts_equal(counts, multinomial_reference(st, shots, 77 + i), (shots, i))
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_states_are_pulled_lazily(self, monkeypatch, cores):
+        # Each state is pulled only once the one before it is sampled, on
+        # the calling thread, whatever the core count.
+        set_usable_cores(monkeypatch, cores)
+        states = half_filled_states(count=16)
         sample_state = state_module._sample_state
         events = []
 
         def recorded(st, shots, seed):
-            events.append(("sampled", seed))
+            events.append(("sampled", seed, threading.current_thread()))
             return sample_state(st, shots, seed)
 
         def pulled():
             for i, st in enumerate(states):
-                events.append(("pulled", i))
+                events.append(("pulled", i, threading.current_thread()))
                 yield st
 
         monkeypatch.setattr(state_module, "_sample_state", recorded)
-        batch = sample_z_basis(pulled(), 5000, seed=3)
-        assert events == [e for i in range(len(states)) for e in (("pulled", i), ("sampled", 3 + i))]
+        shots = (1 << 14) + 1
+        batch = sample_z_basis(pulled(), shots, seed=3)
+        main = threading.main_thread()
+        assert events == [
+            e for i in range(len(states)) for e in (("pulled", i, main), ("sampled", 3 + i, main))
+        ]
         for i, (st, counts) in enumerate(zip(states, batch)):
-            expected = sample_state(st, 5000, 3 + i)
-            assert np.array_equal(counts.outcomes, expected.outcomes)
-            assert np.array_equal(counts.freqs, expected.freqs)
+            assert_counts_equal(counts, sample_state(st, shots, 3 + i), (cores, i))
+
+    @pytest.mark.parametrize("cores", [1, 4])
+    def test_error_in_batch_joins_threads(self, monkeypatch, cores):
+        # A state that cannot be sampled stops the batch: no state after it
+        # is pulled, and no thread is left behind.
+        set_usable_cores(monkeypatch, cores)
+        states = half_filled_states()
+        nan_state = StateVector(2, [0, 1, 2], [0.6, np.nan, 0.8])
+        batch = states[:2] + [nan_state] + states[2:]
+        pulls = []
+
+        def pulled():
+            for i, st in enumerate(batch):
+                pulls.append(i)
+                yield st
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="cannot sample a state of total probability nan"):
+            sample_z_basis(pulled(), 3 * (1 << 14), seed=1)
+        assert pulls == [0, 1, 2]
+        assert threading.active_count() == before
+
+    def test_cores_without_an_affinity_call(self, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity: the sampler works
+        # there, on the calling thread, with the same counts, whatever
+        # os.cpu_count() says.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        states = half_filled_states()
+        shots = 3 * (1 << 14) + 5
+        sample_state = state_module._sample_state
+        serial = [sample_state(st, shots, 5 + i) for i, st in enumerate(states)]
+        threads = []
+
+        def recorded(*args):
+            threads.append(threading.current_thread())
+            return sample_state(*args)
+
+        monkeypatch.setattr(state_module, "_sample_state", recorded)
+        for cores in (4, None):
+            threads.clear()
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            batch = sample_z_basis(states, shots, seed=5)
+            assert threads == [threading.main_thread()] * len(states)
+            for i, (counts, expected) in enumerate(zip(batch, serial)):
+                assert_counts_equal(counts, expected, (cores, i))
 
     def test_rejects_zero_shots_before_pulling_a_state(self):
         def never_pulled():
