@@ -17,7 +17,6 @@ violation, 4 verification failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -203,13 +202,18 @@ def load_config(path: str) -> RunConfig:
 # Output writers
 # ---------------------------------------------------------------------------
 
-def _g17(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    # newline="\n": the same bytes on every platform, not "\r\n" on Windows.
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+def _write_csv(path: str, header: str, rows) -> None:
+    """One line per row of raw values: a number with 17 significant digits,
+    None (no value) as an empty cell."""
+    lines = [header]
+    lines.extend(",".join(["" if v is None else f"{v:.17g}" for v in row]) for row in rows)
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _p_ratio_scale(exact_records: list[ObservableRecord]) -> float | None:
@@ -223,14 +227,13 @@ def write_density_csv(
     exact_records: list[ObservableRecord],
     shot_records: list[ObservableRecord] | None,
 ) -> None:
-    lines = ["t,x,n_exact,n_shot,n_shot_err"]
-    for i, exact in enumerate(exact_records):
-        shot = shot_records[i] if shot_records else None
-        for x in range(len(exact.density)):
-            n_shot = _g17(shot.density[x]) if shot else ""
-            n_err = _g17(shot.shot_errors.density[x]) if shot else ""
-            lines.append(f"{_g17(exact.t)},{x},{_g17(exact.density[x])},{n_shot},{n_err}")
-    _write_text(path, "\n".join(lines) + "\n")
+    blank = (None,) * len(exact_records[0].density)
+    rows = []
+    for exact, shot in zip(exact_records, shot_records or [None] * len(exact_records)):
+        n_shot, n_err = (shot.density, shot.shot_errors.density) if shot else (blank, blank)
+        for x, cells in enumerate(zip(exact.density, n_shot, n_err)):
+            rows.append((exact.t, x, *cells))
+    _write_csv(path, "t,x,n_exact,n_shot,n_shot_err", rows)
 
 
 def write_observables_csv(
@@ -239,44 +242,23 @@ def write_observables_csv(
     shot_records: list[ObservableRecord] | None,
 ) -> None:
     p0 = _p_ratio_scale(exact_records)
-    lines = ["t,n_total,C,C_err,p_over_e,p_ratio,c,c_err,energy,total_sz,norm"]
-    for i, rec in enumerate(exact_records):
-        shot = shot_records[i] if shot_records else None
-        c_err = _g17(shot.shot_errors.correlation_C) if shot else ""
-        chi_err = _g17(shot.shot_errors.chiral_c) if shot else ""
-        p_ratio = _g17(rec.polarization_over_e / p0) if p0 is not None else ""
-        lines.append(
-            ",".join(
-                (
-                    _g17(rec.t),
-                    _g17(rec.n_total),
-                    _g17(rec.correlation_C),
-                    c_err,
-                    _g17(rec.polarization_over_e),
-                    p_ratio,
-                    _g17(rec.chiral_c),
-                    chi_err,
-                    _g17(rec.energy),
-                    _g17(rec.total_sz),
-                    _g17(rec.norm),
-                )
-            )
+    rows = []
+    for rec, shot in zip(exact_records, shot_records or [None] * len(exact_records)):
+        errors = shot.shot_errors if shot else None
+        p_ratio = rec.polarization_over_e / p0 if p0 is not None else None
+        c_err, chi_err = (errors.correlation_C, errors.chiral_c) if errors else (None, None)
+        rows.append(
+            (rec.t, rec.n_total, rec.correlation_C, c_err, rec.polarization_over_e, p_ratio,
+             rec.chiral_c, chi_err, rec.energy, rec.total_sz, rec.norm)
         )
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def _jsonable(value):
-    if isinstance(value, float) and math.isnan(value):
-        return None
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    _write_csv(path, "t,n_total,C,C_err,p_over_e,p_ratio,c,c_err,energy,total_sz,norm", rows)
 
 
 def write_summary_json(path: str, payload: dict) -> None:
-    _write_text(path, json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+    """``payload`` as strict JSON: records and configs as their fields
+    (``vars``), None as null; a NaN or infinity raises ValueError."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=vars, allow_nan=False)
+    _write_text(path, text + "\n")
 
 
 def _config_meta(config: RunConfig) -> str:
@@ -336,22 +318,8 @@ def run(config: RunConfig) -> int:
     )
     records = trajectory.records
 
-    shot_records = None
-    if config.shots > 0:
-        # One sampler call per run: it pulls the readouts as it goes and
-        # samples snapshot i with the Philox key seed + i.
-        states = (
-            read_out(orbitals, config.hubble, rec.t)
-            for rec, orbitals in zip(records, trajectory.orbitals)
-        )
-        shot_records = [
-            estimators_from_counts(counts, rec.t, config.hubble)
-            for rec, counts in zip(records, sample_z_basis(states, config.shots, config.seed))
-        ]
-
-    charge_drift = max(abs(r.total_sz - records[0].total_sz) for r in records)
-    norm_drift = max(abs(r.norm - 1.0) for r in records)
-
+    # The oracle runs before any shot is drawn: past its step budget it stops
+    # at once, and a run it stops reads nothing out.
     oracle_report = None
     if config.oracle == "on":
         oracle = exact_evolve_converged(
@@ -368,13 +336,29 @@ def run(config: RunConfig) -> int:
             "state_distance": state_distance(final, exact),
         }
 
+    shot_records = None
+    if config.shots > 0:
+        # One sampler call per run: it pulls the readouts as it goes and
+        # samples snapshot i with the Philox key seed + i.
+        states = (
+            read_out(orbitals, config.hubble, rec.t)
+            for rec, orbitals in zip(records, trajectory.orbitals)
+        )
+        shot_records = [
+            estimators_from_counts(counts, rec.t, config.hubble)
+            for rec, counts in zip(records, sample_z_basis(states, config.shots, config.seed))
+        ]
+
+    charge_drift = max(abs(r.total_sz - records[0].total_sz) for r in records)
+    norm_drift = max(abs(r.norm - 1.0) for r in records)
+
     os.makedirs(config.output_dir, exist_ok=True)
     write_density_csv(os.path.join(config.output_dir, "density.csv"), records, shot_records)
     write_observables_csv(
         os.path.join(config.output_dir, "observables.csv"), records, shot_records
     )
     summary = {
-        "config": dataclasses.asdict(config),
+        "config": config,
         "seed": config.seed,
         "version": __version__,
         "invariants": {
@@ -386,7 +370,7 @@ def run(config: RunConfig) -> int:
         },
     }
     if shot_records is not None:
-        summary["shot_records"] = [dataclasses.asdict(r) for r in shot_records]
+        summary["shot_records"] = shot_records
     write_summary_json(os.path.join(config.output_dir, "summary.json"), summary)
     _write_plots(config.output_dir, config, records, shot_records)
 
@@ -483,6 +467,11 @@ def sweep(base_config: RunConfig, parameter: str, values: list) -> int:
         raise ValueError(f"sweep values must be distinct, got {values}")
     if base_config.seed + len(values) * SEED_STRIDE > SEED_LIMIT:
         raise ValueError(f"{len(values)} sweep points need a seed <= 2^64 - {len(values)} * 2^32")
+    # sweep_index.json echoes the base config as strict JSON, which has no NaN
+    # or infinity, so these are rejected before any point runs.
+    for name in ("hubble", "mass", "t_total"):
+        if not math.isfinite(getattr(base_config, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(base_config, name)}")
     points = []
     worst = EXIT_OK
     for index, value in enumerate(values):
@@ -515,7 +504,7 @@ def sweep(base_config: RunConfig, parameter: str, values: list) -> int:
     os.makedirs(base_config.output_dir, exist_ok=True)
     manifest = {
         "parameter": parameter,
-        "base_config": dataclasses.asdict(base_config),
+        "base_config": base_config,
         "points": points,
     }
     write_summary_json(os.path.join(base_config.output_dir, "sweep_index.json"), manifest)

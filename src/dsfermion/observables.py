@@ -42,9 +42,9 @@ class ObservableRecord:
     correlation_C: float
     polarization_over_e: float
     chiral_c: float
-    energy: float
+    energy: float | None  # None where the source cannot measure it
     total_sz: float
-    norm: float
+    norm: float | None
     source: str  # "exact" or "shots"
     shot_errors: ShotErrors | None = None
 
@@ -74,7 +74,7 @@ def _site_observables(occ: np.ndarray, volume: float = 1) -> dict[str, np.ndarra
 
 
 def exact_record(
-    orbitals: np.ndarray, t: float, hubble: float, energy: float = math.nan
+    orbitals: np.ndarray, t: float, hubble: float, energy: float | None = None
 ) -> ObservableRecord:
     """Assemble a snapshot record from the N x k hole orbitals Phi of a
     Slater determinant, by Wick's theorem on G = Phi Phi^dag: site x holds
@@ -125,8 +125,8 @@ def estimators_from_counts(counts: ShotCounts, t: float, hubble: float) -> Obser
     standard error.  Every per-shot value is an integer (a site's occupation,
     N - popcount, the sums of x o_x and (-1)^x o_x, o_0 o_1, N - 2 popcount),
     so its sums over the outcomes are exact; e^{ht} scales the estimates
-    rounded from them.  The energy is not measurable in a single Z-basis
-    setting and is reported as NaN.
+    rounded from them.  Neither the energy nor the norm is measurable in a
+    single Z-basis setting; both are None.
     """
     if not counts.outcomes.size:
         raise ValueError("empty shot counts")
@@ -146,8 +146,8 @@ def estimators_from_counts(counts: ShotCounts, t: float, hubble: float) -> Obser
     return ObservableRecord(
         t=t,
         **{name: mean for name, (mean, _) in stats.items()},
-        energy=math.nan,
-        norm=math.nan,
+        energy=None,
+        norm=None,
         source="shots",
         shot_errors=ShotErrors(**{name: err for name, (_, err) in stats.items()}),
     )

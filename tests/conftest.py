@@ -140,7 +140,7 @@ def snapshot_states(trajectory, hubble):
     ]
 
 
-def amplitude_record(state, t, hubble, energy=math.nan):
+def amplitude_record(state, t, hubble, energy=None):
     """The snapshot record of any state, each observable weighted by
     |amplitude|^2 over its basis states: site x is occupied when bit x of
     the basis index is clear, and sigma^z(x) is +1 there."""

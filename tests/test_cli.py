@@ -14,7 +14,7 @@ import pytest
 
 import dsfermion.state as state_module
 from dsfermion import cli, evolve, svg
-from dsfermion.errors import SHOT_LIMIT, NormDriftError
+from dsfermion.errors import SHOT_LIMIT, NormDriftError, ResourceLimitError
 from dsfermion.pauli import PauliString, PauliSum
 
 
@@ -500,6 +500,26 @@ class TestRun:
         assert cli.main(argv) == cli.EXIT_OK
         assert calls == [(8, 1), (8, 1)]
 
+    def test_refused_oracle_reads_nothing_out(self, tmp_path, monkeypatch):
+        # At h = 2, m = 1 and t = 5 the oracle's phase passes its step budget,
+        # so it stops at once, before any snapshot is read out for the shots.
+        calls = []
+        read_out = evolve.read_out
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return read_out(*args)
+
+        monkeypatch.setattr(cli, "read_out", counted)
+        monkeypatch.setattr(evolve, "read_out", counted)
+        config = fast_config(tmp_path, hubble=2.0, mass=1.0, t_total=5.0, shots=100, oracle="on")
+        with pytest.raises(ResourceLimitError, match="did not converge"):
+            cli.run(config)
+        flags = ["--hubble", "2", "--mass", "1", "--t_total", "5", "--shots", "100"]
+        assert cli.main(["run", *flags, "--output_dir", str(tmp_path / "cli")]) == cli.EXIT_USAGE
+        assert calls == []
+        assert not (tmp_path / "run").exists() and not (tmp_path / "cli").exists()
+
     def test_oracle_converges_once_steps_resolve_h1(self, tmp_path, capsys):
         # t ||h1(t)|| ~ 7.7e3 < 65536.  Until the steps resolve h1 the
         # oracle's deltas fall by less than 2^4 per doubling (8.5e-5, 7.8e-5,
@@ -536,6 +556,60 @@ class TestRun:
              "--output_dir", str(blocker / "sub")]
         )
         assert code == cli.EXIT_IO
+
+
+def write_sample_outputs(root):
+    """A shots run with the oracle on, an exact-only run and a sweep whose
+    second point (h = 1000) fails, under ``root``."""
+    shots = fast_config(root, mass=1.0, shots=100, oracle="on", output_dir=str(root / "shots"))
+    assert cli.run(shots) == cli.EXIT_OK
+    assert cli.run(fast_config(root, shots=0, output_dir=str(root / "exact"))) == cli.EXIT_OK
+    argv = ["sweep", "--parameter", "hubble", "--values", "0.1,1000", "--shots", "10",
+            "--oracle", "off", "--output_dir", str(root / "sweep")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+
+
+class TestOutputFormats:
+    def test_json_is_strict(self, tmp_path):
+        # No NaN or Infinity: a shot record has no energy or norm, and says so
+        # with null.
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        write_sample_outputs(tmp_path)
+        names = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.json"))
+        assert names == [
+            "exact/summary.json",
+            "shots/summary.json",
+            "sweep/hubble=0.1/summary.json",
+            "sweep/sweep_index.json",
+        ]
+        loaded = {
+            name: json.loads((tmp_path / name).read_text(encoding="utf-8"), parse_constant=refuse)
+            for name in names
+        }
+        shots = loaded["shots/summary.json"]
+        assert len(shots["shot_records"]) == 11
+        for record in shots["shot_records"]:
+            assert record["energy"] is None and record["norm"] is None
+            assert record["source"] == "shots" and record["n_total"] > 0
+        assert 0 < shots["invariants"]["oracle"]["state_distance"] < 1
+        assert "shot_records" not in loaded["exact/summary.json"]
+        points = loaded["sweep/sweep_index.json"]["points"]
+        assert [p["exit_code"] for p in points] == [cli.EXIT_OK, cli.EXIT_USAGE]
+
+    def test_line_ends_are_newlines_on_every_platform(self, tmp_path, monkeypatch):
+        # A text file opened with newline=None writes os.linesep for "\n",
+        # which is "\r\n" on Windows; this open does so on any platform.
+        def windows_open(path, mode="r", encoding=None, newline=None):
+            return open(path, mode, encoding=encoding, newline="\r\n" if newline is None else newline)
+
+        monkeypatch.setattr(cli, "open", windows_open, raising=False)
+        write_sample_outputs(tmp_path)
+        files = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert len(files) == 3 * len(RUN_OUTPUTS) + 1
+        for path in files:
+            assert b"\r" not in path.read_bytes(), path
 
 
 class TestVerify:
@@ -701,6 +775,21 @@ class TestSweep:
         assert cli.main(argv) == cli.EXIT_USAGE
         assert "2 sweep points need a seed" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_nonfinite_base_rejected_before_work(self, tmp_path, monkeypatch, capsys):
+        # sweep_index.json echoes the base config, and strict JSON has no NaN
+        # or infinity, also for the swept parameter's base value.
+        def no_evolution(*args, **kwargs):
+            raise AssertionError("the evolution started")
+
+        monkeypatch.setattr(cli, "trotter_evolve", no_evolution)
+        for flag, value in (("t_total", "nan"), ("mass", "inf"), ("hubble", "nan")):
+            out = tmp_path / flag
+            argv = ["sweep", "--parameter", "hubble", "--values", "0.1", f"--{flag}", value,
+                    "--oracle", "off", "--output_dir", str(out)]
+            assert cli.main(argv) == cli.EXIT_USAGE, flag
+            assert f"{flag} must be finite, got {value}" in capsys.readouterr().err
+            assert not out.exists(), flag
 
     def test_repeated_values_rejected(self, tmp_path):
         # 0.1 and 0.10 are one value, whose point directory the second run
