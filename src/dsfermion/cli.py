@@ -10,8 +10,8 @@ the RunConfig fields; command-line flags use the same names prefixed with
 summary.json from a previous run, which reproduces that run bit for bit.
 
 Exit codes: 0 success, 1 usage error (including a readout beyond its size
-guard or an oracle beyond its substep budget), 2 I/O error, 3 invariant
-violation, 4 verification failure.
+guard or lost to underflow, or an oracle beyond its substep budget), 2 I/O
+error, 3 invariant violation, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ from .errors import (
     NormDriftError,
     ResourceLimitError,
 )
-from .evolve import exact_evolve_converged, read_out, state_distance, trotter_evolve
+from .evolve import exact_evolve_converged, trotter_evolve
 from .model import ModelParams, hamiltonian_at, hamiltonian_parts, n8_fixture, verify_bilinears
 from .observables import ObservableRecord, estimators_from_counts
 from .pauli import PauliSum
-from .state import sample_z_basis
+from .state import read_out, sample_z_basis, state_distance
 from .svg import Series, heatmap, line_chart
 
 EXIT_OK = 0
@@ -320,7 +320,7 @@ def run(config: RunConfig) -> int:
 
     # The oracle runs before any shot is drawn: past its step budget it stops
     # at once, and a run it stops reads nothing out.
-    oracle_report = None
+    oracle_report = final = None
     if config.oracle == "on":
         oracle = exact_evolve_converged(
             config.initial_state_index,
@@ -338,10 +338,11 @@ def run(config: RunConfig) -> int:
 
     shot_records = None
     if config.shots > 0:
-        # One sampler call per run: it pulls the readouts as it goes and
-        # samples snapshot i with the Philox key seed + i.
+        # One sampler call per run: it pulls the readouts as it goes (the last
+        # one is the oracle check's, if any) and samples snapshot i with key seed + i.
         states = (
-            read_out(orbitals, config.hubble, rec.t)
+            final if final is not None and rec is records[-1]
+            else read_out(orbitals, config.hubble, rec.t)
             for rec, orbitals in zip(records, trajectory.orbitals)
         )
         shot_records = [
@@ -401,12 +402,8 @@ def verify(max_n: int) -> int:
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
 
     for n in range(4, max_n + 1, 2):
-        rep = verify_bilinears(n)
-        report(
-            f"bilinear identities N={n}",
-            rep.max_dev() < IDENTITY_TOL,
-            f"max deviation {rep.max_dev():.3e}",
-        )
+        dev = verify_bilinears(n)
+        report(f"bilinear identities N={n}", dev < IDENTITY_TOL, f"max deviation {dev:.3e}")
 
     # [Q, aH]_ij = (q_i - q_j) aH_ij for the charge Q = sum Z, so the commutator
     # vanishes exactly when aH has no entry between states of different popcount.

@@ -6,23 +6,20 @@ The Trotter circuit is a matchgate circuit (Terhal & DiVincenzo, PRA 65,
 diagonal mass phase, on the one-body orbitals.  The charge term is one
 phase per charge sector, so the charge is conserved at any step size.
 Both evolutions start from a basis index with k holes (bits set) and hold
-only its N x k hole orbitals, whose Slater determinant is the state;
-``read_out`` gives its C(N, k) amplitudes.
+only its N x k hole orbitals, whose Slater determinant is the state.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NORM_DRIFT_LIMIT, ORACLE_SUBSTEP_BUDGET, ORACLE_TOL, PHASE_FLOOR
+from .errors import NORM_DRIFT_LIMIT, ORACLE_SUBSTEP_BUDGET, ORACLE_TOL
 from .errors import NormDriftError, ResourceLimitError
 from .model import ModelParams, one_body_parts, scale_factor
 from .observables import ObservableRecord, exact_record, slater_norm
-from .state import StateVector
 
 # Where a step of width dt samples e^{h t}, as a fraction of dt.
 TIME_NODES = {"left": 0.0, "midpoint": 0.5}
@@ -108,54 +105,6 @@ def _bond_layer(hopping: np.ndarray, dt: float) -> np.ndarray:
         rotation = np.array([[cos, -1j * phase * sin], [-1j * phase.conjugate() * sin, cos]])
         layer[[x, y]] = rotation @ layer[[x, y]]
     return layer
-
-
-@functools.lru_cache(maxsize=1)
-def _sector(n_sites: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The C(N, k) basis states with k holes, by ascending index: their hole
-    sets (rows of ascending sites) and their indices, as read-only arrays.
-    Only the last sector is kept, so that the readouts of one run share it:
-    C(20, 10) hole sets take 15 MB.
-
-    Rank r is unranked in the combinatorial number system, whose order is
-    ascending index: its sites c_k > ... > c_1 are the greedy terms of
-    r = C(c_k, k) + ... + C(c_1, 1)."""
-    ranks = np.arange(math.comb(n_sites, k), dtype=np.int64)
-    sets = np.empty((len(ranks), k), dtype=np.int64)
-    indices = np.zeros(len(ranks), dtype=np.int64)
-    for i in range(k, 0, -1):
-        table = np.array([math.comb(c, i) for c in range(n_sites)], dtype=np.int64)
-        sites = np.searchsorted(table, ranks, side="right") - 1
-        ranks -= table[sites]
-        sets[:, i - 1] = sites
-        indices |= np.int64(1) << sites
-    sets.flags.writeable = indices.flags.writeable = False
-    return sets, indices
-
-
-# A readout gathers at most this many entries of its k x k minors at once
-# (16 MiB): all C(20, 10) minors at once would take 296 MB.
-_READOUT_BLOCK = 1 << 20
-
-
-def read_out(orbitals: np.ndarray, hubble: float, t: float) -> StateVector:
-    """The C(N, k) amplitudes of the Slater determinant of the N x k hole
-    orbitals at time t.
-
-    A basis state is the ascending set S of its holes (bits set), and its
-    amplitude is det(orbitals[S]) times the charge term's phase
-    exp(-i h (N - 2k)/4 t), which the determinant cannot carry (it would
-    give k (N - 2)/4).  Each determinant is taken on its own, so the blocks
-    of minors leave the amplitudes' bits as one gather would.
-    """
-    n, k = orbitals.shape
-    sets, indices = _sector(n, k)
-    rows = _READOUT_BLOCK // max(1, k * k)
-    dets = np.empty(len(sets), dtype=np.complex128)  # det(orbitals[S]) for every S
-    for first in range(0, len(sets), rows):
-        dets[first : first + rows] = np.linalg.det(orbitals[sets[first : first + rows]])
-    phase = np.exp(-1j * hubble * (n - 2 * k) / 4 * t)
-    return StateVector(n, indices, phase * dets)
 
 
 # ---------------------------------------------------------------------------
@@ -263,22 +212,4 @@ def exact_evolve_converged(
             message = f"delta {delta:.3e} at {substeps} substeps"
             raise ResourceLimitError(f"{failed}: {message}, and {budget}")
         prev = cur
-
-
-def state_distance(a: StateVector, b: StateVector) -> float:
-    """Norm of the difference after aligning global phases.
-
-    Each state is rotated by the phase of its amplitude at the index where
-    ``b`` (the reference) has its largest magnitude.  Both must hold the
-    same basis states.
-    """
-    if a.n_qubits != b.n_qubits:
-        raise ValueError(f"qubit count mismatch: {a.n_qubits} vs {b.n_qubits}")
-    if not np.array_equal(a.indices, b.indices):
-        raise ValueError("the states hold different basis states")
-    j = int(np.argmax(np.abs(b.amplitudes)))
-    va, vb = a.amplitudes, b.amplitudes
-    pa = va[j] / abs(va[j]) if abs(va[j]) > PHASE_FLOOR else 1.0
-    pb = vb[j] / abs(vb[j])
-    return float(np.linalg.norm(va / pa - vb / pb))
 

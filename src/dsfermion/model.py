@@ -147,20 +147,10 @@ def jw_fermion_op(n_sites: int, x: int) -> np.ndarray:
     return 0.5 * prefactor * (string_x.to_dense() - 1j * string_y.to_dense())
 
 
-@dataclass(frozen=True)
-class BilinearReport:
-    """Max elementwise deviation between fermionic and Pauli realizations."""
-
-    kinetic_dev: float
-    charge_dev: float
-    mass_dev: float
-
-    def max_dev(self) -> float:
-        return max(self.kinetic_dev, self.charge_dev, self.mass_dev)
-
-
-def verify_bilinears(n_sites: int) -> BilinearReport:
-    """Check the three staggered-fermion bilinear identities by dense equality.
+def verify_bilinears(n_sites: int) -> float:
+    """Check the three staggered-fermion bilinear identities by dense
+    equality: the largest elementwise deviation between their fermionic and
+    Pauli realizations.
 
     The Dirac field packs two staggered sites per spinor, psi(X) =
     (chi(X), chi(X+1)) at even X, with a forward difference on the upper
@@ -204,7 +194,7 @@ def verify_bilinears(n_sites: int) -> BilinearReport:
     mass_pauli = parts.mass_term.to_dense()
     mass_dev = float(np.max(np.abs(mass_fermi - mass_pauli)))
 
-    return BilinearReport(kinetic_dev, charge_dev, mass_dev)
+    return max(kinetic_dev, charge_dev, mass_dev)
 
 
 # ---------------------------------------------------------------------------

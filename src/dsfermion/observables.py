@@ -101,13 +101,12 @@ def exact_record(
     )
 
 
-def _shot_mean_and_err(values: np.ndarray, freqs: np.ndarray, scale: float, binary: bool = False):
+def _shot_mean_and_err(values: np.ndarray, freqs: np.ndarray, scale: float):
     """``scale`` times the mean and the standard error (sample std dev /
     sqrt(shots)) of the integer per-outcome ``values`` (a vector, or one row
     per quantity) weighted by the int64 ``freqs``, from the exact sums
-    S1 = sum f v and S2 = sum f v^2, which is S1 when every value is 0 or 1
-    (``binary``); shots S2 - S1^2 can pass 2^63, so it is taken in Python
-    ints."""
+    S1 = sum f v and S2 = sum f v^2; shots S2 - S1^2 can pass 2^63, so it is
+    taken in Python ints."""
     shots = int(freqs.sum())
 
     def one(s1: int, s2: int) -> tuple[float, float]:
@@ -115,8 +114,7 @@ def _shot_mean_and_err(values: np.ndarray, freqs: np.ndarray, scale: float, bina
         var = (shots * s2 - s1 * s1) / (shots * shots * (shots - 1)) if shots > 1 else 0
         return scale * (s1 / shots), scale * math.sqrt(var)
 
-    s1 = values @ freqs
-    sums = s1, s1 if binary else (values * values) @ freqs
+    sums = values @ freqs, (values * values) @ freqs
     return one(*sums) if values.ndim == 1 else tuple(zip(*map(one, *sums)))
 
 
@@ -138,10 +136,9 @@ def estimators_from_counts(counts: ShotCounts, t: float, hubble: float) -> Obser
     volume = math.exp(hubble * t)
     site = _site_observables(occ)
     stats = {
-        name: _shot_mean_and_err(values, freqs, volume, binary=name == "density")
-        for name, values in site.items()
+        name: _shot_mean_and_err(values, freqs, volume) for name, values in site.items()
     }
-    stats["correlation_C"] = _shot_mean_and_err(occ[0] * occ[1], freqs, 1.0, binary=True)
+    stats["correlation_C"] = _shot_mean_and_err(occ[0] * occ[1], freqs, 1.0)
     stats["total_sz"] = _shot_mean_and_err(2 * site["n_total"] - n, freqs, 1.0)
     return ObservableRecord(
         t=t,

@@ -64,12 +64,11 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     multiple of the step mult * 10^e, so rounding it to max(12, 1 - e)
     decimals drops the running sum's error and keeps the ticks distinct."""
     raw = (hi - lo) / 5
-    exponent = math.floor(math.log10(raw))
+    exponent = math.floor(math.log10(raw)) if raw > 0 else 0
     mag = 10 ** exponent
-    for mult in (1, 2, 2.5, 5, 10):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
+    step = next((mult * mag for mult in (1, 2, 2.5, 5, 10) if 0 < raw <= mult * mag), None)
+    if step is None:  # raw or 10^e underflows to 0: no round step exists
+        return [lo, hi]
     first = math.ceil(lo / step) * step
     ticks = []
     value = first

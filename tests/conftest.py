@@ -29,10 +29,10 @@ import numpy as np
 import pytest
 
 from dsfermion.errors import NORM_DRIFT_LIMIT, NormDriftError
-from dsfermion.evolve import TIME_NODES, _propagate, read_out
+from dsfermion.evolve import TIME_NODES, _propagate
 from dsfermion.model import hamiltonian_at, hamiltonian_parts, scale_factor
 from dsfermion.observables import ObservableRecord
-from dsfermion.state import StateVector
+from dsfermion.state import StateVector, read_out
 
 I2 = np.eye(2, dtype=complex)
 PAULI_MATS = {
@@ -184,7 +184,7 @@ def sector_starts(n_sites):
 
 
 def sector_reference(n_sites, k):
-    """evolve._sector's hole sets and indices by the slow reference: every
+    """state._sector's hole sets and indices by the slow reference: every
     k-combination of the sites, sorted by basis index."""
     sets = np.array(list(itertools.combinations(range(n_sites), k)), dtype=np.int64)
     indices = np.sum(np.int64(1) << sets, axis=1)

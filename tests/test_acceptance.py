@@ -12,12 +12,7 @@ import pytest
 from scipy.linalg import expm
 
 from dsfermion import cli
-from dsfermion.evolve import (
-    exact_evolve_converged,
-    read_out,
-    state_distance,
-    trotter_evolve,
-)
+from dsfermion.evolve import exact_evolve_converged, trotter_evolve
 from dsfermion.model import (
     ModelParams,
     hamiltonian_at,
@@ -27,7 +22,7 @@ from dsfermion.model import (
 )
 from dsfermion.observables import estimators_from_counts
 from dsfermion.pauli import PauliString, PauliSum
-from dsfermion.state import sample_z_basis
+from dsfermion.state import read_out, sample_z_basis, state_distance
 
 from conftest import (
     amplitude_record,
@@ -153,7 +148,7 @@ class TestA5StructuralIdentities:
     def test_bilinear_identities(self):
         worst = 0.0
         for n in (4, 6, 8):
-            worst = max(worst, verify_bilinears(n).max_dev())
+            worst = max(worst, verify_bilinears(n))
         assert worst < 1e-12
         report("A5 bilinear identities", f"max deviation {worst:.2e} over N in {{4,6,8}}, tol 1e-12")
 

@@ -259,6 +259,18 @@ class TestRun:
             "chiral.svg", "correlation.svg", "density_heatmap.svg", "polarization.svg"
         ]
 
+    @pytest.mark.parametrize("t_total", ["5e-324", "2e-323", "5e-323"])
+    def test_subnormal_t_total_writes_every_file(self, tmp_path, t_total):
+        # A fifth of the time axis, or its power of ten, underflows to 0, so
+        # no round tick step exists: a traceback or "math domain error" came
+        # after the first four files.  The axis now gets its two ends.
+        argv = f"run --t_total {t_total} --trotter_steps 1 --shots 0 --oracle off"
+        assert cli.main([*argv.split(), "--output_dir", str(tmp_path)]) == cli.EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "chiral.svg", "correlation.svg", "density.csv", "density_heatmap.svg",
+            "observables.csv", "polarization.svg", "summary.json",
+        ]
+
     def test_csv_row_counts(self, tmp_path):
         config = fast_config(tmp_path)
         cli.run(config)
@@ -476,8 +488,9 @@ class TestRun:
         def no_readout(*args):
             raise AssertionError("the run read out amplitudes")
 
-        monkeypatch.setattr(evolve, "_sector", no_readout)
-        monkeypatch.setattr(evolve, "read_out", no_readout)
+        monkeypatch.setattr(state_module, "_sector", no_readout)
+        monkeypatch.setattr(state_module, "read_out", no_readout)
+        monkeypatch.setattr(cli, "read_out", no_readout)
         half_filled = sum(1 << x for x in range(0, 20, 2))
         config = fast_config(tmp_path, n_sites=20, mass=1.0, shots=0, initial_state_index=half_filled)
         assert cli.run(config) == cli.EXIT_OK
@@ -488,30 +501,47 @@ class TestRun:
         # With shots = 0, the Trotter state and the oracle's are each read
         # out once, for state_distance; the oracle's doublings read out nothing.
         calls = []
-        read_out = evolve.read_out
+        read_out = state_module.read_out
 
         def counted(*args):
             calls.append(args[0].shape)
             return read_out(*args)
 
         monkeypatch.setattr(cli, "read_out", counted)
-        monkeypatch.setattr(evolve, "read_out", counted)
+        monkeypatch.setattr(state_module, "read_out", counted)
         argv = ["run", "--preset", "paper-m1", "--shots", "0", "--output_dir", str(tmp_path / "m1")]
         assert cli.main(argv) == cli.EXIT_OK
         assert calls == [(8, 1), (8, 1)]
+
+    def test_shots_and_oracle_read_each_state_out_once(self, tmp_path, monkeypatch):
+        # paper-m1 (10000 shots, oracle on) has 11 snapshots and the oracle's
+        # state: the sampler reuses the oracle's readout of the last snapshot.
+        calls = []
+        read_out = state_module.read_out
+
+        def counted(*args):
+            calls.append(args[2])
+            return read_out(*args)
+
+        monkeypatch.setattr(cli, "read_out", counted)
+        monkeypatch.setattr(state_module, "read_out", counted)
+        argv = ["run", "--preset", "paper-m1", "--output_dir", str(tmp_path / "m1")]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert len(calls) == 12
+        assert sorted(calls[2:]) == pytest.approx([0.1 * i for i in range(10)])
 
     def test_refused_oracle_reads_nothing_out(self, tmp_path, monkeypatch):
         # At h = 2, m = 1 and t = 5 the oracle's phase passes its step budget,
         # so it stops at once, before any snapshot is read out for the shots.
         calls = []
-        read_out = evolve.read_out
+        read_out = state_module.read_out
 
         def counted(*args):
             calls.append(args[0].shape)
             return read_out(*args)
 
         monkeypatch.setattr(cli, "read_out", counted)
-        monkeypatch.setattr(evolve, "read_out", counted)
+        monkeypatch.setattr(state_module, "read_out", counted)
         config = fast_config(tmp_path, hubble=2.0, mass=1.0, t_total=5.0, shots=100, oracle="on")
         with pytest.raises(ResourceLimitError, match="did not converge"):
             cli.run(config)

@@ -9,15 +9,11 @@ from scipy.linalg import expm
 
 from dsfermion.errors import NormDriftError, ResourceLimitError
 from dsfermion import evolve
+import dsfermion.state as state_module
 from dsfermion.model import ModelParams, hamiltonian_at, one_body_parts
-from dsfermion.evolve import (
-    TIME_NODES,
-    exact_evolve_converged,
-    read_out,
-    state_distance,
-    trotter_evolve,
-)
+from dsfermion.evolve import TIME_NODES, exact_evolve_converged, trotter_evolve
 from dsfermion.pauli import PauliString, PauliSum
+from dsfermion.state import read_out, state_distance
 
 from conftest import (
     amplitude_record,
@@ -271,13 +267,23 @@ class TestTrotterEvolve:
         def no_readout(*args):
             raise AssertionError("the Trotter path read out amplitudes")
 
-        monkeypatch.setattr(evolve, "_sector", no_readout)
-        monkeypatch.setattr(evolve, "read_out", no_readout)
+        monkeypatch.setattr(state_module, "_sector", no_readout)
+        monkeypatch.setattr(state_module, "read_out", no_readout)
         half_filled = sum(1 << x for x in range(0, 20, 2))
         params = ModelParams(20, 0.1, 1.0)
         trajectory = trotter_evolve(half_filled, params, 10, 0.1)
         assert [phi.shape for phi in trajectory.orbitals] == [(20, 10)] * 11
         assert all(abs(r.norm - 1.0) < 1e-12 for r in trajectory.records)
+
+    def test_readout_refuses_a_lost_determinant(self):
+        # One step of 2.2e-311 leaves orbital entries below the smallest
+        # normal float.  The LU of the minor on sites {2, 3} takes the
+        # reciprocal of such a pivot, which overflows: its determinant was
+        # NaN, with a RuntimeWarning.
+        t = 2.225073858507e-311
+        trajectory = trotter_evolve(0b0011, ModelParams(4, 0.0, 0.0), 1, t, time_sampling="left")
+        with pytest.raises(ValueError, match="smallest normal float"):
+            read_out(trajectory.orbitals[-1], 0.0, t)
 
     def test_readout_in_blocks_keeps_every_bit(self, monkeypatch):
         # Half filling at N = 10 gathers 252 minors of 5 x 5 in one block;
@@ -286,7 +292,7 @@ class TestTrotterEvolve:
         params = ModelParams(10, 0.1, 1.0)
         trajectory = trotter_evolve(0b0101010101, params, 3, 0.1)
         whole = snapshot_states(trajectory, 0.1)
-        monkeypatch.setattr(evolve, "_READOUT_BLOCK", 10 * 5 * 5)
+        monkeypatch.setattr(state_module, "_READOUT_BLOCK", 10 * 5 * 5)
         blocks = snapshot_states(trajectory, 0.1)
         for a, b in zip(whole, blocks):
             assert a.amplitudes.dtype == b.amplitudes.dtype == np.complex128
@@ -297,7 +303,7 @@ class TestTrotterEvolve:
         # lattice: shapes, dtypes and every entry.
         cases = [(n, k) for n in range(4, 17, 2) for k in range(n + 1)]
         for n, k in cases + [(62, 0), (62, 1), (62, 2), (62, 61), (62, 62)]:
-            sets, indices = evolve._sector(n, k)
+            sets, indices = state_module._sector(n, k)
             ref_sets, ref_indices = sector_reference(n, k)
             assert sets.dtype == indices.dtype == np.int64, (n, k)
             assert sets.shape == ref_sets.shape, (n, k)
@@ -432,8 +438,8 @@ class TestExactEvolve:
         def no_readout(*args):
             raise AssertionError("the oracle read out amplitudes")
 
-        monkeypatch.setattr(evolve, "_sector", no_readout)
-        monkeypatch.setattr(evolve, "read_out", no_readout)
+        monkeypatch.setattr(state_module, "_sector", no_readout)
+        monkeypatch.setattr(state_module, "read_out", no_readout)
         half_filled = sum(1 << x for x in range(0, 20, 2))
         result = exact_evolve_converged(half_filled, ModelParams(20, 0.1, 1.0), 1.0)
         assert result.orbitals.shape == (20, 10)

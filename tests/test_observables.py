@@ -7,10 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dsfermion.evolve import read_out, trotter_evolve
+from dsfermion.evolve import trotter_evolve
 from dsfermion.model import ModelParams
 from dsfermion.observables import estimators_from_counts, exact_record, slater_norm
-from dsfermion.state import ShotCounts, sample_z_basis
+from dsfermion.state import ShotCounts, read_out, sample_z_basis
 
 from conftest import (
     amplitude_record,

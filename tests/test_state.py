@@ -11,12 +11,12 @@ from scipy.linalg import expm
 from scipy.stats import chisquare
 
 from dsfermion.errors import NormDriftError
-from dsfermion.evolve import read_out, trotter_evolve
+from dsfermion.evolve import trotter_evolve
 from dsfermion.model import ModelParams, hamiltonian_at, hamiltonian_parts
 from dsfermion.observables import exact_record
 from dsfermion.pauli import PauliString, PauliSum, single_site
 import dsfermion.state as state_module
-from dsfermion.state import ShotCounts, StateVector, sample_z_basis
+from dsfermion.state import ShotCounts, StateVector, read_out, sample_z_basis
 
 from conftest import (
     apply_pauli_rotation,
