@@ -210,9 +210,15 @@ def _write_text(path: str, text: str) -> None:
 
 def _write_csv(path: str, header: str, rows) -> None:
     """One line per row of raw values: a number with 17 significant digits,
-    None (no value) as an empty cell."""
-    lines = [header]
-    lines.extend(",".join(["" if v is None else f"{v:.17g}" for v in row]) for row in rows)
+    None (no value) as an empty cell.  Each row is one ``%`` template, built
+    once per pattern of None cells ("%.0s" prints None as nothing)."""
+    lines, templates = [header], {}
+    for row in rows:
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds) or templates.setdefault(
+            kinds, ",".join(["%.0s" if v is None else "%.17g" for v in row])
+        )
+        lines.append(template % tuple(row))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -254,11 +260,38 @@ def write_observables_csv(
     _write_csv(path, "t,n_total,C,C_err,p_over_e,p_ratio,c,c_err,energy,total_sz,norm", rows)
 
 
+def _json(value, indent: str) -> str:
+    """``value`` at ``indent`` as json.dumps(value, indent=2, sort_keys=True,
+    default=vars, allow_nan=False) writes it (dict keys are strings), without
+    the pure-Python encoder that ``indent`` puts ``json`` on."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if not isinstance(value, (list, tuple, dict)):
+        return _json(vars(value), indent)
+    if not value:
+        return "[]" if isinstance(value, (list, tuple)) else "{}"
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{_json(k, inner)}: {_json(v, inner)}" for k, v in sorted(value.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    items = [_json(v, inner) for v in value]
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
 def write_summary_json(path: str, payload: dict) -> None:
     """``payload`` as strict JSON: records and configs as their fields
     (``vars``), None as null; a NaN or infinity raises ValueError."""
-    text = json.dumps(payload, indent=2, sort_keys=True, default=vars, allow_nan=False)
-    _write_text(path, text + "\n")
+    _write_text(path, _json(payload, "") + "\n")
 
 
 def _config_meta(config: RunConfig) -> str:

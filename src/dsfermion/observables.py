@@ -101,30 +101,14 @@ def exact_record(
     )
 
 
-def _shot_mean_and_err(values: np.ndarray, freqs: np.ndarray, scale: float):
-    """``scale`` times the mean and the standard error (sample std dev /
-    sqrt(shots)) of the integer per-outcome ``values`` (a vector, or one row
-    per quantity) weighted by the int64 ``freqs``, from the exact sums
-    S1 = sum f v and S2 = sum f v^2; shots S2 - S1^2 can pass 2^63, so it is
-    taken in Python ints."""
-    shots = int(freqs.sum())
-
-    def one(s1: int, s2: int) -> tuple[float, float]:
-        s1, s2 = int(s1), int(s2)
-        var = (shots * s2 - s1 * s1) / (shots * shots * (shots - 1)) if shots > 1 else 0
-        return scale * (s1 / shots), scale * math.sqrt(var)
-
-    sums = values @ freqs, (values * values) @ freqs
-    return one(*sums) if values.ndim == 1 else tuple(zip(*map(one, *sums)))
-
-
 def estimators_from_counts(counts: ShotCounts, t: float, hubble: float) -> ObservableRecord:
     """Replace quantum expectations by shot-frequency averages, each with its
-    standard error.  Every per-shot value is an integer (a site's occupation,
-    N - popcount, the sums of x o_x and (-1)^x o_x, o_0 o_1, N - 2 popcount),
-    so its sums over the outcomes are exact; e^{ht} scales the estimates
-    rounded from them.  Neither the energy nor the norm is measurable in a
-    single Z-basis setting; both are None.
+    standard error (sample std dev / sqrt(shots)).  Every per-shot value is an
+    integer (a site's occupation, N - popcount, the sums of x o_x and
+    (-1)^x o_x, o_0 o_1, N - 2 popcount), so its sums S1 = sum f v and
+    S2 = sum f v^2 are exact, and shots S2 - S1^2, which can pass 2^63, is a
+    Python int; e^{ht} scales the estimates rounded from them.  Neither the
+    energy nor the norm is measurable in a single Z-basis setting; both are None.
     """
     if not counts.outcomes.size:
         raise ValueError("empty shot counts")
@@ -133,18 +117,26 @@ def estimators_from_counts(counts: ShotCounts, t: float, hubble: float) -> Obser
     # bit x of ~outcome is set (n < 64, so the sign bit is never read).
     occ = ~counts.outcomes >> np.arange(n, dtype=np.int64)[:, None]
     occ &= 1
-    volume = math.exp(hubble * t)
     site = _site_observables(occ)
-    stats = {
-        name: _shot_mean_and_err(values, freqs, volume) for name, values in site.items()
-    }
-    stats["correlation_C"] = _shot_mean_and_err(occ[0] * occ[1], freqs, 1.0)
-    stats["total_sz"] = _shot_mean_and_err(2 * site["n_total"] - n, freqs, 1.0)
+    names = ("n_total", "polarization_over_e", "chiral_c", "correlation_C", "total_sz")
+    # One row per quantity: the N densities, then the fields in ``names``.
+    values = np.vstack([occ, *map(site.get, names[:3]), occ[0] * occ[1], 2 * site["n_total"] - n])
+    shots = int(freqs.sum())
+    sums = zip((values @ freqs).tolist(), ((values * values) @ freqs).tolist())
+    # e^{ht} scales the densities, n_total, polarization and chiral condensate.
+    volume = math.exp(hubble * t)
+    scales = [volume] * (n + 3) + [1.0, 1.0]
+    means, errs = [], []
+    for scale, (s1, s2) in zip(scales, sums):
+        var = (shots * s2 - s1 * s1) / (shots * shots * (shots - 1)) if shots > 1 else 0
+        means.append(scale * (s1 / shots))
+        errs.append(scale * math.sqrt(var))
     return ObservableRecord(
         t=t,
-        **{name: mean for name, (mean, _) in stats.items()},
+        density=tuple(means[:n]),
+        **dict(zip(names, means[n:])),
         energy=None,
         norm=None,
         source="shots",
-        shot_errors=ShotErrors(**{name: err for name, (_, err) in stats.items()}),
+        shot_errors=ShotErrors(tuple(errs[:n]), **dict(zip(names, errs[n:]))),
     )

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 WIDTH = 640
 HEIGHT = 440
 MARGIN_LEFT = 72
@@ -24,12 +26,10 @@ MARGIN_BOTTOM = 56
 
 LINE_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
-_VIRIDIS_ANCHORS = (
-    (0.00, (68, 1, 84)),
-    (0.25, (59, 82, 139)),
-    (0.50, (33, 145, 140)),
-    (0.75, (94, 201, 98)),
-    (1.00, (253, 231, 37)),
+# The five viridis anchors of the module docstring: values and RGB colors.
+_VIRIDIS_STOPS = np.array((0.00, 0.25, 0.50, 0.75, 1.00))
+_VIRIDIS_RGB = np.array(
+    ((68, 1, 84), (59, 82, 139), (33, 145, 140), (94, 201, 98), (253, 231, 37)), dtype=np.float64
 )
 
 
@@ -48,15 +48,17 @@ def _tick_labels(values: list[float]) -> list[str]:
     return labels
 
 
-def viridis(v: float) -> str:
-    """Hex color for v in [0, 1] from the fixed anchor gradient."""
-    v = min(max(v, 0.0), 1.0)
-    for (v0, c0), (v1, c1) in zip(_VIRIDIS_ANCHORS, _VIRIDIS_ANCHORS[1:]):
-        if v <= v1:
-            f = 0.0 if v1 == v0 else (v - v0) / (v1 - v0)
-            rgb = tuple(round(a + f * (b - a)) for a, b in zip(c0, c1))
-            return "#{:02x}{:02x}{:02x}".format(*rgb)
-    return "#fde725"  # pragma: no cover
+def viridis(values: np.ndarray) -> list[str]:
+    """Hex colors of the finite ``values`` from the fixed anchor gradient, in
+    row-major order: each value v is clipped to [0, 1], placed between the
+    first anchor v1 with v <= v1 and the anchor v0 before it, and each channel
+    c0 + f (c1 - c0), f = (v - v0) / (v1 - v0), is rounded half to even."""
+    v = np.clip(values, 0.0, 1.0).ravel()
+    upper = np.searchsorted(_VIRIDIS_STOPS[1:], v) + 1
+    v0, v1 = _VIRIDIS_STOPS[upper - 1], _VIRIDIS_STOPS[upper]
+    c0, c1 = _VIRIDIS_RGB[upper - 1], _VIRIDIS_RGB[upper]
+    rgb = np.rint(c0 + ((v - v0) / (v1 - v0))[:, None] * (c1 - c0)).astype(np.int64)
+    return ["#%06x" % code for code in (rgb @ (1 << 16, 1 << 8, 1)).tolist()]
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
@@ -206,8 +208,8 @@ def heatmap(
     meta: str | None = None,
 ) -> str:
     """Heatmap of values[i][j] at (xs[i], ys[j]); color range auto-scales."""
-    flat = [v for row in values for v in row]
-    vlo, vhi = min(flat), max(flat)
+    grid = np.array(values, dtype=np.float64)
+    vlo, vhi = float(grid.min()), float(grid.max())
     if vhi <= vlo:
         vhi = vlo + 1.0
 
@@ -216,15 +218,14 @@ def heatmap(
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
     cell_w = plot_w / len(xs)
     cell_h = plot_h / len(ys)
-    for i, _ in enumerate(xs):
-        for j, _ in enumerate(ys):
-            v = (values[i][j] - vlo) / (vhi - vlo)
-            px = MARGIN_LEFT + i * cell_w
-            py = HEIGHT - MARGIN_BOTTOM - (j + 1) * cell_h
-            parts.append(
-                f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(cell_w + 0.5)}" '
-                f'height="{_fmt(cell_h + 0.5)}" fill="{viridis(v)}"/>'
-            )
+    columns = [_fmt(MARGIN_LEFT + i * cell_w) for i in range(len(xs))]
+    rows = [_fmt(HEIGHT - MARGIN_BOTTOM - (j + 1) * cell_h) for j in range(len(ys))]
+    size = f'width="{_fmt(cell_w + 0.5)}" height="{_fmt(cell_h + 0.5)}"'
+    cells = ((px, py) for px in columns for py in rows)
+    parts.extend(
+        f'<rect x="{px}" y="{py}" {size} fill="{fill}"/>'
+        for (px, py), fill in zip(cells, viridis((grid - vlo) / (vhi - vlo)))
+    )
     # Axis labels at cell centers (sparse if many).
     x_stride = max(1, len(xs) // 8)
     for i, label in zip(range(0, len(xs), x_stride), _tick_labels(xs[::x_stride])):
@@ -237,13 +238,10 @@ def heatmap(
     # Color bar.
     bar_x = MARGIN_LEFT + plot_w + 16
     bar_steps = 32
-    for k in range(bar_steps):
-        frac = k / (bar_steps - 1)
+    bar_size = f'width="16" height="{_fmt(plot_h / bar_steps + 0.5)}"'
+    for k, fill in enumerate(viridis(np.arange(bar_steps) / (bar_steps - 1))):
         py = HEIGHT - MARGIN_BOTTOM - (k + 1) * plot_h / bar_steps
-        parts.append(
-            f'<rect x="{bar_x}" y="{_fmt(py)}" width="16" '
-            f'height="{_fmt(plot_h / bar_steps + 0.5)}" fill="{viridis(frac)}"/>'
-        )
+        parts.append(f'<rect x="{bar_x}" y="{_fmt(py)}" {bar_size} fill="{fill}"/>')
     low, high = _tick_labels([vlo, vhi])
     parts.extend((
         _text(bar_x + 8, HEIGHT - MARGIN_BOTTOM + 16, low, size=10),

@@ -18,10 +18,15 @@ energy, and ``exact_evolve`` reads out the midpoint-sampled oracle.
 ``amplitude_record`` weights per-basis-state values by |amplitude|^2: it is
 the slow reference for the Wick record that the package takes from the hole
 orbitals, and it reads any state, Slater determinant or not.
+The output references work one value at a time: the scalar viridis color,
+the per-cell CSV line, ``json``'s own indented encoder and the per-quantity
+shot mean and error are the slow references for the package's writers and
+shot estimators.
 """
 
 import functools
 import itertools
+import json
 import math
 from dataclasses import dataclass
 
@@ -31,7 +36,7 @@ import pytest
 from dsfermion.errors import NORM_DRIFT_LIMIT, NormDriftError
 from dsfermion.evolve import TIME_NODES, _propagate
 from dsfermion.model import hamiltonian_at, hamiltonian_parts, scale_factor
-from dsfermion.observables import ObservableRecord
+from dsfermion.observables import ObservableRecord, ShotErrors, _site_observables
 from dsfermion.state import StateVector, read_out
 
 I2 = np.eye(2, dtype=complex)
@@ -243,6 +248,79 @@ def bond_mask_trotter_orbitals(start, params, steps, dt, time_sampling="midpoint
     by the slow reference: N + 1 N x N exponentials per step, through ``eigh``."""
     scheme = bond_mask_scheme(params.n_sites, TIME_NODES[time_sampling])
     return _propagate(start, params, steps * dt, steps, scheme)
+
+
+# The five anchors of the heatmap's viridis gradient (svg's module docstring).
+VIRIDIS_ANCHORS = (
+    (0.00, (68, 1, 84)),
+    (0.25, (59, 82, 139)),
+    (0.50, (33, 145, 140)),
+    (0.75, (94, 201, 98)),
+    (1.00, (253, 231, 37)),
+)
+
+
+def viridis_reference(v):
+    """Hex color of one value from the anchor gradient, in Python floats:
+    the slow reference for svg.viridis."""
+    v = min(max(v, 0.0), 1.0)
+    for (v0, c0), (v1, c1) in zip(VIRIDIS_ANCHORS, VIRIDIS_ANCHORS[1:]):
+        if v <= v1:
+            f = (v - v0) / (v1 - v0)
+            rgb = tuple(round(a + f * (b - a)) for a, b in zip(c0, c1))
+            return "#{:02x}{:02x}{:02x}".format(*rgb)
+    raise AssertionError(f"no anchor interval holds {v!r}")
+
+
+def csv_line_reference(row):
+    """One CSV line formatted cell by cell, a number with 17 significant
+    digits and None as an empty cell: the slow reference for cli._write_csv."""
+    return ",".join(["" if v is None else f"{v:.17g}" for v in row])
+
+
+def json_reference(payload):
+    """``json``'s own strict, indented encoding with sorted keys and records as
+    their fields: the slow reference for cli.write_summary_json."""
+    return json.dumps(payload, indent=2, sort_keys=True, default=vars, allow_nan=False)
+
+
+def shot_mean_and_err_reference(values, freqs, scale):
+    """``scale`` times the mean and the standard error (sample std dev /
+    sqrt(shots)) of the integer per-outcome ``values`` (a vector, or one row
+    per quantity) weighted by the int64 ``freqs``, from the exact sums
+    S1 = sum f v and S2 = sum f v^2, one quantity at a time; shots S2 - S1^2
+    is taken in Python ints."""
+    shots = int(freqs.sum())
+
+    def one(s1, s2):
+        s1, s2 = int(s1), int(s2)
+        var = (shots * s2 - s1 * s1) / (shots * shots * (shots - 1)) if shots > 1 else 0
+        return scale * (s1 / shots), scale * math.sqrt(var)
+
+    sums = values @ freqs, (values * values) @ freqs
+    return one(*sums) if values.ndim == 1 else tuple(zip(*map(one, *sums)))
+
+
+def estimators_reference(counts, t, hubble):
+    """The shot record of ``counts`` with each quantity's mean and error taken
+    on its own: the slow reference for observables.estimators_from_counts."""
+    n, freqs = counts.n_qubits, counts.freqs
+    occ = (~counts.outcomes >> np.arange(n, dtype=np.int64)[:, None]) & 1
+    volume = math.exp(hubble * t)
+    site = _site_observables(occ)
+    stats = {
+        name: shot_mean_and_err_reference(values, freqs, volume) for name, values in site.items()
+    }
+    stats["correlation_C"] = shot_mean_and_err_reference(occ[0] * occ[1], freqs, 1.0)
+    stats["total_sz"] = shot_mean_and_err_reference(2 * site["n_total"] - n, freqs, 1.0)
+    return ObservableRecord(
+        t=t,
+        **{name: mean for name, (mean, _) in stats.items()},
+        energy=None,
+        norm=None,
+        source="shots",
+        shot_errors=ShotErrors(**{name: err for name, (_, err) in stats.items()}),
+    )
 
 
 def counts_dict(counts):

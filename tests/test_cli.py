@@ -10,12 +10,16 @@ import sys
 import threading
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 import dsfermion.state as state_module
 from dsfermion import cli, evolve, svg
 from dsfermion.errors import SHOT_LIMIT, NormDriftError, ResourceLimitError
+from dsfermion.observables import ObservableRecord, ShotErrors
 from dsfermion.pauli import PauliString, PauliSum
+
+from conftest import csv_line_reference, json_reference, viridis_reference
 
 
 def fast_config(tmp_path, **overrides):
@@ -234,7 +238,7 @@ class TestRun:
         root = ET.parse(tmp_path / "density_heatmap.svg").getroot()
         cells = [node for node in root if node.get("height") == "42.50"]
         assert len(cells) == 11 * 8
-        assert {node.get("fill") for node in cells} == {svg.viridis(0.0)}
+        assert {node.get("fill") for node in cells} == {viridis_reference(0.0)}
         assert [node.text for node in root if node.get("font-size") == "10"] == ["1", "2"]
 
     def test_chart_flat_up_to_rounding_finishes(self, tmp_path):
@@ -331,10 +335,11 @@ class TestRun:
         config = fast_config(tmp_path, shots=300)
         cli.run(config)
         out = tmp_path / "run"
-        density = (out / "density.csv").read_bytes()
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert sorted(before) == sorted(RUN_OUTPUTS)
         code = cli.main(["run", "--config", str(out / "summary.json")])
         assert code == 0
-        assert (out / "density.csv").read_bytes() == density
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_oracle_report_in_summary(self, tmp_path):
         config = fast_config(tmp_path, oracle="on", shots=0)
@@ -640,6 +645,98 @@ class TestOutputFormats:
         assert len(files) == 3 * len(RUN_OUTPUTS) + 1
         for path in files:
             assert b"\r" not in path.read_bytes(), path
+
+
+class TestWritersMatchReferences:
+    """Each writer's fast path against its slow reference in conftest, bit for bit."""
+
+    def test_viridis_matches_scalar_reference(self, rng):
+        # Inputs are finite: a NaN density comes only from a NaN norm, and the
+        # norm-drift check stops such a run before any plot is drawn.
+        anchors = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        beside = np.concatenate([np.nextafter(anchors, -1.0), np.nextafter(anchors, 2.0)])
+        # On this dyadic grid many channels land on a half: 0.3125 gives red
+        # 59 - 26/4 = 52.5, which rounds to even 52, and 0.125 gives red
+        # 68 - 9/2 = 63.5, which rounds to even 64.
+        dyadic = np.arange(1025) / 1024
+        outside = np.array([-1e300, -1.0, -0.0, 1.5, 1e300])
+        values = np.concatenate([anchors, beside, dyadic, outside, rng.random(10_000)])
+        assert svg.viridis(values) == [viridis_reference(v) for v in values.tolist()]
+        assert viridis_reference(0.3125)[:3] == "#34" and viridis_reference(0.125)[:3] == "#40"
+        grid = rng.uniform(-0.2, 1.2, size=(7, 5))  # row-major, as heatmap passes it
+        assert svg.viridis(grid) == [viridis_reference(v) for row in grid.tolist() for v in row]
+
+    def test_csv_matches_per_cell_reference(self, tmp_path, monkeypatch):
+        written = []
+        write_csv = cli._write_csv
+
+        def capture(path, header, rows):
+            written.append((path, header, rows))
+            write_csv(path, header, rows)
+
+        monkeypatch.setattr(cli, "_write_csv", capture)
+        write_sample_outputs(tmp_path)
+        # None in every position, ints, signed zeros, subnormals and non-finite
+        # values; (None, 0.1, 3) comes twice, so its template is reused.
+        odd = [
+            (None, 0.1, 3), (0.1, None, 3), (None, None, None), (-0.0, 5e-324, 2**60),
+            (float("inf"), float("-inf"), float("nan")), (None, 0.1, 3), (True, 1 / 3, 1e16),
+        ]
+        capture(str(tmp_path / "odd.csv"), "a,b,c", odd)
+        assert len(written) == 2 * 3 + 1
+        for path, header, rows in written:
+            lines = [header, *map(csv_line_reference, rows)]
+            with open(path, encoding="utf-8", newline="") as fh:
+                assert fh.read() == "\n".join(lines) + "\n", path
+
+    def test_json_matches_json_module(self, tmp_path, monkeypatch):
+        written = []
+        write_summary_json = cli.write_summary_json
+
+        def capture(path, payload):
+            written.append((path, payload))
+            write_summary_json(path, payload)
+
+        monkeypatch.setattr(cli, "write_summary_json", capture)
+        for preset in sorted(cli.PRESETS):
+            out = str(tmp_path / preset)
+            assert cli.main(["run", "--preset", preset, "--output_dir", out]) == cli.EXIT_OK
+            argv = ["sweep", "--preset", preset, "--parameter", "shots", "--values", "0,500",
+                    "--output_dir", out + "-sweep"]
+            assert cli.main(argv) == cli.EXIT_OK
+        assert sorted(os.path.basename(path) for path, _ in written) == (
+            ["summary.json"] * 6 + ["sweep_index.json"] * 2
+        )
+        errors = ShotErrors((0.5, 0.25), 1.0, 0.0, -0.0, 1e-310, 2.0)
+        record = ObservableRecord(
+            0.1, (1.0, 0.0), 1.0, 0.0, 2.0, -1.0, None, 0.0, 1.0, "shots", errors
+        )
+        odd = {
+            "empty": [[], {}, ()],
+            "flags": [True, False, None],
+            "text": ["naïve", "Ωmega – “quoted” \"\\\n\t", "\u0000", "\U0001f600"],
+            "numbers": [0, -1, 2**70, 0.1, -0.0, 5e-324, 1e300, 1 / 3],
+            "records": [cli.RunConfig(output_dir="ω"), {"nested": [record], "tuple": (1.5,)}],
+        }
+        capture(str(tmp_path / "odd.json"), odd)
+        for path, payload in written:
+            text = json_reference(payload) + "\n"
+            assert cli._json(payload, "") + "\n" == text
+            with open(path, encoding="utf-8", newline="") as fh:
+                assert fh.read() == text, path
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_summary_json_refuses_non_finite(self, tmp_path, value):
+        # The bad value sits deep in the payload, after text for other keys has
+        # been formed; still no file is written.
+        path = tmp_path / "summary.json"
+        payload = {"a": [1.0, "x"], "config": cli.RunConfig(hubble=value), "z": None}
+        with pytest.raises(ValueError) as got:
+            cli.write_summary_json(str(path), payload)
+        with pytest.raises(ValueError) as expected:
+            json_reference(payload)
+        assert str(got.value) == str(expected.value)  # a sweep point's status quotes it
+        assert not path.exists()
 
 
 class TestVerify:

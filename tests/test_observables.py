@@ -16,6 +16,7 @@ from conftest import (
     amplitude_record,
     basis_state,
     basis_orbitals,
+    estimators_reference,
     hole_circular_variance,
     random_orbitals,
     record_deviation,
@@ -253,6 +254,29 @@ class TestExactShotEstimates:
                     if name == "density":
                         value = tuple(zip(*value))
                     assert got == value, (n, name)
+
+    def test_matches_per_quantity_reference(self):
+        # The stacked sums against the reference that takes each quantity on
+        # its own.  At 2^28 shots, shots * S2 passes 2^63 for the
+        # polarization, so the variance must be taken in Python ints.
+        rng = np.random.default_rng(32)
+        largest = 0
+        for n in range(2, 13):
+            for shots in (1, 2, 1 << 28):
+                for _ in range(4):
+                    size = int(rng.integers(1, min(shots, 1 << n, 40) + 1))
+                    outcomes = np.sort(rng.choice(1 << n, size=size, replace=False))
+                    freqs = rng.multinomial(shots - size, np.full(size, 1 / size)) + 1
+                    counts = ShotCounts(n, outcomes, freqs)
+                    t = float(rng.uniform(0.0, 2.0))
+                    got = estimators_from_counts(counts, t, 0.3)
+                    assert repr(got) == repr(estimators_reference(counts, t, 0.3)), (n, shots)
+                    polarization = [
+                        sum(x for x in range(n) if not o >> x & 1) for o in outcomes.tolist()
+                    ]
+                    s2 = sum(f * p * p for f, p in zip(freqs.tolist(), polarization))
+                    largest = max(largest, shots * s2)
+        assert largest > 1 << 63
 
     def test_volume_scales_the_rounded_estimate(self):
         # e^{ht} multiplies the estimate at t = 0, which is rounded once, and
