@@ -45,7 +45,7 @@ from .evolve import exact_evolve_converged, trotter_evolve
 from .model import ModelParams, hamiltonian_at, hamiltonian_parts, n8_fixture, verify_bilinears
 from .observables import ObservableRecord, estimators_from_counts
 from .pauli import PauliSum
-from .state import read_out, sample_z_basis, state_distance
+from .state import read_out, sample_z_basis, snapshot_blocks, state_distance
 from .svg import Series, heatmap, line_chart
 
 EXIT_OK = 0
@@ -371,17 +371,19 @@ def run(config: RunConfig) -> int:
 
     shot_records = None
     if config.shots > 0:
-        # One sampler call per run: it pulls the readouts as it goes (the last
-        # one is the oracle check's, if any) and samples snapshot i with key seed + i.
-        states = (
-            final if final is not None and rec is records[-1]
-            else read_out(orbitals, config.hubble, rec.t)
-            for rec, orbitals in zip(records, trajectory.orbitals)
-        )
-        shot_records = [
-            estimators_from_counts(counts, rec.t, config.hubble)
-            for rec, counts in zip(records, sample_z_basis(states, config.shots, config.seed))
-        ]
+        # Each snapshot is read out once, a block at a time (the last one by
+        # the oracle check, if any), and snapshot i samples with key seed + i.
+        count, n, k = trajectory.orbitals.shape
+        times = [rec.t for rec in records]
+        blocks = snapshot_blocks(count - (final is not None), n, k)
+        shot_records = []
+        for block in blocks + [slice(count - 1, count)] * (final is not None):
+            states = (
+                final if final is not None and block.stop == count
+                else read_out(trajectory.orbitals[block], config.hubble, times[block])
+            )
+            counts = sample_z_basis(states, config.shots, config.seed + block.start)
+            shot_records += estimators_from_counts(counts, times[block], config.hubble)
 
     charge_drift = max(abs(r.total_sz - records[0].total_sz) for r in records)
     norm_drift = max(abs(r.norm - 1.0) for r in records)

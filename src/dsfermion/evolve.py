@@ -20,6 +20,7 @@ from .errors import NORM_DRIFT_LIMIT, ORACLE_SUBSTEP_BUDGET, ORACLE_TOL
 from .errors import NormDriftError, ResourceLimitError
 from .model import ModelParams, one_body_parts, scale_factor
 from .observables import ObservableRecord, exact_record, slater_norm
+from .state import snapshot_blocks
 
 # Where a step of width dt samples e^{h t}, as a fraction of dt.
 TIME_NODES = {"left": 0.0, "midpoint": 0.5}
@@ -27,11 +28,11 @@ TIME_NODES = {"left": 0.0, "midpoint": 0.5}
 
 @dataclass
 class Trajectory:
-    """Snapshot records (each holds its time) and N x k hole orbitals; a
-    snapshot's state is the Slater determinant of its orbitals."""
+    """Snapshot records (each holds its time) and the S snapshots' (S, N, k)
+    hole orbitals; a snapshot's state is the Slater determinant of its own."""
 
     records: list[ObservableRecord]
-    orbitals: list[np.ndarray]
+    orbitals: np.ndarray
 
 
 def trotter_evolve(
@@ -45,9 +46,9 @@ def trotter_evolve(
     """Evolve the hole orbitals of the basis state ``start`` by ``steps``
     Trotter steps of width ``dt``, each sampling e^{h t} at its
     ``time_sampling`` node (TIME_NODES).  Check the norm after every step and
-    record the orbitals and their observables every ``snapshot_every`` steps
-    (the t = 0 snapshot and the final step are always recorded).  No C(N, k)
-    amplitude is formed."""
+    keep the orbitals every ``snapshot_every`` steps (the t = 0 snapshot and
+    the final step are always kept), then record them in blocks, each with
+    the norm its step checked.  No C(N, k) amplitude is formed."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if steps > 0 and dt <= 0:
@@ -61,28 +62,35 @@ def trotter_evolve(
     hopping, mass = one_body_parts(n)
     # A Slater determinant's energy is tr(Phi^dag h1(t) Phi) + h (N - 2k)/4.
     charge = params.hubble * (n - 2 * len(holes)) / 4
-    trajectory = Trajectory(records=[], orbitals=[])
+    count = 1 + steps // snapshot_every + (steps % snapshot_every > 0)
+    kept = np.empty((count, n, len(holes)), dtype=np.complex128)
+    times, energies, norms = [], [], []
 
-    def snapshot(orbitals: np.ndarray, t_now: float) -> None:
+    def snapshot(orbitals: np.ndarray, t_now: float, norm: float) -> None:
         h1 = hopping + params.mass * scale_factor(params, t_now) * mass
-        energy = np.vdot(orbitals, h1 @ orbitals).real + charge
-        trajectory.records.append(exact_record(orbitals, t_now, params.hubble, energy=energy))
-        trajectory.orbitals.append(orbitals)
+        energies.append(np.vdot(orbitals, h1 @ orbitals).real + charge)
+        kept[len(times)] = orbitals
+        times.append(t_now)
+        norms.append(norm)
 
     orbitals = np.eye(n)[:, holes]
-    snapshot(orbitals, 0.0)
+    snapshot(orbitals, 0.0, slater_norm(orbitals))
     bonds = _bond_layer(hopping, dt)
     node = TIME_NODES[time_sampling]
     for k in range(steps):
         scale = params.mass * math.exp(params.hubble * (k * dt + node * dt))
         orbitals = np.exp(-1j * dt * scale * mass.diagonal())[:, None] * (bonds @ orbitals)
-        drift = abs(slater_norm(orbitals) - 1.0)
+        norm = slater_norm(orbitals)
+        drift = abs(norm - 1.0)
         if not drift <= NORM_DRIFT_LIMIT:  # a NaN norm fails too
             message = f"state norm drifted by {drift:.3e} (> {NORM_DRIFT_LIMIT:g})"
             raise NormDriftError(f"step {k + 1} of {steps}: {message}")
         if (k + 1) % snapshot_every == 0 or k + 1 == steps:
-            snapshot(orbitals, (k + 1) * dt)
-    return trajectory
+            snapshot(orbitals, (k + 1) * dt, norm)
+    records = []
+    for b in snapshot_blocks(count, n, len(holes)):
+        records += exact_record(kept[b], times[b], params.hubble, energies[b], norms[b])
+    return Trajectory(records=records, orbitals=kept)
 
 
 def _start_holes(start: int, n_sites: int) -> list[int]:

@@ -8,6 +8,7 @@ product expectation n(0) n(1) of site occupations.
 
 A shot estimate comes from exact int64 sums over the outcomes, rounded only
 at the end: it depends on neither the outcome order, the cores nor BLAS.
+Records come a block of snapshots at a time, each with a lone snapshot's bits.
 """
 
 from __future__ import annotations
@@ -55,88 +56,86 @@ def slater_norm(orbitals: np.ndarray) -> float:
     return math.sqrt(abs(np.linalg.det(orbitals.conj().T @ orbitals)))
 
 
-def _site_observables(occ: np.ndarray, volume: float = 1) -> dict[str, np.ndarray]:
-    """The observables linear in the site occupations ``occ`` (sites along
-    axis 0: a vector, or one column per shot outcome) times ``volume``,
-    keyed by their ObservableRecord fields.  Integer occupations with the
-    default volume give integer values."""
-    n_sites = occ.shape[0]
+def _site_observables(occ: np.ndarray, volume=1) -> dict[str, np.ndarray]:
+    """The observables linear in the site occupations ``occ`` (a row of sites
+    per snapshot or shot outcome) times ``volume`` (1, or one per row), keyed
+    by their ObservableRecord fields.  Integer occupations with the default
+    volume give integer values."""
+    n_sites = occ.shape[1]
     if n_sites < 2:
         raise ValueError("density correlation needs at least two sites")
     positions = np.arange(n_sites, dtype=occ.dtype)
-    density = occ if volume == 1 else volume * occ
+    density = np.asarray(volume)[..., None] * occ
+    rows = occ[:, None, :]  # a dot per row, not one gemv: a row's bits are its own
     return {
         "density": density,
-        "n_total": density.sum(axis=0),
-        "polarization_over_e": volume * (positions @ occ),
-        "chiral_c": volume * ((1 - 2 * (positions % 2)) @ occ),
+        "n_total": density.sum(axis=1),
+        "polarization_over_e": volume * (rows @ positions[:, None])[:, 0, 0],
+        "chiral_c": volume * (rows @ (1 - 2 * (positions % 2))[:, None])[:, 0, 0],
     }
 
 
 def exact_record(
-    orbitals: np.ndarray, t: float, hubble: float, energy: float | None = None
-) -> ObservableRecord:
-    """Assemble a snapshot record from the N x k hole orbitals Phi of a
-    Slater determinant, by Wick's theorem on G = Phi Phi^dag: site x holds
-    a hole with probability G_xx, and sites 0 and 1 both hold holes with
-    probability G_00 G_11 - |G_01|^2.
+    orbitals: np.ndarray, times, hubble: float, energies, norms
+) -> list[ObservableRecord]:
+    """The records of a block of snapshots from their (S, N, k) hole orbitals
+    Phi, by Wick's theorem on G = Phi Phi^dag: site x holds a hole with
+    probability G_xx, and sites 0 and 1 both hold holes with probability
+    G_00 G_11 - |G_01|^2.  Each snapshot's values have the bits it would have
+    alone.  The caller supplies the energies (they need the Hamiltonian,
+    which this module deliberately does not know about) and the norms."""
+    g = orbitals @ orbitals.conj().swapaxes(1, 2)
+    occ = 1.0 - g.diagonal(axis1=1, axis2=2).real
+    site = _site_observables(occ, np.array([math.exp(hubble * t) for t in times]))
+    # C in Python scalars: numpy's |z| of an array can differ from a scalar's in the last bit.
+    pairs = zip(occ[:, 0].tolist(), occ[:, 1].tolist(), g[:, 0, 1].tolist())
+    columns = {name: site[name].tolist() for name in ("n_total", "polarization_over_e", "chiral_c")}
+    columns["correlation_C"] = [occ0 * occ1 - abs(g01) ** 2 for occ0, occ1, g01 in pairs]
+    columns["total_sz"] = (occ.shape[1] - 2.0 * np.trace(g, axis1=1, axis2=2).real).tolist()
+    columns.update(energy=energies, norm=norms)
+    return [
+        ObservableRecord(t, tuple(density), **dict(zip(columns, row)), source="exact")
+        for t, density, *row in zip(times, site["density"].tolist(), *columns.values())
+    ]
 
-    The energy is supplied by the caller (it needs the Hamiltonian, which
-    this module deliberately does not know about).
+
+def estimators_from_counts(counts: ShotCounts, times, hubble: float) -> list[ObservableRecord]:
+    """The shot records of a count block, row i at times[i]: quantum
+    expectations replaced by shot-frequency averages, each with its standard
+    error (sample std dev / sqrt(shots)).  Every per-shot value is an integer
+    (a site's occupation, N - popcount, the sums of x o_x and (-1)^x o_x,
+    o_0 o_1, N - 2 popcount), so its sums S1 = sum f v and S2 = sum f v^2,
+    int64 products over the outcomes the block drew, are exact, and shots
+    S2 - S1^2, which can pass 2^63, is a Python int; e^{ht} scales the
+    estimates rounded from them.  Neither the energy nor the norm is
+    measurable in a single Z-basis setting; both are None.
     """
-    g = orbitals @ orbitals.conj().T
-    occ = 1.0 - g.diagonal().real
-    linear = {
-        name: value.tolist() for name, value in _site_observables(occ, math.exp(hubble * t)).items()
-    }
-    linear["density"] = tuple(linear["density"])
-    return ObservableRecord(
-        t=t,
-        **linear,
-        correlation_C=float(occ[0] * occ[1] - abs(g[0, 1]) ** 2),
-        energy=energy,
-        total_sz=float(len(occ) - 2.0 * g.trace().real),
-        norm=slater_norm(orbitals),
-        source="exact",
-    )
-
-
-def estimators_from_counts(counts: ShotCounts, t: float, hubble: float) -> ObservableRecord:
-    """Replace quantum expectations by shot-frequency averages, each with its
-    standard error (sample std dev / sqrt(shots)).  Every per-shot value is an
-    integer (a site's occupation, N - popcount, the sums of x o_x and
-    (-1)^x o_x, o_0 o_1, N - 2 popcount), so its sums S1 = sum f v and
-    S2 = sum f v^2 are exact, and shots S2 - S1^2, which can pass 2^63, is a
-    Python int; e^{ht} scales the estimates rounded from them.  Neither the
-    energy nor the norm is measurable in a single Z-basis setting; both are None.
-    """
-    if not counts.outcomes.size:
-        raise ValueError("empty shot counts")
     n, freqs = counts.n_qubits, counts.freqs
+    if not freqs.any(axis=1).all():
+        raise ValueError("empty shot counts")
+    drawn = np.flatnonzero(freqs.any(axis=0))
+    freqs = freqs[:, drawn]
     # Site x of an outcome is occupied when its bit x is clear, that is when
     # bit x of ~outcome is set (n < 64, so the sign bit is never read).
-    occ = ~counts.outcomes >> np.arange(n, dtype=np.int64)[:, None]
+    occ = ~counts.outcomes[drawn, None] >> np.arange(n, dtype=np.int64)
     occ &= 1
     site = _site_observables(occ)
     names = ("n_total", "polarization_over_e", "chiral_c", "correlation_C", "total_sz")
-    # One row per quantity: the N densities, then the fields in ``names``.
-    values = np.vstack([occ, *map(site.get, names[:3]), occ[0] * occ[1], 2 * site["n_total"] - n])
-    shots = int(freqs.sum())
-    sums = zip((values @ freqs).tolist(), ((values * values) @ freqs).tolist())
-    # e^{ht} scales the densities, n_total, polarization and chiral condensate.
-    volume = math.exp(hubble * t)
-    scales = [volume] * (n + 3) + [1.0, 1.0]
-    means, errs = [], []
-    for scale, (s1, s2) in zip(scales, sums):
-        var = (shots * s2 - s1 * s1) / (shots * shots * (shots - 1)) if shots > 1 else 0
-        means.append(scale * (s1 / shots))
-        errs.append(scale * math.sqrt(var))
-    return ObservableRecord(
-        t=t,
-        density=tuple(means[:n]),
-        **dict(zip(names, means[n:])),
-        energy=None,
-        norm=None,
-        source="shots",
-        shot_errors=ShotErrors(tuple(errs[:n]), **dict(zip(names, errs[n:]))),
+    # One column per quantity: the N densities, then the fields in ``names``.
+    values = np.column_stack(
+        [occ, *map(site.get, names[:3]), occ[:, 0] * occ[:, 1], 2 * site["n_total"] - n]
     )
+    sums = (freqs @ values).tolist(), (freqs @ (values * values)).tolist()
+    records = []
+    for t, shots, row_s1, row_s2 in zip(times, freqs.sum(axis=1).tolist(), *sums):
+        # e^{ht} scales the densities, n_total, polarization and chiral condensate.
+        scales = [math.exp(hubble * t)] * (n + 3) + [1.0, 1.0]
+        means, errs = [], []
+        for scale, s1, s2 in zip(scales, row_s1, row_s2):
+            var = (shots * s2 - s1 * s1) / (shots * shots * (shots - 1)) if shots > 1 else 0
+            means.append(scale * (s1 / shots))
+            errs.append(scale * math.sqrt(var))
+        errors = ShotErrors(tuple(errs[:n]), **dict(zip(names, errs[n:])))
+        fields = dict(zip(names, means[n:]), energy=None, norm=None, shot_errors=errors)
+        records.append(ObservableRecord(t, tuple(means[:n]), **fields, source="shots"))
+    return records

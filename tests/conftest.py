@@ -21,7 +21,9 @@ orbitals, and it reads any state, Slater determinant or not.
 The output references work one value at a time: the scalar viridis color,
 the per-cell CSV line, ``json``'s own indented encoder and the per-quantity
 shot mean and error are the slow references for the package's writers and
-shot estimators.
+shot estimators.  The package takes a run's snapshots in blocks; the
+per-snapshot Wick record, sampler and shot record below are the slow
+references its blocks must match bit for bit.
 """
 
 import functools
@@ -36,8 +38,14 @@ import pytest
 from dsfermion.errors import NORM_DRIFT_LIMIT, NormDriftError
 from dsfermion.evolve import TIME_NODES, _propagate
 from dsfermion.model import hamiltonian_at, hamiltonian_parts, scale_factor
-from dsfermion.observables import ObservableRecord, ShotErrors, _site_observables
-from dsfermion.state import StateVector, read_out
+from dsfermion.observables import (
+    ObservableRecord,
+    ShotErrors,
+    estimators_from_counts,
+    exact_record,
+    slater_norm,
+)
+from dsfermion.state import ShotCounts, StateVector, read_out, sample_z_basis
 
 I2 = np.eye(2, dtype=complex)
 PAULI_MATS = {
@@ -301,18 +309,85 @@ def shot_mean_and_err_reference(values, freqs, scale):
     return one(*sums) if values.ndim == 1 else tuple(zip(*map(one, *sums)))
 
 
+def exact_record_reference(orbitals, t, hubble, energy=None):
+    """The record of one snapshot from its N x k hole orbitals, by Wick's
+    theorem on G = Phi Phi^dag, one snapshot at a time: the slow reference
+    for observables.exact_record's blocks."""
+    g = orbitals @ orbitals.conj().T
+    occ = 1.0 - g.diagonal().real
+    n = len(occ)
+    if n < 2:
+        raise ValueError("density correlation needs at least two sites")
+    volume = math.exp(hubble * t)
+    positions = np.arange(n, dtype=np.float64)
+    density = occ if volume == 1 else volume * occ
+    return ObservableRecord(
+        t=t,
+        density=tuple(density.tolist()),
+        n_total=density.sum(axis=0).tolist(),
+        correlation_C=float(occ[0] * occ[1] - abs(g[0, 1]) ** 2),
+        polarization_over_e=(volume * (positions @ occ)).tolist(),
+        chiral_c=(volume * ((1 - 2 * (positions % 2)) @ occ)).tolist(),
+        energy=energy,
+        total_sz=float(n - 2.0 * g.trace().real),
+        norm=math.sqrt(abs(np.linalg.det(orbitals.conj().T @ orbitals))),
+        source="exact",
+    )
+
+
+def record_of(orbitals, t, hubble, energy=None):
+    """observables.exact_record of one snapshot, as a block of one, with its
+    slater norm."""
+    return exact_record(orbitals[None], [t], hubble, [energy], [slater_norm(orbitals)])[0]
+
+
+def sample_reference(st, shots, seed):
+    """One state's counts as the sampler's docstring states them, one state
+    at a time: one multinomial draw of ``shots`` over the nonzero bins,
+    normalized by their own sum, on Philox-4x64 keyed (seed, 0); the int64
+    count of every basis state of ``st``."""
+    probs = st.probabilities()
+    nz = probs > 0
+    generator = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    freqs = np.zeros(probs.shape, dtype=np.int64)
+    freqs[nz] = generator.multinomial(shots, probs[nz] / probs[nz].sum())
+    return freqs
+
+
+def sample_one(st, shots, seed):
+    """state.sample_z_basis of one state: a count block of one row."""
+    counts = sample_z_basis(st, shots, seed)
+    assert counts.freqs.shape == (1, st.indices.size)
+    return counts
+
+
+def one_histogram(n_qubits, outcomes, freqs):
+    """A count block of one row: ``freqs`` on the basis indices ``outcomes``."""
+    return ShotCounts(n_qubits, np.asarray(outcomes), np.asarray(freqs)[None])
+
+
+def shot_record(counts, t, hubble):
+    """observables.estimators_from_counts of a count block of one row."""
+    return estimators_from_counts(counts, [t], hubble)[0]
+
+
 def estimators_reference(counts, t, hubble):
-    """The shot record of ``counts`` with each quantity's mean and error taken
-    on its own: the slow reference for observables.estimators_from_counts."""
-    n, freqs = counts.n_qubits, counts.freqs
+    """The shot record of a count block of one row with each quantity's mean
+    and error taken on its own: the slow reference for
+    observables.estimators_from_counts."""
+    n, freqs = counts.n_qubits, counts.freqs[0]
     occ = (~counts.outcomes >> np.arange(n, dtype=np.int64)[:, None]) & 1
     volume = math.exp(hubble * t)
-    site = _site_observables(occ)
+    positions = np.arange(n, dtype=np.int64)
+    n_total = occ.sum(axis=0)
     stats = {
-        name: shot_mean_and_err_reference(values, freqs, volume) for name, values in site.items()
+        "density": shot_mean_and_err_reference(occ, freqs, volume),
+        "n_total": shot_mean_and_err_reference(n_total, freqs, volume),
+        "polarization_over_e": shot_mean_and_err_reference(positions @ occ, freqs, volume),
+        "chiral_c": shot_mean_and_err_reference((1 - 2 * (positions % 2)) @ occ, freqs, volume),
+        "correlation_C": shot_mean_and_err_reference(occ[0] * occ[1], freqs, 1.0),
+        "total_sz": shot_mean_and_err_reference(2 * n_total - n, freqs, 1.0),
     }
-    stats["correlation_C"] = shot_mean_and_err_reference(occ[0] * occ[1], freqs, 1.0)
-    stats["total_sz"] = shot_mean_and_err_reference(2 * site["n_total"] - n, freqs, 1.0)
     return ObservableRecord(
         t=t,
         **{name: mean for name, (mean, _) in stats.items()},
@@ -324,8 +399,10 @@ def estimators_reference(counts, t, hubble):
 
 
 def counts_dict(counts):
-    """A ShotCounts as {outcome: count}, in ascending outcome order."""
-    return dict(zip(counts.outcomes.tolist(), counts.freqs.tolist()))
+    """A count block of one row as {outcome: count} over the outcomes drawn,
+    in ascending outcome order."""
+    (freqs,) = counts.freqs.tolist()
+    return {o: f for o, f in zip(counts.outcomes.tolist(), freqs) if f}
 
 
 # Independent transcription of the published N=8 Hamiltonian pieces, used to

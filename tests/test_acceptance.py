@@ -37,6 +37,7 @@ from conftest import (
     hole_circular_variance,
     random_label,
     random_state,
+    sample_one,
     snapshot_states,
 )
 
@@ -53,17 +54,20 @@ def paper_params(mass: float) -> ModelParams:
     return ModelParams(8, HUBBLE, mass)
 
 
+def preset_shot_records(trajectory):
+    """The seeded shot records of a preset trajectory, its snapshots read out
+    and sampled as one block."""
+    times = [record.t for record in trajectory.records]
+    states = read_out(trajectory.orbitals, HUBBLE, times)
+    return estimators_from_counts(sample_z_basis(states, 10_000, seed=PRESET_SEED), times, HUBBLE)
+
+
 @pytest.fixture(scope="module", params=[0.0, 1.0], ids=["m0", "m1"])
 def preset(request):
     """Trotter trajectory, retained states and seeded shot records per mass."""
     mass = request.param
     trajectory = trotter_evolve(1, paper_params(mass), 10, 0.1)
-    batch = sample_z_basis(snapshot_states(trajectory, HUBBLE), 10_000, seed=PRESET_SEED)
-    shot_records = [
-        estimators_from_counts(counts, record.t, HUBBLE)
-        for record, counts in zip(trajectory.records, batch)
-    ]
-    return mass, trajectory, shot_records
+    return mass, trajectory, preset_shot_records(trajectory)
 
 
 @pytest.fixture(scope="module")
@@ -289,12 +293,7 @@ class TestA7FigureReproduction:
 @pytest.fixture(scope="module")
 def preset_m0():
     trajectory = trotter_evolve(1, paper_params(0.0), 10, 0.1)
-    batch = sample_z_basis(snapshot_states(trajectory, HUBBLE), 10_000, seed=PRESET_SEED)
-    shot_records = [
-        estimators_from_counts(counts, record.t, HUBBLE)
-        for record, counts in zip(trajectory.records, batch)
-    ]
-    return trajectory, shot_records
+    return trajectory, preset_shot_records(trajectory)
 
 
 @pytest.fixture(scope="module")
@@ -346,7 +345,7 @@ class TestA8EngineMicroOracles:
     def test_sampler_within_binomial_bounds(self):
         st = dense_state(2, np.full(4, 0.5, dtype=complex))
         shots = 100_000
-        counts = sample_z_basis([st], shots, seed=PRESET_SEED)[0]
+        counts = sample_one(st, shots, seed=PRESET_SEED)
         sigma = math.sqrt(0.25 * 0.75 / shots)
         frequencies = counts_dict(counts)
         worst = max(abs(frequencies.get(k, 0) / shots - 0.25) for k in range(4))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import resource
 import shutil
@@ -520,20 +521,33 @@ class TestRun:
 
     def test_shots_and_oracle_read_each_state_out_once(self, tmp_path, monkeypatch):
         # paper-m1 (10000 shots, oracle on) has 11 snapshots and the oracle's
-        # state: the sampler reuses the oracle's readout of the last snapshot.
-        calls = []
-        read_out = state_module.read_out
+        # state.  The oracle check reads out the last snapshot and the
+        # oracle's state; the shots read out each other snapshot once and
+        # sample the check's readout of the last snapshot.
+        calls, sampled = [], []
+        read_out, sample_z_basis = state_module.read_out, cli.sample_z_basis
 
         def counted(*args):
-            calls.append(args[2])
-            return read_out(*args)
+            states = read_out(*args)
+            calls.append((np.ravel(args[2]).tolist(), states))
+            return states
+
+        def recorded(states, shots, seed):
+            sampled.append(states)
+            return sample_z_basis(states, shots, seed)
 
         monkeypatch.setattr(cli, "read_out", counted)
         monkeypatch.setattr(state_module, "read_out", counted)
+        monkeypatch.setattr(cli, "sample_z_basis", recorded)
         argv = ["run", "--preset", "paper-m1", "--output_dir", str(tmp_path / "m1")]
         assert cli.main(argv) == cli.EXIT_OK
-        assert len(calls) == 12
-        assert sorted(calls[2:]) == pytest.approx([0.1 * i for i in range(10)])
+        times = [t for call_times, _ in calls for t in call_times]
+        assert len(times) == 12
+        assert [call_times for call_times, _ in calls[:2]] == [[1.0], [1.0]]
+        assert sorted(times[2:]) == pytest.approx([0.1 * i for i in range(10)])
+        readouts = [states for _, states in calls[2:]] + [calls[0][1]]
+        assert len(sampled) == len(readouts)
+        assert all(a is b for a, b in zip(sampled, readouts))
 
     def test_refused_oracle_reads_nothing_out(self, tmp_path, monkeypatch):
         # At h = 2, m = 1 and t = 5 the oracle's phase passes its step budget,
@@ -809,8 +823,8 @@ def read_tree(root):
 
 
 class TestParallelShots:
-    """A run samples its snapshots in one call, on the calling thread, and
-    starts no thread; the outputs do not depend on the core count."""
+    """A run samples its snapshots a block at a time, on the calling thread,
+    and starts no thread; the outputs do not depend on the core count."""
 
     def test_sweep_outputs_do_not_depend_on_core_count(self, tmp_path, monkeypatch):
         # The SVGs embed the output path, so both sweeps write to one path.
@@ -830,6 +844,9 @@ class TestParallelShots:
         assert trees[0] == trees[1]
 
     def test_one_sampler_call_per_run_on_the_calling_thread(self, tmp_path, monkeypatch):
+        # The sampler runs on the calling thread and starts no thread: with
+        # blocks of two snapshots, its calls key each block from the seed
+        # plus the block's first snapshot.
         calls = []
         sample_z_basis = cli.sample_z_basis
 
@@ -842,12 +859,84 @@ class TestParallelShots:
         config = fast_config(tmp_path, shots=16385, seed=9)
         assert cli.run(config) == cli.EXIT_OK
         assert calls == [(threading.main_thread(), config.shots, 9)]
+        monkeypatch.setattr(state_module, "_READOUT_BLOCK", 2 * 8 * 8)
+        calls.clear()
+        assert cli.run(config) == cli.EXIT_OK
+        assert calls == [(threading.main_thread(), config.shots, 9 + i) for i in range(0, 11, 2)]
         assert threading.active_count() == before
 
     def test_import_leaves_thread_pool_unloaded(self):
         code = "import sys, dsfermion.cli; sys.exit('concurrent.futures' in sys.modules)"
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+class TestSnapshotBlocks:
+    """A run takes its snapshots in blocks (state.snapshot_blocks) that keep
+    every gather within the budget, and the block size changes no byte."""
+
+    @pytest.mark.parametrize("per_block", [1, 2, 3])
+    def test_block_size_changes_no_byte(self, tmp_path, monkeypatch, per_block):
+        # Half filling at N = 6: a snapshot's minors (C(6, 3) 3 x 3 = 180
+        # entries) are its largest gather.  A shots run with the oracle, whose
+        # readout the last snapshot reuses, and a sweep of shots runs.
+        run = fast_config(
+            tmp_path, n_sites=6, mass=1.0, initial_state_index=0b010101, shots=3000,
+            oracle="on", oracle_substeps_start=64,
+        )
+        sweep = fast_config(
+            tmp_path, n_sites=6, mass=1.0, initial_state_index=0b010101,
+            output_dir=str(tmp_path / "sweep"),
+        )
+
+        def outputs():
+            assert cli.run(run) == cli.EXIT_OK
+            assert cli.sweep(sweep, "trotter_steps", [4, 7]) == cli.EXIT_OK
+            tree = read_tree(tmp_path)
+            shutil.rmtree(tmp_path / "run")
+            shutil.rmtree(tmp_path / "sweep")
+            return tree
+
+        whole = outputs()
+        monkeypatch.setattr(state_module, "_READOUT_BLOCK", per_block * 180)
+        assert len(state_module.snapshot_blocks(11, 6, 3)) == math.ceil(11 / per_block)
+        assert outputs() == whole
+
+    @pytest.mark.parametrize("n_sites, start, steps, blocks", [
+        (20, sum(1 << x for x in range(0, 20, 2)), 2, 3),
+        (62, 1, 1000, 4),
+    ])
+    def test_gathers_keep_to_the_budget(self, tmp_path, monkeypatch, n_sites, start, steps, blocks):
+        # Every det call (a stack of minors, or a k x k Gram matrix) and every
+        # block of G = Phi Phi^dag gathers at most _READOUT_BLOCK entries: a
+        # half-filled N = 20 snapshot is a block of its own whose minors go
+        # in parts, and 1001 one-hole N = 62 snapshots take four blocks.
+        budget = state_module._READOUT_BLOCK
+        det, exact_record = np.linalg.det, evolve.exact_record
+        dets, products = [], []
+
+        def recorded_det(a):
+            dets.append(a.shape)
+            return det(a)
+
+        def recorded_record(orbitals, *args):
+            products.append(orbitals.shape)
+            return exact_record(orbitals, *args)
+
+        monkeypatch.setattr(np.linalg, "det", recorded_det)
+        monkeypatch.setattr(evolve, "exact_record", recorded_record)
+        config = fast_config(
+            tmp_path, n_sites=n_sites, initial_state_index=start, mass=1.0, trotter_steps=steps,
+            shots=100,
+        )
+        assert cli.run(config) == cli.EXIT_OK
+        assert len(products) == blocks
+        assert sum(shape[0] for shape in products) == steps + 1
+        assert max(count * n * n for count, n, _ in products) <= budget
+        assert max(math.prod(shape) for shape in dets) <= budget
+        k = bin(start).count("1")
+        minors = [shape for shape in dets if len(shape) == 4]  # the rest are Gram matrices
+        assert sum(shape[0] * shape[1] for shape in minors) == (steps + 1) * math.comb(n_sites, k)
 
 
 class TestSweep:
@@ -876,13 +965,13 @@ class TestSweep:
         # Point j samples snapshot i with the Philox key seed + j * 2^32 + i,
         # so no two (point, snapshot) pairs share a key.
         keys = []
-        sample_state = state_module._sample_state
+        philox = np.random.Philox
 
-        def recorded(state, shots, seed):
-            keys.append(seed)
-            return sample_state(state, shots, seed)
+        def recorded(*args, key, **kwargs):
+            keys.append(int(key))
+            return philox(*args, key=key, **kwargs)
 
-        monkeypatch.setattr(state_module, "_sample_state", recorded)
+        monkeypatch.setattr(np.random, "Philox", recorded)
         base = fast_config(tmp_path, n_sites=4, shots=50, seed=7, output_dir=str(tmp_path / "keys"))
         assert cli.sweep(base, "trotter_steps", [10, 20, 40, 80]) == cli.EXIT_OK
         assert len(keys) == 11 + 21 + 41 + 81

@@ -17,9 +17,15 @@ from conftest import (
     basis_state,
     basis_orbitals,
     estimators_reference,
+    exact_record_reference,
     hole_circular_variance,
+    one_histogram,
     random_orbitals,
     record_deviation,
+    record_of,
+    sample_one,
+    sample_reference,
+    shot_record,
     snapshot_states,
 )
 
@@ -31,11 +37,11 @@ def paper_trajectory(mass):
 
 class TestDensity:
     def test_hole_state_at_t0(self):
-        density = exact_record(basis_orbitals(8, 1), 0.0, 0.1).density
+        density = record_of(basis_orbitals(8, 1), 0.0, 0.1).density
         assert np.allclose(density, [0, 1, 1, 1, 1, 1, 1, 1])
 
     def test_filled_state_scales_with_volume(self):
-        density = exact_record(basis_orbitals(8, 0), 0.7, 0.1).density
+        density = record_of(basis_orbitals(8, 0), 0.7, 0.1).density
         assert np.allclose(density, math.exp(0.07))
 
     def test_total_scales_as_e_ht(self):
@@ -53,15 +59,15 @@ class TestDensity:
 
 class TestCorrelation:
     def test_hole_state_zero(self):
-        assert exact_record(basis_orbitals(8, 1), 0.0, 0.1).correlation_C == 0.0
+        assert record_of(basis_orbitals(8, 1), 0.0, 0.1).correlation_C == 0.0
 
     def test_filled_state_one(self):
-        assert exact_record(basis_orbitals(8, 0), 0.0, 0.1).correlation_C == 1.0
+        assert record_of(basis_orbitals(8, 0), 0.0, 0.1).correlation_C == 1.0
 
     def test_no_volume_factor(self, rng):
         st = random_orbitals(rng, 4, 2)
         assert (
-            exact_record(st, 0.0, 0.1).correlation_C == exact_record(st, 5.0, 0.1).correlation_C
+            record_of(st, 0.0, 0.1).correlation_C == record_of(st, 5.0, 0.1).correlation_C
         )
 
     def test_increases_on_paper_preset(self):
@@ -71,27 +77,27 @@ class TestCorrelation:
 
     def test_needs_two_sites(self):
         with pytest.raises(ValueError):
-            exact_record(basis_orbitals(1, 0), 0.0, 0.1)
+            record_of(basis_orbitals(1, 0), 0.0, 0.1)
 
 
 class TestPolarization:
     def test_hole_state(self):
-        assert exact_record(basis_orbitals(8, 1), 0.0, 0.1).polarization_over_e == pytest.approx(28.0)
+        assert record_of(basis_orbitals(8, 1), 0.0, 0.1).polarization_over_e == pytest.approx(28.0)
 
     def test_filled_state(self):
-        assert exact_record(basis_orbitals(8, 0), 0.0, 0.1).polarization_over_e == pytest.approx(28.0)
+        assert record_of(basis_orbitals(8, 0), 0.0, 0.1).polarization_over_e == pytest.approx(28.0)
 
     def test_volume_factor(self):
-        record = exact_record(basis_orbitals(8, 0), 1.0, 0.1)
+        record = record_of(basis_orbitals(8, 0), 1.0, 0.1)
         assert record.polarization_over_e == pytest.approx(28.0 * math.exp(0.1))
 
 
 class TestChiralCondensate:
     def test_hole_state(self):
-        assert exact_record(basis_orbitals(8, 1), 0.0, 0.1).chiral_c == pytest.approx(-1.0)
+        assert record_of(basis_orbitals(8, 1), 0.0, 0.1).chiral_c == pytest.approx(-1.0)
 
     def test_filled_state_cancels(self):
-        assert exact_record(basis_orbitals(8, 0), 0.0, 0.1).chiral_c == pytest.approx(0.0)
+        assert record_of(basis_orbitals(8, 0), 0.0, 0.1).chiral_c == pytest.approx(0.0)
 
     def test_magnitude_decreases_initially(self):
         values = [abs(r.chiral_c) for r in paper_trajectory(mass=0.0).records]
@@ -101,10 +107,10 @@ class TestChiralCondensate:
 
 class TestTotalCharge:
     def test_hole_state(self):
-        assert exact_record(basis_orbitals(8, 1), 0.0, 0.1).total_sz == pytest.approx(6.0)
+        assert record_of(basis_orbitals(8, 1), 0.0, 0.1).total_sz == pytest.approx(6.0)
 
     def test_filled_state(self):
-        assert exact_record(basis_orbitals(8, 0), 0.0, 0.1).total_sz == pytest.approx(8.0)
+        assert record_of(basis_orbitals(8, 0), 0.0, 0.1).total_sz == pytest.approx(8.0)
 
     def test_constant_along_trajectory(self):
         values = [r.total_sz for r in paper_trajectory(mass=1.0).records]
@@ -114,7 +120,7 @@ class TestTotalCharge:
 class TestExactRecord:
     def test_consistency(self, rng):
         st = random_orbitals(rng, 8, 3)
-        record = exact_record(st, 0.5, 0.1, energy=1.25)
+        record = record_of(st, 0.5, 0.1, energy=1.25)
         assert record.source == "exact"
         assert record.n_total == pytest.approx(sum(record.density))
         assert record.energy == 1.25
@@ -130,15 +136,15 @@ class TestExactRecord:
                 t = float(rng.uniform(0, 3))
                 state = read_out(orbitals, 0.2, t)
                 reference = amplitude_record(state, t, 0.2)
-                assert record_deviation(exact_record(orbitals, t, 0.2), reference) < 1e-12, (n, k)
+                assert record_deviation(record_of(orbitals, t, 0.2), reference) < 1e-12, (n, k)
                 assert abs(slater_norm(orbitals) - reference.norm) < 1e-12, (n, k)
 
 
 class TestShotEstimators:
     def test_delta_counts_match_exact(self):
-        counts = sample_z_basis([basis_state(8, 1)], 5000, seed=9)[0]
-        record = estimators_from_counts(counts, 0.3, 0.1)
-        exact = exact_record(basis_orbitals(8, 1), 0.3, 0.1)
+        counts = sample_one(basis_state(8, 1), 5000, seed=9)
+        record = shot_record(counts, 0.3, 0.1)
+        exact = record_of(basis_orbitals(8, 1), 0.3, 0.1)
         assert record.source == "shots"
         assert np.allclose(record.density, exact.density, atol=1e-12)
         assert record.correlation_C == pytest.approx(exact.correlation_C, abs=1e-12)
@@ -152,8 +158,8 @@ class TestShotEstimators:
         trajectory = paper_trajectory(mass=0.0)
         for i, st in enumerate(snapshot_states(trajectory, 0.1)):
             t = trajectory.records[i].t
-            counts = sample_z_basis([st], 10_000, seed=100 + i)[0]
-            shot = estimators_from_counts(counts, t, 0.1)
+            counts = sample_one(st, 10_000, seed=100 + i)
+            shot = shot_record(counts, t, 0.1)
             exact = trajectory.records[i]
             pairs = [
                 (shot.n_total, exact.n_total, shot.shot_errors.n_total),
@@ -172,8 +178,8 @@ class TestShotEstimators:
         t = trajectory.records[-1].t
 
         def mean_errors(shots, seed):
-            counts = sample_z_basis([st], shots, seed)[0]
-            errs = estimators_from_counts(counts, t, 0.1).shot_errors
+            counts = sample_one(st, shots, seed)
+            errs = shot_record(counts, t, 0.1).shot_errors
             # Charge conservation makes n_total the same in every shot.
             assert errs.n_total == 0.0
             return np.array([errs.correlation_C, errs.polarization_over_e, errs.chiral_c])
@@ -194,8 +200,8 @@ class TestShotEstimators:
         def mean_abs_error(shots):
             errors = []
             for seed in range(12):
-                counts = sample_z_basis([st], shots, seed=1000 + seed)[0]
-                rec = estimators_from_counts(counts, t, 0.1)
+                counts = sample_one(st, shots, seed=1000 + seed)
+                rec = shot_record(counts, t, 0.1)
                 errors.append(abs(rec.chiral_c - exact.chiral_c))
             return float(np.mean(errors))
 
@@ -203,9 +209,13 @@ class TestShotEstimators:
         assert 1.4 < ratio < 2.8
 
     def test_empty_counts_rejected(self):
+        # A row without a shot, with no outcome or with zero counts only.
         empty = np.zeros(0, dtype=np.int64)
-        with pytest.raises(ValueError):
-            estimators_from_counts(ShotCounts(4, empty, empty), 0.0, 0.1)
+        with pytest.raises(ValueError, match="empty shot counts"):
+            estimators_from_counts(ShotCounts(4, empty, empty.reshape(1, 0)), [0.0], 0.1)
+        counts = ShotCounts(4, np.array([1, 2]), np.array([[3, 1], [0, 0]]))
+        with pytest.raises(ValueError, match="empty shot counts"):
+            estimators_from_counts(counts, [0.0, 0.1], 0.1)
 
 
 def fraction_mean_and_err(values, freqs):
@@ -235,7 +245,7 @@ class TestExactShotEstimates:
                 size = int(rng.integers(1, 12))
                 outcomes = np.sort(rng.choice(1 << n, size=min(size, 1 << n), replace=False))
                 freqs = rng.integers(1, 6, size=outcomes.size)
-                record = estimators_from_counts(ShotCounts(n, outcomes, freqs), 0.0, 0.3)
+                record = shot_record(one_histogram(n, outcomes, freqs), 0.0, 0.3)
                 occ = [[1 - ((o >> x) & 1) for x in range(n)] for o in outcomes.tolist()]
                 expected = {
                     "density": [fraction_mean_and_err([o[x] for o in occ], freqs) for x in range(n)],
@@ -267,9 +277,9 @@ class TestExactShotEstimates:
                     size = int(rng.integers(1, min(shots, 1 << n, 40) + 1))
                     outcomes = np.sort(rng.choice(1 << n, size=size, replace=False))
                     freqs = rng.multinomial(shots - size, np.full(size, 1 / size)) + 1
-                    counts = ShotCounts(n, outcomes, freqs)
+                    counts = one_histogram(n, outcomes, freqs)
                     t = float(rng.uniform(0.0, 2.0))
-                    got = estimators_from_counts(counts, t, 0.3)
+                    got = shot_record(counts, t, 0.3)
                     assert repr(got) == repr(estimators_reference(counts, t, 0.3)), (n, shots)
                     polarization = [
                         sum(x for x in range(n) if not o >> x & 1) for o in outcomes.tolist()
@@ -281,9 +291,9 @@ class TestExactShotEstimates:
     def test_volume_scales_the_rounded_estimate(self):
         # e^{ht} multiplies the estimate at t = 0, which is rounded once, and
         # leaves C and the charge alone.
-        counts = ShotCounts(6, np.array([0b000111, 0b010101, 0b110000]), np.array([5, 11, 3]))
-        at_zero = record_fields(estimators_from_counts(counts, 0.0, 0.4))
-        later = record_fields(estimators_from_counts(counts, 1.5, 0.4))
+        counts = one_histogram(6, [0b000111, 0b010101, 0b110000], [5, 11, 3])
+        at_zero = record_fields(shot_record(counts, 0.0, 0.4))
+        later = record_fields(shot_record(counts, 1.5, 0.4))
         volume = math.exp(0.4 * 1.5)
         for name, value in at_zero.items():
             if name in ("t", "energy", "norm", "source"):
@@ -295,8 +305,8 @@ class TestExactShotEstimates:
     def test_constant_per_shot_values_have_zero_error(self):
         # Three holes in every outcome, one of them at site 0, and site 1
         # occupied in all of them.
-        counts = ShotCounts(6, np.array([0b001101, 0b101001, 0b110001]), np.array([70_001, 129_998, 1]))
-        record = estimators_from_counts(counts, 0.7, 0.1)
+        counts = one_histogram(6, [0b001101, 0b101001, 0b110001], [70_001, 129_998, 1])
+        record = shot_record(counts, 0.7, 0.1)
         assert record.shot_errors.n_total == 0.0
         assert record.shot_errors.total_sz == 0.0
         assert record.shot_errors.density[1] == 0.0
@@ -308,26 +318,84 @@ class TestExactShotEstimates:
         params = ModelParams(12, 0.1, 1.0)
         trajectory = trotter_evolve(0b010101010101, params, 10, 0.1)
         st = read_out(trajectory.orbitals[-1], 0.1, 1.0)
-        counts = sample_z_basis([st], 200_000, seed=7)[0]
-        assert counts.outcomes.size > 800
-        expected = record_fields(estimators_from_counts(counts, 1.0, 0.1))
+        counts = sample_one(st, 200_000, seed=7)
+        assert np.count_nonzero(counts.freqs) > 800
+        expected = record_fields(shot_record(counts, 1.0, 0.1))
         rng = np.random.default_rng(5)
         for _ in range(3):
             order = rng.permutation(counts.outcomes.size)
-            shuffled = ShotCounts(12, counts.outcomes[order], counts.freqs[order])
-            got = record_fields(estimators_from_counts(shuffled, 1.0, 0.1))
+            shuffled = ShotCounts(12, counts.outcomes[order], counts.freqs[:, order])
+            got = record_fields(shot_record(shuffled, 1.0, 0.1))
             assert got.keys() == expected.keys()
             for name, value in expected.items():
                 assert got[name] == value, name
 
 
+def block_cases(rng, n):
+    """Blocks of snapshots at k = 0, 1, N/2 and N holes: a Trotter run from
+    the start with those holes (the one-hole and half-filled states among
+    them), and three random orthonormal orbitals at random times, with
+    random energies.  Each is (orbitals, times, energies, norms)."""
+    params = ModelParams(n, 0.3, 1.0)
+    for k in (0, 1, n // 2, n):
+        start = sum(1 << x for x in range(0, 2 * k, 2)) if 2 * k <= n else (1 << n) - 1
+        records = (trajectory := trotter_evolve(start, params, 10, 0.1)).records
+        energies, norms = [r.energy for r in records], [r.norm for r in records]
+        yield trajectory.orbitals, [r.t for r in records], energies, norms
+        orbitals = np.stack([random_orbitals(rng, n, k) for _ in range(3)])
+        norms = [slater_norm(phi) for phi in orbitals]
+        yield orbitals, rng.uniform(0.0, 3.0, 3).tolist(), rng.standard_normal(3).tolist(), norms
+
+
+class TestBlocksMatchSlowReferences:
+    """A block's records, counts and shot records against the per-snapshot
+    slow references of tests/conftest.py, bit for bit."""
+
+    def test_exact_records(self, rng):
+        for n in (4, 6, 8, 10):
+            for orbitals, times, energies, norms in block_cases(rng, n):
+                block = exact_record(orbitals, times, 0.3, energies, norms)
+                for i, record in enumerate(block):
+                    reference = exact_record_reference(orbitals[i], times[i], 0.3, energies[i])
+                    assert repr(record) == repr(reference), (n, orbitals.shape, i)
+
+    def test_trajectory_records(self):
+        # The records of a run carry the norm its step checked, which is the
+        # reference's slater norm.
+        for n in (4, 6, 8, 10):
+            params = ModelParams(n, 0.1, 1.0)
+            for start in (0, 1, sum(1 << x for x in range(0, n, 2)), (1 << n) - 1):
+                trajectory = trotter_evolve(start, params, 12, 0.1, snapshot_every=3)
+                for orbitals, record in zip(trajectory.orbitals, trajectory.records):
+                    reference = exact_record_reference(orbitals, record.t, 0.1, record.energy)
+                    assert repr(record) == repr(reference), (n, start, record.t)
+
+    @pytest.mark.parametrize("shots", [1, 2, 1 << 28])
+    def test_readouts_counts_and_shot_records(self, rng, shots):
+        for n in (4, 6, 8, 10):
+            for orbitals, times, _, _ in block_cases(rng, n):
+                states = read_out(orbitals, 0.3, times)
+                counts = sample_z_basis(states, shots, seed=11)
+                block = estimators_from_counts(counts, times, 0.3)
+                assert counts.freqs.shape == states.amplitudes.shape
+                for i, t in enumerate(times):
+                    where = (n, orbitals.shape, i)
+                    one = read_out(orbitals[i], 0.3, t)
+                    assert states.amplitudes[i].tobytes() == one.amplitudes.tobytes(), where
+                    row = sample_reference(one, shots, 11 + i)
+                    assert np.array_equal(counts.freqs[i], row), where
+                    one_row = ShotCounts(n, counts.outcomes, row[None])
+                    reference = estimators_reference(one_row, t, 0.3)
+                    assert repr(block[i]) == repr(reference), where
+
+
 class TestHoleSpread:
     def test_no_hole_returns_zero(self):
-        density = np.array(exact_record(basis_orbitals(8, 0), 0.0, 0.1).density)
+        density = np.array(record_of(basis_orbitals(8, 0), 0.0, 0.1).density)
         assert hole_circular_variance(density, 0.0, 0.1) == 0.0
 
     def test_point_hole_has_zero_variance(self):
-        density = np.array(exact_record(basis_orbitals(8, 1), 0.0, 0.1).density)
+        density = np.array(record_of(basis_orbitals(8, 1), 0.0, 0.1).density)
         assert hole_circular_variance(density, 0.0, 0.1) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("mass", [0.0, 1.0])
