@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -208,18 +209,13 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _write_csv(path: str, header: str, rows) -> None:
-    """One line per row of raw values: a number with 17 significant digits,
-    None (no value) as an empty cell.  Each row is one ``%`` template, built
-    once per pattern of None cells ("%.0s" prints None as nothing)."""
-    lines, templates = [header], {}
-    for row in rows:
-        kinds = tuple(map(type, row))
-        template = templates.get(kinds) or templates.setdefault(
-            kinds, ",".join(["%.0s" if v is None else "%.17g" for v in row])
-        )
-        lines.append(template % tuple(row))
-    _write_text(path, "\n".join(lines) + "\n")
+def _write_csv(path: str, header: str, columns) -> None:
+    """A number with 17 significant digits per cell, and a column that is None
+    as empty cells: one ``%`` template, filled from the stacked other columns."""
+    present = [column for column in columns if column is not None]
+    line = ",".join("" if column is None else "%.17g" for column in columns)
+    cells = np.column_stack(present).ravel().tolist()
+    _write_text(path, "\n".join([header] + [line] * len(present[0])) % tuple(cells) + "\n")
 
 
 def _p_ratio_scale(exact_records: list[ObservableRecord]) -> float | None:
@@ -233,13 +229,14 @@ def write_density_csv(
     exact_records: list[ObservableRecord],
     shot_records: list[ObservableRecord] | None,
 ) -> None:
-    blank = (None,) * len(exact_records[0].density)
-    rows = []
-    for exact, shot in zip(exact_records, shot_records or [None] * len(exact_records)):
-        n_shot, n_err = (shot.density, shot.shot_errors.density) if shot else (blank, blank)
-        for x, cells in enumerate(zip(exact.density, n_shot, n_err)):
-            rows.append((exact.t, x, *cells))
-    _write_csv(path, "t,x,n_exact,n_shot,n_shot_err", rows)
+    n_sites, shots = len(exact_records[0].density), shot_records or None
+    _write_csv(path, "t,x,n_exact,n_shot,n_shot_err", (
+        np.repeat([r.t for r in exact_records], n_sites),
+        np.tile(np.arange(n_sites), len(exact_records)),
+        np.ravel([r.density for r in exact_records]),
+        shots and np.ravel([r.density for r in shots]),
+        shots and np.ravel([r.shot_errors.density for r in shots]),
+    ))
 
 
 def write_observables_csv(
@@ -247,29 +244,45 @@ def write_observables_csv(
     exact_records: list[ObservableRecord],
     shot_records: list[ObservableRecord] | None,
 ) -> None:
-    p0 = _p_ratio_scale(exact_records)
-    rows = []
-    for rec, shot in zip(exact_records, shot_records or [None] * len(exact_records)):
-        errors = shot.shot_errors if shot else None
-        p_ratio = rec.polarization_over_e / p0 if p0 is not None else None
-        c_err, chi_err = (errors.correlation_C, errors.chiral_c) if errors else (None, None)
-        rows.append(
-            (rec.t, rec.n_total, rec.correlation_C, c_err, rec.polarization_over_e, p_ratio,
-             rec.chiral_c, chi_err, rec.energy, rec.total_sz, rec.norm)
-        )
-    _write_csv(path, "t,n_total,C,C_err,p_over_e,p_ratio,c,c_err,energy,total_sz,norm", rows)
+    names = "t n_total correlation_C polarization_over_e chiral_c energy total_sz norm".split()
+    exact = np.array([*map(attrgetter(*names), exact_records)])
+    t, n_total, c, p, chi, energy, total_sz, norm = exact.T
+    errors = [(r.shot_errors.correlation_C, r.shot_errors.chiral_c) for r in shot_records or ()]
+    c_err, chi_err = np.array(errors).T if errors else (None, None)
+    p_ratio = None if (p0 := _p_ratio_scale(exact_records)) is None else p / p0
+    columns = (t, n_total, c, c_err, p, p_ratio, chi, chi_err, energy, total_sz, norm)
+    _write_csv(path, "t,n_total,C,C_err,p_over_e,p_ratio,c,c_err,energy,total_sz,norm", columns)
 
 
-def _json(value, indent: str) -> str:
+def _leaves(record, shape: list, leaves: list) -> bool:
+    """Append ``record``'s floats to ``leaves`` in _json's order and all else its text
+    depends on to ``shape``; False for a field not a float, float list, None, str, int or record."""
+    values = vars(record)
+    shape.append(names := tuple(sorted(values)))
+    for name in names:
+        value = values[name]
+        kind = type(value)
+        if kind is float or kind in (list, tuple) and set(map(type, value)) <= {float}:
+            leaves += (value,) if kind is float else value
+            shape.append(float if kind is float else len(value))
+        elif value is None or kind in (str, bool, int):
+            shape.append((kind, value))
+        elif not hasattr(value, "__dict__") or not _leaves(value, shape, leaves):
+            return False
+    return True
+
+
+def _json(value, indent: str, leaf: str | None = None) -> str:
     """``value`` at ``indent`` as json.dumps(value, indent=2, sort_keys=True,
-    default=vars, allow_nan=False) writes it (dict keys are strings), without
-    the pure-Python encoder that ``indent`` puts ``json`` on."""
+    default=vars, allow_nan=False) writes it (dict keys are strings), without its
+    pure-Python encoder.  Records of one type in a list take one ``%`` each, on
+    their shape's template (see _leaves): their text with ``leaf`` for each float."""
     if isinstance(value, float):
-        if not math.isfinite(value):
+        if not (leaf or math.isfinite(value)):
             raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        return float.__repr__(value)
+        return leaf or float.__repr__(value)
     if isinstance(value, str):
-        return json.encoder.encode_basestring_ascii(value)
+        return json.encoder.encode_basestring_ascii(value).replace("%", "%%" if leaf else "%")
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -277,14 +290,25 @@ def _json(value, indent: str) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if not isinstance(value, (list, tuple, dict)):
-        return _json(vars(value), indent)
+        return _json(vars(value), indent, leaf)
     if not value:
         return "[]" if isinstance(value, (list, tuple)) else "{}"
     inner = indent + "  "
     if isinstance(value, dict):
-        items = [f"{_json(k, inner)}: {_json(v, inner)}" for k, v in sorted(value.items())]
+        pairs = sorted(value.items())
+        items = [f"{_json(k, inner, leaf)}: {_json(v, inner, leaf)}" for k, v in pairs]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    items = [_json(v, inner) for v in value]
+    items, templates = [], {}
+    if not leaf and len(set(map(type, value))) == 1 and hasattr(value[0], "__dict__"):
+        for record in value:
+            shape, leaves = [], []
+            if not (_leaves(record, shape, leaves) and all(map(math.isfinite, leaves))):
+                items = []  # the generic path below writes it, or raises
+                break
+            key = tuple(shape)
+            template = templates.get(key) or templates.setdefault(key, _json(record, inner, "%r"))
+            items.append(template % tuple(leaves))
+    items = items or [_json(v, inner, leaf) for v in value]
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
 
 
@@ -306,10 +330,9 @@ def _write_plots(
     shot_records: list[ObservableRecord] | None,
 ) -> None:
     meta = _config_meta(config)
-    times = [rec.t for rec in exact_records]
-    sites = list(range(len(exact_records[0].density)))
-    density_grid = [list(rec.density) for rec in exact_records]
-    svg = heatmap("Fermion density n(x, t)", "t", "site x", times, sites, density_grid, meta=meta)
+    times, grid = [rec.t for rec in exact_records], [rec.density for rec in exact_records]
+    sites = range(len(grid[0]))
+    svg = heatmap("Fermion density n(x, t)", "t", "site x", times, sites, grid, meta=meta)
     _write_text(os.path.join(out_dir, "density_heatmap.svg"), svg)
 
     # The polarization is plotted relative to p(0) where that ratio is defined;

@@ -167,6 +167,8 @@ def sample_z_basis(states: StateVector, shots: int, seed: int) -> ShotCounts:
         raise ValueError(f"shots must be >= 1, got {shots}")
     probs = states.probabilities().reshape(-1, states.indices.size)
     freqs = np.zeros(probs.shape, dtype=np.int64)
+    bitgen = np.random.Philox(key=0)  # re-keyed per state below, as fresh as Philox(key=seed + i)
+    generator, fresh = np.random.Generator(bitgen), bitgen.state  # a zero counter, no buffer
     for i, row in enumerate(probs):
         # Only the nonzero bins are passed, so that numpy's remainder for the
         # last bin can never land on a basis state of probability 0; summing
@@ -176,6 +178,7 @@ def sample_z_basis(states: StateVector, shots: int, seed: int) -> ShotCounts:
         total = weights.sum()
         if not (math.isfinite(total) and total > 0):
             raise ValueError(f"cannot sample a state of total probability {total}")
-        generator = np.random.Generator(np.random.Philox(key=np.uint64(seed + i)))
+        fresh["state"]["key"] = np.array([seed + i, 0], dtype=np.uint64)
+        bitgen.state = fresh
         freqs[i, nz] = generator.multinomial(shots, weights / total)
     return ShotCounts(states.n_qubits, states.indices, freqs)

@@ -71,9 +71,7 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     step = next((mult * mag for mult in (1, 2, 2.5, 5, 10) if 0 < raw <= mult * mag), None)
     if step is None:  # raw or 10^e underflows to 0: no round step exists
         return [lo, hi]
-    first = math.ceil(lo / step) * step
-    ticks = []
-    value = first
+    ticks, value = [], math.ceil(lo / step) * step
     while value <= hi + 1e-12 * abs(step):
         ticks.append(round(value, max(12, 1 - exponent)))
         value += step
@@ -138,18 +136,20 @@ def _scales(xlo, xhi, ylo, yhi):
     return sx, sy
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow gives inf without a warning, as in Python
 def line_chart(
     title: str, xlabel: str, ylabel: str, series: list[Series], meta: str | None = None
 ) -> str:
-    """A line chart with optional per-point error bars; axes auto-scale."""
-    xs_all = [x for s in series for x in s.xs]
-    ys_all = []
+    """A line chart with optional per-point error bars; axes auto-scale.  Points
+    go to pixels by _scales' maps on arrays: a lone point's bits."""
+    arrays = []  # per series: xs, the rows ys and error-bar ends, and where a bar is drawn
     for s in series:
-        for i, y in enumerate(s.ys):
-            err = s.yerr[i] if s.yerr else 0.0
-            ys_all.extend((y - err, y + err))
-    xlo, xhi = min(xs_all), max(xs_all)
-    ylo, yhi = min(ys_all), max(ys_all)
+        ys, err = np.array(s.ys), np.array(s.yerr or [0.0] * len(s.ys))
+        arrays.append((np.array(s.xs), np.array([ys, ys - err, ys + err]), err > 0))
+    xs_all = np.concatenate([xs for xs, _, _ in arrays])
+    ends_all = np.concatenate([ends for _, ends, _ in arrays], axis=1)
+    xlo, xhi = float(xs_all.min()), float(xs_all.max())
+    ylo, yhi = float(ends_all[1].min()), float(ends_all[2].max())
     span = yhi - ylo
     if span <= 1e-12 * max(abs(ylo), abs(yhi)):  # flat up to rounding: ticks need room
         span = max(abs(ylo), 1.0) * 1e-3
@@ -173,21 +173,20 @@ def line_chart(
         )
         parts.append(_text(MARGIN_LEFT - 9, py + 4, label, size=11, anchor="end"))
 
-    for idx, s in enumerate(series):
+    for idx, (s, (xs, ends, bars)) in enumerate(zip(series, arrays)):
         color = LINE_COLORS[idx % len(LINE_COLORS)]
-        points = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(s.xs, s.ys))
+        px, (py, lo, hi) = sx(xs), sy(ends)
+        cells = np.array([px, py, px, lo, px, hi]).T
+        points = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(cells[:, :2].ravel().tolist())
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
-        for i, (x, y) in enumerate(zip(s.xs, s.ys)):
-            px, py = sx(x), sy(y)
-            parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="2.5" fill="{color}"/>')
-            if s.yerr and s.yerr[i] > 0:
-                lo, hi = sy(y - s.yerr[i]), sy(y + s.yerr[i])
-                parts.append(
-                    f'<line x1="{_fmt(px)}" y1="{_fmt(lo)}" x2="{_fmt(px)}" '
-                    f'y2="{_fmt(hi)}" stroke="{color}" stroke-width="1"/>'
-                )
+        # Each point's circle, then its error bar where the error is positive.
+        circle = f'<circle cx="%.2f" cy="%.2f" r="2.5" fill="{color}"/>'
+        bar = f'\n<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="{color}" stroke-width="1"/>'
+        drawn = np.array([bars | True] * 2 + [bars] * 4).T
+        marks = "\n".join([circle + bar if b else circle for b in bars.tolist()])
+        parts += [marks % tuple(cells[drawn].tolist())] if len(xs) else []
         parts.extend((
             _text(WIDTH - MARGIN_RIGHT - 8, MARGIN_TOP + 16 + 16 * idx, s.label, 11, "end"),
             f'<line x1="{WIDTH - MARGIN_RIGHT - 90}" y1="{MARGIN_TOP + 12 + 16 * idx}" '

@@ -19,9 +19,9 @@ energy, and ``exact_evolve`` reads out the midpoint-sampled oracle.
 the slow reference for the Wick record that the package takes from the hole
 orbitals, and it reads any state, Slater determinant or not.
 The output references work one value at a time: the scalar viridis color,
-the per-cell CSV line, ``json``'s own indented encoder and the per-quantity
-shot mean and error are the slow references for the package's writers and
-shot estimators.  The package takes a run's snapshots in blocks; the
+the per-cell CSV line, ``json``'s own indented encoder, the per-point line
+chart and the per-quantity shot mean and error are the slow references for
+the package's writers and shot estimators.  The package takes a run's snapshots in blocks; the
 per-snapshot Wick record, sampler and shot record below are the slow
 references its blocks must match bit for bit.
 """
@@ -30,6 +30,7 @@ import functools
 import itertools
 import json
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,22 @@ from dsfermion.observables import (
     slater_norm,
 )
 from dsfermion.state import ShotCounts, StateVector, read_out, sample_z_basis
+from dsfermion.svg import (
+    HEIGHT,
+    LINE_COLORS,
+    MARGIN_BOTTOM,
+    MARGIN_LEFT,
+    MARGIN_RIGHT,
+    MARGIN_TOP,
+    WIDTH,
+    _fmt,
+    _frame,
+    _nice_ticks,
+    _render,
+    _scales,
+    _text,
+    _tick_labels,
+)
 
 I2 = np.eye(2, dtype=complex)
 PAULI_MATS = {
@@ -286,6 +303,65 @@ def csv_line_reference(row):
     return ",".join(["" if v is None else f"{v:.17g}" for v in row])
 
 
+def line_chart_reference(title, xlabel, ylabel, series, meta=None):
+    """svg.line_chart one point at a time, each mapped to pixels and formatted
+    on its own in Python floats: the slow reference for svg.line_chart."""
+    xs_all = [x for s in series for x in s.xs]
+    ys_all = []
+    for s in series:
+        for i, y in enumerate(s.ys):
+            err = s.yerr[i] if s.yerr else 0.0
+            ys_all.extend((y - err, y + err))
+    xlo, xhi = min(xs_all), max(xs_all)
+    ylo, yhi = min(ys_all), max(ys_all)
+    span = yhi - ylo
+    if span <= 1e-12 * max(abs(ylo), abs(yhi)):  # flat up to rounding: ticks need room
+        span = max(abs(ylo), 1.0) * 1e-3
+    ylo, yhi = ylo - 0.05 * span, yhi + 0.05 * span
+
+    parts = []
+    sx, sy = _scales(xlo, xhi, ylo, yhi)
+    xticks, yticks = _nice_ticks(xlo, xhi), _nice_ticks(ylo, yhi)
+    for tick, label in zip(xticks, _tick_labels(xticks)):
+        px = sx(tick)
+        parts.append(
+            f'<line x1="{_fmt(px)}" y1="{HEIGHT - MARGIN_BOTTOM}" x2="{_fmt(px)}" '
+            f'y2="{HEIGHT - MARGIN_BOTTOM + 5}" stroke="black"/>'
+        )
+        parts.append(_text(px, HEIGHT - MARGIN_BOTTOM + 20, label, size=11))
+    for tick, label in zip(yticks, _tick_labels(yticks)):
+        py = sy(tick)
+        parts.append(
+            f'<line x1="{MARGIN_LEFT - 5}" y1="{_fmt(py)}" x2="{MARGIN_LEFT}" '
+            f'y2="{_fmt(py)}" stroke="black"/>'
+        )
+        parts.append(_text(MARGIN_LEFT - 9, py + 4, label, size=11, anchor="end"))
+
+    for idx, s in enumerate(series):
+        color = LINE_COLORS[idx % len(LINE_COLORS)]
+        points = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(s.xs, s.ys))
+        parts.append(
+            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+        )
+        for i, (x, y) in enumerate(zip(s.xs, s.ys)):
+            px, py = sx(x), sy(y)
+            parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="2.5" fill="{color}"/>')
+            if s.yerr and s.yerr[i] > 0:
+                lo, hi = sy(y - s.yerr[i]), sy(y + s.yerr[i])
+                parts.append(
+                    f'<line x1="{_fmt(px)}" y1="{_fmt(lo)}" x2="{_fmt(px)}" '
+                    f'y2="{_fmt(hi)}" stroke="{color}" stroke-width="1"/>'
+                )
+        parts.extend((
+            _text(WIDTH - MARGIN_RIGHT - 8, MARGIN_TOP + 16 + 16 * idx, s.label, 11, "end"),
+            f'<line x1="{WIDTH - MARGIN_RIGHT - 90}" y1="{MARGIN_TOP + 12 + 16 * idx}" '
+            f'x2="{WIDTH - MARGIN_RIGHT - 70}" y2="{MARGIN_TOP + 12 + 16 * idx}" '
+            f'stroke="{color}" stroke-width="2"/>',
+        ))
+    _frame(parts, title, xlabel, ylabel)
+    return _render(parts, meta)
+
+
 def json_reference(payload):
     """``json``'s own strict, indented encoding with sorted keys and records as
     their fields: the slow reference for cli.write_summary_json."""
@@ -352,6 +428,33 @@ def sample_reference(st, shots, seed):
     freqs = np.zeros(probs.shape, dtype=np.int64)
     freqs[nz] = generator.multinomial(shots, probs[nz] / probs[nz].sum())
     return freqs
+
+
+def record_keys(monkeypatch):
+    """The Philox key of every multinomial draw made from now on, each with
+    the thread that drew it.  The sampler re-keys one bit generator per
+    state, so the key is read at each draw, and the draw is checked to start
+    where a fresh Philox(key=key) starts: key (key, 0), a zero counter and
+    an empty buffer."""
+    keys, generator = [], np.random.Generator
+
+    class Recorded:
+        def __init__(self, bit_generator):
+            self._generator = generator(bit_generator)
+
+        def multinomial(self, *args, **kwargs):
+            state = self._generator.bit_generator.state
+            key = int(state["state"]["key"][0])
+            fresh = np.random.Philox(key=key).state
+            for name in ("key", "counter"):
+                assert np.array_equal(state["state"][name], fresh["state"][name]), name
+            for name in ("buffer", "buffer_pos", "has_uint32", "uinteger"):
+                assert np.array_equal(state[name], fresh[name]), name
+            keys.append((key, threading.current_thread()))
+            return self._generator.multinomial(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", Recorded)
+    return keys
 
 
 def sample_one(st, shots, seed):

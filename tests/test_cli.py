@@ -20,7 +20,13 @@ from dsfermion.errors import SHOT_LIMIT, NormDriftError, ResourceLimitError
 from dsfermion.observables import ObservableRecord, ShotErrors
 from dsfermion.pauli import PauliString, PauliSum
 
-from conftest import csv_line_reference, json_reference, viridis_reference
+from conftest import (
+    csv_line_reference,
+    json_reference,
+    line_chart_reference,
+    record_keys,
+    viridis_reference,
+)
 
 
 def fast_config(tmp_path, **overrides):
@@ -680,26 +686,58 @@ class TestWritersMatchReferences:
         grid = rng.uniform(-0.2, 1.2, size=(7, 5))  # row-major, as heatmap passes it
         assert svg.viridis(grid) == [viridis_reference(v) for row in grid.tolist() for v in row]
 
+    def test_line_chart_matches_per_point_reference(self, rng):
+        def series(label, n, offset, scale, errors):
+            xs = np.sort(rng.uniform(-2.0, 3.0, n)).tolist()
+            ys = (offset + scale * rng.standard_normal(n)).tolist()
+            return svg.Series(label, xs, ys, errors and (scale * rng.random(n)).tolist())
+
+        cases = [
+            [series("negative", 30, -5.0, 1.0, True)],
+            [series("huge", 20, 0.0, 1e300, True), series("exact", 20, 1e299, 1e300, None)],
+            [series("tiny", 25, 0.0, 1e-300, True)],  # a ~1e-300 span
+            [series("absent", 10, 0.0, 1.0, None), series("one point", 1, 0.5, 1.0, True)],
+            [svg.Series("zero", [0.0, 0.5, 1.0], [1.0, -2.0, 0.5], [0.0, 0.0, 0.0])],
+            [svg.Series("mixed", [0.0, 0.5, 1.0], [1.0, -2.0, 0.5], [0.0, 0.25, 0.0])],
+            [svg.Series("flat", [0.0, 1.0, 2.0, 3.0], [0.25] * 4, [0.0] * 4)],
+            [svg.Series("flat zero", [0.0, 1.0], [0.0, 0.0])],
+            [svg.Series("flat up to rounding", [0.0, 1.0], [1.0, 1.0 + 2**-52], [])],
+        ]
+        cases += [[series(f"random {i}", 15, 1.0, 0.3, True) for i in range(4)] for _ in range(5)]
+        for case in cases:
+            expected = line_chart_reference("t", "x", "y", case, meta="m --x")
+            assert svg.line_chart("t", "x", "y", case, meta="m --x") == expected, case[0].label
+        # A lone point has no x span: both stop at its first tick.
+        lone = [svg.Series("lone", [1.0], [2.0], [0.5])]
+        for chart in (svg.line_chart, line_chart_reference):
+            with pytest.raises(ZeroDivisionError):
+                chart("t", "x", "y", lone)
+
     def test_csv_matches_per_cell_reference(self, tmp_path, monkeypatch):
         written = []
         write_csv = cli._write_csv
 
-        def capture(path, header, rows):
-            written.append((path, header, rows))
-            write_csv(path, header, rows)
+        def capture(path, header, columns):
+            written.append((path, header, columns))
+            write_csv(path, header, columns)
 
         monkeypatch.setattr(cli, "_write_csv", capture)
         write_sample_outputs(tmp_path)
-        # None in every position, ints, signed zeros, subnormals and non-finite
-        # values; (None, 0.1, 3) comes twice, so its template is reused.
+        # Whole-None columns (first, inner and last), ints past 2^53, signed
+        # zeros, subnormals, bools and non-finite values, in lists and arrays.
+        nan, inf = float("nan"), float("inf")
         odd = [
-            (None, 0.1, 3), (0.1, None, 3), (None, None, None), (-0.0, 5e-324, 2**60),
-            (float("inf"), float("-inf"), float("nan")), (None, 0.1, 3), (True, 1 / 3, 1e16),
+            None, [0.1, -0.0, 5e-324], None, np.array([3, 2**60, -7]),
+            [True, False, True], [inf, -inf, nan], np.array([1 / 3, 1e16, -1e-300]), None,
         ]
-        capture(str(tmp_path / "odd.csv"), "a,b,c", odd)
-        assert len(written) == 2 * 3 + 1
-        for path, header, rows in written:
-            lines = [header, *map(csv_line_reference, rows)]
+        capture(str(tmp_path / "odd.csv"), "a,b,c,d,e,f,g,h", odd)
+        capture(str(tmp_path / "ints.csv"), "i,b", [[2**53 + 1, 0], [False, True]])
+        capture(str(tmp_path / "lone.csv"), "a,b", [None, [-0.0]])
+        assert len(written) == 2 * 3 + 3
+        for path, header, columns in written:
+            rows = len(next(c for c in columns if c is not None))
+            cells = [[None] * rows if c is None else np.asarray(c).tolist() for c in columns]
+            lines = [header, *map(csv_line_reference, zip(*cells))]
             with open(path, encoding="utf-8", newline="") as fh:
                 assert fh.read() == "\n".join(lines) + "\n", path
 
@@ -725,12 +763,26 @@ class TestWritersMatchReferences:
         record = ObservableRecord(
             0.1, (1.0, 0.0), 1.0, 0.0, 2.0, -1.0, None, 0.0, 1.0, "shots", errors
         )
+        # Records of one type in every shape a template is keyed by: the
+        # energy None or a float, another tuple length, no nested record, a
+        # "%" in a string, and ints and bools that look alike (1, True).
+        shapes = [
+            record, dataclasses.replace(record, energy=0.5), record,
+            dataclasses.replace(record, density=(1.0, 0.0, 3.0)),
+            dataclasses.replace(record, density=(), shot_errors=None, norm=3),
+            dataclasses.replace(record, density=[2.5], source="50% %s %r %%", norm=True),
+            dataclasses.replace(record, norm=1), dataclasses.replace(record, energy=-0.0),
+        ]
         odd = {
             "empty": [[], {}, ()],
             "flags": [True, False, None],
             "text": ["naïve", "Ωmega – “quoted” \"\\\n\t", "\u0000", "\U0001f600"],
             "numbers": [0, -1, 2**70, 0.1, -0.0, 5e-324, 1e300, 1 / 3],
+            "floats": [0.1, -0.0, 5e-324, 1e300, -1 / 3],
             "records": [cli.RunConfig(output_dir="ω"), {"nested": [record], "tuple": (1.5,)}],
+            "shapes": shapes,
+            "configs": [cli.RunConfig(), cli.RunConfig(seed=2, output_dir="a%b"), cli.RunConfig()],
+            "unlike": [record, dataclasses.replace(record, density=({"a": 1.0},))],
         }
         capture(str(tmp_path / "odd.json"), odd)
         for path, payload in written:
@@ -742,15 +794,27 @@ class TestWritersMatchReferences:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_summary_json_refuses_non_finite(self, tmp_path, value):
         # The bad value sits deep in the payload, after text for other keys has
-        # been formed; still no file is written.
-        path = tmp_path / "summary.json"
-        payload = {"a": [1.0, "x"], "config": cli.RunConfig(hubble=value), "z": None}
-        with pytest.raises(ValueError) as got:
-            cli.write_summary_json(str(path), payload)
-        with pytest.raises(ValueError) as expected:
-            json_reference(payload)
-        assert str(got.value) == str(expected.value)  # a sweep point's status quotes it
-        assert not path.exists()
+        # been formed: in a config, in a list of floats, or in the nested
+        # ShotErrors of a record list, after a record of the same shape.
+        # Still no file is written.
+        errors = ShotErrors((0.5, 0.25), 1.0, 0.0, -0.0, 1e-310, 2.0)
+        record = ObservableRecord(
+            0.1, (1.0, 0.0), 1.0, 0.0, 2.0, -1.0, None, 0.0, 1.0, "shots", errors
+        )
+        bad_errors = dataclasses.replace(errors, density=(0.5, value), chiral_c=value)
+        for bad in (
+            cli.RunConfig(hubble=value),
+            [1.0, value, 2.0],
+            [record, dataclasses.replace(record, shot_errors=bad_errors)],
+        ):
+            path = tmp_path / "summary.json"
+            payload = {"a": [1.0, "x"], "b": [record], "config": bad, "z": None}
+            with pytest.raises(ValueError) as got:
+                cli.write_summary_json(str(path), payload)
+            with pytest.raises(ValueError) as expected:
+                json_reference(payload)
+            assert str(got.value) == str(expected.value)  # a sweep point's status quotes it
+            assert not path.exists()
 
 
 class TestVerify:
@@ -964,16 +1028,10 @@ class TestSweep:
     def test_points_sample_with_distinct_keys(self, tmp_path, monkeypatch):
         # Point j samples snapshot i with the Philox key seed + j * 2^32 + i,
         # so no two (point, snapshot) pairs share a key.
-        keys = []
-        philox = np.random.Philox
-
-        def recorded(*args, key, **kwargs):
-            keys.append(int(key))
-            return philox(*args, key=key, **kwargs)
-
-        monkeypatch.setattr(np.random, "Philox", recorded)
+        draws = record_keys(monkeypatch)
         base = fast_config(tmp_path, n_sites=4, shots=50, seed=7, output_dir=str(tmp_path / "keys"))
         assert cli.sweep(base, "trotter_steps", [10, 20, 40, 80]) == cli.EXIT_OK
+        keys = [key for key, _ in draws]
         assert len(keys) == 11 + 21 + 41 + 81
         assert len(set(keys)) == len(keys)
         assert {k >> 32 for k in keys} == {0, 1, 2, 3}

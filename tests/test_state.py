@@ -29,6 +29,7 @@ from conftest import (
     random_label,
     random_orbitals,
     random_state,
+    record_keys,
     record_of,
     sample_one,
     sample_reference,
@@ -357,19 +358,6 @@ def states_of(block):
     return [StateVector(block.n_qubits, block.indices, row) for row in block.amplitudes]
 
 
-def record_keys(monkeypatch):
-    """The keys of the Philox bit generators made from now on, each with the
-    thread that made it."""
-    keys, philox = [], np.random.Philox
-
-    def recorded(*args, key, **kwargs):
-        keys.append((int(key), threading.current_thread()))
-        return philox(*args, key=key, **kwargs)
-
-    monkeypatch.setattr(np.random, "Philox", recorded)
-    return keys
-
-
 # Shot counts on both sides of 2^14, where a sampler that draws its shots
 # in chunks of 2^14 would split them.
 CHUNK_EDGE_SHOTS = [1, (1 << 14) - 1, 1 << 14, (1 << 14) + 1, 3 * (1 << 14) + 5]
@@ -462,6 +450,18 @@ class TestChunkedSampling:
             assert [thread for _, thread in keys] == [threading.main_thread()] * len(serial)
             for i, expected in enumerate(serial):
                 assert np.array_equal(batch.freqs[i], expected), (cores, i)
+
+    @pytest.mark.parametrize("key", [0, 2**63, 2**64 - 1])
+    def test_rekeyed_generator_draws_as_a_fresh_one(self, key):
+        # One bit generator is re-keyed for each state of a block; each
+        # state's counts are those of a fresh Generator(Philox(key=seed + i)),
+        # up to the last uint64 key.
+        block = half_filled_block()
+        seed = min(key, 2**64 - len(block.amplitudes))
+        batch = sample_z_basis(block, 1000, seed)
+        assert seed <= key <= seed + len(block.amplitudes) - 1
+        for i, st in enumerate(states_of(block)):
+            assert np.array_equal(batch.freqs[i], sample_reference(st, 1000, seed + i)), i
 
     def test_rejects_zero_shots_before_pulling_a_state(self, monkeypatch):
         block = half_filled_block()

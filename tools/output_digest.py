@@ -52,6 +52,15 @@ COMMANDS = (
         "run --n_sites 10 --initial_state_index 341 --shots 20000 --mass 1 --hubble 0.5",
         0,
     ),
+    # The last snapshot gap (step 6 to 7) is shorter than the others.
+    (
+        "n8-uneven",
+        "run --n_sites 8 --trotter_steps 7 --snapshot_every 3 --time_sampling left --shots 1000"
+        " --oracle off",
+        0,
+    ),
+    # One shot per snapshot: every standard error is 0, so no error bar is drawn.
+    ("n8-one-shot", "run --n_sites 8 --shots 1", 0),
     ("shots-sweep", SHOTS_SWEEP, 0),
     ("n20-blas", BLAS_N20, 0),
     # Point hubble=1000 fails validation, so the sweep exits 1.
