@@ -31,10 +31,6 @@ P_RATIO_FLOOR = 1e-9
 # size: amplitudes carry ~1e-16 of rounding, so a smaller one's phase is noise.
 PHASE_FLOOR = 1e-12
 
-# A Hermitian sum of Pauli strings has real coefficients, so any imaginary
-# part above rounding means a non-Hermitian sum.
-IMAG_COEFF_TOL = 1e-12
-
 # `verify` checks identities that hold exactly up to rounding: for N = 4..10
 # the bilinear identities deviate by 0 and the filled-state eigenvalue by at
 # most 2.2e-16, so 1e-12 is far above rounding and far below any real error.

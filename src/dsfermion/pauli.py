@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DENSE_QUBIT_LIMIT, IMAG_COEFF_TOL, ResourceLimitError
+from .errors import DENSE_QUBIT_LIMIT, ResourceLimitError
 
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)  # i**k for k = 0..3
 
@@ -53,19 +53,11 @@ class PauliString:
             z_mask |= bz << q
         return cls(len(label), x_mask, z_mask)
 
-    @property
-    def y_count(self) -> int:
-        return (self.x_mask & self.z_mask).bit_count()
-
-    def key(self) -> tuple[int, int]:
-        """Identity of the string, used for merging and ordering."""
-        return (self.z_mask, self.x_mask)
-
     def column_phases(self, indices: np.ndarray) -> np.ndarray:
         """Phases f(k) with P|k> = f(k) |k ^ x_mask> for the given basis indices:
         i^(Y count), negated where k & z_mask has odd parity."""
         signs = 1.0 - 2.0 * (np.bitwise_count(indices & np.int64(self.z_mask)) & 1)
-        return _PHASES[self.y_count % 4] * signs
+        return _PHASES[(self.x_mask & self.z_mask).bit_count() % 4] * signs
 
     def to_dense(self) -> np.ndarray:
         """Explicit 2^N x 2^N matrix (qubit 0 = least significant index bit)."""
@@ -83,39 +75,27 @@ def single_site(n_qubits: int, site: int, axis: str) -> PauliString:
 
 
 class PauliSum:
-    """A weighted sum of Pauli strings, merged and deterministically ordered.
+    """A real-weighted sum of Pauli strings, merged and deterministically ordered.
 
     The constructor is the one way to build or combine sums: it adds the
-    coefficients of equal strings in input order, drops zeros and sorts.
-    Coefficients must come out real, so the sum is a Hermitian operator.
+    coefficients of equal strings in input order as floats, drops zeros and
+    sorts by (z_mask, x_mask).  It rejects a complex coefficient: the sum is Hermitian.
     """
 
     __slots__ = ("n_qubits", "terms")
 
-    def __init__(self, n_qubits: int, terms: Iterable[tuple[complex, PauliString]] = ()):
+    def __init__(self, n_qubits: int, terms: Iterable[tuple[float, PauliString]] = ()):
         if n_qubits < 1:
             raise ValueError(f"n_qubits must be positive, got {n_qubits}")
-        merged: dict[tuple[int, int], complex] = {}
+        merged: dict[PauliString, float] = {}
         for coeff, string in terms:
             if string.n_qubits != n_qubits:
-                raise ValueError(
-                    f"term on {string.n_qubits} qubits in a {n_qubits}-qubit sum"
-                )
-            key = string.key()
-            merged[key] = merged.get(key, 0j) + complex(coeff)
-        out = []
-        for (z_mask, x_mask), coeff in merged.items():
-            if coeff == 0:
-                continue
-            if abs(coeff.imag) > IMAG_COEFF_TOL:
-                raise ValueError(
-                    f"residual imaginary coefficient {coeff.imag:g} on term "
-                    f"(x={x_mask:#x}, z={z_mask:#x})"
-                )
-            if coeff.imag == 0:
-                coeff = coeff.real
-            out.append((coeff, PauliString(n_qubits, x_mask, z_mask)))
-        out.sort(key=lambda item: item[1].key())
+                raise ValueError(f"term on {string.n_qubits} qubits in a {n_qubits}-qubit sum")
+            if isinstance(coeff, (complex, np.complexfloating)):
+                raise ValueError(f"complex coefficient {coeff!r} on {string}")
+            merged[string] = merged.get(string, 0.0) + float(coeff)
+        out = [(coeff, string) for string, coeff in merged.items() if coeff != 0]
+        out.sort(key=lambda item: (item[1].z_mask, item[1].x_mask))
         self.n_qubits = n_qubits
         self.terms = tuple(out)
 

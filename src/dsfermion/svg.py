@@ -149,6 +149,9 @@ def line_chart(
     xs_all = np.concatenate([xs for xs, _, _ in arrays])
     ends_all = np.concatenate([ends for _, ends, _ in arrays], axis=1)
     xlo, xhi = float(xs_all.min()), float(xs_all.max())
+    if xhi - xlo <= 1e-12 * max(abs(xlo), abs(xhi)):  # flat up to rounding: centre the points
+        half = max(abs(xlo), 1.0) * 5e-4
+        xlo, xhi = xlo - half, xhi + half
     ylo, yhi = float(ends_all[1].min()), float(ends_all[2].max())
     span = yhi - ylo
     if span <= 1e-12 * max(abs(ylo), abs(yhi)):  # flat up to rounding: ticks need room

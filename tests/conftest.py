@@ -313,6 +313,9 @@ def line_chart_reference(title, xlabel, ylabel, series, meta=None):
             err = s.yerr[i] if s.yerr else 0.0
             ys_all.extend((y - err, y + err))
     xlo, xhi = min(xs_all), max(xs_all)
+    if xhi - xlo <= 1e-12 * max(abs(xlo), abs(xhi)):  # flat up to rounding: centre the points
+        half = max(abs(xlo), 1.0) * 5e-4
+        xlo, xhi = xlo - half, xhi + half
     ylo, yhi = min(ys_all), max(ys_all)
     span = yhi - ylo
     if span <= 1e-12 * max(abs(ylo), abs(yhi)):  # flat up to rounding: ticks need room

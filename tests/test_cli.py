@@ -707,11 +707,18 @@ class TestWritersMatchReferences:
         for case in cases:
             expected = line_chart_reference("t", "x", "y", case, meta="m --x")
             assert svg.line_chart("t", "x", "y", case, meta="m --x") == expected, case[0].label
-        # A lone point has no x span: both stop at its first tick.
-        lone = [svg.Series("lone", [1.0], [2.0], [0.5])]
-        for chart in (svg.line_chart, line_chart_reference):
-            with pytest.raises(ZeroDivisionError):
-                chart("t", "x", "y", lone)
+        # One x value, for one series or two: the flat x range is widened and
+        # every point sits at the horizontal centre of the plot.
+        centre = "%.2f" % ((svg.MARGIN_LEFT + svg.WIDTH - svg.MARGIN_RIGHT) / 2)
+        one_x = [
+            [svg.Series("lone", [1.0], [2.0], [0.5])],
+            [svg.Series("a", [0.5, 0.5], [1.0, 2.0], [0.1, 0.0]), svg.Series("b", [0.5], [-1.0])],
+        ]
+        for case in one_x:
+            chart = svg.line_chart("t", "x", "y", case)
+            assert chart == line_chart_reference("t", "x", "y", case), case[0].label
+            circles = ET.fromstring(chart).iter("{http://www.w3.org/2000/svg}circle")
+            assert {c.get("cx") for c in circles} == {centre}, case[0].label
 
     def test_csv_matches_per_cell_reference(self, tmp_path, monkeypatch):
         written = []

@@ -107,8 +107,20 @@ class TestPauliSum:
         assert len(a.terms) == 0
 
     def test_imaginary_residue_rejected(self):
-        with pytest.raises(ValueError):
-            PauliSum(1, [(1j, single_site(1, 0, "Y"))])
+        y = single_site(1, 0, "Y")
+        for coeff in (1j, 1 + 1e-15j, np.complex128(1.0), np.complex64(1.0)):
+            with pytest.raises(ValueError, match="complex coefficient"):
+                PauliSum(1, [(coeff, y)])
+
+    def test_int_and_numpy_coefficients_merge_into_a_float(self):
+        z0 = single_site(2, 0, "Z")
+        tiny = np.float64(2.0**-53)
+        ((coeff, string),) = PauliSum(2, [(1, z0), (tiny, z0), (tiny, z0)]).terms
+        assert type(coeff) is float and string == z0
+        # In input order 1 + 2^-53 rounds to 1 twice; the two halves first give 1 + 2^-52.
+        assert coeff == 1.0
+        ((coeff, _),) = PauliSum(2, [(tiny, z0), (tiny, z0), (1, z0)]).terms
+        assert coeff == 1.0 + 2.0**-52
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
 """Property tests: the reference rotation kernel against dense matrix
 exponentials, on random strings of up to four qubits, and ``run`` on
 random configurations, which must exit with a documented code and, on
-success, write seven well-formed files."""
+success, write seven well-formed files that replay from their summary.json."""
 
 import json
+import math
 import pathlib
 import tempfile
 import xml.etree.ElementTree as ET
@@ -50,8 +51,8 @@ OUTPUTS = (
 # time, small; t_total reaches down to the subnormals.
 @PROPERTY
 @given(
-    n_sites=st.sampled_from([4, 6]),
-    start=st.integers(0, 63),
+    n_sites=st.sampled_from([4, 6, 8]),
+    start=st.integers(0, 255),
     hubble=st.floats(0.0, 1.0),
     mass=st.floats(0.0, 2.0),
     t_total=st.floats(0.0, 2.0),
@@ -87,6 +88,22 @@ def test_run_exits_cleanly_with_well_formed_outputs(
         json.loads((out / "summary.json").read_text(), parse_constant=_no_constant)
         for svg in out.glob("*.svg"):
             ET.parse(svg)
+        columns = []  # (header, cells) of both files' columns
         for name in ("density.csv", "observables.csv"):
             header, *rows = (out / name).read_text().splitlines()
             assert all(row.count(",") == header.count(",") for row in rows), name
+            columns += zip(header.split(","), zip(*(row.split(",") for row in rows)))
+        # The README's empty cells: the shot columns without shots, and p_ratio
+        # where |p(0)| <= 1e-9; every other cell is a finite number.
+        empty = {"n_shot", "n_shot_err", "C_err", "c_err"} if shots == 0 else set()
+        if abs(float(dict(columns)["p_over_e"][0])) <= 1e-9:
+            empty.add("p_ratio")
+        for column, cells in columns:
+            if column in empty:
+                assert set(cells) == {""}, column
+            else:
+                assert all(math.isfinite(float(cell)) for cell in cells), column
+        # The summary replays: run --config rewrites the same seven files.
+        written = {name: (out / name).read_bytes() for name in OUTPUTS}
+        assert cli.main(["run", f"--config={out / 'summary.json'}"]) == cli.EXIT_OK
+        assert {name: (out / name).read_bytes() for name in OUTPUTS} == written

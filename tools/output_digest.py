@@ -24,7 +24,8 @@ import sys
 
 ROOT = pathlib.Path("out/digest")
 
-# The shots-sweep and N=20 BLAS-thread commands of the CI workflow.
+# The shots-sweep benchmark workload, and a half-filled N=20 run whose 184756
+# basis states spread each snapshot's shots over tens of thousands of outcomes.
 SHOTS_SWEEP = (
     "sweep --n_sites 12 --hubble 0.1 --mass 1 --t_total 1 --snapshot_every 1 --shots 200000"
     " --initial_state_index 1 --oracle off --parameter trotter_steps --values 10,20,40,80 --seed 7"
