@@ -22,7 +22,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
-from operator import attrgetter
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from .errors import (
 )
 from .evolve import exact_evolve_converged, trotter_evolve
 from .model import ModelParams, hamiltonian_at, hamiltonian_parts, n8_fixture, verify_bilinears
-from .observables import ObservableRecord, estimators_from_counts
+from .observables import Observables, estimators_from_counts, join
 from .pauli import PauliSum
 from .state import read_out, sample_z_basis, snapshot_blocks, state_distance
 from .svg import Series, heatmap, line_chart
@@ -218,65 +217,63 @@ def _write_csv(path: str, header: str, columns) -> None:
     _write_text(path, "\n".join([header] + [line] * len(present[0])) % tuple(cells) + "\n")
 
 
-def _p_ratio_scale(exact_records: list[ObservableRecord]) -> float | None:
+def _p_ratio_scale(exact: Observables) -> float | None:
     """p(0), or None where the polarization ratio p(t)/p(0) is undefined."""
-    p0 = exact_records[0].polarization_over_e
+    p0 = float(exact.polarization_over_e[0])
     return p0 if abs(p0) > P_RATIO_FLOOR else None
 
 
-def write_density_csv(
-    path: str,
-    exact_records: list[ObservableRecord],
-    shot_records: list[ObservableRecord] | None,
-) -> None:
-    n_sites, shots = len(exact_records[0].density), shot_records or None
+def write_density_csv(path: str, exact: Observables, shots: Observables | None) -> None:
+    count, n_sites = exact.density.shape
     _write_csv(path, "t,x,n_exact,n_shot,n_shot_err", (
-        np.repeat([r.t for r in exact_records], n_sites),
-        np.tile(np.arange(n_sites), len(exact_records)),
-        np.ravel([r.density for r in exact_records]),
-        shots and np.ravel([r.density for r in shots]),
-        shots and np.ravel([r.shot_errors.density for r in shots]),
+        np.repeat(exact.t, n_sites),
+        np.tile(np.arange(n_sites), count),
+        exact.density.ravel(),
+        shots and shots.density.ravel(),
+        shots and shots.shot_errors["density"].ravel(),
     ))
 
 
-def write_observables_csv(
-    path: str,
-    exact_records: list[ObservableRecord],
-    shot_records: list[ObservableRecord] | None,
-) -> None:
-    names = "t n_total correlation_C polarization_over_e chiral_c energy total_sz norm".split()
-    exact = np.array([*map(attrgetter(*names), exact_records)])
-    t, n_total, c, p, chi, energy, total_sz, norm = exact.T
-    errors = [(r.shot_errors.correlation_C, r.shot_errors.chiral_c) for r in shot_records or ()]
-    c_err, chi_err = np.array(errors).T if errors else (None, None)
-    p_ratio = None if (p0 := _p_ratio_scale(exact_records)) is None else p / p0
-    columns = (t, n_total, c, c_err, p, p_ratio, chi, chi_err, energy, total_sz, norm)
+def write_observables_csv(path: str, exact: Observables, shots: Observables | None) -> None:
+    errors = shots.shot_errors if shots else {}
+    p = exact.polarization_over_e
+    p_ratio = None if (p0 := _p_ratio_scale(exact)) is None else p / p0
+    columns = (exact.t, exact.n_total, exact.correlation_C, errors.get("correlation_C"), p, p_ratio,
+               exact.chiral_c, errors.get("chiral_c"), exact.energy, exact.total_sz, exact.norm)
     _write_csv(path, "t,n_total,C,C_err,p_over_e,p_ratio,c,c_err,energy,total_sz,norm", columns)
 
 
-def _leaves(record, shape: list, leaves: list) -> bool:
-    """Append ``record``'s floats to ``leaves`` in _json's order and all else its text
-    depends on to ``shape``; False for a field not a float, float list, None, str, int or record."""
-    values = vars(record)
-    shape.append(names := tuple(sorted(values)))
-    for name in names:
-        value = values[name]
-        kind = type(value)
-        if kind is float or kind in (list, tuple) and set(map(type, value)) <= {float}:
-            leaves += (value,) if kind is float else value
-            shape.append(float if kind is float else len(value))
-        elif value is None or kind in (str, bool, int):
-            shape.append((kind, value))
-        elif not hasattr(value, "__dict__") or not _leaves(value, shape, leaves):
-            return False
-    return True
+def _rows_json(block: Observables, indent: str) -> str:
+    """The rows of ``block`` as _json writes the list of their dicts: one template with
+    ``%r`` for each float per row, filled from the stacked columns in sorted-key order."""
+    columns = []
+
+    def template_row(values: dict) -> dict:
+        row = {}
+        for name, value in sorted(values.items()):
+            if isinstance(value, np.ndarray):
+                columns.append(value.reshape(len(value), -1))
+                value = 0.0 if value.ndim == 1 else [0.0] * value.shape[1]
+            elif isinstance(value, dict):
+                value = template_row(value)
+            row[name] = value
+        return row
+
+    inner = indent + "  "
+    template = _json(template_row(vars(block)), inner, "%r")
+    cells = np.hstack(columns)
+    bad = cells[~np.isfinite(cells)]
+    if bad.size:
+        raise ValueError(f"Out of range float values are not JSON compliant: {float(bad[0])!r}")
+    items = (",\n" + inner).join([template] * len(cells)) % tuple(cells.ravel().tolist())
+    return "[\n" + inner + items + "\n" + indent + "]"
 
 
 def _json(value, indent: str, leaf: str | None = None) -> str:
     """``value`` at ``indent`` as json.dumps(value, indent=2, sort_keys=True,
     default=vars, allow_nan=False) writes it (dict keys are strings), without its
-    pure-Python encoder.  Records of one type in a list take one ``%`` each, on
-    their shape's template (see _leaves): their text with ``leaf`` for each float."""
+    pure-Python encoder, with ``leaf`` for each float if given; an Observables
+    block as the list of its rows (see _rows_json)."""
     if isinstance(value, float):
         if not (leaf or math.isfinite(value)):
             raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
@@ -289,6 +286,8 @@ def _json(value, indent: str, leaf: str | None = None) -> str:
         return "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
+    if isinstance(value, Observables):
+        return _rows_json(value, indent)
     if not isinstance(value, (list, tuple, dict)):
         return _json(vars(value), indent, leaf)
     if not value:
@@ -298,23 +297,14 @@ def _json(value, indent: str, leaf: str | None = None) -> str:
         pairs = sorted(value.items())
         items = [f"{_json(k, inner, leaf)}: {_json(v, inner, leaf)}" for k, v in pairs]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    items, templates = [], {}
-    if not leaf and len(set(map(type, value))) == 1 and hasattr(value[0], "__dict__"):
-        for record in value:
-            shape, leaves = [], []
-            if not (_leaves(record, shape, leaves) and all(map(math.isfinite, leaves))):
-                items = []  # the generic path below writes it, or raises
-                break
-            key = tuple(shape)
-            template = templates.get(key) or templates.setdefault(key, _json(record, inner, "%r"))
-            items.append(template % tuple(leaves))
-    items = items or [_json(v, inner, leaf) for v in value]
+    items = [_json(v, inner, leaf) for v in value]
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
 
 
 def write_summary_json(path: str, payload: dict) -> None:
-    """``payload`` as strict JSON: records and configs as their fields
-    (``vars``), None as null; a NaN or infinity raises ValueError."""
+    """``payload`` as strict JSON: configs as their fields (``vars``), an
+    Observables block as its rows, None as null; a NaN or infinity raises
+    ValueError."""
     _write_text(path, _json(payload, "") + "\n")
 
 
@@ -324,20 +314,16 @@ def _config_meta(config: RunConfig) -> str:
 
 
 def _write_plots(
-    out_dir: str,
-    config: RunConfig,
-    exact_records: list[ObservableRecord],
-    shot_records: list[ObservableRecord] | None,
+    out_dir: str, config: RunConfig, exact: Observables, shots: Observables | None
 ) -> None:
     meta = _config_meta(config)
-    times, grid = [rec.t for rec in exact_records], [rec.density for rec in exact_records]
-    sites = range(len(grid[0]))
-    svg = heatmap("Fermion density n(x, t)", "t", "site x", times, sites, grid, meta=meta)
+    times, sites = exact.t.tolist(), range(exact.density.shape[1])
+    svg = heatmap("Fermion density n(x, t)", "t", "site x", times, sites, exact.density, meta=meta)
     _write_text(os.path.join(out_dir, "density_heatmap.svg"), svg)
 
     # The polarization is plotted relative to p(0) where that ratio is defined;
     # dividing by a scale of 1.0 leaves the other charts' values unchanged.
-    p0 = _p_ratio_scale(exact_records)
+    p0 = _p_ratio_scale(exact)
     if p0 is not None:
         polarization = ("Polarization ratio p(t)/p(0)", "p(t)/p(0)", p0)
     else:
@@ -347,11 +333,10 @@ def _write_plots(
         ("polarization.svg", polarization, "polarization_over_e"),
         ("chiral.svg", ("Chiral condensate c(t)", "c", 1.0), "chiral_c"),
     ):
-        series = [Series("exact", times, [getattr(r, attr) / scale for r in exact_records])]
-        if shot_records:
-            ys = [getattr(r, attr) / scale for r in shot_records]
-            errs = [getattr(r.shot_errors, attr) / abs(scale) for r in shot_records]
-            series.append(Series("shots", times, ys, yerr=errs))
+        series = [Series("exact", times, getattr(exact, attr) / scale)]
+        if shots:
+            errs = (shots.shot_errors[attr] / abs(scale)).tolist()
+            series.append(Series("shots", times, getattr(shots, attr) / scale, yerr=errs))
         _write_text(os.path.join(out_dir, name), line_chart(title, "t", ylabel, series, meta=meta))
 
 
@@ -372,7 +357,7 @@ def run(config: RunConfig) -> int:
         time_sampling=config.time_sampling,
         snapshot_every=config.snapshot_every,
     )
-    records = trajectory.records
+    exact = trajectory.observables
 
     # The oracle runs before any shot is drawn: past its step budget it stops
     # at once, and a run it stops reads nothing out.
@@ -384,38 +369,36 @@ def run(config: RunConfig) -> int:
             config.t_total,
             substeps_start=config.oracle_substeps_start,
         )
-        final = read_out(trajectory.orbitals[-1], config.hubble, records[-1].t)
-        exact = read_out(oracle.orbitals, config.hubble, config.t_total)
+        final = read_out(trajectory.orbitals[-1], config.hubble, exact.t[-1])
+        reference = read_out(oracle.orbitals, config.hubble, config.t_total)
         oracle_report = {
             "substeps": oracle.substeps,
             "convergence_delta": oracle.delta,
-            "state_distance": state_distance(final, exact),
+            "state_distance": state_distance(final, reference),
         }
 
-    shot_records = None
+    shots = None
     if config.shots > 0:
         # Each snapshot is read out once, a block at a time (the last one by
         # the oracle check, if any), and snapshot i samples with key seed + i.
         count, n, k = trajectory.orbitals.shape
-        times = [rec.t for rec in records]
         blocks = snapshot_blocks(count - (final is not None), n, k)
-        shot_records = []
+        estimates = []
         for block in blocks + [slice(count - 1, count)] * (final is not None):
             states = (
                 final if final is not None and block.stop == count
-                else read_out(trajectory.orbitals[block], config.hubble, times[block])
+                else read_out(trajectory.orbitals[block], config.hubble, exact.t[block])
             )
             counts = sample_z_basis(states, config.shots, config.seed + block.start)
-            shot_records += estimators_from_counts(counts, times[block], config.hubble)
+            estimates.append(estimators_from_counts(counts, exact.t[block], config.hubble))
+        shots = join(estimates)
 
-    charge_drift = max(abs(r.total_sz - records[0].total_sz) for r in records)
-    norm_drift = max(abs(r.norm - 1.0) for r in records)
+    charge_drift = float(np.max(np.abs(exact.total_sz - exact.total_sz[0])))
+    norm_drift = float(np.max(np.abs(exact.norm - 1.0)))
 
     os.makedirs(config.output_dir, exist_ok=True)
-    write_density_csv(os.path.join(config.output_dir, "density.csv"), records, shot_records)
-    write_observables_csv(
-        os.path.join(config.output_dir, "observables.csv"), records, shot_records
-    )
+    write_density_csv(os.path.join(config.output_dir, "density.csv"), exact, shots)
+    write_observables_csv(os.path.join(config.output_dir, "observables.csv"), exact, shots)
     summary = {
         "config": config,
         "seed": config.seed,
@@ -428,10 +411,10 @@ def run(config: RunConfig) -> int:
             "oracle": oracle_report,
         },
     }
-    if shot_records is not None:
-        summary["shot_records"] = shot_records
+    if shots is not None:
+        summary["shot_records"] = shots
     write_summary_json(os.path.join(config.output_dir, "summary.json"), summary)
-    _write_plots(config.output_dir, config, records, shot_records)
+    _write_plots(config.output_dir, config, exact, shots)
 
     if not (charge_drift <= CHARGE_DRIFT_TOL and norm_drift <= NORM_DRIFT_TOL):  # NaN fails
         print(

@@ -36,6 +36,17 @@ PHASE_FLOOR = 1e-12
 # most 2.2e-16, so 1e-12 is far above rounding and far below any real error.
 IDENTITY_TOL = 1e-12
 
+# A chart's axis range is flat when its span is at most FLAT_RANGE_TOL times
+# its ends' larger magnitude (~4500 ulps, the values' rounding).  A flat x range
+# widens by FLAT_X_HALF_WIDTH max(|x|, 1) on each side, which centres its points;
+# a flat y range gets the span FLAT_Y_SPAN max(|y|, 1), which gives ticks room.
+FLAT_RANGE_TOL = 1e-12
+FLAT_X_HALF_WIDTH = 5e-4
+FLAT_Y_SPAN = 1e-3
+# A running sum of tick steps past an axis's top end by this many steps is
+# its rounding, and still places a tick there.
+TICK_END_TOL = 1e-12
+
 # The largest lattice: basis indices are int64 with site x at bit x, and
 # bit 63 is the sign bit, so an even lattice fits in at most 62 sites.
 MAX_SITES = 62

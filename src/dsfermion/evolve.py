@@ -19,7 +19,7 @@ import numpy as np
 from .errors import NORM_DRIFT_LIMIT, ORACLE_SUBSTEP_BUDGET, ORACLE_TOL
 from .errors import NormDriftError, ResourceLimitError
 from .model import ModelParams, one_body_parts, scale_factor
-from .observables import ObservableRecord, exact_record, slater_norm
+from .observables import Observables, exact_record, join, slater_norm
 from .state import snapshot_blocks
 
 # Where a step of width dt samples e^{h t}, as a fraction of dt.
@@ -28,10 +28,10 @@ TIME_NODES = {"left": 0.0, "midpoint": 0.5}
 
 @dataclass
 class Trajectory:
-    """Snapshot records (each holds its time) and the S snapshots' (S, N, k)
-    hole orbitals; a snapshot's state is the Slater determinant of its own."""
+    """The S snapshots' observables (one block, with their times) and their
+    (S, N, k) hole orbitals; a snapshot's state is the Slater determinant of its own."""
 
-    records: list[ObservableRecord]
+    observables: Observables
     orbitals: np.ndarray
 
 
@@ -47,8 +47,8 @@ def trotter_evolve(
     Trotter steps of width ``dt``, each sampling e^{h t} at its
     ``time_sampling`` node (TIME_NODES).  Check the norm after every step and
     keep the orbitals every ``snapshot_every`` steps (the t = 0 snapshot and
-    the final step are always kept), then record them in blocks, each with
-    the norm its step checked.  No C(N, k) amplitude is formed."""
+    the final step are always kept), then take their observables in blocks,
+    each snapshot with the norm its step checked.  No C(N, k) amplitude is formed."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if steps > 0 and dt <= 0:
@@ -87,10 +87,9 @@ def trotter_evolve(
             raise NormDriftError(f"step {k + 1} of {steps}: {message}")
         if (k + 1) % snapshot_every == 0 or k + 1 == steps:
             snapshot(orbitals, (k + 1) * dt, norm)
-    records = []
-    for b in snapshot_blocks(count, n, len(holes)):
-        records += exact_record(kept[b], times[b], params.hubble, energies[b], norms[b])
-    return Trajectory(records=records, orbitals=kept)
+    slices = snapshot_blocks(count, n, len(holes))
+    blocks = [exact_record(kept[b], times[b], params.hubble, energies[b], norms[b]) for b in slices]
+    return Trajectory(observables=join(blocks), orbitals=kept)
 
 
 def _start_holes(start: int, n_sites: int) -> list[int]:
@@ -102,16 +101,14 @@ def _start_holes(start: int, n_sites: int) -> list[int]:
 
 def _bond_layer(hopping: np.ndarray, dt: float) -> np.ndarray:
     """The hopping gates of one Trotter step as one N x N matrix.  Bond
-    (x, y), an upper off-diagonal hopping entry c = |c| e^{i phi}, rotates
-    rows x and y by [[cos, -i e^{i phi} sin], [-i e^{-i phi} sin, cos]] of
-    |c| dt; the bulk bonds act by site, then the boundary pair (0, N - 1)."""
+    (x, y), an upper off-diagonal hopping entry s, which is real and +-1 on
+    every lattice, rotates rows x and y by [[cos, -i s sin], [-i s sin, cos]]
+    of dt; the bulk bonds act by site, then the boundary pair (0, N - 1)."""
     layer = np.eye(hopping.shape[0], dtype=np.complex128)
+    cos, sin = math.cos(dt), math.sin(dt)
     for x, y in sorted(np.argwhere(np.triu(hopping, 1)), key=lambda b: (b[1] - b[0] > 1, b[0])):
-        c = hopping[x, y]
-        cos, sin = math.cos(abs(c) * dt), math.sin(abs(c) * dt)
-        phase = c / abs(c)
-        rotation = np.array([[cos, -1j * phase * sin], [-1j * phase.conjugate() * sin, cos]])
-        layer[[x, y]] = rotation @ layer[[x, y]]
+        off = -1j * float(hopping[x, y].real) * sin
+        layer[[x, y]] = np.array([[cos, off], [off, cos]]) @ layer[[x, y]]
     return layer
 
 

@@ -8,7 +8,8 @@ product expectation n(0) n(1) of site occupations.
 
 A shot estimate comes from exact int64 sums over the outcomes, rounded only
 at the end: it depends on neither the outcome order, the cores nor BLAS.
-Records come a block of snapshots at a time, each with a lone snapshot's bits.
+A block of snapshots holds its observables as columns, each row with a lone
+snapshot's bits.
 """
 
 from __future__ import annotations
@@ -22,32 +23,33 @@ from .state import ShotCounts
 
 
 @dataclass(frozen=True)
-class ShotErrors:
-    """Standard errors of the shot-based estimators (sample std dev / sqrt(shots))."""
+class Observables:
+    """A block of S snapshots' observables as columns: ``density`` of shape
+    (S, N), and ``t`` and each other value of shape (S,)."""
 
-    density: tuple[float, ...]
-    n_total: float
-    correlation_C: float
-    polarization_over_e: float
-    chiral_c: float
-    total_sz: float
-
-
-@dataclass(frozen=True)
-class ObservableRecord:
-    """One snapshot's worth of observables."""
-
-    t: float
-    density: tuple[float, ...]
-    n_total: float
-    correlation_C: float
-    polarization_over_e: float
-    chiral_c: float
-    energy: float | None  # None where the source cannot measure it
-    total_sz: float
-    norm: float | None
+    t: np.ndarray
+    density: np.ndarray
+    n_total: np.ndarray
+    correlation_C: np.ndarray
+    polarization_over_e: np.ndarray
+    chiral_c: np.ndarray
+    energy: np.ndarray | None  # None where the source cannot measure it
+    total_sz: np.ndarray
+    norm: np.ndarray | None
     source: str  # "exact" or "shots"
-    shot_errors: ShotErrors | None = None
+    # Shot estimates' standard errors (sample std dev / sqrt(shots)), by field name.
+    shot_errors: dict[str, np.ndarray] | None = None
+
+
+def join(blocks: list[Observables]) -> Observables:
+    """The rows of ``blocks`` in order, as one block."""
+
+    def joined(parts: list):  # arrays end to end, dicts key by key, else the first
+        if isinstance(parts[0], dict):
+            return {name: joined([part[name] for part in parts]) for name in parts[0]}
+        return np.concatenate(parts) if isinstance(parts[0], np.ndarray) else parts[0]
+
+    return Observables(**joined([vars(block) for block in blocks]))
 
 
 def slater_norm(orbitals: np.ndarray) -> float:
@@ -59,7 +61,7 @@ def slater_norm(orbitals: np.ndarray) -> float:
 def _site_observables(occ: np.ndarray, volume=1) -> dict[str, np.ndarray]:
     """The observables linear in the site occupations ``occ`` (a row of sites
     per snapshot or shot outcome) times ``volume`` (1, or one per row), keyed
-    by their ObservableRecord fields.  Integer occupations with the default
+    by their Observables fields.  Integer occupations with the default
     volume give integer values."""
     n_sites = occ.shape[1]
     if n_sites < 2:
@@ -75,40 +77,41 @@ def _site_observables(occ: np.ndarray, volume=1) -> dict[str, np.ndarray]:
     }
 
 
-def exact_record(
-    orbitals: np.ndarray, times, hubble: float, energies, norms
-) -> list[ObservableRecord]:
-    """The records of a block of snapshots from their (S, N, k) hole orbitals
-    Phi, by Wick's theorem on G = Phi Phi^dag: site x holds a hole with
-    probability G_xx, and sites 0 and 1 both hold holes with probability
-    G_00 G_11 - |G_01|^2.  Each snapshot's values have the bits it would have
-    alone.  The caller supplies the energies (they need the Hamiltonian,
-    which this module deliberately does not know about) and the norms."""
+def exact_record(orbitals: np.ndarray, times, hubble: float, energies, norms) -> Observables:
+    """The observables of a block of snapshots from their (S, N, k) hole
+    orbitals Phi, by Wick's theorem on G = Phi Phi^dag: site x holds a hole
+    with probability G_xx, and sites 0 and 1 both hold holes with
+    probability G_00 G_11 - |G_01|^2.  Each snapshot's values have the bits
+    it would have alone.  The caller supplies the energies (they need the
+    Hamiltonian, which this module deliberately does not know about) and
+    the norms."""
     g = orbitals @ orbitals.conj().swapaxes(1, 2)
     occ = 1.0 - g.diagonal(axis1=1, axis2=2).real
     site = _site_observables(occ, np.array([math.exp(hubble * t) for t in times]))
     # C in Python scalars: numpy's |z| of an array can differ from a scalar's in the last bit.
     pairs = zip(occ[:, 0].tolist(), occ[:, 1].tolist(), g[:, 0, 1].tolist())
-    columns = {name: site[name].tolist() for name in ("n_total", "polarization_over_e", "chiral_c")}
-    columns["correlation_C"] = [occ0 * occ1 - abs(g01) ** 2 for occ0, occ1, g01 in pairs]
-    columns["total_sz"] = (occ.shape[1] - 2.0 * np.trace(g, axis1=1, axis2=2).real).tolist()
-    columns.update(energy=energies, norm=norms)
-    return [
-        ObservableRecord(t, tuple(density), **dict(zip(columns, row)), source="exact")
-        for t, density, *row in zip(times, site["density"].tolist(), *columns.values())
-    ]
+    return Observables(
+        t=np.asarray(times, dtype=np.float64),
+        correlation_C=np.array([occ0 * occ1 - abs(g01) ** 2 for occ0, occ1, g01 in pairs]),
+        energy=np.asarray(energies, dtype=np.float64),
+        total_sz=occ.shape[1] - 2.0 * np.trace(g, axis1=1, axis2=2).real,
+        norm=np.asarray(norms, dtype=np.float64),
+        source="exact",
+        **site,
+    )
 
 
-def estimators_from_counts(counts: ShotCounts, times, hubble: float) -> list[ObservableRecord]:
-    """The shot records of a count block, row i at times[i]: quantum
+def estimators_from_counts(counts: ShotCounts, times, hubble: float) -> Observables:
+    """The shot estimates of a count block, row i at times[i]: quantum
     expectations replaced by shot-frequency averages, each with its standard
     error (sample std dev / sqrt(shots)).  Every per-shot value is an integer
     (a site's occupation, N - popcount, the sums of x o_x and (-1)^x o_x,
     o_0 o_1, N - 2 popcount), so its sums S1 = sum f v and S2 = sum f v^2,
-    int64 products over the outcomes the block drew, are exact, and shots
-    S2 - S1^2, which can pass 2^63, is a Python int; e^{ht} scales the
-    estimates rounded from them.  Neither the energy nor the norm is
-    measurable in a single Z-basis setting; both are None.
+    int64 products over the outcomes the block drew, are exact.  The
+    variance (shots S2 - S1^2) / (shots^2 (shots - 1)) is a ratio of Python
+    ints, which can pass 2^63; e^{ht} scales the estimates rounded from
+    them.  Neither the energy nor the norm is measurable in a single Z-basis
+    setting; both are None.
     """
     n, freqs = counts.n_qubits, counts.freqs
     if not freqs.any(axis=1).all():
@@ -125,17 +128,21 @@ def estimators_from_counts(counts: ShotCounts, times, hubble: float) -> list[Obs
     values = np.column_stack(
         [occ, *map(site.get, names[:3]), occ[:, 0] * occ[:, 1], 2 * site["n_total"] - n]
     )
-    sums = (freqs @ values).tolist(), (freqs @ (values * values)).tolist()
-    records = []
-    for t, shots, row_s1, row_s2 in zip(times, freqs.sum(axis=1).tolist(), *sums):
-        # e^{ht} scales the densities, n_total, polarization and chiral condensate.
-        scales = [math.exp(hubble * t)] * (n + 3) + [1.0, 1.0]
-        means, errs = [], []
-        for scale, s1, s2 in zip(scales, row_s1, row_s2):
-            var = (shots * s2 - s1 * s1) / (shots * shots * (shots - 1)) if shots > 1 else 0
-            means.append(scale * (s1 / shots))
-            errs.append(scale * math.sqrt(var))
-        errors = ShotErrors(tuple(errs[:n]), **dict(zip(names, errs[n:])))
-        fields = dict(zip(names, means[n:]), energy=None, norm=None, shot_errors=errors)
-        records.append(ObservableRecord(t, tuple(means[:n]), **fields, source="shots"))
-    return records
+    s1, s2 = freqs @ values, freqs @ (values * values)
+    # The variance's terms as Python ints in object arrays, and their ratio
+    # correctly rounded; a row of one shot has S2 = S1^2, so its ratio is 0 / 1.
+    shots = freqs.sum(axis=1)[:, None]
+    ints = shots.astype(object)
+    variances = (ints * s2 - s1.astype(object) ** 2) / (ints * ints * np.maximum(ints - 1, 1))
+    # Each quotient, product and root below is correctly rounded, as in Python floats.
+    means, errors = s1 / shots, np.sqrt(variances.astype(np.float64))
+    # e^{ht} scales the densities, n_total, polarization and chiral condensate.
+    volume = np.array([math.exp(hubble * t) for t in times])[:, None]
+    means[:, : n + 3] *= volume
+    errors[:, : n + 3] *= volume
+    columns = {"density": slice(n), **{name: n + j for j, name in enumerate(names)}}
+    return Observables(
+        np.asarray(times, dtype=np.float64), **{k: means[:, c] for k, c in columns.items()},
+        energy=None, norm=None, source="shots",
+        shot_errors={k: errors[:, c] for k, c in columns.items()},
+    )

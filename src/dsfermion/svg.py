@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FLAT_RANGE_TOL, FLAT_X_HALF_WIDTH, FLAT_Y_SPAN, TICK_END_TOL
+
 WIDTH = 640
 HEIGHT = 440
 MARGIN_LEFT = 72
@@ -72,7 +74,7 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     if step is None:  # raw or 10^e underflows to 0: no round step exists
         return [lo, hi]
     ticks, value = [], math.ceil(lo / step) * step
-    while value <= hi + 1e-12 * abs(step):
+    while value <= hi + TICK_END_TOL * abs(step):
         ticks.append(round(value, max(12, 1 - exponent)))
         value += step
     return ticks
@@ -149,13 +151,13 @@ def line_chart(
     xs_all = np.concatenate([xs for xs, _, _ in arrays])
     ends_all = np.concatenate([ends for _, ends, _ in arrays], axis=1)
     xlo, xhi = float(xs_all.min()), float(xs_all.max())
-    if xhi - xlo <= 1e-12 * max(abs(xlo), abs(xhi)):  # flat up to rounding: centre the points
-        half = max(abs(xlo), 1.0) * 5e-4
+    if xhi - xlo <= FLAT_RANGE_TOL * max(abs(xlo), abs(xhi)):  # flat: centre the points
+        half = max(abs(xlo), 1.0) * FLAT_X_HALF_WIDTH
         xlo, xhi = xlo - half, xhi + half
     ylo, yhi = float(ends_all[1].min()), float(ends_all[2].max())
     span = yhi - ylo
-    if span <= 1e-12 * max(abs(ylo), abs(yhi)):  # flat up to rounding: ticks need room
-        span = max(abs(ylo), 1.0) * 1e-3
+    if span <= FLAT_RANGE_TOL * max(abs(ylo), abs(yhi)):  # flat: ticks need room
+        span = max(abs(ylo), 1.0) * FLAT_Y_SPAN
     ylo, yhi = ylo - 0.05 * span, yhi + 0.05 * span
 
     parts = []

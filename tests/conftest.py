@@ -23,7 +23,9 @@ the per-cell CSV line, ``json``'s own indented encoder, the per-point line
 chart and the per-quantity shot mean and error are the slow references for
 the package's writers and shot estimators.  The package takes a run's snapshots in blocks; the
 per-snapshot Wick record, sampler and shot record below are the slow
-references its blocks must match bit for bit.
+references its blocks must match bit for bit.  The package keeps a block's
+observables as columns; ``rows`` turns them into the per-snapshot records
+the references build, which compare by ``repr``.
 """
 
 import functools
@@ -39,13 +41,7 @@ import pytest
 from dsfermion.errors import NORM_DRIFT_LIMIT, NormDriftError
 from dsfermion.evolve import TIME_NODES, _propagate
 from dsfermion.model import hamiltonian_at, hamiltonian_parts, scale_factor
-from dsfermion.observables import (
-    ObservableRecord,
-    ShotErrors,
-    estimators_from_counts,
-    exact_record,
-    slater_norm,
-)
+from dsfermion.observables import estimators_from_counts, exact_record, slater_norm
 from dsfermion.state import ShotCounts, StateVector, read_out, sample_z_basis
 from dsfermion.svg import (
     HEIGHT,
@@ -165,9 +161,56 @@ def random_orbitals(rng, n_sites, k):
 def snapshot_states(trajectory, hubble):
     """The state at each snapshot of ``trajectory``, read out of its orbitals."""
     return [
-        read_out(orbitals, hubble, record.t)
-        for orbitals, record in zip(trajectory.orbitals, trajectory.records)
+        read_out(orbitals, hubble, t)
+        for orbitals, t in zip(trajectory.orbitals, trajectory.observables.t.tolist())
     ]
+
+
+@dataclass(frozen=True)
+class ShotErrors:
+    """One snapshot's standard errors of its shot estimates."""
+
+    density: tuple[float, ...]
+    n_total: float
+    correlation_C: float
+    polarization_over_e: float
+    chiral_c: float
+    total_sz: float
+
+
+@dataclass(frozen=True)
+class ObservableRecord:
+    """One snapshot's observables: a row of an observables.Observables block,
+    as the references below build it one snapshot at a time."""
+
+    t: float
+    density: tuple[float, ...]
+    n_total: float
+    correlation_C: float
+    polarization_over_e: float
+    chiral_c: float
+    energy: float | None
+    total_sz: float
+    norm: float | None
+    source: str
+    shot_errors: ShotErrors | None = None
+
+
+def rows(block):
+    """The records of the rows of the observables.Observables ``block``, value
+    for value (numpy values as Python floats, so that ``repr`` compares bits)."""
+
+    def row(columns: dict, kind, i):
+        values = {}
+        for name, value in columns.items():
+            if isinstance(value, np.ndarray):
+                value = tuple(value[i].tolist()) if value.ndim == 2 else value[i].item()
+            elif isinstance(value, dict):
+                value = row(value, ShotErrors, i)
+            values[name] = value
+        return kind(**values)
+
+    return [row(vars(block), ObservableRecord, i) for i in range(len(block.t))]
 
 
 def amplitude_record(state, t, hubble, energy=None):
@@ -414,10 +457,11 @@ def exact_record_reference(orbitals, t, hubble, energy=None):
     )
 
 
-def record_of(orbitals, t, hubble, energy=None):
+def record_of(orbitals, t, hubble, energy=0.0):
     """observables.exact_record of one snapshot, as a block of one, with its
-    slater norm."""
-    return exact_record(orbitals[None], [t], hubble, [energy], [slater_norm(orbitals)])[0]
+    slater norm: the block's one row."""
+    (record,) = rows(exact_record(orbitals[None], [t], hubble, [energy], [slater_norm(orbitals)]))
+    return record
 
 
 def sample_reference(st, shots, seed):
@@ -473,8 +517,10 @@ def one_histogram(n_qubits, outcomes, freqs):
 
 
 def shot_record(counts, t, hubble):
-    """observables.estimators_from_counts of a count block of one row."""
-    return estimators_from_counts(counts, [t], hubble)[0]
+    """observables.estimators_from_counts of a count block of one row: the
+    estimates' one row."""
+    (record,) = rows(estimators_from_counts(counts, [t], hubble))
+    return record
 
 
 def estimators_reference(counts, t, hubble):

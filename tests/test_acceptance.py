@@ -37,6 +37,7 @@ from conftest import (
     hole_circular_variance,
     random_label,
     random_state,
+    rows,
     sample_one,
     snapshot_states,
 )
@@ -57,9 +58,10 @@ def paper_params(mass: float) -> ModelParams:
 def preset_shot_records(trajectory):
     """The seeded shot records of a preset trajectory, its snapshots read out
     and sampled as one block."""
-    times = [record.t for record in trajectory.records]
+    times = trajectory.observables.t
     states = read_out(trajectory.orbitals, HUBBLE, times)
-    return estimators_from_counts(sample_z_basis(states, 10_000, seed=PRESET_SEED), times, HUBBLE)
+    counts = sample_z_basis(states, 10_000, seed=PRESET_SEED)
+    return rows(estimators_from_counts(counts, times, HUBBLE))
 
 
 @pytest.fixture(scope="module", params=[0.0, 1.0], ids=["m0", "m1"])
@@ -93,9 +95,9 @@ class TestA2EigenstateInvariance:
     @pytest.mark.parametrize("mass", [0.0, 1.0])
     def test_observables_constant_from_filled_state(self, mass):
         trajectory = trotter_evolve(0, paper_params(mass), 10, 0.1)
-        first = trajectory.records[0]
+        first = rows(trajectory.observables)[0]
         worst = 0.0
-        for record in trajectory.records:
+        for record in rows(trajectory.observables):
             volume = math.exp(HUBBLE * record.t)
             # Densities, number and polarization carry the comoving volume
             # factor by definition; invariance is of the quantum state, so
@@ -133,7 +135,7 @@ class TestA3ChargeConservation:
 
     def test_charge_drift_along_trajectory(self, preset):
         mass, trajectory, _ = preset
-        drift = max(abs(r.total_sz - trajectory.records[0].total_sz) for r in trajectory.records)
+        drift = max(abs(r.total_sz - rows(trajectory.observables)[0].total_sz) for r in rows(trajectory.observables))
         assert drift < 1e-10
         report(f"A3 charge drift (m={mass:g})", f"max drift {drift:.2e}, tol 1e-10")
 
@@ -142,7 +144,7 @@ class TestA4NumberScaling:
     def test_total_number_tracks_volume(self, preset):
         mass, trajectory, _ = preset
         worst = max(
-            abs(r.n_total - 7.0 * math.exp(HUBBLE * r.t)) for r in trajectory.records
+            abs(r.n_total - 7.0 * math.exp(HUBBLE * r.t)) for r in rows(trajectory.observables)
         )
         assert worst < 1e-9
         report(f"A4 number scaling (m={mass:g})", f"max |n - 7 e^(ht)| = {worst:.2e}, tol 1e-9")
@@ -196,7 +198,7 @@ class TestA7FigureReproduction:
     def test_a_hole_spread_variance_non_decreasing(self, preset):
         mass, trajectory, _ = preset
         variances = [
-            hole_circular_variance(np.array(r.density), r.t, HUBBLE) for r in trajectory.records
+            hole_circular_variance(np.array(r.density), r.t, HUBBLE) for r in rows(trajectory.observables)
         ]
         assert all(b >= a - 1e-12 for a, b in zip(variances, variances[1:]))
         report(
@@ -206,10 +208,10 @@ class TestA7FigureReproduction:
 
     def test_b_correlation_increases_from_zero(self, preset):
         mass, trajectory, shot_records = preset
-        values = [r.correlation_C for r in trajectory.records]
+        values = [r.correlation_C for r in rows(trajectory.observables)]
         assert abs(values[0]) < 1e-12
         assert all(b > a for a, b in zip(values, values[1:]))
-        for exact, shot in zip(trajectory.records, shot_records):
+        for exact, shot in zip(rows(trajectory.observables), shot_records):
             err = shot.shot_errors.correlation_C
             assert abs(shot.correlation_C - exact.correlation_C) < 5 * err + 1e-12
         report(
@@ -220,7 +222,7 @@ class TestA7FigureReproduction:
     def test_c_massless_polarization_band(self, m0_oracle_ratios, preset_m0):
         trajectory, shot_records = preset_m0
         worst_margin = math.inf
-        for i, record in enumerate(trajectory.records):
+        for i, record in enumerate(rows(trajectory.observables)):
             r_trot = record.polarization_over_e / P0
             r_shot = shot_records[i].polarization_over_e / P0
             sigma = shot_records[i].shot_errors.polarization_over_e / P0
@@ -249,8 +251,8 @@ class TestA7FigureReproduction:
     def test_c_massless_deviation_small_vs_massive_growth(self, preset_m0, preset_m1):
         trajectory_m0, _ = preset_m0
         trajectory_m1, _ = preset_m1
-        dev_m0 = max(abs(r.polarization_over_e / P0 - 1.0) for r in trajectory_m0.records)
-        dev_m1 = max(abs(r.polarization_over_e / P0 - 1.0) for r in trajectory_m1.records)
+        dev_m0 = max(abs(r.polarization_over_e / P0 - 1.0) for r in rows(trajectory_m0.observables))
+        dev_m1 = max(abs(r.polarization_over_e / P0 - 1.0) for r in rows(trajectory_m1.observables))
         print(
             f"ACCEPTANCE A7c comparison: measured max|p/p0 - 1|: m=0 {dev_m0:.4f}, "
             f"m=1 {dev_m1:.4f} (criterion expects m=0 << m=1)"
@@ -259,12 +261,12 @@ class TestA7FigureReproduction:
 
     def test_d_chiral_magnitude_decreases(self, preset):
         mass, trajectory, shot_records = preset
-        magnitudes = [abs(r.chiral_c) for r in trajectory.records]
+        magnitudes = [abs(r.chiral_c) for r in rows(trajectory.observables)]
         assert magnitudes[0] == pytest.approx(1.0, abs=1e-12)
         assert all(m < 1.0 for m in magnitudes[1:])
         assert all(b < a for a, b in zip(magnitudes[:5], magnitudes[1:5]))
         assert min(magnitudes) < 0.1
-        for exact, shot in zip(trajectory.records, shot_records):
+        for exact, shot in zip(rows(trajectory.observables), shot_records):
             err = shot.shot_errors.chiral_c
             assert abs(shot.chiral_c - exact.chiral_c) < 5 * err + 1e-12
         report(
@@ -274,7 +276,7 @@ class TestA7FigureReproduction:
 
     def test_shot_curves_within_five_stderr(self, preset):
         mass, trajectory, shot_records = preset
-        for exact, shot in zip(trajectory.records, shot_records):
+        for exact, shot in zip(rows(trajectory.observables), shot_records):
             errs = shot.shot_errors
             checks = [
                 (shot.n_total, exact.n_total, errs.n_total),
@@ -309,7 +311,7 @@ def m0_oracle_ratios(preset_m0):
     params = paper_params(0.0)
     trajectory, _ = preset_m0
     ratios = []
-    for t in (record.t for record in trajectory.records):
+    for t in (record.t for record in rows(trajectory.observables)):
         if t == 0.0:
             state = basis_state(8, 1)
         else:
@@ -358,7 +360,7 @@ class TestA8EngineMicroOracles:
         params = ModelParams(8, HUBBLE, 1.0)
         trajectory = trotter_evolve(0b01010101, params, 1000, 30.0 / 1000, snapshot_every=1000)
         final = read_out(trajectory.orbitals[-1], HUBBLE, 30.0)
-        drift = max(abs(trajectory.records[-1].norm - 1.0), abs(np.linalg.norm(final.amplitudes) - 1.0))
+        drift = max(abs(rows(trajectory.observables)[-1].norm - 1.0), abs(np.linalg.norm(final.amplitudes) - 1.0))
         assert drift < 1e-9
         report("A8 norm drift", f"{drift:.2e} after 1000 Trotter steps, tol 1e-9")
 

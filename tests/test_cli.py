@@ -17,16 +17,26 @@ import pytest
 import dsfermion.state as state_module
 from dsfermion import cli, evolve, svg
 from dsfermion.errors import SHOT_LIMIT, NormDriftError, ResourceLimitError
-from dsfermion.observables import ObservableRecord, ShotErrors
+from dsfermion.observables import Observables, estimators_from_counts, exact_record, join
 from dsfermion.pauli import PauliString, PauliSum
+from dsfermion.state import ShotCounts
 
 from conftest import (
+    ObservableRecord,
+    ShotErrors,
     csv_line_reference,
     json_reference,
     line_chart_reference,
+    random_orbitals,
     record_keys,
+    rows,
     viridis_reference,
 )
+
+
+def as_rows(payload):
+    """``payload`` with each Observables block in it as the records of its rows."""
+    return {k: rows(v) if isinstance(v, Observables) else v for k, v in payload.items()}
 
 
 def fast_config(tmp_path, **overrides):
@@ -185,7 +195,7 @@ class TestRun:
         # run's 1e-10: every output is written, then the run exits 3.
         def drifting(*args, **kwargs):
             trajectory = evolve.trotter_evolve(*args, **kwargs)
-            trajectory.records[3] = dataclasses.replace(trajectory.records[3], norm=1 + 1e-9)
+            trajectory.observables.norm[3] = 1 + 1e-9
             return trajectory
 
         monkeypatch.setattr(cli, "trotter_evolve", drifting)
@@ -770,16 +780,6 @@ class TestWritersMatchReferences:
         record = ObservableRecord(
             0.1, (1.0, 0.0), 1.0, 0.0, 2.0, -1.0, None, 0.0, 1.0, "shots", errors
         )
-        # Records of one type in every shape a template is keyed by: the
-        # energy None or a float, another tuple length, no nested record, a
-        # "%" in a string, and ints and bools that look alike (1, True).
-        shapes = [
-            record, dataclasses.replace(record, energy=0.5), record,
-            dataclasses.replace(record, density=(1.0, 0.0, 3.0)),
-            dataclasses.replace(record, density=(), shot_errors=None, norm=3),
-            dataclasses.replace(record, density=[2.5], source="50% %s %r %%", norm=True),
-            dataclasses.replace(record, norm=1), dataclasses.replace(record, energy=-0.0),
-        ]
         odd = {
             "empty": [[], {}, ()],
             "flags": [True, False, None],
@@ -787,39 +787,56 @@ class TestWritersMatchReferences:
             "numbers": [0, -1, 2**70, 0.1, -0.0, 5e-324, 1e300, 1 / 3],
             "floats": [0.1, -0.0, 5e-324, 1e300, -1 / 3],
             "records": [cli.RunConfig(output_dir="ω"), {"nested": [record], "tuple": (1.5,)}],
-            "shapes": shapes,
             "configs": [cli.RunConfig(), cli.RunConfig(seed=2, output_dir="a%b"), cli.RunConfig()],
-            "unlike": [record, dataclasses.replace(record, density=({"a": 1.0},))],
         }
         capture(str(tmp_path / "odd.json"), odd)
         for path, payload in written:
-            text = json_reference(payload) + "\n"
+            text = json_reference(as_rows(payload)) + "\n"
             assert cli._json(payload, "") + "\n" == text
             with open(path, encoding="utf-8", newline="") as fh:
                 assert fh.read() == text, path
+
+    def test_shot_records_match_json_module(self, tmp_path, rng):
+        # Blocks of shot estimates, and an exact block, against json.dumps of
+        # their rows: odd floats, a one-shot block whose errors are all 0.0,
+        # and two blocks joined.
+        counts = ShotCounts(4, np.array([0b0001, 0b0110, 0b1000]), np.array([[3, 5, 0], [1, 1, 7]]))
+        block = estimators_from_counts(counts, [0.0, 0.5], 0.2)
+        block.density[0, :3] = (-0.0, 5e-324, 1e300)
+        block.shot_errors["chiral_c"][1] = -0.0
+        block.t[1] = 1e300
+        one = ShotCounts(4, np.array([0b0010]), np.array([[1]]))
+        one_shot = estimators_from_counts(one, [0.3], 0.1)
+        assert all(not np.any(column) for column in one_shot.shot_errors.values())
+        orbitals = np.stack([random_orbitals(rng, 6, 2) for _ in range(3)])
+        exact = exact_record(orbitals, [0.0, 0.1, 0.2], 0.3, [1.5, -0.0, 2.0], [1.0, 1.0, 1.0])
+        for shots in (block, one_shot, join([block, one_shot]), exact):
+            payload = {"a": [1.0, "x"], "config": cli.RunConfig(), "shot_records": shots}
+            path = tmp_path / "summary.json"
+            cli.write_summary_json(str(path), payload)
+            text = json_reference(as_rows(payload)) + "\n"
+            with open(path, encoding="utf-8", newline="") as fh:
+                assert fh.read() == text
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_summary_json_refuses_non_finite(self, tmp_path, value):
         # The bad value sits deep in the payload, after text for other keys has
         # been formed: in a config, in a list of floats, or in the nested
-        # ShotErrors of a record list, after a record of the same shape.
+        # ShotErrors of a block's second row, with -value later in that row.
         # Still no file is written.
-        errors = ShotErrors((0.5, 0.25), 1.0, 0.0, -0.0, 1e-310, 2.0)
-        record = ObservableRecord(
-            0.1, (1.0, 0.0), 1.0, 0.0, 2.0, -1.0, None, 0.0, 1.0, "shots", errors
-        )
-        bad_errors = dataclasses.replace(errors, density=(0.5, value), chiral_c=value)
-        for bad in (
-            cli.RunConfig(hubble=value),
-            [1.0, value, 2.0],
-            [record, dataclasses.replace(record, shot_errors=bad_errors)],
-        ):
+        counts = ShotCounts(4, np.array([0b0001, 0b0110]), np.array([[3, 5], [2, 2]]))
+        good = estimators_from_counts(counts, [0.0, 0.5], 0.2)
+        bad_block = estimators_from_counts(counts, [0.0, 0.5], 0.2)
+        bad_block.shot_errors["density"][1, 1] = value
+        bad_block.shot_errors["n_total"][1] = -value
+        bad_block.t[1] = -value
+        for bad in (cli.RunConfig(hubble=value), [1.0, value, 2.0], bad_block):
             path = tmp_path / "summary.json"
-            payload = {"a": [1.0, "x"], "b": [record], "config": bad, "z": None}
+            payload = {"a": [1.0, "x"], "b": good, "config": bad, "z": None}
             with pytest.raises(ValueError) as got:
                 cli.write_summary_json(str(path), payload)
             with pytest.raises(ValueError) as expected:
-                json_reference(payload)
+                json_reference(as_rows(payload))
             assert str(got.value) == str(expected.value)  # a sweep point's status quotes it
             assert not path.exists()
 

@@ -26,6 +26,7 @@ from conftest import (
     random_state,
     record_deviation,
     rotation_trotter_step,
+    rows,
     sector_reference,
     sector_starts,
     sector_taylor_evolve,
@@ -103,28 +104,28 @@ class TestTrotterEvolve:
     def test_charge_conserved_along_trajectory(self):
         params = ModelParams(8, 0.1, 0.0)
         trajectory = trotter_evolve(1, params, 10, 0.1)
-        sz0 = trajectory.records[0].total_sz
+        sz0 = rows(trajectory.observables)[0].total_sz
         assert abs(sz0 - 6.0) < 1e-12
-        for record in trajectory.records:
+        for record in rows(trajectory.observables):
             assert abs(record.total_sz - sz0) < 1e-10
 
     def test_charge_conserved_at_large_dt(self):
         # Bond pairs commute with the total charge, so conservation holds at any step size.
         params = ModelParams(8, 0.1, 1.0)
         trajectory = trotter_evolve(1, params, 2, 0.5)
-        for record in trajectory.records:
+        for record in rows(trajectory.observables):
             assert abs(record.total_sz - 6.0) < 1e-10
 
     def test_zero_steps_keeps_initial_record_only(self):
         params = ModelParams(8, 0.1, 0.0)
         trajectory = trotter_evolve(1, params, 0, 0.0)
-        assert [record.t for record in trajectory.records] == [0.0]
-        assert len(trajectory.records) == 1
+        assert [record.t for record in rows(trajectory.observables)] == [0.0]
+        assert len(rows(trajectory.observables)) == 1
 
     def test_times_strictly_increasing_from_zero(self):
         params = ModelParams(8, 0.1, 1.0)
         trajectory = trotter_evolve(1, params, 10, 0.1, snapshot_every=3)
-        times = [record.t for record in trajectory.records]
+        times = [record.t for record in rows(trajectory.observables)]
         assert times[0] == 0.0
         assert all(b > a for a, b in zip(times, times[1:]))
         # snapshots at 0, 0.3, 0.6, 0.9 and the forced final one at 1.0
@@ -133,7 +134,7 @@ class TestTrotterEvolve:
     def test_snapshot_norms_stay_unit(self):
         params = ModelParams(8, 0.1, 1.0)
         trajectory = trotter_evolve(1, params, 10, 0.1)
-        for record in trajectory.records:
+        for record in rows(trajectory.observables):
             assert abs(record.norm - 1.0) < 1e-10
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
@@ -177,7 +178,7 @@ class TestTrotterEvolve:
                 trajectory = trotter_evolve(start, params, 20, 0.05, time_sampling=sampling)
                 states = snapshot_states(trajectory, params.hubble)
                 reference = dense_state(n, to_dense(basis_state(n, start)))
-                for k, (record, st) in enumerate(zip(trajectory.records, states)):
+                for k, (record, st) in enumerate(zip(rows(trajectory.observables), states)):
                     if k > 0:
                         rotation_trotter_step(reference, params, 0.05, sampling, k - 1)
                     dev = np.max(np.abs(to_dense(st) - reference.amplitudes))
@@ -215,7 +216,7 @@ class TestTrotterEvolve:
             for start in sector_starts(n):
                 trajectory = trotter_evolve(start, params, 20, 0.1)
                 states = snapshot_states(trajectory, params.hubble)
-                for record, st in zip(trajectory.records, states):
+                for record, st in zip(rows(trajectory.observables), states):
                     dense = expectation_pauli_sum(st, hamiltonian_at(params, record.t))
                     assert abs(record.energy - dense) < 1e-12, (n, start, record.t)
 
@@ -273,7 +274,7 @@ class TestTrotterEvolve:
         params = ModelParams(20, 0.1, 1.0)
         trajectory = trotter_evolve(half_filled, params, 10, 0.1)
         assert [phi.shape for phi in trajectory.orbitals] == [(20, 10)] * 11
-        assert all(abs(r.norm - 1.0) < 1e-12 for r in trajectory.records)
+        assert all(abs(r.norm - 1.0) < 1e-12 for r in rows(trajectory.observables))
 
     def test_readout_refuses_a_lost_determinant(self):
         # One step of 2.2e-311 leaves orbital entries below the smallest
@@ -529,6 +530,6 @@ class TestErrorScan:
         reference = amplitude_record(exact, 1.0, params.hubble, energy=energy)
         names = ("n_total", "correlation_C", "polarization_over_e", "chiral_c", "energy", "total_sz")
         for steps in (5, 20):
-            record = trotter_evolve(0, params, steps, 1.0 / steps, snapshot_every=steps).records[-1]
+            record = rows(trotter_evolve(0, params, steps, 1.0 / steps, snapshot_every=steps).observables)[-1]
             for name in names:
                 assert abs(getattr(record, name) - getattr(reference, name)) < 1e-12, (steps, name)

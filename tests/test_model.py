@@ -170,6 +170,16 @@ class TestHamiltonianAt:
             assert np.array_equal(hopping, block.hopping), n
             assert np.array_equal(mass, np.diag(block.mass)), n
 
+    def test_hopping_entries_are_real_unit_signs(self):
+        # evolve._bond_layer rotates each bond by the real sign of its entry:
+        # every nonzero hopping entry is exactly +1 or -1, with no imaginary part.
+        for n in range(4, 63, 2):
+            hopping, _ = one_body_parts(n)
+            entries = hopping[hopping != 0]
+            assert len(entries) == 2 * n, n
+            assert np.all(entries.imag == 0), n
+            assert set(entries.real.tolist()) <= {1.0, -1.0}, n
+
     @pytest.mark.parametrize("n", [4, 6, 8, 10])
     def test_charge_commutator_symbolically_zero(self, n):
         # Exactly zero on the dense matrices, entry for entry.

@@ -23,6 +23,7 @@ from conftest import (
     random_orbitals,
     record_deviation,
     record_of,
+    rows,
     sample_one,
     sample_reference,
     shot_record,
@@ -46,12 +47,12 @@ class TestDensity:
 
     def test_total_scales_as_e_ht(self):
         trajectory = paper_trajectory(mass=0.0)
-        for record in trajectory.records:
+        for record in rows(trajectory.observables):
             assert abs(record.n_total - 7.0 * math.exp(0.1 * record.t)) < 1e-9
 
     def test_density_bounded_by_volume_factor(self):
         trajectory = paper_trajectory(mass=1.0)
-        for record in trajectory.records:
+        for record in rows(trajectory.observables):
             scaled = np.array(record.density) / math.exp(0.1 * record.t)
             assert np.all(scaled >= -1e-12)
             assert np.all(scaled <= 1 + 1e-12)
@@ -71,7 +72,7 @@ class TestCorrelation:
         )
 
     def test_increases_on_paper_preset(self):
-        values = [r.correlation_C for r in paper_trajectory(mass=0.0).records]
+        values = [r.correlation_C for r in rows(paper_trajectory(mass=0.0).observables)]
         assert values[0] == pytest.approx(0.0, abs=1e-12)
         assert all(b > a for a, b in zip(values, values[1:]))
 
@@ -100,7 +101,7 @@ class TestChiralCondensate:
         assert record_of(basis_orbitals(8, 0), 0.0, 0.1).chiral_c == pytest.approx(0.0)
 
     def test_magnitude_decreases_initially(self):
-        values = [abs(r.chiral_c) for r in paper_trajectory(mass=0.0).records]
+        values = [abs(r.chiral_c) for r in rows(paper_trajectory(mass=0.0).observables)]
         assert values[0] == pytest.approx(1.0)
         assert all(b < a for a, b in zip(values[:6], values[1:6]))
 
@@ -113,7 +114,7 @@ class TestTotalCharge:
         assert record_of(basis_orbitals(8, 0), 0.0, 0.1).total_sz == pytest.approx(8.0)
 
     def test_constant_along_trajectory(self):
-        values = [r.total_sz for r in paper_trajectory(mass=1.0).records]
+        values = [r.total_sz for r in rows(paper_trajectory(mass=1.0).observables)]
         assert all(abs(v - values[0]) < 1e-10 for v in values)
 
 
@@ -157,10 +158,10 @@ class TestShotEstimators:
     def test_within_five_stderr_of_exact(self):
         trajectory = paper_trajectory(mass=0.0)
         for i, st in enumerate(snapshot_states(trajectory, 0.1)):
-            t = trajectory.records[i].t
+            t = rows(trajectory.observables)[i].t
             counts = sample_one(st, 10_000, seed=100 + i)
             shot = shot_record(counts, t, 0.1)
-            exact = trajectory.records[i]
+            exact = rows(trajectory.observables)[i]
             pairs = [
                 (shot.n_total, exact.n_total, shot.shot_errors.n_total),
                 (shot.correlation_C, exact.correlation_C, shot.shot_errors.correlation_C),
@@ -175,7 +176,7 @@ class TestShotEstimators:
     def test_errors_halve_when_shots_quadruple(self):
         trajectory = paper_trajectory(mass=0.0)
         st = snapshot_states(trajectory, 0.1)[-1]
-        t = trajectory.records[-1].t
+        t = rows(trajectory.observables)[-1].t
 
         def mean_errors(shots, seed):
             counts = sample_one(st, shots, seed)
@@ -194,8 +195,8 @@ class TestShotEstimators:
         # Mean |error| should fall like 1/sqrt(shots): quadrupling halves it.
         trajectory = paper_trajectory(mass=0.0)
         st = snapshot_states(trajectory, 0.1)[5]
-        t = trajectory.records[5].t
-        exact = trajectory.records[5]
+        t = rows(trajectory.observables)[5].t
+        exact = rows(trajectory.observables)[5]
 
         def mean_abs_error(shots):
             errors = []
@@ -339,7 +340,7 @@ def block_cases(rng, n):
     params = ModelParams(n, 0.3, 1.0)
     for k in (0, 1, n // 2, n):
         start = sum(1 << x for x in range(0, 2 * k, 2)) if 2 * k <= n else (1 << n) - 1
-        records = (trajectory := trotter_evolve(start, params, 10, 0.1)).records
+        records = rows((trajectory := trotter_evolve(start, params, 10, 0.1)).observables)
         energies, norms = [r.energy for r in records], [r.norm for r in records]
         yield trajectory.orbitals, [r.t for r in records], energies, norms
         orbitals = np.stack([random_orbitals(rng, n, k) for _ in range(3)])
@@ -355,7 +356,7 @@ class TestBlocksMatchSlowReferences:
         for n in (4, 6, 8, 10):
             for orbitals, times, energies, norms in block_cases(rng, n):
                 block = exact_record(orbitals, times, 0.3, energies, norms)
-                for i, record in enumerate(block):
+                for i, record in enumerate(rows(block)):
                     reference = exact_record_reference(orbitals[i], times[i], 0.3, energies[i])
                     assert repr(record) == repr(reference), (n, orbitals.shape, i)
 
@@ -366,7 +367,7 @@ class TestBlocksMatchSlowReferences:
             params = ModelParams(n, 0.1, 1.0)
             for start in (0, 1, sum(1 << x for x in range(0, n, 2)), (1 << n) - 1):
                 trajectory = trotter_evolve(start, params, 12, 0.1, snapshot_every=3)
-                for orbitals, record in zip(trajectory.orbitals, trajectory.records):
+                for orbitals, record in zip(trajectory.orbitals, rows(trajectory.observables)):
                     reference = exact_record_reference(orbitals, record.t, 0.1, record.energy)
                     assert repr(record) == repr(reference), (n, start, record.t)
 
@@ -376,7 +377,7 @@ class TestBlocksMatchSlowReferences:
             for orbitals, times, _, _ in block_cases(rng, n):
                 states = read_out(orbitals, 0.3, times)
                 counts = sample_z_basis(states, shots, seed=11)
-                block = estimators_from_counts(counts, times, 0.3)
+                block = rows(estimators_from_counts(counts, times, 0.3))
                 assert counts.freqs.shape == states.amplitudes.shape
                 for i, t in enumerate(times):
                     where = (n, orbitals.shape, i)
@@ -402,7 +403,7 @@ class TestHoleSpread:
     def test_variance_non_decreasing(self, mass):
         trajectory = paper_trajectory(mass=mass)
         variances = [
-            hole_circular_variance(np.array(r.density), r.t, 0.1) for r in trajectory.records
+            hole_circular_variance(np.array(r.density), r.t, 0.1) for r in rows(trajectory.observables)
         ]
         assert all(b >= a - 1e-12 for a, b in zip(variances, variances[1:]))
         assert variances[-1] > 0.1

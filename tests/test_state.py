@@ -369,7 +369,7 @@ def half_filled_block(n=6, count=5):
     params = ModelParams(n, 0.1, 1.0)
     steps = count - 1
     trajectory = trotter_evolve(sum(1 << x for x in range(0, n, 2)), params, steps, 1.0 / steps)
-    return read_out(trajectory.orbitals, params.hubble, [r.t for r in trajectory.records])
+    return read_out(trajectory.orbitals, params.hubble, trajectory.observables.t)
 
 
 def set_usable_cores(monkeypatch, cores):

@@ -62,6 +62,9 @@ COMMANDS = (
     ),
     # One shot per snapshot: every standard error is 0, so no error bar is drawn.
     ("n8-one-shot", "run --n_sites 8 --shots 1", 0),
+    # The most shots a run takes: shots S2 passes 2^63 and shots^2 (shots - 1)
+    # passes 2^53, so each variance is an exact ratio of Python ints.
+    ("paper-m1-maxshots", "run --preset paper-m1 --shots 268435456", 0),
     ("shots-sweep", SHOTS_SWEEP, 0),
     ("n20-blas", BLAS_N20, 0),
     # Point hubble=1000 fails validation, so the sweep exits 1.
