@@ -335,7 +335,7 @@ def _write_plots(
     ):
         series = [Series("exact", times, getattr(exact, attr) / scale)]
         if shots:
-            errs = (shots.shot_errors[attr] / abs(scale)).tolist()
+            errs = shots.shot_errors[attr] / abs(scale)
             series.append(Series("shots", times, getattr(shots, attr) / scale, yerr=errs))
         _write_text(os.path.join(out_dir, name), line_chart(title, "t", ylabel, series, meta=meta))
 
@@ -349,8 +349,11 @@ def run(config: RunConfig) -> int:
     summary.json and the four SVG plots into config.output_dir."""
     config.validate()
     params = ModelParams(config.n_sites, config.hubble, config.mass)
+    # The start's hole orbitals: the identity's columns at its holes (bits set).
+    index = config.initial_state_index
+    start = np.eye(config.n_sites)[:, [x for x in range(config.n_sites) if index >> x & 1]]
     trajectory = trotter_evolve(
-        config.initial_state_index,
+        start,
         params,
         config.trotter_steps,
         config.t_total / config.trotter_steps,
@@ -364,7 +367,7 @@ def run(config: RunConfig) -> int:
     oracle_report = final = None
     if config.oracle == "on":
         oracle = exact_evolve_converged(
-            config.initial_state_index,
+            start,
             params,
             config.t_total,
             substeps_start=config.oracle_substeps_start,

@@ -5,8 +5,8 @@ The Trotter circuit is a matchgate circuit (Terhal & DiVincenzo, PRA 65,
 032325 (2002)): a step is a fixed layer of 2 x 2 bond rotations, then a
 diagonal mass phase, on the one-body orbitals.  The charge term is one
 phase per charge sector, so the charge is conserved at any step size.
-Both evolutions start from a basis index with k holes (bits set) and hold
-only its N x k hole orbitals, whose Slater determinant is the state.
+Both evolutions start from any N x k orthonormal hole orbitals and hold
+only such orbitals, whose Slater determinant is the state.
 """
 
 from __future__ import annotations
@@ -36,15 +36,15 @@ class Trajectory:
 
 
 def trotter_evolve(
-    start: int,
+    start: np.ndarray,
     params: ModelParams,
     steps: int,
     dt: float,
     time_sampling: str = "midpoint",
     snapshot_every: int = 1,
 ) -> Trajectory:
-    """Evolve the hole orbitals of the basis state ``start`` by ``steps``
-    Trotter steps of width ``dt``, each sampling e^{h t} at its
+    """Evolve the N x k hole orbitals ``start``, whose columns are orthonormal,
+    by ``steps`` Trotter steps of width ``dt``, each sampling e^{h t} at its
     ``time_sampling`` node (TIME_NODES).  Check the norm after every step and
     keep the orbitals every ``snapshot_every`` steps (the t = 0 snapshot and
     the final step are always kept), then take their observables in blocks,
@@ -57,13 +57,12 @@ def trotter_evolve(
         raise ValueError(f"time_sampling must be one of {tuple(TIME_NODES)}")
     if snapshot_every < 1:
         raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
-    n = params.n_sites
-    holes = _start_holes(start, n)
+    n, k = params.n_sites, start.shape[1]
     hopping, mass = one_body_parts(n)
     # A Slater determinant's energy is tr(Phi^dag h1(t) Phi) + h (N - 2k)/4.
-    charge = params.hubble * (n - 2 * len(holes)) / 4
+    charge = params.hubble * (n - 2 * k) / 4
     count = 1 + steps // snapshot_every + (steps % snapshot_every > 0)
-    kept = np.empty((count, n, len(holes)), dtype=np.complex128)
+    kept = np.empty((count, n, k), dtype=np.complex128)
     times, energies, norms = [], [], []
 
     def snapshot(orbitals: np.ndarray, t_now: float, norm: float) -> None:
@@ -73,30 +72,23 @@ def trotter_evolve(
         times.append(t_now)
         norms.append(norm)
 
-    orbitals = np.eye(n)[:, holes]
+    orbitals = start
     snapshot(orbitals, 0.0, slater_norm(orbitals))
     bonds = _bond_layer(hopping, dt)
     node = TIME_NODES[time_sampling]
-    for k in range(steps):
-        scale = params.mass * math.exp(params.hubble * (k * dt + node * dt))
+    for step in range(steps):
+        scale = params.mass * math.exp(params.hubble * (step * dt + node * dt))
         orbitals = np.exp(-1j * dt * scale * mass.diagonal())[:, None] * (bonds @ orbitals)
         norm = slater_norm(orbitals)
         drift = abs(norm - 1.0)
         if not drift <= NORM_DRIFT_LIMIT:  # a NaN norm fails too
             message = f"state norm drifted by {drift:.3e} (> {NORM_DRIFT_LIMIT:g})"
-            raise NormDriftError(f"step {k + 1} of {steps}: {message}")
-        if (k + 1) % snapshot_every == 0 or k + 1 == steps:
-            snapshot(orbitals, (k + 1) * dt, norm)
-    slices = snapshot_blocks(count, n, len(holes))
+            raise NormDriftError(f"step {step + 1} of {steps}: {message}")
+        if (step + 1) % snapshot_every == 0 or step + 1 == steps:
+            snapshot(orbitals, (step + 1) * dt, norm)
+    slices = snapshot_blocks(count, n, k)
     blocks = [exact_record(kept[b], times[b], params.hubble, energies[b], norms[b]) for b in slices]
     return Trajectory(observables=join(blocks), orbitals=kept)
-
-
-def _start_holes(start: int, n_sites: int) -> list[int]:
-    """The hole sites (bits set) of the basis index ``start`` on n_sites."""
-    if not 0 <= start < 1 << n_sites:
-        raise ValueError(f"basis index {start} out of range for {n_sites} sites")
-    return [x for x in range(n_sites) if start >> x & 1]
 
 
 def _bond_layer(hopping: np.ndarray, dt: float) -> np.ndarray:
@@ -131,18 +123,17 @@ CF4_ORDER = 4
 _BATCH_STEPS = 64
 
 
-def _propagate(start: int, params: ModelParams, t_total: float, steps: int, scheme) -> np.ndarray:
-    """Hole orbitals of the basis state ``start`` after ``steps`` equal steps
-    of ``scheme``: the hole columns of the product u of its exponentials of
-    h1(t) = hopping + m e^{ht} mass (model.one_body_parts), each by ``eigh``."""
+def _propagate(params: ModelParams, t_total: float, steps: int, scheme) -> np.ndarray:
+    """The N x N propagator u over [0, t_total] of ``steps`` equal steps of
+    ``scheme``: the product of its exponentials of h1(t) = hopping + m e^{ht}
+    mass (model.one_body_parts), each by ``eigh``; the identity at t_total = 0."""
     n = params.n_sites
-    holes = _start_holes(start, n)
     if steps < 1:
         raise ValueError(f"substeps must be >= 1, got {steps}")
     if t_total < 0 or not math.isfinite(t_total):
         raise ValueError(f"t_total must be finite and >= 0, got {t_total}")
     if t_total == 0:
-        return np.eye(n)[:, holes]
+        return np.eye(n)
     dt = t_total / steps
     hopping, mass = one_body_parts(n)
     u = np.eye(n, dtype=np.complex128)
@@ -157,7 +148,7 @@ def _propagate(start: int, params: ModelParams, t_total: float, steps: int, sche
             batch = (vecs * phases) @ vecs.conj().swapaxes(1, 2) @ batch
         for factor in batch:
             u = factor @ u
-    return u[:, holes]
+    return u
 
 
 @dataclass(frozen=True)
@@ -168,7 +159,7 @@ class ExactOracleResult:
 
 
 def exact_evolve_converged(
-    start: int,
+    start: np.ndarray,
     params: ModelParams,
     t_total: float,
     substeps_start: int = 256,
@@ -176,8 +167,9 @@ def exact_evolve_converged(
     max_substeps: int = ORACLE_SUBSTEP_BUDGET,
 ) -> ExactOracleResult:
     """Double the step count of the fourth-order commutator-free Magnus
-    scheme from the basis state ``start`` until successive results differ by
-    < tol in norm, as bounded from their hole orbitals.
+    scheme from the N x k orthonormal hole orbitals ``start`` until the
+    successive states u @ start differ by < tol in norm, as bounded from
+    their hole orbitals.
 
     The steps resolve h1 only past phase = t_total ||h1(t_total)|| substeps,
     with the norm bounded by the largest absolute row sum.  Raise
@@ -185,7 +177,6 @@ def exact_evolve_converged(
     guard), and past phase once the last delta, shrunk 2^4 times for each
     doubling left within the budget, is still >= tol.
     """
-    _start_holes(start, params.n_sites)  # a bad start is a ValueError first
     hopping, mass = one_body_parts(params.n_sites)
     h1 = hopping + params.mass * scale_factor(params, t_total) * mass
     phase = t_total * np.linalg.norm(h1, np.inf)
@@ -195,10 +186,10 @@ def exact_evolve_converged(
         message = f"its steps resolve h1 only past {phase:.4g} substeps"
         raise ResourceLimitError(f"{failed}: {message}, and {budget}")
     substeps = max(1, substeps_start)
-    prev = _propagate(start, params, t_total, substeps, CF4)
+    prev = _propagate(params, t_total, substeps, CF4) @ start
     while True:
         substeps *= 2
-        cur = _propagate(start, params, t_total, substeps, CF4)
+        cur = _propagate(params, t_total, substeps, CF4) @ start
         # delta bounds |psi_cur - psi_prev|.  With G = prev^dag prev and O = prev^dag cur,
         # psi_cur - psi_prev is (det O / det G - 1) psi_prev, of norm ~|det G - det O|, plus
         # a part of norm^2 1 - prod cos^2 theta_i <= sum sin^2 theta_i = ||cur - prev G^-1 O||_F^2

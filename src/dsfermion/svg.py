@@ -85,7 +85,7 @@ class Series:
     label: str
     xs: list[float]
     ys: list[float]
-    yerr: list[float] | None = None
+    yerr: list[float] | np.ndarray | None = None  # None or empty: no error bars
 
 
 def _text(x, y, content, size=12, anchor="middle", rotate=False) -> str:
@@ -146,7 +146,8 @@ def line_chart(
     go to pixels by _scales' maps on arrays: a lone point's bits."""
     arrays = []  # per series: xs, the rows ys and error-bar ends, and where a bar is drawn
     for s in series:
-        ys, err = np.array(s.ys), np.array(s.yerr or [0.0] * len(s.ys))
+        ys = np.array(s.ys)
+        err = np.zeros(len(ys)) if s.yerr is None or len(s.yerr) == 0 else np.array(s.yerr)
         arrays.append((np.array(s.xs), np.array([ys, ys - err, ys + err]), err > 0))
     xs_all = np.concatenate([xs for xs, _, _ in arrays])
     ends_all = np.concatenate([ends for _, ends, _ in arrays], axis=1)

@@ -2,9 +2,10 @@
 
 The dense helpers build matrices the naive way (nested Kronecker products
 from label strings), deliberately avoiding the package's mask-based fast
-paths so the two implementations check each other.  The package starts
-from a basis index and reads out one charge sector; ``basis_state`` gives
-the start's one amplitude, and ``dense_state`` and ``to_dense`` convert to
+paths so the two implementations check each other.  The package evolves
+the hole orbitals of a start and reads out one charge sector;
+``basis_orbitals`` gives a basis state's orbitals, ``basis_state`` its one
+amplitude, and ``dense_state`` and ``to_dense`` convert to
 and from all 2^N amplitudes, which the references below work on.  The
 sector oracle is the slow reference for the package's one-body oracle: it
 evolves each popcount block of aH(t) with a Taylor series, with no
@@ -294,8 +295,9 @@ MIDPOINT = ((1.0, ((0.5, 1.0),)),)
 def exact_evolve(start, params, t_total, substeps):
     """The read-out state of the midpoint-sampled piecewise-constant
     propagator, exp(-i aH(t_mid) dt) on each of ``substeps`` intervals of
-    [0, t_total] with t_mid its midpoint, from the basis state ``start``."""
-    return read_out(_propagate(start, params, t_total, substeps, MIDPOINT), params.hubble, t_total)
+    [0, t_total] with t_mid its midpoint, from the hole orbitals ``start``."""
+    orbitals = _propagate(params, t_total, substeps, MIDPOINT) @ start
+    return read_out(orbitals, params.hubble, t_total)
 
 
 def bond_mask_scheme(n_sites, node):
@@ -312,10 +314,10 @@ def bond_mask_scheme(n_sites, node):
 
 
 def bond_mask_trotter_orbitals(start, params, steps, dt, time_sampling="midpoint"):
-    """Hole orbitals of ``start`` after ``steps`` Trotter steps of width ``dt``,
+    """The hole orbitals ``start`` after ``steps`` Trotter steps of width ``dt``,
     by the slow reference: N + 1 N x N exponentials per step, through ``eigh``."""
     scheme = bond_mask_scheme(params.n_sites, TIME_NODES[time_sampling])
-    return _propagate(start, params, steps * dt, steps, scheme)
+    return _propagate(params, steps * dt, steps, scheme) @ start
 
 
 # The five anchors of the heatmap's viridis gradient (svg's module docstring).

@@ -27,6 +27,7 @@ from dsfermion.state import read_out, sample_z_basis, state_distance
 from conftest import (
     amplitude_record,
     apply_pauli_rotation,
+    basis_orbitals,
     basis_state,
     charge_commutator_entries,
     counts_dict,
@@ -68,14 +69,15 @@ def preset_shot_records(trajectory):
 def preset(request):
     """Trotter trajectory, retained states and seeded shot records per mass."""
     mass = request.param
-    trajectory = trotter_evolve(1, paper_params(mass), 10, 0.1)
+    trajectory = trotter_evolve(basis_orbitals(8, 1), paper_params(mass), 10, 0.1)
     return mass, trajectory, preset_shot_records(trajectory)
 
 
 @pytest.fixture(scope="module")
 def m1_oracle():
     """Exact propagator for the massive preset, converged below 1e-10."""
-    return exact_evolve_converged(1, paper_params(1.0), 1.0, substeps_start=256, tol=1e-10)
+    one_hole = basis_orbitals(8, 1)
+    return exact_evolve_converged(one_hole, paper_params(1.0), 1.0, substeps_start=256, tol=1e-10)
 
 
 class TestA1Eigenvalue:
@@ -94,7 +96,7 @@ class TestA1Eigenvalue:
 class TestA2EigenstateInvariance:
     @pytest.mark.parametrize("mass", [0.0, 1.0])
     def test_observables_constant_from_filled_state(self, mass):
-        trajectory = trotter_evolve(0, paper_params(mass), 10, 0.1)
+        trajectory = trotter_evolve(basis_orbitals(8, 0), paper_params(mass), 10, 0.1)
         first = rows(trajectory.observables)[0]
         worst = 0.0
         for record in rows(trajectory.observables):
@@ -181,7 +183,7 @@ class TestA6TrotterConvergence:
         exact = read_out(m1_oracle.orbitals, HUBBLE, 1.0)
         distances = []
         for steps in (10, 20, 40, 80):
-            trajectory = trotter_evolve(1, params, steps, 1.0 / steps)
+            trajectory = trotter_evolve(basis_orbitals(8, 1), params, steps, 1.0 / steps)
             final = snapshot_states(trajectory, HUBBLE)[-1]
             distances.append(state_distance(final, exact))
         ratios = [a / b for a, b in zip(distances, distances[1:])]
@@ -294,13 +296,13 @@ class TestA7FigureReproduction:
 
 @pytest.fixture(scope="module")
 def preset_m0():
-    trajectory = trotter_evolve(1, paper_params(0.0), 10, 0.1)
+    trajectory = trotter_evolve(basis_orbitals(8, 1), paper_params(0.0), 10, 0.1)
     return trajectory, preset_shot_records(trajectory)
 
 
 @pytest.fixture(scope="module")
 def preset_m1():
-    trajectory = trotter_evolve(1, paper_params(1.0), 10, 0.1)
+    trajectory = trotter_evolve(basis_orbitals(8, 1), paper_params(1.0), 10, 0.1)
     return trajectory, None
 
 
@@ -315,7 +317,7 @@ def m0_oracle_ratios(preset_m0):
         if t == 0.0:
             state = basis_state(8, 1)
         else:
-            state = exact_evolve(1, params, t, 16)
+            state = exact_evolve(basis_orbitals(8, 1), params, t, 16)
         ratios.append(amplitude_record(state, t, HUBBLE).polarization_over_e / P0)
     return ratios
 
@@ -358,7 +360,8 @@ class TestA8EngineMicroOracles:
         # Half filling at N = 8: the det norm of the 8 x 4 orbitals, and the
         # norm of their readout over the 70-state sector.
         params = ModelParams(8, HUBBLE, 1.0)
-        trajectory = trotter_evolve(0b01010101, params, 1000, 30.0 / 1000, snapshot_every=1000)
+        half_filled = basis_orbitals(8, 0b01010101)
+        trajectory = trotter_evolve(half_filled, params, 1000, 30.0 / 1000, snapshot_every=1000)
         final = read_out(trajectory.orbitals[-1], HUBBLE, 30.0)
         drift = max(abs(rows(trajectory.observables)[-1].norm - 1.0), abs(np.linalg.norm(final.amplitudes) - 1.0))
         assert drift < 1e-9

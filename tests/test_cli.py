@@ -730,6 +730,24 @@ class TestWritersMatchReferences:
             circles = ET.fromstring(chart).iter("{http://www.w3.org/2000/svg}circle")
             assert {c.get("cx") for c in circles} == {centre}, case[0].label
 
+    def test_line_chart_takes_errors_as_a_list_or_an_array(self, rng):
+        # The same errors as a list and as an array draw the same bytes, also
+        # for a lone point; None, an empty list, tuple or array draw no bar.
+        xs, ys = np.sort(rng.uniform(-2.0, 3.0, 12)), rng.standard_normal(12)
+        errors = rng.random(12) * (np.arange(12) % 3 > 0)  # every third error 0: no bar
+
+        def chart(yerr, n=12):
+            series = svg.Series("s", xs[:n].tolist(), ys[:n].tolist(), yerr)
+            return svg.line_chart("t", "x", "y", [series], meta="m")
+
+        assert chart(errors) == chart(errors.tolist())
+        assert chart(errors[:1], 1) == chart(errors[:1].tolist(), 1)
+        no_bars = chart(None)
+        for empty in ([], (), np.array([])):
+            assert chart(empty) == no_bars
+        bar = 'stroke-width="1"/>'
+        assert chart(errors).count(bar) == no_bars.count(bar) + 8
+
     def test_csv_matches_per_cell_reference(self, tmp_path, monkeypatch):
         written = []
         write_csv = cli._write_csv

@@ -33,7 +33,7 @@ from conftest import (
 
 def paper_trajectory(mass):
     params = ModelParams(8, 0.1, mass)
-    return trotter_evolve(1, params, 10, 0.1)
+    return trotter_evolve(basis_orbitals(8, 1), params, 10, 0.1)
 
 
 class TestDensity:
@@ -317,7 +317,7 @@ class TestExactShotEstimates:
     def test_outcome_order_does_not_change_a_bit(self):
         # A half-filled N=12 snapshot: several hundred outcomes of 200k shots.
         params = ModelParams(12, 0.1, 1.0)
-        trajectory = trotter_evolve(0b010101010101, params, 10, 0.1)
+        trajectory = trotter_evolve(basis_orbitals(12, 0b010101010101), params, 10, 0.1)
         st = read_out(trajectory.orbitals[-1], 0.1, 1.0)
         counts = sample_one(st, 200_000, seed=7)
         assert np.count_nonzero(counts.freqs) > 800
@@ -340,7 +340,8 @@ def block_cases(rng, n):
     params = ModelParams(n, 0.3, 1.0)
     for k in (0, 1, n // 2, n):
         start = sum(1 << x for x in range(0, 2 * k, 2)) if 2 * k <= n else (1 << n) - 1
-        records = rows((trajectory := trotter_evolve(start, params, 10, 0.1)).observables)
+        trajectory = trotter_evolve(basis_orbitals(n, start), params, 10, 0.1)
+        records = rows(trajectory.observables)
         energies, norms = [r.energy for r in records], [r.norm for r in records]
         yield trajectory.orbitals, [r.t for r in records], energies, norms
         orbitals = np.stack([random_orbitals(rng, n, k) for _ in range(3)])
@@ -366,7 +367,8 @@ class TestBlocksMatchSlowReferences:
         for n in (4, 6, 8, 10):
             params = ModelParams(n, 0.1, 1.0)
             for start in (0, 1, sum(1 << x for x in range(0, n, 2)), (1 << n) - 1):
-                trajectory = trotter_evolve(start, params, 12, 0.1, snapshot_every=3)
+                orbitals = basis_orbitals(n, start)
+                trajectory = trotter_evolve(orbitals, params, 12, 0.1, snapshot_every=3)
                 for orbitals, record in zip(trajectory.orbitals, rows(trajectory.observables)):
                     reference = exact_record_reference(orbitals, record.t, 0.1, record.energy)
                     assert repr(record) == repr(reference), (n, start, record.t)

@@ -51,8 +51,8 @@ OUTPUTS = (
 # time, small; t_total reaches down to the subnormals.
 @PROPERTY
 @given(
-    n_sites=st.sampled_from([4, 6, 8]),
-    start=st.integers(0, 255),
+    n_sites=st.sampled_from([4, 6, 8, 10]),
+    start=st.integers(0, 1023),
     hubble=st.floats(0.0, 1.0),
     mass=st.floats(0.0, 2.0),
     t_total=st.floats(0.0, 2.0),

@@ -21,6 +21,7 @@ from dsfermion.state import StateVector, read_out, sample_z_basis
 from conftest import (
     apply_pauli_rotation,
     apply_pauli_string,
+    basis_orbitals,
     basis_state,
     counts_dict,
     dense_from_label,
@@ -252,7 +253,8 @@ class TestSampling:
         for n in (6, 8, 12):
             params = ModelParams(n, 0.1, 1.0)
             half_filled = sum(1 << x for x in range(0, n, 2))
-            trajectory = trotter_evolve(half_filled, params, 10, 0.1, snapshot_every=5)
+            start = basis_orbitals(n, half_filled)
+            trajectory = trotter_evolve(start, params, 10, 0.1, snapshot_every=5)
             for st in snapshot_states(trajectory, params.hubble)[1:]:
                 assert st.indices.size < 1 << n
                 dense = dense_state(n, to_dense(st))
@@ -317,7 +319,8 @@ class TestSamplingReference:
         for n in (6, 8, 10):
             params = ModelParams(n, 0.1, 1.0)
             for start in sector_starts(n):
-                trajectory = trotter_evolve(start, params, 10, 0.1, snapshot_every=5)
+                orbitals = basis_orbitals(n, start)
+                trajectory = trotter_evolve(orbitals, params, 10, 0.1, snapshot_every=5)
                 for i, st in enumerate(snapshot_states(trajectory, params.hubble)):
                     counts = sample_one(st, 20_000, seed=1000 + i)
                     assert counts.freqs.sum() == 20_000
@@ -368,7 +371,8 @@ def half_filled_block(n=6, count=5):
     as one block."""
     params = ModelParams(n, 0.1, 1.0)
     steps = count - 1
-    trajectory = trotter_evolve(sum(1 << x for x in range(0, n, 2)), params, steps, 1.0 / steps)
+    half_filled = basis_orbitals(n, sum(1 << x for x in range(0, n, 2)))
+    trajectory = trotter_evolve(half_filled, params, steps, 1.0 / steps)
     return read_out(trajectory.orbitals, params.hubble, trajectory.observables.t)
 
 

@@ -60,6 +60,15 @@ COMMANDS = (
         " --oracle off",
         0,
     ),
+    # Half filled with the oracle on, snapshots at steps 0, 3, 6 and 7: the
+    # oracle check shares its readout with the last shot block, which follows
+    # the shorter gap.
+    (
+        "n8-half-uneven-oracle",
+        "run --n_sites 8 --initial_state_index 85 --mass 1 --hubble 0.3 --trotter_steps 7"
+        " --snapshot_every 3 --shots 1000",
+        0,
+    ),
     # One shot per snapshot: every standard error is 0, so no error bar is drawn.
     ("n8-one-shot", "run --n_sites 8 --shots 1", 0),
     # The most shots a run takes: shots S2 passes 2^63 and shots^2 (shots - 1)
